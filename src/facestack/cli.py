@@ -32,7 +32,8 @@ from .geometry import (NoiseSpec, PATTERN_VARIANTS, pattern_eyes,
 from .pgm import load_gray, read_pgm, write_pgm
 from .stacking import (CANONICAL_STAGES, FirstStageSpec, stack_fit,
                        save_stacked)
-from .svm import SvmParams, grid_search, load_scores, save_model, svm_fit
+from .svm import (SvmParams, derive_seed, grid_search, load_scores, save_model,
+                  svm_fit)
 from .synth import synth_corpus
 
 PROTOCOLS = ("none", "dago", "dago-adults", "adults")
@@ -42,10 +43,6 @@ def _now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _derive_seed(seed, *key):
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
-
-
 def _pmap(fn, items, jobs):
     """Map preserving input order; thread pool when jobs > 1."""
     items = list(items)
@@ -53,11 +50,6 @@ def _pmap(fn, items, jobs):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _write_run(out_dir, ns, started, results=None, failures=None):
@@ -84,6 +76,13 @@ def _class_weight(ns):
     if getattr(ns, "weight_female", 1.0) == 1.0 and getattr(ns, "weight_male", 1.0) == 1.0:
         return None
     return {-1: ns.weight_female, 1: ns.weight_male}
+
+
+def _eval_flags(ns):
+    """run_kfold/run_crossdb keyword arguments from the SVM flags."""
+    params = None if ns.grid else _params_from_flags(ns)
+    return dict(params_first=params, params_meta=params, use_grid=ns.grid,
+                class_weight=_class_weight(ns))
 
 
 _STAGE_RE = re.compile(r":pca(\d+)$")
@@ -138,10 +137,9 @@ def _protocol_indices(manifest, protocol):
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(ns):
-    out = _ensure_dir(ns.out)
-    manifest = synth_corpus(out, ns.per_class, seed=ns.seed, dataset_name=ns.name)
-    print(f"synth: wrote {len(manifest)} samples under {out}")
-    return {"n_samples": len(manifest), "manifest": os.path.join(out, "manifest.csv")}, []
+    manifest = synth_corpus(ns.out, ns.per_class, seed=ns.seed, dataset_name=ns.name)
+    print(f"synth: wrote {len(manifest)} samples under {ns.out}")
+    return {"n_samples": len(manifest), "manifest": os.path.join(ns.out, "manifest.csv")}, []
 
 
 def cmd_folds(ns):
@@ -153,23 +151,24 @@ def cmd_folds(ns):
     return {"k": plan.k, "fold_sizes": sizes}, []
 
 
-def _noise_spec(ns, row_seed):
-    if ns.noise == "none":
+def _noise_spec(kind, level, seed):
+    """NoiseSpec for a CLI --noise choice at a variance or blur length."""
+    if kind == "none":
         return None
-    if ns.noise == "gaussian":
-        return NoiseSpec("gaussian", gaussian_variance=ns.variance, seed=row_seed)
-    return NoiseSpec("motion_blur", motion_length=ns.length, seed=row_seed)
+    if kind == "gaussian":
+        return NoiseSpec("gaussian", gaussian_variance=level, seed=seed)
+    return NoiseSpec("motion_blur", motion_length=level, seed=seed)
 
 
 def cmd_prepare(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
-    out = _ensure_dir(ns.out)
+    level = ns.variance if ns.noise == "gaussian" else ns.length
 
     def work(item):
         row, sample = item
         try:
             img = load_gray(sample.image_path)
-            noise = _noise_spec(ns, _derive_seed(ns.seed, row))
+            noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, row))
             pat = prepare_pattern(img, sample.eye_left, sample.eye_right,
                                   ns.pattern, noise=noise)
             return row, pat, None
@@ -184,17 +183,14 @@ def cmd_prepare(ns):
             failures.append({"row": row, "error": err})
             continue
         name = f"{row:06d}.pgm"
-        write_pgm(os.path.join(out, name), pat)
+        write_pgm(os.path.join(ns.out, name), pat)
         src = manifest.samples[row]
-        kept.append(Sample(os.path.join(out, name), src.identity_id, src.gender,
+        kept.append(Sample(os.path.join(ns.out, name), src.identity_id, src.gender,
                            src.age_group, eye_l, eye_r))
     prepared = Manifest(manifest.dataset_name, tuple(kept))
-    save_manifest(prepared, os.path.join(out, "manifest.csv"))
-    print(f"prepare: {len(kept)} patterns ({ns.pattern}) in {out}, {len(failures)} failed")
-    results_doc = {"n_prepared": len(kept), "n_failed": len(failures)}
-    if failures:
-        return results_doc, failures
-    return results_doc, []
+    save_manifest(prepared, os.path.join(ns.out, "manifest.csv"))
+    print(f"prepare: {len(kept)} patterns ({ns.pattern}) in {ns.out}, {len(failures)} failed")
+    return {"n_prepared": len(kept), "n_failed": len(failures)}, failures
 
 
 def cmd_extract(ns):
@@ -228,7 +224,7 @@ def _training_setup(ns, features_n):
         if plan.assignments.shape != (features_n,):
             raise DataError("fold plan does not cover the feature rows")
     else:
-        plan = make_folds(manifest, ns.kfolds, seed=_derive_seed(ns.seed, 77))
+        plan = make_folds(manifest, ns.kfolds, seed=derive_seed(ns.seed, 77))
     return manifest, labels, plan
 
 
@@ -237,11 +233,11 @@ def cmd_train(ns):
     manifest, labels, plan = _training_setup(ns, len(fm.data))
     cw = _class_weight(ns)
     if ns.grid:
-        params = grid_search(fm.data, labels, plan, seed=_derive_seed(ns.seed, 11),
+        params = grid_search(fm.data, labels, plan, seed=derive_seed(ns.seed, 11),
                              class_weight=cw)
     else:
         params = _params_from_flags(ns)
-    model = svm_fit(fm, labels, params, seed=_derive_seed(ns.seed, 1), class_weight=cw)
+    model = svm_fit(fm, labels, params, seed=derive_seed(ns.seed, 1), class_weight=cw)
     save_model(ns.out, model)
     train_acc = float(np.mean(np.where(model.decision_function(fm.data) >= 0, 1, -1) == labels))
     print(f"train: C={params.C} gamma={params.gamma} "
@@ -271,7 +267,7 @@ def cmd_stack(ns):
     cw = _class_weight(ns)
     if ns.grid:
         params_first = [
-            grid_search(X, labels, plan, seed=_derive_seed(ns.seed, 11, si), class_weight=cw)
+            grid_search(X, labels, plan, seed=derive_seed(ns.seed, 11, si), class_weight=cw)
             for si, X in enumerate(mats)
         ]
         params_meta = None  # stack_fit grid-searches the meta stage
@@ -279,7 +275,7 @@ def cmd_stack(ns):
         params_first = _params_from_flags(ns)
         params_meta = _params_from_flags(ns)
     model = stack_fit(mats, labels, plan, specs, external_scores=external,
-                      params_meta=params_meta, seed=_derive_seed(ns.seed, 2),
+                      params_meta=params_meta, seed=derive_seed(ns.seed, 2),
                       params_first=params_first, class_weight=cw)
     save_stacked(ns.out, model)
     print(f"stack: {len(specs)} first-stage columns "
@@ -306,8 +302,18 @@ def _write_mean_patterns(out, manifest_rows, row_ids, patterns_dir):
     return written
 
 
+def _write_eval(ns, report, samples, scores, **extra):
+    """Write report.json and roc.csv; returns the run.json results."""
+    extra.update(protocol=ns.protocol, stages=list(ns.stage),
+                 error_breakdown=_breakdown_doc(samples, scores))
+    save_report(os.path.join(ns.out, "report.json"), report, extra)
+    save_roc(os.path.join(ns.out, "roc.csv"), report)
+    doc = report.to_dict()
+    doc.pop("roc_points")
+    return doc
+
+
 def cmd_eval_kfold(ns):
-    out = _ensure_dir(ns.out)
     manifest = load_manifest(ns.manifest, check_files=False)
     idx = _protocol_indices(manifest, ns.protocol)
     sub = manifest.subset(idx)
@@ -324,39 +330,23 @@ def cmd_eval_kfold(ns):
             raise ConfigurationError(
                 "--folds plans index the unfiltered manifest; with a protocol "
                 "preset, let eval build folds on the filtered rows")
-        plan = load_folds(ns.folds)
-        if plan.assignments.shape != (len(sub),):
-            raise DataError("fold plan does not cover the evaluated rows")
+        plan = load_folds(ns.folds)  # run_kfold checks that it covers the rows
     else:
-        plan = make_folds(sub, ns.k, seed=_derive_seed(ns.seed, 77), grouping=ns.grouping)
+        plan = make_folds(sub, ns.k, seed=derive_seed(ns.seed, 77), grouping=ns.grouping)
 
-    report, scores = run_kfold(stages, labels, folds=plan, seed=ns.seed,
-                               params_first=None if ns.grid else _params_from_flags(ns),
-                               params_meta=None if ns.grid else _params_from_flags(ns),
-                               use_grid=ns.grid, class_weight=_class_weight(ns))
-    extra = {
-        "protocol": ns.protocol,
-        "mode": "kfold",
-        "dataset": manifest.dataset_name,
-        "stages": [s for s in ns.stage],
-        "error_breakdown": _breakdown_doc(sub.samples, scores),
-    }
-    save_report(os.path.join(out, "report.json"), report, extra)
-    save_roc(os.path.join(out, "roc.csv"), report)
-    means = []
+    report, scores = run_kfold(stages, labels, folds=plan, seed=ns.seed, **_eval_flags(ns))
+    doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
+                      dataset=manifest.dataset_name)
+    doc["mean_patterns"] = []
     if ns.patterns:
-        means = _write_mean_patterns(out, sub.samples, idx, ns.patterns)
+        doc["mean_patterns"] = _write_mean_patterns(ns.out, sub.samples, idx, ns.patterns)
     print(f"eval kfold: accuracy={report.accuracy:.4f} "
           f"(female {report.accuracy_female:.4f} / male {report.accuracy_male:.4f}) "
           f"auc={report.auc:.4f} n={report.n_samples}")
-    doc = report.to_dict()
-    doc.pop("roc_points")
-    doc["mean_patterns"] = means
     return doc, []
 
 
 def cmd_eval_crossdb(ns):
-    out = _ensure_dir(ns.out)
     train_man = load_manifest(ns.train_manifest, dataset_name=ns.train_name,
                               check_files=False)
     test_man = load_manifest(ns.test_manifest, dataset_name=ns.test_name,
@@ -377,33 +367,20 @@ def cmd_eval_crossdb(ns):
     report, scores = run_crossdb(
         train_stages, test_stages, tr_sub.labels().astype(np.float64),
         te_sub.labels().astype(np.float64), train_man.dataset_name,
-        test_man.dataset_name, seed=ns.seed,
-        params_first=None if ns.grid else _params_from_flags(ns),
-        params_meta=None if ns.grid else _params_from_flags(ns),
-        use_grid=ns.grid, class_weight=_class_weight(ns))
-    extra = {
-        "protocol": ns.protocol,
-        "mode": "crossdb",
-        "train_dataset": train_man.dataset_name,
-        "test_dataset": test_man.dataset_name,
-        "stages": [s for s in ns.stage],
-        "error_breakdown": _breakdown_doc(te_sub.samples, scores),
-    }
-    save_report(os.path.join(out, "report.json"), report, extra)
-    save_roc(os.path.join(out, "roc.csv"), report)
+        test_man.dataset_name, seed=ns.seed, **_eval_flags(ns))
+    doc = _write_eval(ns, report, te_sub.samples, scores, mode="crossdb",
+                      train_dataset=train_man.dataset_name,
+                      test_dataset=test_man.dataset_name)
     print(f"eval crossdb: {train_man.dataset_name} -> {test_man.dataset_name} "
           f"accuracy={report.accuracy:.4f} auc={report.auc:.4f} n={report.n_samples}")
-    doc = report.to_dict()
-    doc.pop("roc_points")
     return doc, []
 
 
 def cmd_noise_sweep(ns):
-    out = _ensure_dir(ns.out)
     manifest = load_manifest(ns.manifest)
     labels = manifest.labels().astype(np.float64)
     images = _pmap(lambda s: load_gray(s.image_path), manifest.samples, ns.jobs)
-    plan = make_folds(manifest, ns.k, seed=_derive_seed(ns.seed, 77))
+    plan = make_folds(manifest, ns.k, seed=derive_seed(ns.seed, 77))
 
     if ns.noise == "gaussian":
         levels = [float(v) for v in ns.variances.split(",")]
@@ -415,24 +392,18 @@ def cmd_noise_sweep(ns):
     for li, level in enumerate(levels):
         def prep(item):
             row, (img, sample) = item
-            if ns.noise == "gaussian":
-                noise = NoiseSpec("gaussian", gaussian_variance=level,
-                                  seed=_derive_seed(ns.seed, li, row))
-            else:
-                noise = NoiseSpec("motion_blur", motion_length=level,
-                                  seed=_derive_seed(ns.seed, li, row))
+            noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, li, row))
             pat = prepare_pattern(img, sample.eye_left, sample.eye_right,
                                   ns.pattern, noise=noise)
             return extract_descriptor(pat, ns.descriptor)
 
         feats = np.asarray(_pmap(prep, enumerate(zip(images, manifest.samples)), ns.jobs))
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
-                              seed=ns.seed, params_first=_params_from_flags(ns),
-                              use_grid=ns.grid)
+                              seed=ns.seed, **_eval_flags(ns))
         rows.append((level, report.accuracy))
         print(f"noise-sweep: {ns.noise}={level} accuracy={report.accuracy:.4f}")
 
-    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(ns.out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("noise,accuracy\n")
         for level, acc in rows:
             fh.write(f"{level},{acc!r}\n")
@@ -549,9 +520,11 @@ def build_parser():
 
 def _run_dir(ns):
     # run.json goes to the output directory, or next to an output file
-    if ns.command in ("synth", "prepare", "noise-sweep") or ns.command == "eval":
-        return _ensure_dir(ns.out)
-    return _ensure_dir(os.path.dirname(os.path.abspath(ns.out)))
+    out = ns.out
+    if ns.command not in ("synth", "prepare", "noise-sweep", "eval"):
+        out = os.path.dirname(os.path.abspath(out))
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def main(argv=None):
@@ -559,8 +532,9 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     started = _now()
     try:
+        run_dir = _run_dir(ns)
         results, failures = ns.func(ns)
-        _write_run(_run_dir(ns), ns, started, results, failures)
+        _write_run(run_dir, ns, started, results, failures)
         if failures:
             raise PartialFailure(f"{len(failures)} of the rows failed; see run.json")
     except ConfigurationError as exc:
@@ -577,3 +551,7 @@ def main(argv=None):
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

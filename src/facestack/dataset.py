@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError
+from .records import read_text
 
 GENDERS = ("female", "male")
 GENDER_TOKENS = {"f": "female", "m": "male"}
@@ -83,11 +84,7 @@ def load_manifest(path, dataset_name=None, check_files=True):
         dataset_name = os.path.splitext(os.path.basename(path))[0]
     base = os.path.dirname(os.path.abspath(path))
 
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    with fh:
+    with read_text(path, "manifest") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -169,9 +166,6 @@ class FoldPlan:
     seed: int
     grouping: str  # "by_sample" or "by_identity"
 
-    def fold_indices(self, fold):
-        return np.flatnonzero(self.assignments == fold)
-
     def split(self, fold):
         """(train_indices, test_indices) for one held-out fold."""
         test = self.assignments == fold
@@ -182,8 +176,9 @@ def make_folds(manifest, k, seed, grouping="by_sample"):
     """Deterministic seeded partition into k folds.
 
     by_sample shuffles rows and deals them round-robin, so fold sizes differ
-    by at most one. by_identity shuffles identities and assigns each whole
-    identity to the currently smallest fold, keeping all samples of an
+    by at most one; it only needs len(manifest), so any sequence (such as a
+    label array) will do. by_identity shuffles identities and assigns each
+    whole identity to the currently smallest fold, keeping all samples of an
     identity together.
     """
     if k < 2:
@@ -196,7 +191,7 @@ def make_folds(manifest, k, seed, grouping="by_sample"):
 
     if grouping == "by_sample":
         if n < k:
-            raise ConfigurationError(f"need at least {k} samples, manifest has {n}")
+            raise ConfigurationError(f"cannot make {k} folds from {n} samples")
         order = rng.permutation(n)
         assignments[order] = np.arange(n) % k
     else:
@@ -224,8 +219,8 @@ def save_folds(plan, path):
             writer.writerow([i, int(f)])
 
 
-def load_folds(path, seed=0, grouping="by_sample"):
-    with open(path, "r", newline="") as fh:
+def load_folds(path):
+    with read_text(path, "fold plan") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["row_index", "fold"]:
@@ -239,8 +234,10 @@ def load_folds(path, seed=0, grouping="by_sample"):
     pairs.sort()
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ParseError(f"{path}: row indices must cover 0..{len(pairs) - 1}")
-    assignments = np.array([f for _, f in pairs], dtype=np.int64)
-    if len(assignments) == 0:
+    if not pairs:
         raise ParseError(f"{path}: empty fold plan")
-    k = int(assignments.max()) + 1
-    return FoldPlan(k, assignments, seed, grouping)
+    ids = set(f for _, f in pairs)
+    k = max(ids) + 1
+    if min(ids) < 0 or k < 2 or len(ids) != k:  # every fold in [0, k) holds a row
+        raise ParseError(f"{path}: fold ids must cover 0..k-1 with k >= 2, got {sorted(ids)}")
+    return FoldPlan(k, np.array([f for _, f in pairs], dtype=np.int64), 0, "by_sample")

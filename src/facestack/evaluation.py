@@ -16,8 +16,7 @@ from .geometry import _require_gray, _round_u8
 from .pca import pca_fit
 from .stacking import (DEFAULT_STAGE_PARAMS, FirstStageSpec, inner_folds,
                        stack_fit, stack_scores)
-from .stats import StatTestResult, chi2_sf, jarque_bera, kruskal_wallis  # noqa: F401
-from .svm import SvmParams, grid_search, svm_fit
+from .svm import derive_seed, grid_search, svm_fit
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,9 @@ def evaluate(scores, labels, per_fold_accuracies=()):
     )
 
 
+_INNER_K = 5  # folds of the inner plan that grid search and stacking train on
+
+
 @dataclass(frozen=True)
 class StageData:
     """One first-stage input: a spec plus its row-aligned feature matrix."""
@@ -125,51 +127,44 @@ class StageData:
     pca_components: int = 0  # 0 disables the PCA step
 
 
-def _derive_seed(seed, *key):
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
-
-
-def _stage_features(stages, train_idx, test_idx, seed):
-    """Split per-stage features, fitting any PCA on training rows only."""
+def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params_first,
+                   params_meta, use_grid, class_weight):
+    """Train on each stage's training rows, score its test rows; PCA sees training rows only."""
     Xtr, Xte = [], []
-    for stage in stages:
-        F = np.asarray(stage.features, dtype=np.float64)
-        a, b = F[train_idx], F[test_idx]
+    for stage, a, b in zip(stages, train_sets, test_sets):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.shape[1] != b.shape[1]:
+            raise DataError(f"stage {stage.spec.id}: train/test feature widths differ")
         if stage.pca_components:
             model = pca_fit(a, stage.pca_components)
             a, b = model.transform(a), model.transform(b)
         Xtr.append(a)
         Xte.append(b)
-    return Xtr, Xte
-
-
-def _fit_and_score(stages, Xtr, ytr, Xte, seed, params_first, params_meta,
-                   use_grid, grid, inner_k, class_weight):
     specs = [s.spec for s in stages]
-    inner = inner_folds(ytr, k=min(inner_k, len(ytr)), seed=_derive_seed(seed, 101))
+    inner = inner_folds(ytr, k=min(_INNER_K, len(ytr)), seed=derive_seed(seed, 101))
     if use_grid and params_first is None:
         params_first = [
-            grid_search(X, ytr, inner, grid=grid, seed=_derive_seed(seed, 11, si),
+            grid_search(X, ytr, inner, seed=derive_seed(seed, 11, si),
                         class_weight=class_weight)
             for si, X in enumerate(Xtr)
         ]
     if len(specs) == 1:
         p = params_first[0] if isinstance(params_first, (list, tuple)) else \
             (params_first or DEFAULT_STAGE_PARAMS)
-        model = svm_fit(Xtr[0], ytr, p, seed=_derive_seed(seed, 1),
+        model = svm_fit(Xtr[0], ytr, p, seed=derive_seed(seed, 1),
                         class_weight=class_weight, descriptor_id=specs[0].descriptor)
         return model.decision_function(Xte[0])
     if params_meta is None and not use_grid:
         params_meta = DEFAULT_STAGE_PARAMS
     model = stack_fit(Xtr, ytr, inner, specs, params_meta=params_meta,
-                      seed=_derive_seed(seed, 2), params_first=params_first,
+                      seed=derive_seed(seed, 2), params_first=params_first,
                       class_weight=class_weight)
     return stack_scores(model, Xte)
 
 
 def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
-              params_meta=None, use_grid=False, grid=None, inner_k=5,
-              class_weight=None):
+              params_meta=None, use_grid=False, class_weight=None):
     """k-fold evaluation with pooled test scores.
 
     A single stage trains a plain SVM; multiple stages train the stacked
@@ -183,17 +178,17 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
     if any(len(s.features) != n for s in stages):
         raise DataError("stage features not aligned with labels")
     if folds is None:
-        folds = inner_folds(y, k=k, seed=_derive_seed(seed, 77))
+        folds = inner_folds(y, k=k, seed=derive_seed(seed, 77))
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
     pooled = np.zeros(n)
     fold_accs = []
     for fold in range(folds.k):
         train_idx, test_idx = folds.split(fold)
-        Xtr, Xte = _stage_features(stages, train_idx, test_idx, seed)
-        scores = _fit_and_score(stages, Xtr, y[train_idx], Xte,
-                                _derive_seed(seed, 5, fold), params_first,
-                                params_meta, use_grid, grid, inner_k, class_weight)
+        scores = _fit_and_score(stages, [s.features[train_idx] for s in stages], y[train_idx],
+                                [s.features[test_idx] for s in stages],
+                                derive_seed(seed, 5, fold), params_first,
+                                params_meta, use_grid, class_weight)
         pooled[test_idx] = scores
         pred = np.where(scores >= 0, 1.0, -1.0)
         fold_accs.append(float(np.mean(pred == y[test_idx])))
@@ -203,8 +198,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
 
 def run_crossdb(train_stages, test_stages, train_labels, test_labels,
                 train_name, test_name, seed=0, params_first=None,
-                params_meta=None, use_grid=False, grid=None, inner_k=5,
-                class_weight=None):
+                params_meta=None, use_grid=False, class_weight=None):
     """Train on one dataset, test on a different one.
 
     Nothing from the test side (scaling statistics, PCA basis, grid search)
@@ -217,23 +211,11 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     test_stages = list(test_stages)
     if [s.spec for s in train_stages] != [s.spec for s in test_stages]:
         raise ConfigurationError("train and test stages must list the same specs")
-    ytr = np.asarray(train_labels, dtype=np.float64)
-    yte = np.asarray(test_labels, dtype=np.float64)
-    Xtr, Xte = [], []
-    for tr, te in zip(train_stages, test_stages):
-        a = np.asarray(tr.features, dtype=np.float64)
-        b = np.asarray(te.features, dtype=np.float64)
-        if a.shape[1] != b.shape[1]:
-            raise DataError(f"stage {tr.spec.id}: train/test feature widths differ")
-        if tr.pca_components:
-            model = pca_fit(a, tr.pca_components)
-            a, b = model.transform(a), model.transform(b)
-        Xtr.append(a)
-        Xte.append(b)
-    scores = _fit_and_score(train_stages, Xtr, ytr, Xte, _derive_seed(seed, 9),
-                            params_first, params_meta, use_grid, grid,
-                            inner_k, class_weight)
-    report = evaluate(scores, yte)
+    scores = _fit_and_score(train_stages, [s.features for s in train_stages],
+                            np.asarray(train_labels, dtype=np.float64),
+                            [s.features for s in test_stages], derive_seed(seed, 9),
+                            params_first, params_meta, use_grid, class_weight)
+    report = evaluate(scores, np.asarray(test_labels, dtype=np.float64))
     return report, scores
 
 

@@ -1,7 +1,8 @@
 """Feature matrix container and its binary file format.
 
-Layout: magic ``FSFM``, uint32 version, uint32 n_samples, uint32 n_dims,
-uint32 id length, descriptor id (utf-8), then row-major float32 data.
+One record in the layout of `records`: header ``FSFM`` version 1, uint32
+n_samples, uint32 n_dims, the descriptor id string, then row-major
+little-endian float32 data.
 """
 
 import struct
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .records import (check_end, pack_str, read_array, read_header, read_str,
+                      read_struct, write_header)
 
 _MAGIC = b"FSFM"
 _VERSION = 1
@@ -37,29 +40,20 @@ class FeatureMatrix:
 
 
 def save_features(fm, path):
-    ident = fm.descriptor_id.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, fm.n_samples, fm.n_dims))
-        fh.write(struct.pack("<I", len(ident)))
-        fh.write(ident)
+        write_header(fh, _MAGIC, _VERSION)
+        fh.write(struct.pack("<II", fm.n_samples, fm.n_dims))
+        fh.write(pack_str(fm.descriptor_id))
         fh.write(fm.data.tobytes())
 
 
 def load_features(path):
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise DataError(f"{path}: not a feature matrix file")
-    version, n, d = struct.unpack_from("<III", blob, 4)
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported feature file version {version}")
-    (idlen,) = struct.unpack_from("<I", blob, 16)
-    ident = blob[20 : 20 + idlen].decode("utf-8")
-    raster = blob[20 + idlen :]
-    if len(raster) != 4 * n * d:
-        raise DataError(f"{path}: feature raster size mismatch")
-    data = np.frombuffer(raster, dtype="<f4").reshape(n, d).copy()
+        read_header(fh, path, _MAGIC, _VERSION, "feature matrix file")
+        n, d = read_struct(fh, "<II", path)
+        ident = read_str(fh, path)
+        data = read_array(fh, "<f4", n * d, path).reshape(n, d)
+        check_end(fh, path)
     return FeatureMatrix(data, ident)
 
 

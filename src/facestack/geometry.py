@@ -227,7 +227,7 @@ def prepare_pattern(img, eye_left, eye_right, pattern_id, noise=None):
     out = normalize_pattern(img, eye_left, eye_right, spec)
     if size:
         out = downscale(out, size, size)
-    if noise is not None and noise.kind != "none":
+    if noise is not None:
         if noise.kind == "gaussian":
             out = add_gaussian_noise(out, noise)
         else:

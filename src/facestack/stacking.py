@@ -4,7 +4,8 @@ First-stage classifiers are named C1..C5 over fixed pattern/descriptor
 pairs. Their signed scores, produced out-of-fold so the meta stage never
 sees a score from a model that trained on that sample, become the feature
 columns of a small second-stage SVM. External score columns (e.g. from a
-network trained elsewhere) can join by row index.
+network trained elsewhere) can join by row index. Stacked models
+serialize as `.fstk` files in the shared layout of `records`.
 """
 
 import struct
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import make_folds
 from .errors import ConfigurationError, DataError
-from .svm import (ScoreMatrix, SvmParams, grid_search, read_model, svm_fit,
-                  write_model, _pack_str, _read_exact, _unpack_str)
-from .dataset import FoldPlan, make_folds
+from .records import check_end, pack_str, read_header, read_str, read_struct, write_header
+from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, read_model,
+                  svm_fit, write_model)
 
 # fallback hyper-parameters when no grid search is requested: mid grid
 DEFAULT_STAGE_PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -46,11 +48,6 @@ S_CONFIGS = {
     "S4": ("C1", "C2", "C3"),
     "S5": ("C1", "C2", "C3", "C4", "C5"),
 }
-
-
-def _fit_seed(seed, spec_idx, fold):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(spec_idx, fold))
-    return int(ss.generate_state(1)[0])
 
 
 def _as_matrices(X_per_spec, specs, n=None):
@@ -103,7 +100,7 @@ def oof_scores(X_per_spec, y, folds, specs, seed=0, params=None, class_weight=No
         for fold in range(folds.k):
             train_idx, test_idx = folds.split(fold)
             model = svm_fit(X[train_idx], y[train_idx], p,
-                            seed=_fit_seed(seed, si, fold), class_weight=class_weight)
+                            seed=derive_seed(seed, si, fold), class_weight=class_weight)
             scores[test_idx, si] = model.decision_function(X[test_idx])
     return ScoreMatrix(scores=scores, column_ids=tuple(s.id for s in specs))
 
@@ -161,14 +158,14 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
     plist = _resolve_params(params_first, len(specs))
     first = []
     for si, (spec, X, p) in enumerate(zip(specs, mats, plist)):
-        model = svm_fit(X, y, p, seed=_fit_seed(seed, si, folds.k),
+        model = svm_fit(X, y, p, seed=derive_seed(seed, si, folds.k),
                         class_weight=class_weight, descriptor_id=spec.descriptor)
         first.append((spec, model))
 
     if params_meta is None:
-        params_meta = grid_search(meta_X, y, folds, seed=_fit_seed(seed, len(specs), 1),
+        params_meta = grid_search(meta_X, y, folds, seed=derive_seed(seed, len(specs), 1),
                                   class_weight=class_weight)
-    meta = svm_fit(meta_X, y, params_meta, seed=_fit_seed(seed, len(specs), 0),
+    meta = svm_fit(meta_X, y, params_meta, seed=derive_seed(seed, len(specs), 0),
                    class_weight=class_weight, descriptor_id="scores")
     return StackedModel(first_stage=tuple(first), meta=meta, column_ids=tuple(column_ids))
 
@@ -203,49 +200,35 @@ def stack_predict(model, x_per_spec, external=None):
 
 def save_stacked(path, model):
     with open(path, "wb") as fh:
-        fh.write(_STACK_MAGIC)
-        fh.write(struct.pack("<I", _STACK_VERSION))
+        write_header(fh, _STACK_MAGIC, _STACK_VERSION)
         fh.write(struct.pack("<I", len(model.column_ids)))
         for cid in model.column_ids:
-            fh.write(_pack_str(cid))
+            fh.write(pack_str(cid))
         fh.write(struct.pack("<I", len(model.first_stage)))
         for spec, m in model.first_stage:
-            fh.write(_pack_str(spec.id))
-            fh.write(_pack_str(spec.pattern))
-            fh.write(_pack_str(spec.descriptor))
+            fh.write(pack_str(spec.id))
+            fh.write(pack_str(spec.pattern))
+            fh.write(pack_str(spec.descriptor))
             write_model(fh, m)
         write_model(fh, model.meta)
 
 
 def load_stacked(path):
+    path = str(path)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, str(path)) != _STACK_MAGIC:
-            raise DataError(f"{path}: not a stacked model file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, str(path)))
-        if version != _STACK_VERSION:
-            raise DataError(f"{path}: unsupported stacked model version {version}")
-        (n_cols,) = struct.unpack("<I", _read_exact(fh, 4, str(path)))
-        column_ids = tuple(_unpack_str(fh, str(path)) for _ in range(n_cols))
-        (n_stage,) = struct.unpack("<I", _read_exact(fh, 4, str(path)))
+        read_header(fh, path, _STACK_MAGIC, _STACK_VERSION, "stacked model file")
+        (n_cols,) = read_struct(fh, "<I", path)
+        column_ids = tuple(read_str(fh, path) for _ in range(n_cols))
+        (n_stage,) = read_struct(fh, "<I", path)
         first = []
         for _ in range(n_stage):
-            sid = _unpack_str(fh, str(path))
-            pattern = _unpack_str(fh, str(path))
-            descriptor = _unpack_str(fh, str(path))
-            first.append((FirstStageSpec(sid, pattern, descriptor), read_model(fh, str(path))))
-        meta = read_model(fh, str(path))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after stacked model")
+            spec = FirstStageSpec(*(read_str(fh, path) for _ in range(3)))
+            first.append((spec, read_model(fh, path)))
+        meta = read_model(fh, path)
+        check_end(fh, path)
     return StackedModel(first_stage=tuple(first), meta=meta, column_ids=column_ids)
 
 
 def inner_folds(y, k=5, seed=0):
     """Convenience fold plan over bare labels for meta-score generation."""
-    n = len(y)
-    if n < k:
-        raise ConfigurationError(f"cannot make {k} folds from {n} samples")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[order] = np.arange(n) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed, grouping="by_sample")
+    return make_folds(y, k, seed)

@@ -12,7 +12,9 @@ Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. Kernel rows are memoized in a small
-LRU cache; `cache_rows` bounds its size.
+LRU cache.
+
+Models serialize as `.fsvm` records in the shared layout of `records`.
 """
 
 import struct
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .records import (check_end, pack_str, read_array, read_header, read_str,
+                      read_struct, read_text, write_header)
 
 KERNELS = ("rbf", "linear")
 
@@ -34,6 +38,12 @@ _MODEL_VERSION = 1
 _MIN_STEP = 1e-12
 _SNAP = 1e-10  # relative distance to a box bound below which alpha snaps onto it
 _SWEEP_CAP = 2000
+_CACHE_ROWS = 1024  # kernel rows memoized per solve
+
+
+def derive_seed(seed, *key):
+    """An independent 32-bit seed for the sub-task named by `key` under `seed`."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,7 @@ def rbf_kernel(a, b, gamma):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ConfigurationError("rbf_kernel expects two equal-length vectors")
-    d = a - b
-    return float(np.exp(-gamma * np.dot(d, d)))
+    return float(_kernel_block(SvmParams(C=1.0, gamma=gamma), a[None], b[None])[0, 0])
 
 
 def _kernel_block(params, A, B):
@@ -77,6 +86,12 @@ def _kernel_block(params, A, B):
         return A @ B.T
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-params.gamma * d2)
+
+
+def _min_max(X, lo, hi):
+    """Map each column from [lo, hi] onto [0, 1]; constant columns only shift."""
+    span = hi - lo
+    return (X - lo) / np.where(span > 0, span, 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,10 +112,7 @@ class SvmModel:
 
     def scale(self, X):
         """Apply the stored min-max scaling to raw feature rows."""
-        X = np.asarray(X, dtype=np.float64)
-        span = self.feature_max - self.feature_min
-        denom = np.where(span > 0, span, 1.0)
-        return (X - self.feature_min) / denom
+        return _min_max(np.asarray(X, dtype=np.float64), self.feature_min, self.feature_max)
 
     def decision_function(self, X):
         """Signed scores for raw (unscaled) feature rows."""
@@ -128,7 +140,7 @@ def svm_score(model, x):
 
 
 class _Smo:
-    def __init__(self, X, y, C_per_sample, params, seed, cache_rows):
+    def __init__(self, X, y, C_per_sample, params, seed):
         self.X = X
         self.y = y
         self.C = C_per_sample
@@ -140,19 +152,14 @@ class _Smo:
         self.errors = -y.astype(np.float64)  # f == 0 at the start
         self.rng = np.random.default_rng(seed)
         self._cache = OrderedDict()
-        self._cap = max(8, cache_rows)
 
     def kernel_row(self, i):
         row = self._cache.get(i)
         if row is not None:
             self._cache.move_to_end(i)
             return row
-        if self.params.kernel == "linear":
-            row = self.X @ self.X[i]
-        else:
-            d2 = ((self.X - self.X[i]) ** 2).sum(axis=1)
-            row = np.exp(-self.params.gamma * d2)
-        if len(self._cache) >= self._cap:
+        row = _kernel_block(self.params, self.X, self.X[i : i + 1])[:, 0]
+        if len(self._cache) >= _CACHE_ROWS:
             self._cache.popitem(last=False)
         self._cache[i] = row
         return row
@@ -318,12 +325,10 @@ class _Smo:
 def _scale_fit(X):
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    span = hi - lo
-    denom = np.where(span > 0, span, 1.0)
-    return lo, hi, (X - lo) / denom
+    return lo, hi, _min_max(X, lo, hi)
 
 
-def svm_fit(X, y, params, seed=0, class_weight=None, cache_rows=1024, descriptor_id=None):
+def svm_fit(X, y, params, seed=0, class_weight=None, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
@@ -360,7 +365,7 @@ def svm_fit(X, y, params, seed=0, class_weight=None, cache_rows=1024, descriptor
                 raise ConfigurationError("class weights must be positive")
             C_per[ys == float(label)] *= w
 
-    smo = _Smo(Xs, ys, C_per, params, seed, cache_rows)
+    smo = _Smo(Xs, ys, C_per, params, seed)
     smo.solve()
 
     sv = smo.alpha > 1e-12
@@ -395,9 +400,8 @@ def grid_search(X, y, folds, grid=None, seed=0, class_weight=None):
         accs = []
         for fold in range(folds.k):
             train_idx, test_idx = folds.split(fold)
-            fit_seed = np.random.SeedSequence(entropy=seed, spawn_key=(pi, fold)).generate_state(1)[0]
             model = svm_fit(X[train_idx], y[train_idx], params,
-                            seed=int(fit_seed), class_weight=class_weight)
+                            seed=derive_seed(seed, pi, fold), class_weight=class_weight)
             pred = np.where(model.decision_function(X[test_idx]) >= 0, 1.0, -1.0)
             accs.append(float(np.mean(pred == y[test_idx])))
         key = (-np.mean(accs), params.C, params.gamma)
@@ -450,7 +454,7 @@ def save_scores(path, matrix):
 
 
 def load_scores(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path, "score file") as fh:
         header = fh.readline().strip().split(",")
         if header[:1] != ["row_index"] or len(header) < 2:
             raise DataError(f"{path}: expected a row_index,<columns> header")
@@ -473,30 +477,12 @@ def load_scores(path):
                        row_indices=np.array(idx))
 
 
-def _pack_str(s):
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _read_exact(fh, n, path):
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise DataError(f"{path}: truncated model file")
-    return raw
-
-
-def _unpack_str(fh, path):
-    (n,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    return _read_exact(fh, n, path).decode("utf-8")
-
-
 def write_model(fh, model):
     """Append one model record to an open binary stream (self-delimiting)."""
     n_sv, n_dims = model.support_vectors.shape
-    fh.write(_MODEL_MAGIC)
-    fh.write(struct.pack("<I", _MODEL_VERSION))
-    fh.write(_pack_str(model.descriptor_id))
-    fh.write(_pack_str(model.params.kernel))
+    write_header(fh, _MODEL_MAGIC, _MODEL_VERSION)
+    fh.write(pack_str(model.descriptor_id))
+    fh.write(pack_str(model.params.kernel))
     fh.write(struct.pack("<dddI", model.params.C, model.params.gamma,
                          model.params.tolerance, model.params.max_passes))
     fh.write(struct.pack("<IId", n_sv, n_dims, model.bias))
@@ -508,19 +494,15 @@ def write_model(fh, model):
 
 def read_model(fh, path="<stream>"):
     """Read one model record written by write_model."""
-    if _read_exact(fh, 4, path) != _MODEL_MAGIC:
-        raise DataError(f"{path}: not an SVM model record")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    if version != _MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {version}")
-    descriptor_id = _unpack_str(fh, path)
-    kernel = _unpack_str(fh, path)
-    C, gamma, tol, max_passes = struct.unpack("<dddI", _read_exact(fh, 28, path))
-    n_sv, n_dims, bias = struct.unpack("<IId", _read_exact(fh, 16, path))
-    lo = np.frombuffer(_read_exact(fh, 8 * n_dims, path), dtype="<f8").copy()
-    hi = np.frombuffer(_read_exact(fh, 8 * n_dims, path), dtype="<f8").copy()
-    dual = np.frombuffer(_read_exact(fh, 8 * n_sv, path), dtype="<f8").copy()
-    sv = np.frombuffer(_read_exact(fh, 8 * n_sv * n_dims, path), dtype="<f8").copy()
+    read_header(fh, path, _MODEL_MAGIC, _MODEL_VERSION, "facestack SVM model record")
+    descriptor_id = read_str(fh, path)
+    kernel = read_str(fh, path)
+    C, gamma, tol, max_passes = read_struct(fh, "<dddI", path)
+    n_sv, n_dims, bias = read_struct(fh, "<IId", path)
+    lo = read_array(fh, "<f8", n_dims, path)
+    hi = read_array(fh, "<f8", n_dims, path)
+    dual = read_array(fh, "<f8", n_sv, path)
+    sv = read_array(fh, "<f8", n_sv * n_dims, path)
     return SvmModel(
         support_vectors=sv.reshape(n_sv, n_dims),
         dual_coefs=dual,
@@ -541,6 +523,5 @@ def save_model(path, model):
 def load_model(path):
     with open(path, "rb") as fh:
         model = read_model(fh, str(path))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after model data")
+        check_end(fh, path)
     return model

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import facestack
+from facestack import SvmParams, evaluation
 from facestack.cli import main
 from facestack.features import load_features
 from facestack.stacking import load_stacked
@@ -228,3 +233,114 @@ def test_jobs_flag_matches_serial(workspace, tmp_path):
     a = load_features(out)
     b = load_features(workspace / "losib.fsfm")
     assert np.array_equal(a.data, b.data)
+
+
+def test_eval_kfold_rejects_negative_fold_ids(workspace, tmp_path, capsys):
+    lines = (workspace / "folds.csv").read_text().splitlines()
+    for i in range(1, 11):  # 10 of 30 rows get fold -1
+        lines[i] = lines[i].split(",")[0] + ",-1"
+    plan = tmp_path / "folds.csv"
+    plan.write_text("\n".join(lines) + "\n")
+    rc = main(["--out", str(tmp_path / "e"), "eval", "kfold",
+               "--manifest", str(workspace / "corpus" / "manifest.csv"),
+               "--stage", f"C1={workspace / 'hog.fsfm'}",
+               "--folds", str(plan), "--C", "4.0"])
+    assert rc == 3
+    assert "fold id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["folds", "extract", "train", "stack"])
+def test_file_output_creates_missing_directory(workspace, tmp_path, command):
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    hog = str(workspace / "hog.fsfm")
+    args = {
+        "folds": ["folds", "--manifest", manifest, "--k", "3"],
+        "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
+                    "--descriptor", "lbpu2"],
+        "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
+        "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
+                  "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],
+    }[command]
+    out = tmp_path / "new" / "dir" / "output"
+    assert main(["--out", str(out)] + args) == 0
+    assert out.is_file()
+    assert (out.parent / "run.json").is_file()
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(facestack.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "corpus"
+    proc = subprocess.run([sys.executable, "-m", "facestack.cli", "--out", str(out),
+                           "synth", "--per-class", "2"], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.csv").is_file()
+
+
+def test_noise_sweep_grid_flag_searches(workspace, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return SvmParams(C=4.0, gamma=0.095)
+
+    monkeypatch.setattr(evaluation, "grid_search", spy)
+    assert main(["--out", str(workspace / "sweep_grid"), "noise-sweep",
+                 "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--pattern", "F", "--descriptor", "lbpu2", "--variances", "0,0.05",
+                 "--k", "2", "--grid"]) == 0
+    assert len(calls) == 4  # one search per outer fold per noise level
+
+
+GARBAGE = bytes(range(256)) * 4  # not UTF-8 and no valid magic
+
+
+def _damage(good, how):
+    data = good.read_bytes()
+    return {"cut10": data[:10], "half": data[: len(data) // 2], "garbage": GARBAGE}[how]
+
+
+def _corruption_cases(ws, tmp_path):
+    """Per command: argv with {name} placeholders and the good input per name."""
+    manifest = ws / "corpus" / "manifest.csv"
+    scores = tmp_path / "ext.csv"
+    scores.write_text("row_index,EXT\n" + "".join(f"{i},{i % 3 - 1}.5\n" for i in range(30)))
+    one_manifest = tmp_path / "one" / "manifest.csv"
+    one_manifest.parent.mkdir()
+    (tmp_path / "one" / "000000.pgm").write_bytes((ws / "fpat" / "000000.pgm").read_bytes())
+    header, first_row = (ws / "fpat" / "manifest.csv").read_text().splitlines()[:2]
+    one_manifest.write_text(f"{header}\n{first_row}\n")
+    return {
+        "train": (["train", "--features", "{fsfm}", "--manifest", "{manifest}",
+                   "--folds", "{folds}", "--C", "4.0"],
+                  {"fsfm": ws / "hog.fsfm", "manifest": manifest, "folds": ws / "folds.csv"}),
+        "stack": (["stack", "--manifest", "{manifest}", "--stage", "C1={fsfm}",
+                   "--folds", "{folds}", "--external", "{scores}", "--C", "4.0"],
+                  {"fsfm": ws / "hog.fsfm", "manifest": manifest, "folds": ws / "folds.csv",
+                   "scores": scores}),
+        "eval kfold": (["eval", "kfold", "--manifest", "{manifest}", "--stage", "C1={fsfm}",
+                        "--folds", "{folds}", "--C", "4.0"],
+                       {"fsfm": ws / "hog.fsfm", "manifest": manifest,
+                        "folds": ws / "folds.csv"}),
+        "eval crossdb": (["eval", "crossdb", "--train-manifest", "{train}",
+                          "--test-manifest", "{test}", "--train-name", "a", "--test-name", "b",
+                          "--stage", "C1={trainf},{testf}", "--C", "4.0"],
+                         {"train": manifest, "test": manifest, "trainf": ws / "hog.fsfm",
+                          "testf": ws / "hog.fsfm"}),
+        "extract": (["extract", "--manifest", "{manifest}", "--descriptor", "hog"],
+                    {"manifest": one_manifest, "pgm": one_manifest.parent / "000000.pgm"}),
+    }
+
+
+@pytest.mark.parametrize("how", ["cut10", "half", "garbage"])
+@pytest.mark.parametrize("command", ["train", "stack", "eval kfold", "eval crossdb", "extract"])
+def test_corrupt_inputs_exit_2_or_3(workspace, tmp_path, capsys, command, how):
+    argv, inputs = _corruption_cases(workspace, tmp_path)[command]
+    for name, good in inputs.items():
+        # the image is a private copy named by the manifest, so damage it in place
+        bad = good if name == "pgm" else tmp_path / f"bad_{name}"
+        bad.write_bytes(_damage(good, how))
+        paths = {k: str(bad if k == name else v) for k, v in inputs.items()}
+        out = tmp_path / name / ("out" if command.startswith("eval") else "out.bin")
+        rc = main(["--out", str(out)] + [a.format(**paths) for a in argv])
+        assert rc in (2, 3), (name, rc, capsys.readouterr().err)

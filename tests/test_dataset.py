@@ -192,3 +192,16 @@ def test_load_folds_rejects_gaps(tmp_path):
     p.write_text("row_index,fold\n")
     with pytest.raises(ParseError):
         load_folds(p)
+
+
+def test_load_folds_rejects_bad_fold_ids(tmp_path):
+    p = tmp_path / "folds.csv"
+    p.write_text("row_index,fold\n0,0\n1,-1\n2,1\n")  # fold id outside [0, k)
+    with pytest.raises(ParseError, match="fold ids"):
+        load_folds(p)
+    p.write_text("row_index,fold\n0,0\n1,2\n2,2\n")  # fold 1 is empty
+    with pytest.raises(ParseError, match="fold ids"):
+        load_folds(p)
+    p.write_text("row_index,fold\n0,0\n1,0\n")  # a single fold trains on nothing
+    with pytest.raises(ParseError, match="fold ids"):
+        load_folds(p)

@@ -22,6 +22,7 @@ from facestack import (
     save_roc,
 )
 from facestack import evaluation
+from facestack.svm import derive_seed
 from facestack.stacking import inner_folds
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -107,7 +108,7 @@ def _stagedata(n, seed=0, informative=True, pca=0, width=4):
 def test_run_kfold_pooled_equals_weighted_fold_mean():
     stage, y = _stagedata(103, seed=2)
     report, pooled = run_kfold([stage], y, k=5, seed=4, params_first=PARAMS)
-    folds = inner_folds(y, k=5, seed=evaluation._derive_seed(4, 77))
+    folds = inner_folds(y, k=5, seed=derive_seed(4, 77))
     sizes = np.bincount(folds.assignments, minlength=5)
     weighted = float(np.dot(report.per_fold_accuracies, sizes) / sizes.sum())
     assert report.accuracy == pytest.approx(weighted, abs=1e-12)

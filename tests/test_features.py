@@ -40,3 +40,15 @@ def test_load_rejects_corrupt(tmp_path):
     p.write_bytes(blob[:-4])  # truncate the raster
     with pytest.raises(DataError):
         load_features(p)
+
+
+def test_load_rejects_oversized_header_counts(tmp_path):
+    # a corrupt shape field must fail as a short read, not as a huge allocation
+    p = tmp_path / "f.bin"
+    fm = FeatureMatrix(np.zeros((2, 2), dtype=np.float32), "hog")
+    save_features(fm, p)
+    blob = bytearray(p.read_bytes())
+    blob[8:16] = b"\xff" * 8  # n_samples = n_dims = 2**32 - 1
+    p.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="truncated"):
+        load_features(p)

@@ -18,7 +18,8 @@ from facestack import (
     stack_scores,
     svm_fit,
 )
-from facestack.stacking import DEFAULT_STAGE_PARAMS, _fit_seed
+from facestack.stacking import DEFAULT_STAGE_PARAMS
+from facestack.svm import derive_seed as _fit_seed
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
 
