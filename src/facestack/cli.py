@@ -466,7 +466,13 @@ def build_parser():
     _add_svm_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("stack", help="train the two-stage stacked model")
+    p = sub.add_parser(
+        "stack", help="train the two-stage stacked model",
+        description="Train the two-stage stacked model. With --grid, each first "
+                    "stage's C/gamma is picked on the same fold plan (--folds or "
+                    "--kfolds) that then produces the out-of-fold meta features, so "
+                    "each meta feature's held-out fold took part in the choice; "
+                    "`eval kfold --grid` searches inside each outer training fold.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stage", action="append", default=[],
                    help="ID=FEATURES.fsfm, repeatable (C1..C5 or custom ids)")

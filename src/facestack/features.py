@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .records import (check_end, pack_str, read_array, read_header, read_str,
-                      read_struct, write_header)
+from .records import (check_end, open_binary, pack_str, read_array, read_header,
+                      read_str, read_struct, write_header)
 
 _MAGIC = b"FSFM"
 _VERSION = 1
@@ -48,7 +48,7 @@ def save_features(fm, path):
 
 
 def load_features(path):
-    with open(path, "rb") as fh:
+    with open_binary(path, "feature matrix file") as fh:
         read_header(fh, path, _MAGIC, _VERSION, "feature matrix file")
         n, d = read_struct(fh, "<II", path)
         ident = read_str(fh, path)

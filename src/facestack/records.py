@@ -7,8 +7,9 @@ followed by that many UTF-8 bytes, and arrays raw little-endian rows.
 Records are self-delimiting, so a file may hold several back to back; a
 file ends exactly where its last record does. Any short read, wrong magic,
 unknown version, bad UTF-8 or trailing byte raises DataError naming the
-file. `read_text` opens a CSV input and turns unreadable or non-UTF-8
-files into DataError as well.
+file. `open_binary` opens a record file and `read_text` a CSV input; both
+turn a missing or unreadable file into DataError as well, and `read_text`
+a non-UTF-8 one.
 """
 
 import io
@@ -72,12 +73,18 @@ def check_end(fh, path):
         raise DataError(f"{path}: trailing bytes after the last record")
 
 
-def read_text(path, what):
-    """The UTF-8 file at path as a text stream that keeps its line endings."""
+def open_binary(path, what):
+    """The file at path opened for binary reading; `what` names it in errors."""
     try:
-        with open(path, "rb") as fh:
-            return io.StringIO(fh.read().decode("utf-8"), newline="")
+        return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: {what} is not UTF-8 text") from None
+
+
+def read_text(path, what):
+    """The UTF-8 file at path as a text stream that keeps its line endings."""
+    with open_binary(path, what) as fh:
+        try:
+            return io.StringIO(fh.read().decode("utf-8"), newline="")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: {what} is not UTF-8 text") from None

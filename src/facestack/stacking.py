@@ -15,7 +15,8 @@ import numpy as np
 
 from .dataset import make_folds
 from .errors import ConfigurationError, DataError
-from .records import check_end, pack_str, read_header, read_str, read_struct, write_header
+from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
+                      write_header)
 from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, read_model,
                   svm_fit, write_model)
 
@@ -215,7 +216,7 @@ def save_stacked(path, model):
 
 def load_stacked(path):
     path = str(path)
-    with open(path, "rb") as fh:
+    with open_binary(path, "stacked model file") as fh:
         read_header(fh, path, _STACK_MAGIC, _STACK_VERSION, "stacked model file")
         (n_cols,) = read_struct(fh, "<I", path)
         column_ids = tuple(read_str(fh, path) for _ in range(n_cols))

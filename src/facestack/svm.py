@@ -11,21 +11,26 @@ finds no violation, so the KKT conditions hold at `tolerance` on exit.
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
-result independent of input row order. Kernel rows are memoized in a small
-LRU cache.
+result independent of input row order. That scaled, ordered training set is
+a `_Fold`, which also memoizes the squared distances between its rows: they
+do not depend on (C, gamma), so `grid_search` prepares each inner fold once
+and shares them across every grid point, and scores the held-out rows from
+one block of distances per fold. Each solve keeps its kernel rows in a small
+LRU cache. A solve that stops at the sweep cap warns with RuntimeWarning.
 
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
 
 import struct
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .records import (check_end, pack_str, read_array, read_header, read_str,
-                      read_struct, read_text, write_header)
+from .records import (check_end, open_binary, pack_str, read_array, read_header,
+                      read_str, read_struct, read_text, write_header)
 
 KERNELS = ("rbf", "linear")
 
@@ -38,7 +43,7 @@ _MODEL_VERSION = 1
 _MIN_STEP = 1e-12
 _SNAP = 1e-10  # relative distance to a box bound below which alpha snaps onto it
 _SWEEP_CAP = 2000
-_CACHE_ROWS = 1024  # kernel rows memoized per solve
+_CACHE_ROWS = 1024  # rows memoized per solve (kernel) and per fold (squared distances)
 
 
 def derive_seed(seed, *key):
@@ -80,18 +85,55 @@ def rbf_kernel(a, b, gamma):
     return float(_kernel_block(SvmParams(C=1.0, gamma=gamma), a[None], b[None])[0, 0])
 
 
-def _kernel_block(params, A, B):
-    """Kernel values between the rows of A (m,d) and B (n,d) -> (m,n)."""
+def _sq_dists(A, B):
+    """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
+
+    Each entry is the same difference, square and sum over d whatever the
+    shapes of A and B, so blocks cut from a larger one are bit-identical.
+    """
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kernel_block(params, A, B, d2=None):
+    """Kernel values between the rows of A (m,d) and B (n,d) -> (m,n).
+
+    An rbf caller that already holds `_sq_dists(A, B)` passes it as d2.
+    """
     if params.kernel == "linear":
         return A @ B.T
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    if d2 is None:
+        d2 = _sq_dists(A, B)
     return np.exp(-params.gamma * d2)
+
+
+def _chunk_rows(B):
+    """Rows of A per `_sq_dists(A, B)` call that keep its (m, n, d) temporary small."""
+    return max(1, int(4e6 / max(1, B.size)))
+
+
+def _lru(cache, key, compute):
+    """cache[key], computing and inserting it (evicting the oldest) when absent."""
+    row = cache.get(key)
+    if row is not None:
+        cache.move_to_end(key)
+        return row
+    row = compute(key)
+    if len(cache) >= _CACHE_ROWS:
+        cache.popitem(last=False)
+    cache[key] = row
+    return row
 
 
 def _min_max(X, lo, hi):
     """Map each column from [lo, hi] onto [0, 1]; constant columns only shift."""
     span = hi - lo
     return (X - lo) / np.where(span > 0, span, 1.0)
+
+
+def _scale_fit(X):
+    lo = X.min(axis=0)
+    hi = X.max(axis=0)
+    return lo, hi, _min_max(X, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -126,8 +168,7 @@ class SvmModel:
             raise DataError("non-finite feature value")
         Xs = self.scale(X)
         scores = np.empty(len(Xs))
-        # chunk so the (chunk, n_sv, d) distance tensor stays small
-        chunk = max(1, int(4e6 / max(1, self.support_vectors.size)))
+        chunk = _chunk_rows(self.support_vectors)
         for lo in range(0, len(Xs), chunk):
             k = _kernel_block(self.params, Xs[lo : lo + chunk], self.support_vectors)
             scores[lo : lo + chunk] = k @ self.dual_coefs + self.bias
@@ -139,30 +180,75 @@ def svm_score(model, x):
     return model.decision_function(np.asarray(x, dtype=np.float64))
 
 
+class _Fold:
+    """Training rows min-max scaled and put in canonical order, once.
+
+    Holds the scaling (`lo`, `hi`), the ordered rows `X` and labels `y`, and
+    a memo of squared-distance rows capped at _CACHE_ROWS. None of it depends
+    on (C, gamma), so every fit on the same rows can share one _Fold.
+    `support` holds the row indices of the support vectors of the latest fit.
+    """
+
+    def __init__(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.ndim != 2 or len(X) != len(y):
+            raise DataError("X must be (n, d) with one label per row")
+        if not np.all(np.isfinite(X)):
+            raise DataError("non-finite feature value")
+        y = y.astype(np.float64)
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise DataError("labels must be -1 or +1")
+        if len(np.unique(y)) < 2:
+            raise ConfigurationError("training data must contain both classes")
+        self.lo, self.hi, Xs = _scale_fit(X)
+        # canonical row order: sort by feature values then label
+        order = np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
+        self.X = np.ascontiguousarray(Xs[order])
+        self.y = y[order]
+        self.support = None
+        self._d2 = OrderedDict()
+
+    def __len__(self):
+        return len(self.y)
+
+    def d2_row(self, i):
+        """Squared distances from row i to every row."""
+        return _lru(self._d2, i, lambda i: _sq_dists(self.X, self.X[i : i + 1])[:, 0])
+
+    def held_out(self, X):
+        """Raw rows X scaled like the training rows, and their squared
+        distances to every training row -> (Xs (m,d), d2 (m,n))."""
+        Xs = _min_max(np.asarray(X, dtype=np.float64), self.lo, self.hi)
+        d2 = np.empty((len(Xs), len(self)))
+        chunk = _chunk_rows(self.X)
+        for lo in range(0, len(Xs), chunk):
+            d2[lo : lo + chunk] = _sq_dists(Xs[lo : lo + chunk], self.X)
+        return Xs, d2
+
+
 class _Smo:
-    def __init__(self, X, y, C_per_sample, params, seed):
-        self.X = X
-        self.y = y
+    def __init__(self, fold, C_per_sample, params, seed):
+        self.fold = fold
+        self.X = fold.X
+        self.y = fold.y
         self.C = C_per_sample
         self.params = params
         self.tol = params.tolerance
-        self.n = len(y)
+        self.n = len(fold)
         self.alpha = np.zeros(self.n)
         self.b = 0.0
-        self.errors = -y.astype(np.float64)  # f == 0 at the start
+        self.errors = -fold.y  # f == 0 at the start
         self.rng = np.random.default_rng(seed)
+        self.capped = False  # set when solve() stops at _SWEEP_CAP
         self._cache = OrderedDict()
 
     def kernel_row(self, i):
-        row = self._cache.get(i)
-        if row is not None:
-            self._cache.move_to_end(i)
-            return row
-        row = _kernel_block(self.params, self.X, self.X[i : i + 1])[:, 0]
-        if len(self._cache) >= _CACHE_ROWS:
-            self._cache.popitem(last=False)
-        self._cache[i] = row
-        return row
+        return _lru(self._cache, i, self._compute_row)
+
+    def _compute_row(self, i):
+        d2 = self.fold.d2_row(i)[:, None] if self.params.kernel == "rbf" else None
+        return _kernel_block(self.params, self.X, self.X[i : i + 1], d2)[:, 0]
 
     def violates(self, i):
         r = self.errors[i] * self.y[i]
@@ -319,44 +405,28 @@ class _Smo:
                 changed += self.examine(i)
             if changed == 0:
                 break
+        else:
+            self.capped = True
         self.refresh()
-
-
-def _scale_fit(X):
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    return lo, hi, _min_max(X, lo, hi)
 
 
 def svm_fit(X, y, params, seed=0, class_weight=None, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
-    both classes present. class_weight optionally maps each label to a
-    multiplier on C (useful for imbalanced data). The result is
-    deterministic in (data, params, seed) regardless of row order.
+    both classes present. X may instead be a `_Fold` already built from the
+    rows and labels, and y is then ignored. class_weight optionally maps
+    each label to a multiplier on C (useful for imbalanced data). The result
+    is deterministic in (data, params, seed) regardless of row order. A
+    solve that stops at the sweep cap before converging warns with
+    RuntimeWarning.
     """
     if hasattr(X, "descriptor_id"):  # FeatureMatrix
         if descriptor_id is None:
             descriptor_id = X.descriptor_id
         X = X.data
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise DataError("X must be (n, d) with one label per row")
-    if not np.all(np.isfinite(X)):
-        raise DataError("non-finite feature value")
-    y = y.astype(np.float64)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise ConfigurationError("training data must contain both classes")
-
-    lo, hi, Xs = _scale_fit(X)
-    # canonical row order: sort by feature values then label
-    order = np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
-    Xs = np.ascontiguousarray(Xs[order])
-    ys = y[order]
+    fold = X if isinstance(X, _Fold) else _Fold(X, y)
+    Xs, ys = fold.X, fold.y
 
     C_per = np.full(len(ys), float(params.C))
     if class_weight:
@@ -365,19 +435,24 @@ def svm_fit(X, y, params, seed=0, class_weight=None, descriptor_id=None):
                 raise ConfigurationError("class weights must be positive")
             C_per[ys == float(label)] *= w
 
-    smo = _Smo(Xs, ys, C_per, params, seed)
+    smo = _Smo(fold, C_per, params, seed)
     smo.solve()
+    if smo.capped:
+        warnings.warn(f"SMO stopped at the {_SWEEP_CAP}-sweep cap before the KKT "
+                      f"conditions held at tolerance {params.tolerance}",
+                      RuntimeWarning, stacklevel=2)
 
-    sv = smo.alpha > 1e-12
-    if not sv.any():
-        sv = smo.alpha > 0
+    sv = np.flatnonzero(smo.alpha > 1e-12)
+    if not len(sv):
+        sv = np.flatnonzero(smo.alpha > 0)
+    fold.support = sv
     return SvmModel(
-        support_vectors=np.ascontiguousarray(Xs[sv]),
+        support_vectors=Xs[sv],
         dual_coefs=smo.alpha[sv] * ys[sv],
         bias=float(smo.b),
         params=params,
-        feature_min=lo,
-        feature_max=hi,
+        feature_min=fold.lo,
+        feature_max=fold.hi,
         descriptor_id=descriptor_id or "",
     )
 
@@ -385,29 +460,49 @@ def svm_fit(X, y, params, seed=0, class_weight=None, descriptor_id=None):
 def grid_search(X, y, folds, grid=None, seed=0, class_weight=None):
     """Pick hyper-parameters by mean cross-validated accuracy.
 
-    Ties go to the smaller C, then the smaller gamma.
+    Ties go to the smaller C, then the smaller gamma. Each fold's training
+    rows are prepared once (a `_Fold`) and every grid point is fitted on
+    them, so the squared distances between them, and from the held-out rows
+    to them, are computed once per fold rather than once per fit.
     """
     if grid is None:
         grid = default_grid()
     if not grid:
         raise ConfigurationError("empty parameter grid")
+    accs = _grid_accuracies(X, y, folds, grid, seed, class_weight)
+    best = None
+    for params, row in zip(grid, accs):
+        key = (-np.mean(row), params.C, params.gamma)
+        if best is None or key < best[0]:
+            best = (key, params)
+    return best[1]
+
+
+def _grid_accuracies(X, y, folds, grid, seed, class_weight):
+    """Held-out accuracy of every grid point on every fold -> (len(grid), k).
+
+    The fit of grid point pi on fold f is seeded with derive_seed(seed, pi, f)
+    and goes through svm_fit; held-out rows are scored from the support
+    vectors' columns of the fold's distance block, which gives the signs
+    that model.decision_function would.
+    """
     if hasattr(X, "descriptor_id"):
         X = X.data
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    best = None
-    for pi, params in enumerate(grid):
-        accs = []
-        for fold in range(folds.k):
-            train_idx, test_idx = folds.split(fold)
-            model = svm_fit(X[train_idx], y[train_idx], params,
-                            seed=derive_seed(seed, pi, fold), class_weight=class_weight)
-            pred = np.where(model.decision_function(X[test_idx]) >= 0, 1.0, -1.0)
-            accs.append(float(np.mean(pred == y[test_idx])))
-        key = (-np.mean(accs), params.C, params.gamma)
-        if best is None or key < best[0]:
-            best = (key, params)
-    return best[1]
+    accs = np.empty((len(grid), folds.k))
+    for f in range(folds.k):
+        train_idx, test_idx = folds.split(f)
+        fold = _Fold(X[train_idx], y[train_idx])
+        Xt, d2 = fold.held_out(X[test_idx])
+        for pi, params in enumerate(grid):
+            model = svm_fit(fold, None, params, seed=derive_seed(seed, pi, f),
+                            class_weight=class_weight)
+            sv_d2 = d2[:, fold.support] if params.kernel == "rbf" else None
+            k = _kernel_block(params, Xt, model.support_vectors, sv_d2)
+            pred = np.where(k @ model.dual_coefs + model.bias >= 0, 1.0, -1.0)
+            accs[pi, f] = np.mean(pred == y[test_idx])
+    return accs
 
 
 @dataclass(frozen=True)
@@ -521,7 +616,7 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
+    with open_binary(path, "SVM model file") as fh:
         model = read_model(fh, str(path))
         check_end(fh, path)
     return model

@@ -267,6 +267,22 @@ def test_file_output_creates_missing_directory(workspace, tmp_path, command):
     assert (out.parent / "run.json").is_file()
 
 
+@pytest.mark.parametrize("command", ["train", "stack", "eval kfold"])
+def test_missing_binary_input_exits_3(workspace, tmp_path, capsys, command):
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    missing = str(tmp_path / "nope.fsfm")
+    args = {
+        "train": ["train", "--features", missing, "--manifest", manifest, "--C", "4.0"],
+        "stack": ["stack", "--manifest", manifest, "--stage", f"C1={missing}", "--C", "4.0"],
+        "eval kfold": ["eval", "kfold", "--manifest", manifest, "--stage", f"C1={missing}",
+                       "--C", "4.0"],
+    }[command]
+    out = tmp_path / ("out" if command.startswith("eval") else "out.bin")
+    assert main(["--out", str(out)] + args) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "nope.fsfm" in err
+
+
 def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(facestack.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -201,6 +201,8 @@ def test_load_stacked_rejects_garbage(tmp_path):
     p.write_bytes(b"FSTKxxxx")
     with pytest.raises(DataError):
         load_stacked(p)
+    with pytest.raises(DataError, match="cannot read"):
+        load_stacked(tmp_path / "missing.fstk")
 
 
 def test_misaligned_inputs():

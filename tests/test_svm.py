@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from facestack import svm as svm_module
 from facestack import (
     ConfigurationError,
     DataError,
@@ -18,7 +19,11 @@ from facestack import (
     svm_score,
 )
 from facestack.dataset import FoldPlan
-from facestack.svm import GRID_C, GRID_GAMMA, _kernel_block, _scale_fit, rbf_kernel
+from facestack.svm import (GRID_C, GRID_GAMMA, _Fold, _grid_accuracies, _kernel_block,
+                           _scale_fit, derive_seed, rbf_kernel)
+
+# a solve that stops at the sweep cap warns; no test here may do so unasked
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _blobs(n_per, gap=2.0, d=2, seed=0):
@@ -202,6 +207,8 @@ def test_load_model_rejects_garbage(tmp_path):
     p.write_bytes(b"not a model at all")
     with pytest.raises(DataError):
         load_model(p)
+    with pytest.raises(DataError, match="cannot read"):
+        load_model(tmp_path / "missing.fsvm")
 
 
 def test_score_matrix_roundtrip(tmp_path):
@@ -258,3 +265,99 @@ def test_grid_search_empty_grid():
     folds = FoldPlan(2, np.arange(len(y)) % 2, 0, "by_sample")
     with pytest.raises(ConfigurationError):
         grid_search(X, y, folds, grid=[])
+
+
+def _naive_accuracies(X, y, folds, grid, seed, class_weight=None):
+    """Reference for _grid_accuracies: one fit on raw rows per point and fold."""
+    accs = np.empty((len(grid), folds.k))
+    for pi, params in enumerate(grid):
+        for f in range(folds.k):
+            train_idx, test_idx = folds.split(f)
+            m = svm_fit(X[train_idx], y[train_idx], params, seed=derive_seed(seed, pi, f),
+                        class_weight=class_weight)
+            pred = np.where(m.decision_function(X[test_idx]) >= 0, 1.0, -1.0)
+            accs[pi, f] = np.mean(pred == y[test_idx])
+    return accs
+
+
+_HAND_GRID = [  # a linear point, and gamma values repeated and out of order
+    SvmParams(C=1.0, gamma=0.5),
+    SvmParams(C=4.0, gamma=0.1, kernel="linear"),
+    SvmParams(C=2.0, gamma=0.05),
+    SvmParams(C=0.5, gamma=2.0),
+    SvmParams(C=1.0, gamma=0.5),
+    SvmParams(C=8.0, gamma=0.05),
+]
+
+
+@pytest.mark.parametrize("grid, class_weight", [
+    (None, None),
+    (None, {-1: 3.0, 1: 1.0}),
+    (_HAND_GRID, None),
+], ids=["default", "class_weight", "hand_grid"])
+def test_grid_search_matches_naive_loop(grid, class_weight):
+    X, y = _blobs(30, gap=0.35, d=8, seed=21)
+    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    points = default_grid() if grid is None else grid
+    want = _naive_accuracies(X, y, folds, points, 7, class_weight)
+    got = _grid_accuracies(X, y, folds, points, 7, class_weight)
+    assert len(np.unique(want.mean(axis=1))) > 1  # the points do differ
+    assert np.array_equal(got, want)
+    pick = min(range(len(points)), key=lambda pi: (-np.mean(want[pi]), points[pi].C,
+                                                   points[pi].gamma))
+    assert grid_search(X, y, folds, grid=grid, seed=7, class_weight=class_weight) == points[pick]
+
+
+def test_fit_on_prepared_fold_matches_raw_rows():
+    X, y = _blobs(25, gap=0.8, d=5, seed=22)
+    params = SvmParams(C=2.0, gamma=0.3)
+    fold = _Fold(X, y)
+    a = svm_fit(fold, None, params, seed=4, class_weight={-1: 2.0})
+    b = svm_fit(X, y, params, seed=4, class_weight={-1: 2.0})
+    for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.bias == b.bias
+    assert np.array_equal(fold.X[fold.support], a.support_vectors)
+
+
+@pytest.mark.parametrize("n, d", [(48, 576), (96, 1475), (96, 512)])
+def test_fold_distances_give_the_direct_kernel(n, d):
+    # rows cut from the fold's memo and block must be bit-identical to
+    # kernels computed directly on the same rows
+    rng = np.random.default_rng(n + d)
+    fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
+    Xt, d2 = fold.held_out(rng.random((40, d)))  # two row chunks at d=1475
+    cols = np.sort(rng.choice(n, n // 2, replace=False))
+    for gamma in GRID_GAMMA:
+        p = SvmParams(C=1.0, gamma=gamma)
+        assert np.array_equal(_kernel_block(p, Xt, fold.X[cols], d2[:, cols]),
+                              _kernel_block(p, Xt, fold.X[cols]))
+        for i in (0, n // 2, n - 1):
+            row = fold.X[i : i + 1]
+            assert np.array_equal(_kernel_block(p, fold.X, row, fold.d2_row(i)[:, None]),
+                                  _kernel_block(p, fold.X, row))
+
+
+def test_grid_search_fits_through_svm_fit(monkeypatch):
+    X, y = _blobs(15, gap=1.0, seed=23)
+    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[0], kwargs["seed"]))
+        return svm_fit(*args, **kwargs)
+
+    monkeypatch.setattr(svm_module, "svm_fit", spy)
+    grid = default_grid()
+    grid_search(X, y, folds, grid=grid, seed=1)
+    assert len(calls) == len(grid) * folds.k
+    assert len({id(fold) for fold, _ in calls}) == folds.k  # one prepared fold each
+    assert sorted(seed for _, seed in calls) == sorted(
+        derive_seed(1, pi, f) for pi in range(len(grid)) for f in range(folds.k))
+
+
+def test_sweep_cap_warns(monkeypatch):
+    X, y = _blobs(30, gap=0.8, seed=3)
+    monkeypatch.setattr(svm_module, "_SWEEP_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        svm_fit(X, y, SvmParams(C=1.0, gamma=0.5), seed=2)
