@@ -44,12 +44,48 @@ def _now():
 
 
 def _pmap(fn, items, jobs):
-    """Map preserving input order; thread pool when jobs > 1."""
-    items = list(items)
+    """Map preserving input order; thread pool when jobs > 1.
+
+    Serially, items are drawn from the iterable one at a time.
+    """
     if jobs <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+# pixels per extract_descriptor call, which bounds the call's temporaries:
+# 8 F (65x59) or HS64 patterns
+_CHUNK_PIXELS = 32768
+
+
+def _chunks(patterns):
+    """Runs of consecutive equal-shape patterns as (N, H, W) stacks.
+
+    A stack holds at most _CHUNK_PIXELS pixels, or one pattern if that is
+    larger.
+    """
+    run = []
+    for pat in patterns:
+        if run and (pat.shape != run[0].shape or (len(run) + 1) * pat.size > _CHUNK_PIXELS):
+            yield np.stack(run)
+            run = []
+        run.append(pat)
+    if run:
+        yield np.stack(run)
+
+
+def _extract_rows(patterns, descriptor_id, jobs, dtype):
+    """Feature matrix of an iterable of patterns, one extract call per chunk."""
+    def work(stack):
+        return extract_descriptor(stack, descriptor_id).astype(dtype, copy=False)
+
+    blocks = _pmap(work, _chunks(patterns), jobs)
+    widths = sorted({b.shape[1] for b in blocks})
+    if len(widths) > 1:
+        raise DataError(f"inconsistent feature widths {widths}; "
+                        "are all patterns the same size?")
+    return np.concatenate(blocks)
 
 
 def _write_run(out_dir, ns, started, results=None, failures=None):
@@ -198,15 +234,9 @@ def cmd_extract(ns):
     if len(manifest) == 0:
         raise DataError(f"{ns.manifest}: no samples")
 
-    def work(sample):
-        return extract_descriptor(read_pgm(sample.image_path), ns.descriptor)
-
-    vectors = _pmap(work, manifest.samples, ns.jobs)
-    widths = {len(v) for v in vectors}
-    if len(widths) > 1:
-        raise DataError(f"inconsistent feature widths {sorted(widths)}; "
-                        "are all patterns the same size?")
-    fm = FeatureMatrix(np.asarray(vectors, dtype=np.float32), ns.descriptor)
+    patterns = (read_pgm(sample.image_path) for sample in manifest.samples)
+    fm = FeatureMatrix(_extract_rows(patterns, ns.descriptor, ns.jobs, np.float32),
+                       ns.descriptor)
     save_features(fm, ns.out)
     if ns.csv:
         export_csv(fm, ns.csv)
@@ -393,11 +423,11 @@ def cmd_noise_sweep(ns):
         def prep(item):
             row, (img, sample) = item
             noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, li, row))
-            pat = prepare_pattern(img, sample.eye_left, sample.eye_right,
-                                  ns.pattern, noise=noise)
-            return extract_descriptor(pat, ns.descriptor)
+            return prepare_pattern(img, sample.eye_left, sample.eye_right,
+                                   ns.pattern, noise=noise)
 
-        feats = np.asarray(_pmap(prep, enumerate(zip(images, manifest.samples)), ns.jobs))
+        patterns = _pmap(prep, enumerate(zip(images, manifest.samples)), ns.jobs)
+        feats = _extract_rows(patterns, ns.descriptor, ns.jobs, np.float64)
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
                               seed=ns.seed, **_eval_flags(ns))
         rows.append((level, report.accuracy))

@@ -6,6 +6,23 @@ top-left neighbour is bit 7 and the left neighbour is bit 0. Comparisons
 are "neighbour >= reference", i.e. ties set the bit. Any fixed order is
 equivalent up to a permutation of histogram bins; this one is used
 everywhere, including the naive references in the test suite.
+
+Batches: `extract_descriptor`, `hog`, `losib`, `grid_histogram` and the
+`*_code_map` functions take one (H, W) uint8 pattern or an (N, H, W) stack
+of equal-shape patterns; a single pattern is a batch of one, and a stack
+gives one row per pattern, bit-identical to extracting the patterns one at
+a time. The CLI's `extract` and `noise-sweep` pass chunks of at most
+`cli._CHUNK_PIXELS` pixels (32768: 8 F or HS64 patterns), which bounds
+the temporaries of one call.
+
+Cell sums use one weighted `np.bincount` over `image*cells*bins + bin`
+indices. It adds each bin's votes one by one in input order, the order of
+the `np.add.at` it replaced, so the sums are bit-identical. HOG therefore
+bincounts its k0 votes and then its k1 votes in one call, concatenated in
+that order (two bincounts added together would re-associate the sums),
+and its 2x2 block normalization adds the blocks that cover a cell in
+row-major block order. The per-pixel coders (`lbp_code`, ...) stay scalar:
+they are the oracles the maps are tested against.
 """
 
 from dataclasses import dataclass
@@ -46,15 +63,28 @@ def _check_interior(img, x, y):
         raise ConfigurationError(f"pixel ({x},{y}) does not have all 8 neighbours in bounds")
 
 
+def _require_patterns(patterns):
+    """One (H, W) or a stack of (N, H, W) uint8 patterns."""
+    patterns = np.asarray(patterns)
+    if patterns.ndim not in (2, 3) or patterns.dtype != np.uint8:
+        raise ConfigurationError(
+            "expected a 2-D uint8 grayscale image or an (N, H, W) uint8 stack")
+    return patterns
+
+
 def _neighbor_stack(img):
-    """Neighbour values around every interior pixel, shape (8, H-2, W-2)."""
-    h, w = img.shape
+    """Neighbour values around every interior pixel, shape (8, ..., H-2, W-2)."""
+    h, w = img.shape[-2:]
     if h < 3 or w < 3:
         raise ConfigurationError("image too small for 8-neighbourhood coding")
-    stack = np.empty((8, h - 2, w - 2), dtype=np.int32)
+    stack = np.empty((8,) + img.shape[:-2] + (h - 2, w - 2), dtype=np.int32)
     for i, (dx, dy) in enumerate(NEIGHBOR_OFFSETS):
-        stack[i] = img[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
+        stack[i] = img[..., 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
     return stack
+
+
+def _center(img):
+    return img[..., 1:-1, 1:-1].astype(np.int32)
 
 
 def lbp_code(img, x, y):
@@ -70,10 +100,10 @@ def lbp_code(img, x, y):
 
 
 def lbp_code_map(img):
-    """LBP codes for all interior pixels, shape (H-2, W-2)."""
-    img = _require_gray(img)
+    """LBP codes for all interior pixels, shape (..., H-2, W-2)."""
+    img = _require_patterns(img)
     stack = _neighbor_stack(img)
-    center = img[1:-1, 1:-1].astype(np.int32)
+    center = _center(img)
     bits = stack >= center
     codes = np.zeros(center.shape, dtype=np.int64)
     for i in range(8):
@@ -95,7 +125,7 @@ def nilbp_code(img, x, y):
 
 
 def nilbp_code_map(img):
-    img = _require_gray(img)
+    img = _require_patterns(img)
     stack = _neighbor_stack(img)
     mean = stack.mean(axis=0)
     bits = stack >= mean
@@ -131,9 +161,9 @@ def lsp_code(img, x, y, t=0):
 def lsp_code_map(img, t=0):
     if t < 0:
         raise ConfigurationError("LSP threshold must be non-negative")
-    img = _require_gray(img)
+    img = _require_patterns(img)
     stack = _neighbor_stack(img)
-    d = stack - img[1:-1, 1:-1].astype(np.int32)
+    d = stack - _center(img)
     flat = np.abs(d).max(axis=0) <= t
     imax = d.argmax(axis=0)  # first maximum = lowest index
     masked = d.copy()
@@ -178,28 +208,34 @@ def _cell_index(n, parts):
     return np.repeat(np.arange(parts), sizes)
 
 
+def _cell_ids(n, h, w, grid):
+    """Bincount slot image*cells + cell of every pixel of n h x w images, shape (n, h, w)."""
+    cell = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
+    return np.arange(n)[:, None, None] * (grid.rows * grid.cols) + cell
+
+
 def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
     """Concatenated per-cell histograms of a neighbourhood coder.
 
     The interior pixel region (all 8 neighbours in bounds) splits into
     grid.rows x grid.cols near-equal cells; each cell histogram is L1
     normalized (an empty cell stays all-zero) and cells concatenate
-    row-major.
+    row-major. One row per pattern of a stack.
     """
-    img = _require_gray(img)
+    img = _require_patterns(img)
     codes = code_map_fn(img)
-    h, w = codes.shape
+    h, w = codes.shape[-2:]
     if h < grid.rows or w < grid.cols:
         raise ConfigurationError(
             f"interior {w}x{h} too small for a {grid.cols}x{grid.rows} grid")
-    cell_id = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
-    flat = cell_id * n_bins + codes
-    n_cells = grid.rows * grid.cols
-    hist = np.bincount(flat.ravel(), minlength=n_cells * n_bins).reshape(n_cells, n_bins)
-    hist = hist.astype(np.float64)
-    sums = hist.sum(axis=1, keepdims=True)
+    codes = codes.reshape(-1, h, w)
+    n = len(codes)
+    flat = _cell_ids(n, h, w, grid) * n_bins + codes
+    hist = np.bincount(flat.ravel(), minlength=n * grid.rows * grid.cols * n_bins)
+    hist = hist.reshape(n, -1, n_bins).astype(np.float64)
+    sums = hist.sum(axis=2, keepdims=True)
     np.divide(hist, sums, out=hist, where=sums > 0)
-    return hist.ravel()
+    return hist.reshape(img.shape[:-2] + (-1,))
 
 
 def hog(img, grid=HOG_GRID, n_bins=HOG_BINS):
@@ -209,19 +245,21 @@ def hog(img, grid=HOG_GRID, n_bins=HOG_BINS):
     orientation on [0, 180) with magnitude votes split linearly between the
     two nearest bins; per-cell histograms are divided by the L2 norm of
     each 2x2 cell block containing the cell (1e-6 under the root) and the
-    normalized copies averaged. Output length rows*cols*n_bins.
+    normalized copies averaged. Output length rows*cols*n_bins, one row per
+    pattern of a stack.
     """
-    img = _require_gray(img)
-    h, w = img.shape
+    img = _require_patterns(img)
+    h, w = img.shape[-2:]
     if h < 2 or w < 2:
         raise ConfigurationError("image too small for gradients")
     if h < grid.rows or w < grid.cols:
         raise ConfigurationError(f"image {w}x{h} too small for a {grid.cols}x{grid.rows} HOG grid")
-    f = img.astype(np.float64)
+    f = img.reshape(-1, h, w).astype(np.float64)
+    n = len(f)
     cols = np.arange(w)
     rows = np.arange(h)
-    gx = f[:, np.minimum(cols + 1, w - 1)] - f[:, np.maximum(cols - 1, 0)]
-    gy = f[np.minimum(rows + 1, h - 1), :] - f[np.maximum(rows - 1, 0), :]
+    gx = f[:, :, np.minimum(cols + 1, w - 1)] - f[:, :, np.maximum(cols - 1, 0)]
+    gy = f[:, np.minimum(rows + 1, h - 1), :] - f[:, np.maximum(rows - 1, 0), :]
     mag = np.hypot(gx, gy)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
     pos = ang / (180.0 / n_bins)
@@ -229,28 +267,32 @@ def hog(img, grid=HOG_GRID, n_bins=HOG_BINS):
     k1 = (k0 + 1) % n_bins
     w1 = pos - np.floor(pos)
 
-    rc = np.broadcast_to(_cell_index(h, grid.rows)[:, None], (h, w))
-    cc = np.broadcast_to(_cell_index(w, grid.cols)[None, :], (h, w))
-    hist = np.zeros((grid.rows, grid.cols, n_bins), dtype=np.float64)
-    np.add.at(hist, (rc, cc, k0), mag * (1.0 - w1))
-    np.add.at(hist, (rc, cc, k1), mag * w1)
+    # every k0 vote, then every k1 vote, in one call: each bin's sum then
+    # adds its votes in the order np.add.at did
+    base = _cell_ids(n, h, w, grid) * n_bins
+    slots = np.concatenate(((base + k0).ravel(), (base + k1).ravel()))
+    votes = np.concatenate(((mag * (1.0 - w1)).ravel(), (mag * w1).ravel()))
+    hist = np.bincount(slots, votes, minlength=n * grid.rows * grid.cols * n_bins)
+    hist = hist.reshape(n, grid.rows, grid.cols, n_bins)
 
     eps = 1e-6
     if grid.rows >= 2 and grid.cols >= 2:
-        sq = (hist * hist).sum(axis=2)
-        block_ss = sq[:-1, :-1] + sq[1:, :-1] + sq[:-1, 1:] + sq[1:, 1:]
-        norms = np.sqrt(block_ss + eps)
+        sq = (hist * hist).sum(axis=3)
+        block_ss = sq[:, :-1, :-1] + sq[:, 1:, :-1] + sq[:, :-1, 1:] + sq[:, 1:, 1:]
+        norms = np.sqrt(block_ss + eps)[..., None]
         out = np.zeros_like(hist)
-        counts = np.zeros((grid.rows, grid.cols), dtype=np.float64)
-        for bi in range(grid.rows - 1):
-            for bj in range(grid.cols - 1):
-                out[bi : bi + 2, bj : bj + 2] += hist[bi : bi + 2, bj : bj + 2] / norms[bi, bj]
-                counts[bi : bi + 2, bj : bj + 2] += 1.0
-        out /= counts[:, :, None]
+        counts = np.zeros((grid.rows, grid.cols, 1), dtype=np.float64)
+        # block (bi, bj) covers cells (bi..bi+1, bj..bj+1); a cell adds its
+        # blocks in row-major block order: (r-1, c-1), (r-1, c), (r, c-1), (r, c)
+        for dr, dc in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            cells = (slice(dr, grid.rows - 1 + dr), slice(dc, grid.cols - 1 + dc))
+            out[:, cells[0], cells[1]] += hist[:, cells[0], cells[1]] / norms
+            counts[cells] += 1.0
+        out /= counts
     else:
-        norms = np.sqrt((hist * hist).sum(axis=2) + eps)
-        out = hist / norms[:, :, None]
-    return out.ravel()
+        norms = np.sqrt((hist * hist).sum(axis=3) + eps)
+        out = hist / norms[..., None]
+    return out.reshape(img.shape[:-2] + (-1,))
 
 
 def losib(img, grid=LOSIB_GRID):
@@ -259,26 +301,26 @@ def losib(img, grid=LOSIB_GRID):
     For each of the 8 radius-1 orientations (same order as the LBP bits)
     and each grid cell over the interior region, the mean of
     |neighbour - center| / 255. Output is cell-major then orientation:
-    rows*cols*8 values.
+    rows*cols*8 values, one row per pattern of a stack.
     """
-    img = _require_gray(img)
+    img = _require_patterns(img)
     stack = _neighbor_stack(img)
-    diffs = np.abs(stack - img[1:-1, 1:-1].astype(np.int32)) / 255.0
-    h, w = diffs.shape[1:]
+    center = _center(img)
+    h, w = center.shape[-2:]
     if h < grid.rows or w < grid.cols:
         raise ConfigurationError(
             f"interior {w}x{h} too small for a {grid.cols}x{grid.rows} grid")
-    rc = np.broadcast_to(_cell_index(h, grid.rows)[:, None], (h, w))
-    cc = np.broadcast_to(_cell_index(w, grid.cols)[None, :], (h, w))
-    acc = np.zeros((grid.rows, grid.cols, 8), dtype=np.float64)
-    np.add.at(acc, (rc, cc), np.moveaxis(diffs, 0, -1))
-    counts = np.zeros((grid.rows, grid.cols), dtype=np.float64)
-    np.add.at(counts, (rc, cc), 1.0)
-    return (acc / counts[:, :, None]).ravel()
+    n = center.size // (h * w)
+    cell = _cell_ids(n, h, w, grid).ravel()
+    slots = n * grid.rows * grid.cols
+    diffs = (np.abs(stack[o] - center) / 255.0 for o in range(8))
+    acc = np.stack([np.bincount(cell, d.ravel(), minlength=slots) for d in diffs], axis=1)
+    counts = np.bincount(cell, minlength=slots).astype(np.float64)
+    return (acc / counts[:, None]).reshape(img.shape[:-2] + (-1,))
 
 
 def _raw(img):
-    return _require_gray(img).astype(np.float64).ravel() / 255.0
+    return img.reshape(img.shape[:-2] + (-1,)).astype(np.float64) / 255.0
 
 
 _EXTRACTORS = {
@@ -297,11 +339,11 @@ _EXTRACTORS = {
 DESCRIPTOR_IDS = tuple(sorted(_EXTRACTORS))
 
 
-def extract_descriptor(img, descriptor_id):
-    """Run one named descriptor on a grayscale pattern."""
+def extract_descriptor(patterns, descriptor_id):
+    """Run one named descriptor on a pattern (H, W) -> (D,) or a stack (N, H, W) -> (N, D)."""
     try:
         fn = _EXTRACTORS[descriptor_id]
     except KeyError:
         raise ConfigurationError(
             f"unknown descriptor {descriptor_id!r}; choose from {', '.join(DESCRIPTOR_IDS)}") from None
-    return fn(img)
+    return fn(_require_patterns(patterns))

@@ -6,6 +6,10 @@ grid. The face pattern (F) is 59x65 with the eye centers anchored at
 (16, 17) and (42, 17), giving an inter-eye distance of 26 pixels. The
 head-and-shoulders pattern (HS) is 159x155 at the same scale, leaving 50
 pixels of context left/right of the F window, 30 above and 60 below.
+
+Resampling reads the uint8 source directly: `_bilinear_sample` gathers the
+four corners of every sample point from a copy with a 2-pixel zero border,
+so there is no float64 copy of the source and no per-corner bounds mask.
 """
 
 import math
@@ -125,26 +129,26 @@ def eye_transform(eye_left, eye_right, spec):
 
 
 def _bilinear_sample(img, xs, ys):
-    """Sample img at float coordinates, zero outside the raster."""
+    """Sample img at float coordinates, zero outside the raster.
+
+    Gathers the four corners from img (uint8 or float) inside a 2-pixel
+    zero border: corner indices clip into [-2, w] and [-2, h], so a corner
+    off the raster reads the border's zeros, and the weights and the order
+    of the sums are those of a masked read.
+    """
     h, w = img.shape
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     fx = xs - x0
     fy = ys - y0
 
+    padded = np.pad(img, 2).ravel()
+    stride = w + 4
+    base = (np.clip(y0, -2, h) + 2) * stride + np.clip(x0, -2, w) + 2
+    ex, ey = 1 - fx, 1 - fy
     out = np.zeros(xs.shape, dtype=np.float64)
-    for dx, dy, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        ix = x0 + dx
-        iy = y0 + dy
-        ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        vals = np.zeros(xs.shape, dtype=np.float64)
-        vals[ok] = img[iy[ok], ix[ok]]
-        out += wgt * vals
+    for offset, wgt in ((0, ex * ey), (1, fx * ey), (stride, ex * fy), (stride + 1, fx * fy)):
+        out += wgt * padded.take(base + offset)
     return out
 
 
@@ -160,7 +164,7 @@ def normalize_pattern(img, eye_left, eye_right, spec):
                          np.arange(spec.height, dtype=np.float64))
     sx = inv.a * xs - inv.b * ys + inv.tx
     sy = inv.b * xs + inv.a * ys + inv.ty
-    return _round_u8(_bilinear_sample(img.astype(np.float64), sx, sy))
+    return _round_u8(_bilinear_sample(img, sx, sy))
 
 
 def downscale(img, w, h):
@@ -176,7 +180,7 @@ def downscale(img, w, h):
     xs = np.clip(xs, 0.0, src_w - 1.0)
     ys = np.clip(ys, 0.0, src_h - 1.0)
     gx, gy = np.meshgrid(xs, ys)
-    return _round_u8(_bilinear_sample(img.astype(np.float64), gx, gy))
+    return _round_u8(_bilinear_sample(img, gx, gy))
 
 
 def add_gaussian_noise(img, spec):

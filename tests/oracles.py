@@ -210,3 +210,93 @@ def auc_mannwhitney(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def same_bits(a, b):
+    """Equal bit for bit: np.array_equal, and the same signed zeros and NaN payloads."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def ref_bilinear_sample(img, xs, ys):
+    """Sample img at float coordinates, zero outside the raster.
+
+    The masked read: each corner is bounds-checked and read by fancy
+    indexing into a float64 zero array.
+    """
+    h, w = img.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = xs - x0
+    fy = ys - y0
+
+    out = np.zeros(xs.shape, dtype=np.float64)
+    for dx, dy, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (1, 0, fx * (1 - fy)),
+        (0, 1, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        ix = x0 + dx
+        iy = y0 + dy
+        ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        vals = np.zeros(xs.shape, dtype=np.float64)
+        vals[ok] = img[iy[ok], ix[ok]]
+        out += wgt * vals
+    return out
+
+
+def _ref_cell_of(n, parts):
+    return np.repeat(np.arange(parts), np.diff(ref_cell_edges(n, parts)))
+
+
+def ref_hog(img, rows=8, cols=8, n_bins=9):
+    """HOG one image at a time: np.add.at votes, a Python loop over 2x2 blocks."""
+    h, w = img.shape
+    f = img.astype(np.float64)
+    cx = np.arange(w)
+    cy = np.arange(h)
+    gx = f[:, np.minimum(cx + 1, w - 1)] - f[:, np.maximum(cx - 1, 0)]
+    gy = f[np.minimum(cy + 1, h - 1), :] - f[np.maximum(cy - 1, 0), :]
+    mag = np.hypot(gx, gy)
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    pos = ang / (180.0 / n_bins)
+    k0 = np.floor(pos).astype(np.int64) % n_bins
+    k1 = (k0 + 1) % n_bins
+    w1 = pos - np.floor(pos)
+
+    rc = np.broadcast_to(_ref_cell_of(h, rows)[:, None], (h, w))
+    cc = np.broadcast_to(_ref_cell_of(w, cols)[None, :], (h, w))
+    hist = np.zeros((rows, cols, n_bins), dtype=np.float64)
+    np.add.at(hist, (rc, cc, k0), mag * (1.0 - w1))
+    np.add.at(hist, (rc, cc, k1), mag * w1)
+
+    eps = 1e-6
+    if rows < 2 or cols < 2:
+        return (hist / np.sqrt((hist * hist).sum(axis=2) + eps)[:, :, None]).ravel()
+    sq = (hist * hist).sum(axis=2)
+    block_ss = sq[:-1, :-1] + sq[1:, :-1] + sq[:-1, 1:] + sq[1:, 1:]
+    norms = np.sqrt(block_ss + eps)
+    out = np.zeros_like(hist)
+    counts = np.zeros((rows, cols), dtype=np.float64)
+    for bi in range(rows - 1):
+        for bj in range(cols - 1):
+            out[bi : bi + 2, bj : bj + 2] += hist[bi : bi + 2, bj : bj + 2] / norms[bi, bj]
+            counts[bi : bi + 2, bj : bj + 2] += 1.0
+    out /= counts[:, :, None]
+    return out.ravel()
+
+
+def ref_losib(img, rows=8, cols=8):
+    """LOSIB one image at a time, cell sums by np.add.at."""
+    img = np.asarray(img, dtype=np.int32)
+    h, w = img.shape[0] - 2, img.shape[1] - 2
+    center = img[1:-1, 1:-1]
+    diffs = np.stack([np.abs(img[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] - center) / 255.0
+                      for dx, dy in RING], axis=-1)
+    rc = np.broadcast_to(_ref_cell_of(h, rows)[:, None], (h, w))
+    cc = np.broadcast_to(_ref_cell_of(w, cols)[None, :], (h, w))
+    acc = np.zeros((rows, cols, 8), dtype=np.float64)
+    np.add.at(acc, (rc, cc), diffs)
+    counts = np.zeros((rows, cols), dtype=np.float64)
+    np.add.at(counts, (rc, cc), 1.0)
+    return (acc / counts[:, :, None]).ravel()

@@ -8,8 +8,12 @@ import pytest
 
 import facestack
 from facestack import SvmParams, evaluation
+from facestack import cli
 from facestack.cli import main
+from facestack.dataset import Manifest, load_manifest, save_manifest
+from facestack.descriptors import extract_descriptor
 from facestack.features import load_features
+from facestack.pgm import read_pgm
 from facestack.stacking import load_stacked
 from facestack.svm import load_model
 
@@ -223,6 +227,57 @@ def test_folds_protocol_conflict(workspace, tmp_path, capsys):
                "--folds", str(workspace / "folds.csv"),
                "--protocol", "adults", "--C", "4.0"])
     assert rc == 2
+
+
+def _per_pattern(manifest_path, descriptor):
+    samples = load_manifest(manifest_path).samples
+    return np.asarray([extract_descriptor(read_pgm(s.image_path), descriptor) for s in samples],
+                      dtype=np.float32)
+
+
+def test_extract_chunks_match_per_pattern_extraction(workspace):
+    # 30 F patterns make chunks of 8, 8, 8 and 6
+    per_chunk = cli._CHUNK_PIXELS // (65 * 59)
+    assert per_chunk > 1 and 30 % per_chunk != 0
+    for descriptor in ("hog", "losib"):
+        fm = load_features(workspace / f"{descriptor}.fsfm")
+        want = _per_pattern(workspace / "fpat" / "manifest.csv", descriptor)
+        assert fm.data.dtype == np.float32
+        assert fm.data.tobytes() == want.tobytes()
+
+
+def test_chunks_split_on_shape_and_pixel_budget():
+    f, hs64 = np.zeros((65, 59), np.uint8), np.zeros((64, 64), np.uint8)
+    big = np.zeros((200, 200), np.uint8)  # over the budget on its own
+    patterns = [f] * 10 + [hs64] * 3 + [f] + [big] * 2 + [hs64] * 9
+    assert [c.shape for c in cli._chunks(iter(patterns))] == [
+        (8, 65, 59), (2, 65, 59), (3, 64, 64), (1, 65, 59), (1, 200, 200),
+        (1, 200, 200), (8, 64, 64), (1, 64, 64)]
+
+
+def test_extract_mixed_pattern_sizes(workspace, tmp_path, capsys):
+    hs = tmp_path / "hs64"
+    assert main(["--out", str(hs), "prepare", "--manifest",
+                 str(workspace / "corpus" / "manifest.csv"), "--pattern", "HS64"]) == 0
+    f_rows = load_manifest(workspace / "fpat" / "manifest.csv").samples
+    hs_rows = load_manifest(hs / "manifest.csv").samples
+    # F, F, HS64, F, HS64, HS64, ...: runs of one and two rows of each size
+    mixed = [(f_rows if "FFHFHH"[i % 6] == "F" else hs_rows)[i] for i in range(30)]
+    assert {read_pgm(s.image_path).shape for s in mixed} == {(65, 59), (64, 64)}
+    manifest = tmp_path / "mixed.csv"
+    save_manifest(Manifest("mixed", tuple(mixed)), manifest)
+
+    # hog is 576 wide on both sizes, so the matrix is whole
+    out = tmp_path / "mixed_hog.fsfm"
+    assert main(["--out", str(out), "extract", "--manifest", str(manifest),
+                 "--descriptor", "hog"]) == 0
+    assert load_features(out).data.tobytes() == _per_pattern(manifest, "hog").tobytes()
+
+    # raw is as wide as the pattern
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "mixed_raw.fsfm"), "extract",
+                 "--manifest", str(manifest), "--descriptor", "raw"]) == 3
+    assert "inconsistent feature widths [3835, 4096]" in capsys.readouterr().err
 
 
 def test_jobs_flag_matches_serial(workspace, tmp_path):

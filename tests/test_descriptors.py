@@ -202,3 +202,64 @@ def test_hog_scale_invariant():
     img = (2 * rng.integers(0, 128, (65, 59))).astype(np.uint8)
     half = (img // 2).astype(np.uint8)  # exact halving, no rounding loss
     np.testing.assert_allclose(hog(img), hog(half), atol=1e-6)
+
+
+def _pattern_stack(shape, n=5, seed=13):
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 256, (n,) + shape, dtype=np.uint8)
+    stack[1] = 128  # flat: zero gradients, all-equal neighbourhoods
+    stack[2] = np.cumsum(rng.integers(0, 3, shape), axis=1) % 256  # smooth ramps
+    return stack
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (13, 11), (65, 59), (64, 64)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("did", DESCRIPTOR_IDS)
+def test_batch_equals_batches_of_one(did, shape):
+    stack = _pattern_stack(shape)
+    try:
+        singles = [extract_descriptor(p, did) for p in stack]
+    except ConfigurationError:  # 3x3 is below every grid but raw's
+        with pytest.raises(ConfigurationError):
+            extract_descriptor(stack, did)
+        return
+    batch = extract_descriptor(stack, did)
+    assert batch.shape == (len(stack), len(singles[0]))
+    for i, one in enumerate(singles):
+        assert one.ndim == 1
+        assert oracles.same_bits(batch[i], one)
+        assert oracles.same_bits(extract_descriptor(stack[i : i + 1], did), one[None])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (13, 11)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_batch_equals_batches_of_one_on_small_grids(shape):
+    stack = _pattern_stack(shape, seed=14)
+    fns = [lambda x, g=g: hog(x, g) for g in (GridSpec(1, 1), GridSpec(1, 3), GridSpec(2, 2),
+                                               GridSpec(3, 3))]
+    fns += [lambda x: losib(x, GridSpec(1, 1)),
+            lambda x: grid_histogram(x, lbp_code_map, 256, GridSpec(1, 1)),
+            lambda x: grid_histogram(x, nilbp_code_map, 256, GridSpec(1, 1)),
+            lambda x: grid_histogram(x, lambda im: lsp_code_map(im, 1), LSP_BINS, GridSpec(1, 1))]
+    for fn in fns:
+        batch = fn(stack)
+        for i, p in enumerate(stack):
+            assert oracles.same_bits(batch[i], fn(p))
+
+
+def test_extract_descriptor_rejects_bad_ranks_and_dtypes():
+    for bad in (np.zeros((2, 2, 16, 16), dtype=np.uint8), np.zeros(16, dtype=np.uint8),
+                np.zeros((2, 16, 16), dtype=np.float64)):
+        with pytest.raises(ConfigurationError):
+            extract_descriptor(bad, "hog")
+
+
+@pytest.mark.parametrize("shape", [(13, 11), (65, 59), (64, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_hog_and_losib_match_add_at_oracles(shape):
+    stack = _pattern_stack(shape, seed=15)
+    for rows, cols in ((8, 8), (3, 5), (1, 4)):
+        grid = GridSpec(rows, cols)
+        want = [oracles.ref_hog(p, rows, cols) for p in stack]
+        for got in (hog(stack, grid), [hog(p, grid) for p in stack]):
+            assert all(oracles.same_bits(g, w) for g, w in zip(got, want))
+    want = [oracles.ref_losib(p) for p in stack]
+    assert all(oracles.same_bits(g, w) for g, w in zip(losib(stack), want))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from facestack import ConfigurationError
+import oracles
+from facestack import ConfigurationError, geometry
 from facestack.geometry import (
     F_PATTERN,
     HS_PATTERN,
@@ -60,6 +61,51 @@ def test_bilinear_interior_and_outside():
     assert got[1] == pytest.approx(25.0)
     assert got[2] == 0.0  # out of raster reads as zero
     assert got[3] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_bilinear_sample_matches_masked_oracle(dtype):
+    rng = np.random.default_rng(11)
+    for h, w in ((1, 1), (2, 3), (37, 52)):
+        img = rng.integers(0, 256, (h, w)).astype(dtype)
+        if dtype == np.float64:
+            img += rng.random((h, w))
+        xs = rng.uniform(-4 * w - 10, 4 * w + 10, 3000)
+        ys = rng.uniform(-4 * h - 10, 4 * h + 10, 3000)
+        # integer points on and next to the raster edges, and far off it
+        xs[:300] = rng.integers(-3, w + 3, 300)
+        ys[:300] = rng.integers(-3, h + 3, 300)
+        xs[300:304] = (-1e6, 1e6, 0.5, -2.5)
+        ys[300:304] = (0.5, -1e6, 1e6, h + 1.5)
+        want = oracles.ref_bilinear_sample(img.astype(np.float64), xs, ys)
+        assert oracles.same_bits(_bilinear_sample(img, xs, ys), want)
+        grid = (xs[:2400].reshape(40, 60), ys[:2400].reshape(40, 60))
+        assert oracles.same_bits(_bilinear_sample(img, *grid),
+                          oracles.ref_bilinear_sample(img.astype(np.float64), *grid))
+
+
+@pytest.mark.parametrize("pattern_id", sorted(PATTERN_VARIANTS))
+def test_prepare_pattern_matches_masked_sampler(pattern_id, monkeypatch):
+    rng = np.random.default_rng(12)
+    img = rng.integers(0, 256, (120, 100), dtype=np.uint8)
+    eyes = (
+        ((40.0, 50.0), (62.0, 53.0)),            # window inside the image
+        ((3.5, 4.25), (30.2, -2.0)),             # partly above and left of it
+        ((90.0, 110.0), (130.5, 150.0)),         # partly below and right of it
+        ((-400.0, -300.0), (-360.0, -310.0)),    # wholly outside
+    )
+    noises = (None, NoiseSpec("gaussian", gaussian_variance=0.05, seed=4),
+              NoiseSpec("motion_blur", motion_length=7))
+    got = [prepare_pattern(img, el, er, pattern_id, noise)
+           for el, er in eyes for noise in noises]
+    assert not got[-3].any()  # the wholly outside window reads zeros
+    monkeypatch.setattr(geometry, "_bilinear_sample",
+                        lambda src, xs, ys: oracles.ref_bilinear_sample(
+                            src.astype(np.float64), xs, ys))
+    want = [prepare_pattern(img, el, er, pattern_id, noise)
+            for el, er in eyes for noise in noises]
+    for g, w in zip(got, want):
+        assert oracles.same_bits(g, w)
 
 
 def test_eye_transform_hits_anchors():
