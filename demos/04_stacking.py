@@ -39,13 +39,12 @@ oof = oof_scores([a[train], b[train]], y[train], folds, specs,
 print(f"out-of-fold score matrix: {oof.scores.shape}, columns {oof.column_ids}")
 
 stacked = stack_fit([a[train], b[train]], y[train], folds, specs,
-                    params_first=params, params_meta=params, seed=3)
+                    params=params, seed=3)
 print(f"stacked: test accuracy {acc(stack_scores(stacked, [a[~train], b[~train]])):.3f}")
 
 ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
 with_ext = stack_fit([a[train], b[train]], y[train], folds, specs,
-                     external_scores=ext, params_first=params,
-                     params_meta=params, seed=3)
+                     external_scores=ext, params=params, seed=3)
 s = stack_scores(with_ext, [a[~train], b[~train]], external={"EXT": y[~train] * 3.0})
 print(f"stacked + oracle column: test accuracy {acc(s):.3f} "
       f"(columns {with_ext.column_ids})")

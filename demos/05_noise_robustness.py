@@ -30,7 +30,7 @@ with tempfile.TemporaryDirectory() as td:
                 pat = prepare_pattern(img, s.eye_left, s.eye_right, "F", noise=noise)
                 feats.append(extract_descriptor(pat, "hog"))
             rep, _ = run_kfold([StageData(spec, np.asarray(feats))], y,
-                               k=5, seed=0, params_first=params)
+                               k=5, seed=0, params=params)
             print(f"  level {level:>5}: accuracy {rep.accuracy:.4f}")
 
     sweep("gaussian variance", (0.0, 0.025, 0.05, 0.1),

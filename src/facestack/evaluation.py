@@ -4,6 +4,8 @@ Scores are signed (+1 = male); a sample is predicted male when its score is
 >= 0. In-database evaluation is k-fold with pooled test predictions;
 cross-database evaluation trains on one manifest and tests on another with
 nothing test-side (scaling, PCA, hyper-parameter search) entering training.
+Both take one `params`: an SvmParams for every SVM, or None to grid-search
+on an inner fold plan of each training part.
 """
 
 import json
@@ -127,9 +129,11 @@ class StageData:
     pca_components: int = 0  # 0 disables the PCA step
 
 
-def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params_first,
-                   params_meta, use_grid, class_weight):
-    """Train on each stage's training rows, score its test rows; PCA sees training rows only."""
+def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params, class_weight):
+    """Train on each stage's training rows, score its test rows; PCA sees training rows only.
+
+    params=None grid-searches on an inner fold plan over the training rows.
+    """
     Xtr, Xte = [], []
     for stage, a, b in zip(stages, train_sets, test_sets):
         a = np.asarray(a, dtype=np.float64)
@@ -143,32 +147,26 @@ def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params_first,
         Xte.append(b)
     specs = [s.spec for s in stages]
     inner = inner_folds(ytr, k=min(_INNER_K, len(ytr)), seed=derive_seed(seed, 101))
-    if use_grid and params_first is None:
-        params_first = [
-            grid_search(X, ytr, inner, seed=derive_seed(seed, 11, si),
-                        class_weight=class_weight)
-            for si, X in enumerate(Xtr)
-        ]
-    if len(specs) == 1:
-        p = params_first[0] if isinstance(params_first, (list, tuple)) else \
-            (params_first or DEFAULT_STAGE_PARAMS)
-        model = svm_fit(Xtr[0], ytr, p, seed=derive_seed(seed, 1),
-                        class_weight=class_weight, descriptor_id=specs[0].descriptor)
-        return model.decision_function(Xte[0])
-    if params_meta is None and not use_grid:
-        params_meta = DEFAULT_STAGE_PARAMS
-    model = stack_fit(Xtr, ytr, inner, specs, params_meta=params_meta,
-                      seed=derive_seed(seed, 2), params_first=params_first,
-                      class_weight=class_weight)
-    return stack_scores(model, Xte)
+    if len(specs) > 1:
+        model = stack_fit(Xtr, ytr, inner, specs, params=params, seed=derive_seed(seed, 2),
+                          class_weight=class_weight)
+        return stack_scores(model, Xte)
+    if params is None:
+        params = grid_search(Xtr[0], ytr, inner, seed=derive_seed(seed, 11, 0),
+                             class_weight=class_weight)
+    model = svm_fit(Xtr[0], ytr, params, seed=derive_seed(seed, 1),
+                    class_weight=class_weight, descriptor_id=specs[0].descriptor)
+    return model.decision_function(Xte[0])
 
 
-def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
-              params_meta=None, use_grid=False, class_weight=None):
+def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARAMS,
+              class_weight=None):
     """k-fold evaluation with pooled test scores.
 
     A single stage trains a plain SVM; multiple stages train the stacked
-    model per fold. Returns (EvalReport, pooled score per row).
+    model per fold. params is one SvmParams for every SVM, or None to
+    grid-search inside each outer training fold. Returns (EvalReport,
+    pooled score per row).
     """
     stages = list(stages)
     if not stages:
@@ -187,8 +185,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
         train_idx, test_idx = folds.split(fold)
         scores = _fit_and_score(stages, [s.features[train_idx] for s in stages], y[train_idx],
                                 [s.features[test_idx] for s in stages],
-                                derive_seed(seed, 5, fold), params_first,
-                                params_meta, use_grid, class_weight)
+                                derive_seed(seed, 5, fold), params, class_weight)
         pooled[test_idx] = scores
         pred = np.where(scores >= 0, 1.0, -1.0)
         fold_accs.append(float(np.mean(pred == y[test_idx])))
@@ -197,12 +194,13 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params_first=None,
 
 
 def run_crossdb(train_stages, test_stages, train_labels, test_labels,
-                train_name, test_name, seed=0, params_first=None,
-                params_meta=None, use_grid=False, class_weight=None):
+                train_name, test_name, seed=0, params=DEFAULT_STAGE_PARAMS,
+                class_weight=None):
     """Train on one dataset, test on a different one.
 
     Nothing from the test side (scaling statistics, PCA basis, grid search)
-    participates in training. Returns (EvalReport, test scores).
+    participates in training; params is as for run_kfold. Returns
+    (EvalReport, test scores).
     """
     if train_name == test_name:
         raise ConfigurationError(
@@ -214,7 +212,7 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     scores = _fit_and_score(train_stages, [s.features for s in train_stages],
                             np.asarray(train_labels, dtype=np.float64),
                             [s.features for s in test_stages], derive_seed(seed, 9),
-                            params_first, params_meta, use_grid, class_weight)
+                            params, class_weight)
     report = evaluate(scores, np.asarray(test_labels, dtype=np.float64))
     return report, scores
 

@@ -6,6 +6,10 @@ sees a score from a model that trained on that sample, become the feature
 columns of a small second-stage SVM. External score columns (e.g. from a
 network trained elsewhere) can join by row index. Stacked models
 serialize as `.fstk` files in the shared layout of `records`.
+
+`stack_fit` takes one `params`: an `SvmParams` used for every SVM (each
+first stage and the meta SVM), or None to grid-search each first stage
+and then the meta SVM on the fold plan it is given.
 """
 
 import struct
@@ -20,7 +24,7 @@ from .records import (check_end, open_binary, pack_str, read_header, read_str, r
 from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, read_model,
                   svm_fit, write_model)
 
-# fallback hyper-parameters when no grid search is requested: mid grid
+# hyper-parameters when no grid search is requested: mid grid
 DEFAULT_STAGE_PARAMS = SvmParams(C=1.0, gamma=0.095)
 
 _STACK_MAGIC = b"FSTK"
@@ -69,23 +73,8 @@ def _as_matrices(X_per_spec, specs, n=None):
     return mats, n
 
 
-def _resolve_params(params, n_specs):
-    if params is None:
-        params = DEFAULT_STAGE_PARAMS
-    if isinstance(params, SvmParams):
-        return [params] * n_specs
-    params = list(params)
-    if len(params) != n_specs:
-        raise ConfigurationError("need one SvmParams per first-stage spec")
-    return params
-
-
-def oof_scores(X_per_spec, y, folds, specs, seed=0, params=None, class_weight=None):
-    """Out-of-fold first-stage scores, one column per spec (in spec order).
-
-    Every sample is scored by the fold model whose training part excluded
-    it, so the columns are usable as leak-free meta training features.
-    """
+def _stage_inputs(X_per_spec, y, folds, specs):
+    """Checked (specs, matrices, labels, n) for a fit over `folds`."""
     specs = list(specs)
     if not specs:
         raise ConfigurationError("no first-stage specs")
@@ -95,7 +84,21 @@ def oof_scores(X_per_spec, y, folds, specs, seed=0, params=None, class_weight=No
         raise DataError("labels not aligned with feature rows")
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with feature rows")
-    plist = _resolve_params(params, len(specs))
+    return specs, mats, y, n
+
+
+def oof_scores(X_per_spec, y, folds, specs, seed=0, params=DEFAULT_STAGE_PARAMS,
+               class_weight=None):
+    """Out-of-fold first-stage scores, one column per spec (in spec order).
+
+    Every sample is scored by the fold model whose training part excluded
+    it, so the columns are usable as leak-free meta training features.
+    params is one SvmParams for every spec or a list of one per spec.
+    """
+    specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
+    plist = [params] * len(specs) if isinstance(params, SvmParams) else list(params)
+    if len(plist) != len(specs):
+        raise ConfigurationError("need one SvmParams per first-stage spec")
     scores = np.zeros((n, len(specs)))
     for si, (spec, X, p) in enumerate(zip(specs, mats, plist)):
         for fold in range(folds.k):
@@ -134,21 +137,30 @@ class StackedModel:
 
 
 def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
-              params_meta=None, seed=0, params_first=None, row_indices=None,
-              class_weight=None):
+              params=DEFAULT_STAGE_PARAMS, seed=0, row_indices=None, class_weight=None):
     """Train the two-stage model.
 
     Meta training consumes out-of-fold first-stage scores plus any external
     columns joined by row index; the deployed first-stage models are then
-    retrained on all rows. params_meta=None grid-searches the meta SVM on
-    the score columns with the same fold plan.
+    retrained on all rows. params is one SvmParams for every SVM; None
+    grid-searches each first stage on `folds`, then the meta SVM on the
+    score columns with the same plan.
+
+    Seed keys under `seed`: first stage si fits fold f's OOF model with
+    (si, f), its deployed model with (si, k) and, under None, grid-searches
+    with (si, k + 1); the meta SVM grid-searches with (n_specs, 1) and fits
+    with (n_specs, 0).
     """
-    specs = list(specs)
-    mats, n = _as_matrices(X_per_spec, specs)
-    y = np.asarray(y, dtype=np.float64)
+    specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
     if row_indices is None:
         row_indices = np.arange(n)
-    oof = oof_scores(mats, y, folds, specs, seed=seed, params=params_first,
+    if params is None:
+        plist = [grid_search(X, y, folds, seed=derive_seed(seed, si, folds.k + 1),
+                             class_weight=class_weight)
+                 for si, X in enumerate(mats)]
+    else:
+        plist = [params] * len(specs)
+    oof = oof_scores(mats, y, folds, specs, seed=seed, params=plist,
                      class_weight=class_weight)
     meta_X = oof.scores
     column_ids = list(oof.column_ids)
@@ -156,17 +168,16 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
         meta_X = np.hstack([meta_X, _join_external(row_indices, external_scores)])
         column_ids += list(external_scores.column_ids)
 
-    plist = _resolve_params(params_first, len(specs))
     first = []
     for si, (spec, X, p) in enumerate(zip(specs, mats, plist)):
         model = svm_fit(X, y, p, seed=derive_seed(seed, si, folds.k),
                         class_weight=class_weight, descriptor_id=spec.descriptor)
         first.append((spec, model))
 
-    if params_meta is None:
-        params_meta = grid_search(meta_X, y, folds, seed=derive_seed(seed, len(specs), 1),
-                                  class_weight=class_weight)
-    meta = svm_fit(meta_X, y, params_meta, seed=derive_seed(seed, len(specs), 0),
+    if params is None:
+        params = grid_search(meta_X, y, folds, seed=derive_seed(seed, len(specs), 1),
+                             class_weight=class_weight)
+    meta = svm_fit(meta_X, y, params, seed=derive_seed(seed, len(specs), 0),
                    class_weight=class_weight, descriptor_id="scores")
     return StackedModel(first_stage=tuple(first), meta=meta, column_ids=tuple(column_ids))
 

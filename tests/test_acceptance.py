@@ -166,7 +166,7 @@ def test_c04_stacking_complementarity():
             singles.append(_acc(np.where(m.decision_function(X[~train]) >= 0, 1, -1), y[~train]))
 
         stacked = stack_fit([X[train] for X in mats], y[train], folds, specs,
-                            params_first=params, params_meta=params, seed=3)
+                            params=params, seed=3)
         s = stack_scores(stacked, [X[~train] for X in mats])
         acc_stack = _acc(np.where(s >= 0, 1, -1), y[~train])
         print(f"    singles={[round(a, 3) for a in singles]} stacked={acc_stack:.3f}")
@@ -177,8 +177,7 @@ def test_c04_stacking_complementarity():
         # through the same path and lifts the stack to near-perfect accuracy
         ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
         with_ext = stack_fit([X[train] for X in mats], y[train], folds, specs,
-                             external_scores=ext, params_first=params,
-                             params_meta=params, seed=3)
+                             external_scores=ext, params=params, seed=3)
         s2 = stack_scores(with_ext, [X[~train] for X in mats],
                           external={"EXT": y[~train] * 3.0})
         assert _acc(np.where(s2 >= 0, 1, -1), y[~train]) >= 0.97
@@ -196,7 +195,7 @@ def test_c05_stacking_leak_freedom():
         specs = [FirstStageSpec("C1", "custom", "raw"), FirstStageSpec("C3", "custom", "raw")]
         params = SvmParams(C=8.0, gamma=0.5)  # deliberately overfit-prone
         model = stack_fit(tr, y_tr, inner_folds(y_tr, k=5, seed=0), specs,
-                          params_first=params, params_meta=params, seed=4)
+                          params=params, seed=4)
         s = stack_scores(model, te)
         acc = _acc(np.where(s >= 0, 1, -1), y_te)
         print(f"    held-out accuracy {acc:.3f}")
@@ -222,7 +221,7 @@ def test_c06_noise_monotonicity(tmp_path):
                 pat = prepare_pattern(img, s.eye_left, s.eye_right, "F", noise=noise)
                 feats.append(extract_descriptor(pat, "hog"))
             report, _ = run_kfold([StageData(spec, np.asarray(feats))], y, k=5,
-                                  seed=0, params_first=params)
+                                  seed=0, params=params)
             accs.append(report.accuracy)
         print(f"    sweep accuracies {[round(a, 4) for a in accs]}")
         assert accs[0] >= 0.9  # generator calibration: clean corpus is learnable
@@ -347,7 +346,7 @@ def test_c10_groups_reference_accuracies():
         data = [StageData(FirstStageSpec(sid, pat, desc), features_for(sub, pat, desc))
                 for sid, pat, desc in stages]
         folds = make_folds(sub, 5, seed=0)
-        report, _ = run_kfold(data, y, folds=folds, seed=0, use_grid=True)
+        report, _ = run_kfold(data, y, folds=folds, seed=0, params=None)
         print(f"    {label}: accuracy {report.accuracy:.4f} (target {target} +/- 0.02)")
         assert abs(report.accuracy - target) <= 0.02
 

@@ -10,12 +10,12 @@ import facestack
 from facestack import SvmParams, evaluation
 from facestack import cli
 from facestack.cli import main
-from facestack.dataset import Manifest, load_manifest, save_manifest
+from facestack.dataset import Manifest, load_folds, load_manifest, save_manifest
 from facestack.descriptors import extract_descriptor
 from facestack.features import load_features
 from facestack.pgm import read_pgm
-from facestack.stacking import load_stacked
-from facestack.svm import load_model
+from facestack.stacking import CANONICAL_STAGES, load_stacked, save_stacked, stack_fit
+from facestack.svm import derive_seed, load_model
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,25 @@ def test_stack_command(workspace):
                  "--C", "4.0"]) == 0
     model = load_stacked(out)
     assert model.column_ids == ("C1", "C4")
+
+
+def test_stack_grid_matches_direct_stack_fit(workspace, tmp_path):
+    out = tmp_path / "grid.fstk"
+    assert main(["--seed", "3", "--out", str(out), "stack",
+                 "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--stage", f"C1={workspace / 'hog.fsfm'}",
+                 "--stage", f"C4={workspace / 'losib.fsfm'}",
+                 "--folds", str(workspace / "folds.csv"), "--grid"]) == 0
+    mats = [load_features(workspace / f"{d}.fsfm").data.astype(np.float64)
+            for d in ("hog", "losib")]
+    labels = load_manifest(workspace / "corpus" / "manifest.csv",
+                           check_files=False).labels().astype(np.float64)
+    model = stack_fit(mats, labels, load_folds(workspace / "folds.csv"),
+                      [CANONICAL_STAGES["C1"], CANONICAL_STAGES["C4"]],
+                      params=None, seed=derive_seed(3, 2))
+    direct = tmp_path / "direct.fstk"
+    save_stacked(direct, model)
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_eval_kfold_and_idempotence(workspace):
@@ -206,6 +225,36 @@ def test_exit_code_partial_failure(workspace, tmp_path, capsys):
     assert len(prepared) == 2  # header + the surviving row
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["prepare", "--noise", "gaussian", "--variance", "0.5"],
+                 "gaussian variance 0.5 outside", id="prepare-variance"),
+    pytest.param(["prepare", "--noise", "motion", "--length", "4"],
+                 "motion length 4 must be odd", id="prepare-length"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--variances", "0,abc"],
+                 "--variances '0,abc': expected comma-separated floats", id="sweep-variances"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--noise", "motion",
+                  "--lengths", "1,x"],
+                 "--lengths '1,x': expected comma-separated ints", id="sweep-lengths"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--variances", "0,0.5"],
+                 "gaussian variance 0.5 outside", id="sweep-last-variance"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--noise", "motion",
+                  "--lengths", "1,4"],
+                 "motion length 4 must be odd", id="sweep-last-length"),
+])
+def test_bad_noise_level_exits_2_before_any_row(workspace, tmp_path, capsys, monkeypatch,
+                                                argv, message):
+    prepared = []
+    monkeypatch.setattr(cli, "prepare_pattern", lambda *a, **kw: prepared.append(a))
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), argv[0], "--manifest",
+               str(workspace / "corpus" / "manifest.csv"), "--pattern", "F"] + argv[1:])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert prepared == []  # a bad last level fails before the earlier levels' work
+    assert sorted(os.listdir(out)) == []
+
+
 def test_stack_requires_stage_flag(workspace, tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "s.fstk"), "stack",
                "--manifest", str(workspace / "corpus" / "manifest.csv")])
@@ -278,16 +327,6 @@ def test_extract_mixed_pattern_sizes(workspace, tmp_path, capsys):
     assert main(["--out", str(tmp_path / "mixed_raw.fsfm"), "extract",
                  "--manifest", str(manifest), "--descriptor", "raw"]) == 3
     assert "inconsistent feature widths [3835, 4096]" in capsys.readouterr().err
-
-
-def test_jobs_flag_matches_serial(workspace, tmp_path):
-    out = tmp_path / "par.fsfm"
-    assert main(["--jobs", "4", "--out", str(out), "extract",
-                 "--manifest", str(workspace / "fpat" / "manifest.csv"),
-                 "--descriptor", "losib"]) == 0
-    a = load_features(out)
-    b = load_features(workspace / "losib.fsfm")
-    assert np.array_equal(a.data, b.data)
 
 
 def test_eval_kfold_rejects_negative_fold_ids(workspace, tmp_path, capsys):

@@ -107,7 +107,7 @@ def _stagedata(n, seed=0, informative=True, pca=0, width=4):
 
 def test_run_kfold_pooled_equals_weighted_fold_mean():
     stage, y = _stagedata(103, seed=2)
-    report, pooled = run_kfold([stage], y, k=5, seed=4, params_first=PARAMS)
+    report, pooled = run_kfold([stage], y, k=5, seed=4, params=PARAMS)
     folds = inner_folds(y, k=5, seed=derive_seed(4, 77))
     sizes = np.bincount(folds.assignments, minlength=5)
     weighted = float(np.dot(report.per_fold_accuracies, sizes) / sizes.sum())
@@ -118,8 +118,8 @@ def test_run_kfold_pooled_equals_weighted_fold_mean():
 
 def test_run_kfold_deterministic():
     stage, y = _stagedata(60, seed=3)
-    r1, p1 = run_kfold([stage], y, k=3, seed=11, params_first=PARAMS)
-    r2, p2 = run_kfold([stage], y, k=3, seed=11, params_first=PARAMS)
+    r1, p1 = run_kfold([stage], y, k=3, seed=11, params=PARAMS)
+    r2, p2 = run_kfold([stage], y, k=3, seed=11, params=PARAMS)
     assert np.array_equal(p1, p2)
     assert r1.accuracy == r2.accuracy
     assert r1.per_fold_accuracies == r2.per_fold_accuracies
@@ -134,8 +134,8 @@ def test_run_kfold_two_seeds_agree_on_separable_data():
     X = rng.normal(0, 1, (n, 4))
     X[:, 0] = y * 2.5 + rng.normal(0, 0.3, n)
     stage = StageData(FirstStageSpec("C1", "custom", "raw"), X)
-    r1, _ = run_kfold([stage], y, k=5, seed=0, params_first=PARAMS)
-    r2, _ = run_kfold([stage], y, k=5, seed=1, params_first=PARAMS)
+    r1, _ = run_kfold([stage], y, k=5, seed=0, params=PARAMS)
+    r2, _ = run_kfold([stage], y, k=5, seed=1, params=PARAMS)
     assert abs(r1.accuracy - r2.accuracy) <= 0.02
     assert r1.accuracy > 0.9
 
@@ -143,15 +143,15 @@ def test_run_kfold_two_seeds_agree_on_separable_data():
 def test_run_kfold_with_explicit_folds_and_guards():
     stage, y = _stagedata(30, seed=5)
     folds = inner_folds(y, k=3, seed=9)
-    report, _ = run_kfold([stage], y, folds=folds, params_first=PARAMS)
+    report, _ = run_kfold([stage], y, folds=folds, params=PARAMS)
     assert len(report.per_fold_accuracies) == 3
     with pytest.raises(ConfigurationError):
         run_kfold([], y)
     with pytest.raises(DataError):
-        run_kfold([stage], y[:-1], params_first=PARAMS)
+        run_kfold([stage], y[:-1], params=PARAMS)
     short = inner_folds(y[:-2], k=3, seed=9)
     with pytest.raises(DataError):
-        run_kfold([stage], y, folds=short, params_first=PARAMS)
+        run_kfold([stage], y, folds=short, params=PARAMS)
 
 
 def test_run_kfold_stacked_on_complementary_views():
@@ -165,8 +165,8 @@ def test_run_kfold_stacked_on_complementary_views():
     b[~half, 0] = y[~half] * 2 + rng.normal(0, 0.3, (~half).sum())
     stages = [StageData(FirstStageSpec("C1", "custom", "raw"), a),
               StageData(FirstStageSpec("C3", "custom", "raw"), b)]
-    stacked, _ = run_kfold(stages, y, k=3, seed=1, params_first=PARAMS, params_meta=PARAMS)
-    single, _ = run_kfold(stages[:1], y, k=3, seed=1, params_first=PARAMS)
+    stacked, _ = run_kfold(stages, y, k=3, seed=1, params=PARAMS)
+    single, _ = run_kfold(stages[:1], y, k=3, seed=1, params=PARAMS)
     assert stacked.accuracy > single.accuracy
 
 
@@ -180,7 +180,7 @@ def test_pca_stage_fits_on_training_rows_only(monkeypatch):
 
     monkeypatch.setattr(evaluation, "pca_fit", spy)
     stage, y = _stagedata(60, seed=7, pca=3, width=8)
-    report, _ = run_kfold([stage], y, k=3, seed=0, params_first=PARAMS)
+    report, _ = run_kfold([stage], y, k=3, seed=0, params=PARAMS)
     assert seen and all(n == 40 for n in seen)  # 2/3 of 60, never all rows
     assert report.accuracy > 0.8
 
@@ -189,19 +189,19 @@ def test_run_crossdb_basic():
     tr, ytr = _stagedata(80, seed=8)
     te, yte = _stagedata(50, seed=9)
     report, scores = run_crossdb([tr], [te], ytr, yte, "alpha", "beta",
-                                 params_first=PARAMS)
+                                 params=PARAMS)
     assert report.accuracy > 0.85
     assert len(scores) == 50
     # deterministic
     report2, scores2 = run_crossdb([tr], [te], ytr, yte, "alpha", "beta",
-                                   params_first=PARAMS)
+                                   params=PARAMS)
     assert np.array_equal(scores, scores2)
 
 
 def test_run_crossdb_rejects_same_dataset():
     tr, ytr = _stagedata(20, seed=10)
     with pytest.raises(ConfigurationError):
-        run_crossdb([tr], [tr], ytr, ytr, "alpha", "alpha", params_first=PARAMS)
+        run_crossdb([tr], [tr], ytr, ytr, "alpha", "alpha", params=PARAMS)
 
 
 def test_run_crossdb_rejects_mismatched_stages():
@@ -209,10 +209,10 @@ def test_run_crossdb_rejects_mismatched_stages():
     te, yte = _stagedata(20, seed=12)
     other = StageData(FirstStageSpec("C9", "custom", "raw"), te.features)
     with pytest.raises(ConfigurationError):
-        run_crossdb([tr], [other], ytr, yte, "a", "b", params_first=PARAMS)
+        run_crossdb([tr], [other], ytr, yte, "a", "b", params=PARAMS)
     narrow = StageData(te.spec, te.features[:, :2])
     with pytest.raises(DataError):
-        run_crossdb([tr], [narrow], ytr, yte, "a", "b", params_first=PARAMS)
+        run_crossdb([tr], [narrow], ytr, yte, "a", "b", params=PARAMS)
 
 
 def test_run_crossdb_pca_sees_training_rows_only(monkeypatch):
@@ -226,7 +226,7 @@ def test_run_crossdb_pca_sees_training_rows_only(monkeypatch):
     monkeypatch.setattr(evaluation, "pca_fit", spy)
     tr, ytr = _stagedata(70, seed=13, pca=3, width=8)
     te, yte = _stagedata(40, seed=14, pca=3, width=8)
-    run_crossdb([tr], [te], ytr, yte, "a", "b", params_first=PARAMS)
+    run_crossdb([tr], [te], ytr, yte, "a", "b", params=PARAMS)
     assert seen == [70]
 
 

@@ -18,6 +18,7 @@ from facestack import (
     stack_scores,
     svm_fit,
 )
+from facestack import stacking
 from facestack.stacking import DEFAULT_STAGE_PARAMS
 from facestack.svm import derive_seed as _fit_seed
 
@@ -90,7 +91,7 @@ def test_stack_beats_single_stages_on_complementary_views():
     te = np.arange(160, 240)
     folds = inner_folds(y[tr], k=4, seed=2)
     model = stack_fit([v[tr] for v in views], y[tr], folds, _specs(2),
-                      params_first=PARAMS, params_meta=PARAMS, seed=3)
+                      params=PARAMS, seed=3)
     stacked = np.mean(np.where(stack_scores(model, [v[te] for v in views]) >= 0, 1, -1) == y[te])
     singles = []
     for v in views:
@@ -108,7 +109,7 @@ def test_external_oracle_column_dominates():
     ext = ScoreMatrix(np.c_[y * 3.0], ("EXT",), row_indices.copy())
     folds = inner_folds(y, k=3, seed=0)
     model = stack_fit(noise, y, folds, _specs(1), external_scores=ext,
-                      params_meta=PARAMS, params_first=PARAMS, seed=1,
+                      params=PARAMS, seed=1,
                       row_indices=row_indices)
     assert model.column_ids == ("C1", "EXT")
     assert model.external_ids == ("EXT",)
@@ -126,8 +127,7 @@ def test_external_join_by_row_index():
     ext = ScoreMatrix(np.c_[y[shuffle] * 2.0], ("EXT",), rows[shuffle])
     folds = inner_folds(y, k=3, seed=1)
     model = stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
-                      external_scores=ext, params_meta=PARAMS,
-                      params_first=PARAMS, row_indices=rows)
+                      external_scores=ext, params=PARAMS, row_indices=rows)
     scores = stack_scores(model, [rng.normal(0, 1, (n, 2))], external={"EXT": y * 2.0})
     assert np.mean(np.where(scores >= 0, 1, -1) == y) >= 0.9
 
@@ -140,7 +140,7 @@ def test_external_missing_row_index():
     folds = inner_folds(y, k=2, seed=0)
     with pytest.raises(DataError, match="row_index"):
         stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
-                  external_scores=ext, params_meta=PARAMS, params_first=PARAMS)
+                  external_scores=ext, params=PARAMS)
 
 
 def test_stack_scores_requires_external_columns():
@@ -149,7 +149,7 @@ def test_stack_scores_requires_external_columns():
     ext = ScoreMatrix(np.c_[y * 2.0], ("EXT",), rows)
     folds = inner_folds(y, k=2, seed=0)
     model = stack_fit([views[0]], y, folds, _specs(1), external_scores=ext,
-                      params_meta=PARAMS, params_first=PARAMS, row_indices=rows)
+                      params=PARAMS, row_indices=rows)
     with pytest.raises(DataError, match="EXT"):
         stack_scores(model, [views[0]])
     with pytest.raises(DataError, match="aligned"):
@@ -163,16 +163,47 @@ def test_random_labels_stay_at_chance():
     y = np.where(rng.random(n_tr + n_te) < 0.5, 1.0, -1.0)
     folds = inner_folds(y[:n_tr], k=4, seed=1)
     model = stack_fit([X[:n_tr], X[:n_tr, :3]], y[:n_tr], folds, _specs(2),
-                      params_first=PARAMS, params_meta=PARAMS, seed=2)
+                      params=PARAMS, seed=2)
     acc = np.mean(np.where(stack_scores(model, [X[n_tr:], X[n_tr:, :3]]) >= 0, 1, -1) == y[n_tr:])
     assert 0.38 <= acc <= 0.62
+
+
+def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch):
+    views, y = _views(48, seed=17)
+    folds = inner_folds(y, k=3, seed=0)
+    searches, fit_seeds = [], []
+    real_fit = stacking.svm_fit
+
+    def grid_spy(X, labels, plan, seed=0, class_weight=None):
+        # a distinct pick per call shows which model received which choice
+        chosen = SvmParams(C=float(len(searches) + 1), gamma=0.095)
+        searches.append((np.asarray(X), plan, seed, chosen))
+        return chosen
+
+    def fit_spy(*args, seed=0, **kwargs):
+        fit_seeds.append(seed)
+        return real_fit(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(stacking, "grid_search", grid_spy)
+    monkeypatch.setattr(stacking, "svm_fit", fit_spy)
+    model = stack_fit(views, y, folds, _specs(2), params=None, seed=5)
+
+    assert len(searches) == 3  # one per first stage, then the meta columns
+    for (X, plan, _, _), view in zip(searches, views):
+        assert plan is folds and np.array_equal(X, view)
+    meta_X, plan, _, meta_params = searches[2]
+    assert plan is folds and meta_X.shape == (48, 2)
+    grid_seeds = [seed for _, _, seed, _ in searches]
+    assert len(fit_seeds) == 2 * (folds.k + 1) + 1
+    assert len(set(grid_seeds + fit_seeds)) == len(grid_seeds) + len(fit_seeds)
+    assert [m.params for _, m in model.first_stage] == [searches[0][3], searches[1][3]]
+    assert model.meta.params == meta_params
 
 
 def test_stack_predict_matches_scores():
     views, y = _views(50, seed=14)
     folds = inner_folds(y, k=3, seed=0)
-    model = stack_fit(views, y, folds, _specs(2), params_first=PARAMS,
-                      params_meta=PARAMS, seed=0)
+    model = stack_fit(views, y, folds, _specs(2), params=PARAMS, seed=0)
     scores = stack_scores(model, views)
     label, score = stack_predict(model, [views[0][7], views[1][7]])
     assert score == pytest.approx(scores[7])
@@ -185,7 +216,7 @@ def test_stacked_roundtrip(tmp_path):
     ext = ScoreMatrix(np.c_[y * 1.5], ("EXT",), rows)
     folds = inner_folds(y, k=3, seed=0)
     model = stack_fit(views, y, folds, _specs(2), external_scores=ext,
-                      params_meta=PARAMS, params_first=PARAMS, row_indices=rows)
+                      params=PARAMS, row_indices=rows)
     p = tmp_path / "stack.bin"
     save_stacked(p, model)
     back = load_stacked(p)
@@ -215,7 +246,7 @@ def test_misaligned_inputs():
     with pytest.raises(ConfigurationError):
         oof_scores(views[:0], y, folds, [], params=PARAMS)
     with pytest.raises(ConfigurationError):
-        stack_fit(views, y, folds, _specs(2), params_first=[PARAMS], params_meta=PARAMS)
+        oof_scores(views, y, folds, _specs(2), params=[PARAMS])
 
 
 def test_inner_folds_properties():
