@@ -29,22 +29,22 @@ def acc(scores):
     return np.mean(np.where(scores >= 0, 1, -1) == y[~train])
 
 for name, X in (("view a", a), ("view b", b)):
-    m = svm_fit(X[train], y[train], params, seed=2)
+    m = svm_fit(X[train], y[train], params)
     print(f"single {name}: test accuracy {acc(m.decision_function(X[~train])):.3f}")
 
 # the meta stage trains on out-of-fold first-stage scores, never on
 # scores a model produced for its own training rows
 oof = oof_scores([a[train], b[train]], y[train], folds, specs,
-                 params=[params, params], seed=3)
+                 params=[params, params])
 print(f"out-of-fold score matrix: {oof.scores.shape}, columns {oof.column_ids}")
 
 stacked = stack_fit([a[train], b[train]], y[train], folds, specs,
-                    params=params, seed=3)
+                    params=params)
 print(f"stacked: test accuracy {acc(stack_scores(stacked, [a[~train], b[~train]])):.3f}")
 
 ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
 with_ext = stack_fit([a[train], b[train]], y[train], folds, specs,
-                     external_scores=ext, params=params, seed=3)
+                     external_scores=ext, params=params)
 s = stack_scores(with_ext, [a[~train], b[~train]], external={"EXT": y[~train] * 3.0})
 print(f"stacked + oracle column: test accuracy {acc(s):.3f} "
       f"(columns {with_ext.column_ids})")

@@ -29,7 +29,7 @@ from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
 from .pca import PcaModel, pca_fit
 from .svm import (ScoreMatrix, SvmModel, SvmParams, default_grid, grid_search,
                   load_model, load_scores, rbf_kernel, save_model,
-                  save_scores, svm_fit, svm_score)
+                  save_scores, svm_fit, svm_fit_many, svm_score)
 from .stacking import (CANONICAL_STAGES, S_CONFIGS, FirstStageSpec,
                        StackedModel, inner_folds, load_stacked, oof_scores,
                        save_stacked, stack_fit, stack_predict, stack_scores)

@@ -239,9 +239,8 @@ def cmd_train(ns):
     flags = _svm_flags(ns)
     params, cw = flags["params"], flags["class_weight"]
     if params is None:
-        params = grid_search(fm.data, labels, plan, seed=derive_seed(ns.seed, 11),
-                             class_weight=cw)
-    model = svm_fit(fm, labels, params, seed=derive_seed(ns.seed, 1), class_weight=cw)
+        params = grid_search(fm.data, labels, plan, class_weight=cw)
+    model = svm_fit(fm, labels, params, class_weight=cw)
     save_model(ns.out, model)
     train_acc = float(np.mean(np.where(model.decision_function(fm.data) >= 0, 1, -1) == labels))
     print(f"train: C={params.C} gamma={params.gamma} "
@@ -268,8 +267,7 @@ def cmd_stack(ns):
         specs.append(_stage_spec(sid, fm.descriptor_id))
     manifest, labels, plan = _training_setup(ns, first_n)
     external = load_scores(ns.external) if ns.external else None
-    model = stack_fit(mats, labels, plan, specs, external_scores=external,
-                      seed=derive_seed(ns.seed, 2), **_svm_flags(ns))
+    model = stack_fit(mats, labels, plan, specs, external_scores=external, **_svm_flags(ns))
     save_stacked(ns.out, model)
     print(f"stack: {len(specs)} first-stage columns "
           f"{'+ external ' if external else ''}-> {ns.out}")

@@ -148,14 +148,12 @@ def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params, class_weigh
     specs = [s.spec for s in stages]
     inner = inner_folds(ytr, k=min(_INNER_K, len(ytr)), seed=derive_seed(seed, 101))
     if len(specs) > 1:
-        model = stack_fit(Xtr, ytr, inner, specs, params=params, seed=derive_seed(seed, 2),
-                          class_weight=class_weight)
+        model = stack_fit(Xtr, ytr, inner, specs, params=params, class_weight=class_weight)
         return stack_scores(model, Xte)
     if params is None:
-        params = grid_search(Xtr[0], ytr, inner, seed=derive_seed(seed, 11, 0),
-                             class_weight=class_weight)
-    model = svm_fit(Xtr[0], ytr, params, seed=derive_seed(seed, 1),
-                    class_weight=class_weight, descriptor_id=specs[0].descriptor)
+        params = grid_search(Xtr[0], ytr, inner, class_weight=class_weight)
+    model = svm_fit(Xtr[0], ytr, params, class_weight=class_weight,
+                    descriptor_id=specs[0].descriptor)
     return model.decision_function(Xte[0])
 
 

@@ -21,8 +21,8 @@ from .dataset import make_folds
 from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
                       write_header)
-from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, read_model,
-                  svm_fit, write_model)
+from .svm import (ScoreMatrix, SvmParams, grid_search, read_model, svm_fit, svm_fit_many,
+                  write_model)
 
 # hyper-parameters when no grid search is requested: mid grid
 DEFAULT_STAGE_PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -87,24 +87,24 @@ def _stage_inputs(X_per_spec, y, folds, specs):
     return specs, mats, y, n
 
 
-def oof_scores(X_per_spec, y, folds, specs, seed=0, params=DEFAULT_STAGE_PARAMS,
-               class_weight=None):
+def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_weight=None):
     """Out-of-fold first-stage scores, one column per spec (in spec order).
 
     Every sample is scored by the fold model whose training part excluded
     it, so the columns are usable as leak-free meta training features.
-    params is one SvmParams for every spec or a list of one per spec.
+    params is one SvmParams for every spec or a list of one per spec. Each
+    spec's k fold fits are solved as one batch.
     """
     specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
     plist = [params] * len(specs) if isinstance(params, SvmParams) else list(params)
     if len(plist) != len(specs):
         raise ConfigurationError("need one SvmParams per first-stage spec")
+    splits = [folds.split(fold) for fold in range(folds.k)]
     scores = np.zeros((n, len(specs)))
-    for si, (spec, X, p) in enumerate(zip(specs, mats, plist)):
-        for fold in range(folds.k):
-            train_idx, test_idx = folds.split(fold)
-            model = svm_fit(X[train_idx], y[train_idx], p,
-                            seed=derive_seed(seed, si, fold), class_weight=class_weight)
+    for si, (X, p) in enumerate(zip(mats, plist)):
+        models = svm_fit_many([(X[train_idx], y[train_idx], p, class_weight)
+                               for train_idx, _ in splits])
+        for (_, test_idx), model in zip(splits, models):
             scores[test_idx, si] = model.decision_function(X[test_idx])
     return ScoreMatrix(scores=scores, column_ids=tuple(s.id for s in specs))
 
@@ -137,49 +137,33 @@ class StackedModel:
 
 
 def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
-              params=DEFAULT_STAGE_PARAMS, seed=0, row_indices=None, class_weight=None):
+              params=DEFAULT_STAGE_PARAMS, row_indices=None, class_weight=None):
     """Train the two-stage model.
 
     Meta training consumes out-of-fold first-stage scores plus any external
     columns joined by row index; the deployed first-stage models are then
-    retrained on all rows. params is one SvmParams for every SVM; None
-    grid-searches each first stage on `folds`, then the meta SVM on the
-    score columns with the same plan.
-
-    Seed keys under `seed`: first stage si fits fold f's OOF model with
-    (si, f), its deployed model with (si, k) and, under None, grid-searches
-    with (si, k + 1); the meta SVM grid-searches with (n_specs, 1) and fits
-    with (n_specs, 0).
+    retrained on all rows, as one batch. params is one SvmParams for every
+    SVM; None grid-searches each first stage on `folds`, then the meta SVM
+    on the score columns with the same plan.
     """
     specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
     if row_indices is None:
         row_indices = np.arange(n)
-    if params is None:
-        plist = [grid_search(X, y, folds, seed=derive_seed(seed, si, folds.k + 1),
-                             class_weight=class_weight)
-                 for si, X in enumerate(mats)]
-    else:
-        plist = [params] * len(specs)
-    oof = oof_scores(mats, y, folds, specs, seed=seed, params=plist,
-                     class_weight=class_weight)
+    plist = [params or grid_search(X, y, folds, class_weight=class_weight) for X in mats]
+    oof = oof_scores(mats, y, folds, specs, params=plist, class_weight=class_weight)
     meta_X = oof.scores
     column_ids = list(oof.column_ids)
     if external_scores is not None:
         meta_X = np.hstack([meta_X, _join_external(row_indices, external_scores)])
         column_ids += list(external_scores.column_ids)
 
-    first = []
-    for si, (spec, X, p) in enumerate(zip(specs, mats, plist)):
-        model = svm_fit(X, y, p, seed=derive_seed(seed, si, folds.k),
-                        class_weight=class_weight, descriptor_id=spec.descriptor)
-        first.append((spec, model))
-
+    first = svm_fit_many([(X, y, p, class_weight, spec.descriptor)
+                          for spec, X, p in zip(specs, mats, plist)])
     if params is None:
-        params = grid_search(meta_X, y, folds, seed=derive_seed(seed, len(specs), 1),
-                             class_weight=class_weight)
-    meta = svm_fit(meta_X, y, params, seed=derive_seed(seed, len(specs), 0),
-                   class_weight=class_weight, descriptor_id="scores")
-    return StackedModel(first_stage=tuple(first), meta=meta, column_ids=tuple(column_ids))
+        params = grid_search(meta_X, y, folds, class_weight=class_weight)
+    meta = svm_fit(meta_X, y, params, class_weight=class_weight, descriptor_id="scores")
+    return StackedModel(first_stage=tuple(zip(specs, first)), meta=meta,
+                        column_ids=tuple(column_ids))
 
 
 def stack_scores(model, X_per_spec, external=None):

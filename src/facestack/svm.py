@@ -1,22 +1,23 @@
-"""Soft-margin SVM trained by sequential minimal optimization.
+"""Soft-margin SVM trained by SMO with second-order working-set selection.
 
-The solver is the classic working-set-of-two scheme: pick a KKT violator,
-pair it with a second sample (largest error difference first, then
-seeded-random sweeps), solve the 2-variable subproblem analytically, and
-keep a full error cache updated incrementally. Termination requires
-`max_passes` consecutive full passes without an alpha change, after which
-errors are recomputed exactly and the pass repeated until a fresh scan
-finds no violation, so the KKT conditions hold at `tolerance` on exit.
+The solver is LIBSVM's WSS2 (Fan, Chen & Lin, JMLR 2005): keep the dual's
+gradient G, pick i = argmax over I_up of -y*G, pick j in I_low by the
+largest second-order gain, make the clipped two-variable update. When the
+gap m - M falls below `tolerance` the gradient is recomputed exactly and the
+gap checked again, so the KKT conditions hold at `tolerance` on exit; the
+bias comes from the free alphas. A solve that stops at the iteration cap
+warns with RuntimeWarning. `_solve` runs a batch of independent problems in
+lockstep on (P, n_max) arrays, each problem computed the same way in any
+batch, so batches (`svm_fit_many`, `grid_search`) give models bit-identical
+to one `svm_fit` per problem.
 
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. That scaled, ordered training set is
-a `_Fold`, which also memoizes the squared distances between its rows: they
-do not depend on (C, gamma), so `grid_search` prepares each inner fold once
-and shares them across every grid point, and scores the held-out rows from
-one block of distances per fold. Each solve keeps its kernel rows in a small
-LRU cache. A solve that stops at the sweep cap warns with RuntimeWarning.
+a `_Fold`, which also memoizes the squared distances between its rows, which
+every fit on those rows shares: one n x n array, filled a row at a time on
+first use, up to _DENSE_BYTES; an LRU of _CACHE_ROWS rows above that.
 
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
@@ -38,12 +39,12 @@ GRID_C = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 GRID_GAMMA = (0.04, 0.0675, 0.095, 0.1225, 0.15)
 
 _MODEL_MAGIC = b"FSVM"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
-_MIN_STEP = 1e-12
-_SNAP = 1e-10  # relative distance to a box bound below which alpha snaps onto it
-_SWEEP_CAP = 2000
-_CACHE_ROWS = 1024  # rows memoized per solve (kernel) and per fold (squared distances)
+_TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
+_MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
+_DENSE_BYTES = 64 << 20  # a fold's squared distances stay one n x n array up to this
+_CACHE_ROWS = 1024  # squared-distance rows a fold keeps above _DENSE_BYTES
 
 
 def derive_seed(seed, *key):
@@ -56,7 +57,6 @@ class SvmParams:
     C: float
     gamma: float
     tolerance: float = 1e-3
-    max_passes: int = 10
     kernel: str = "rbf"
 
     def __post_init__(self):
@@ -66,8 +66,6 @@ class SvmParams:
             raise ConfigurationError("gamma must be positive")
         if self.tolerance <= 0:
             raise ConfigurationError("tolerance must be positive")
-        if self.max_passes < 1:
-            raise ConfigurationError("max_passes must be at least 1")
         if self.kernel not in KERNELS:
             raise ConfigurationError(f"kernel must be one of {KERNELS}")
 
@@ -91,7 +89,14 @@ def _sq_dists(A, B):
     Each entry is the same difference, square and sum over d whatever the
     shapes of A and B, so blocks cut from a larger one are bit-identical.
     """
-    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    diff = A[:, None, :] - B[None, :, :]
+    return np.square(diff, out=diff).sum(axis=2)
+
+
+def _sq_block(A, B):
+    """_sq_dists(A, B), computed in row chunks of A."""
+    chunk = _chunk_rows(B)
+    return np.concatenate([_sq_dists(A[lo : lo + chunk], B) for lo in range(0, len(A), chunk)])
 
 
 def _kernel_block(params, A, B, d2=None):
@@ -107,21 +112,11 @@ def _kernel_block(params, A, B, d2=None):
 
 
 def _chunk_rows(B):
-    """Rows of A per `_sq_dists(A, B)` call that keep its (m, n, d) temporary small."""
-    return max(1, int(4e6 / max(1, B.size)))
+    """Rows of A per `_sq_dists(A, B)` call: an (m, n, d) temporary of about 4 MB.
 
-
-def _lru(cache, key, compute):
-    """cache[key], computing and inserting it (evicting the oldest) when absent."""
-    row = cache.get(key)
-    if row is not None:
-        cache.move_to_end(key)
-        return row
-    row = compute(key)
-    if len(cache) >= _CACHE_ROWS:
-        cache.popitem(last=False)
-    cache[key] = row
-    return row
+    32 MB fragment the heap; under 2 MB, glibc's trim threshold (twice the largest
+    freed block) stays so low that later half-megabyte arrays fault in afresh."""
+    return max(1, int(5e5 / max(1, B.size)))
 
 
 def _min_max(X, lo, hi):
@@ -184,8 +179,8 @@ class _Fold:
     """Training rows min-max scaled and put in canonical order, once.
 
     Holds the scaling (`lo`, `hi`), the ordered rows `X` and labels `y`, and
-    a memo of squared-distance rows capped at _CACHE_ROWS. None of it depends
-    on (C, gamma), so every fit on the same rows can share one _Fold.
+    the memo of squared distances between the rows. None of it depends on
+    (C, gamma), so every fit on the same rows can share one _Fold.
     `support` holds the row indices of the support vectors of the latest fit.
     """
 
@@ -207,269 +202,288 @@ class _Fold:
         self.X = np.ascontiguousarray(Xs[order])
         self.y = y[order]
         self.support = None
-        self._d2 = OrderedDict()
+        n = len(self.y)
+        if n * n * 8 <= _DENSE_BYTES:
+            self._d2 = np.empty((n, n))
+            self._have = np.zeros(n, dtype=bool)
+        else:
+            self._d2 = OrderedDict()
 
     def __len__(self):
         return len(self.y)
 
-    def d2_row(self, i):
-        """Squared distances from row i to every row."""
-        return _lru(self._d2, i, lambda i: _sq_dists(self.X, self.X[i : i + 1])[:, 0])
+    def d2_rows(self, idx):
+        """Squared distances from the rows idx (an int array) to every row -> (len(idx), n).
+
+        Entry (i, j) of a new dense row is copied from row j when that row is
+        already held, which is exact: (a - b)**2 == (b - a)**2.
+        """
+        if isinstance(self._d2, OrderedDict):  # an LRU of rows
+            rows = []
+            for i in idx.tolist():
+                if i not in self._d2:
+                    if len(self._d2) >= _CACHE_ROWS:
+                        self._d2.popitem(last=False)
+                    self._d2[i] = _sq_dists(self.X, self.X[i : i + 1])[:, 0]
+                self._d2.move_to_end(i)
+                rows.append(self._d2[i])
+            return np.array(rows).reshape(len(idx), len(self))
+        have = self._have[idx]
+        if not have.all():
+            new = np.unique(idx[~have])
+            held = self._have.nonzero()[0]
+            rest = (~self._have).nonzero()[0]
+            self._d2[new[:, None], held] = self._d2[held[:, None], new].T
+            self._d2[new[:, None], rest] = _sq_block(self.X[new], self.X[rest])
+            self._have[new] = True
+        return self._d2[idx]
 
     def held_out(self, X):
         """Raw rows X scaled like the training rows, and their squared
         distances to every training row -> (Xs (m,d), d2 (m,n))."""
         Xs = _min_max(np.asarray(X, dtype=np.float64), self.lo, self.hi)
-        d2 = np.empty((len(Xs), len(self)))
-        chunk = _chunk_rows(self.X)
-        for lo in range(0, len(Xs), chunk):
-            d2[lo : lo + chunk] = _sq_dists(Xs[lo : lo + chunk], self.X)
-        return Xs, d2
+        return Xs, _sq_block(Xs, self.X)
 
 
-class _Smo:
-    def __init__(self, fold, C_per_sample, params, seed):
-        self.fold = fold
-        self.X = fold.X
-        self.y = fold.y
-        self.C = C_per_sample
-        self.params = params
-        self.tol = params.tolerance
-        self.n = len(fold)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.errors = -fold.y  # f == 0 at the start
-        self.rng = np.random.default_rng(seed)
-        self.capped = False  # set when solve() stops at _SWEEP_CAP
-        self._cache = OrderedDict()
+def _kernel_rows(fold, params, idx):
+    """Kernel values between the training rows idx and every row -> (len(idx), n)."""
+    if params.kernel == "linear":
+        return np.array([fold.X @ fold.X[i] for i in idx]).reshape(len(idx), len(fold))
+    return np.exp(-params.gamma * fold.d2_rows(idx))
 
-    def kernel_row(self, i):
-        return _lru(self._cache, i, self._compute_row)
 
-    def _compute_row(self, i):
-        d2 = self.fold.d2_row(i)[:, None] if self.params.kernel == "rbf" else None
-        return _kernel_block(self.params, self.X, self.X[i : i + 1], d2)[:, 0]
+class _Gather:
+    """Kernel rows of the problems a solve is running, one row per problem.
 
-    def violates(self, i):
-        r = self.errors[i] * self.y[i]
-        return (r < -self.tol and self.alpha[i] < self.C[i]) or \
-               (r > self.tol and self.alpha[i] > 0)
+    rbf rows are gathered from each fold's memo in one step per fold and
+    exponentiated together; linear rows are computed one problem at a time.
+    """
 
-    def free_mask(self):
-        return (self.alpha > _SNAP * self.C) & (self.alpha < (1.0 - _SNAP) * self.C)
-
-    def take_step(self, i1, i2):
-        if i1 == i2:
-            return False
-        a1_old, a2_old = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        E1, E2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        C1, C2 = self.C[i1], self.C[i2]
-        if s < 0:
-            L = max(0.0, a2_old - a1_old)
-            H = min(C2, C1 + a2_old - a1_old)
-        else:
-            L = max(0.0, a1_old + a2_old - C1)
-            H = min(C2, a1_old + a2_old)
-        if L >= H:
-            return False
-        row1 = self.kernel_row(i1)
-        row2 = self.kernel_row(i2)
-        k11, k12, k22 = row1[i1], row1[i2], row2[i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2 = a2_old + y2 * (E1 - E2) / eta
-            a2 = min(max(a2, L), H)
-        else:
-            # flat or concave direction: evaluate the objective at both ends
-            f1 = y1 * (E1 + self.b) - a1_old * k11 - s * a2_old * k12
-            f2 = y2 * (E2 + self.b) - s * a1_old * k12 - a2_old * k22
-            L1 = a1_old + s * (a2_old - L)
-            H1 = a1_old + s * (a2_old - H)
-            Lobj = L1 * f1 + L * f2 + 0.5 * L1 * L1 * k11 + 0.5 * L * L * k22 + s * L * L1 * k12
-            Hobj = H1 * f1 + H * f2 + 0.5 * H1 * H1 * k11 + 0.5 * H * H * k22 + s * H * H1 * k12
-            if Lobj < Hobj - 1e-12:
-                a2 = L
-            elif Lobj > Hobj + 1e-12:
-                a2 = H
+    def __init__(self, problems, n_max):
+        self.n_max = n_max
+        self.neg_gamma = np.array([[-params.gamma] for _, _, params in problems])
+        by_fold, self.linear = {}, []
+        for a, (fold, _, params) in enumerate(problems):
+            if params.kernel == "linear":
+                self.linear.append((a, fold, params))
             else:
-                a2 = a2_old
-        if abs(a2 - a2_old) < _MIN_STEP:
-            return False
-        # land exactly on the box bounds; float dust a hair inside a bound
-        # would otherwise count as "free" and corrupt the bias estimate
-        if a2 < _SNAP * C2:
-            a2 = 0.0
-        elif a2 > (1.0 - _SNAP) * C2:
-            a2 = C2
-        a1 = a1_old + s * (a2_old - a2)
-        if a1 < _SNAP * C1:
-            a1 = 0.0
-        elif a1 > (1.0 - _SNAP) * C1:
-            a1 = C1
-        a1 = min(max(a1, 0.0), C1)
+                by_fold.setdefault(id(fold), (fold, []))[1].append(a)
+        self.rbf = [(fold, np.array(pos)) for fold, pos in by_fold.values()]
 
-        d1 = y1 * (a1 - a1_old)
-        d2 = y2 * (a2 - a2_old)
-        b1 = self.b - E1 - d1 * k11 - d2 * k12
-        b2 = self.b - E2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < C1:
-            b_new = b1
-        elif 0.0 < a2 < C2:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        self.errors += d1 * row1 + d2 * row2 + (b_new - self.b)
-        self.alpha[i1] = a1
-        self.alpha[i2] = a2
-        self.b = b_new
-        return True
-
-    def examine(self, i2):
-        if not self.violates(i2):
-            return 0
-        E2 = self.errors[i2]
-        free = np.nonzero(self.free_mask())[0]
-        if len(free) > 1:
-            i1 = free[np.argmax(np.abs(self.errors[free] - E2))]
-            if self.take_step(i1, i2):
-                return 1
-        if len(free):
-            start = self.rng.integers(len(free))
-            for i1 in np.roll(free, -start):
-                if self.take_step(i1, i2):
-                    return 1
-        start = self.rng.integers(self.n)
-        for i1 in np.roll(np.arange(self.n), -start):
-            if self.take_step(i1, i2):
-                return 1
-        return 0
-
-    def _exact_raw_scores(self):
-        f0 = np.zeros(self.n)
-        for j in np.nonzero(self.alpha > 0)[0]:
-            f0 += (self.alpha[j] * self.y[j]) * self.kernel_row(j)
-        return f0
-
-    def refresh(self):
-        """Recompute the bias and error cache from scratch."""
-        f0 = self._exact_raw_scores()
-        free = self.free_mask()
-        if free.any():
-            self.b = float(np.mean(self.y[free] - f0[free]))
-        else:
-            # every alpha sits on a bound, so the bias is only constrained
-            # to an interval: zero alphas must stay outside the margin and
-            # bound alphas inside. Take the interval midpoint.
-            g = self.y - f0
-            zero = self.alpha <= 0.5 * self.C
-            lo = g[(self.y > 0) & zero]
-            lo = np.concatenate([lo, g[(self.y < 0) & ~zero]])
-            hi = g[(self.y < 0) & zero]
-            hi = np.concatenate([hi, g[(self.y > 0) & ~zero]])
-            if len(lo) and len(hi):
-                self.b = float(0.5 * (lo.max() + hi.min()))
-            elif len(lo):
-                self.b = float(lo.max())
-            elif len(hi):
-                self.b = float(hi.min())
-        self.errors = f0 + self.b - self.y
-
-    def solve(self):
-        quiet = 0
-        sweeps = 0
-        examine_all = True
-        while quiet < self.params.max_passes and sweeps < _SWEEP_CAP:
-            sweeps += 1
-            changed = 0
-            if examine_all:
-                for i in range(self.n):
-                    changed += self.examine(i)
-                if changed == 0:
-                    quiet += 1
-                else:
-                    quiet = 0
-                    examine_all = False
-            else:
-                for i in np.nonzero(self.free_mask())[0]:
-                    changed += self.examine(i)
-                if changed == 0:
-                    examine_all = True
-        # incremental error updates drift; confirm convergence on exact values
-        while sweeps < _SWEEP_CAP:
-            sweeps += 1
-            self.refresh()
-            changed = 0
-            for i in range(self.n):
-                changed += self.examine(i)
-            if changed == 0:
-                break
-        else:
-            self.capped = True
-        self.refresh()
+    def __call__(self, rows):
+        d2 = np.zeros((len(rows), self.n_max))  # padding: distance 0, kernel 1
+        for fold, pos in self.rbf:
+            d2[pos, : len(fold)] = fold.d2_rows(rows[pos])
+        K = np.exp(self.neg_gamma * d2)
+        for a, fold, params in self.linear:
+            K[a, : len(fold)] = _kernel_rows(fold, params, rows[a : a + 1])[0]
+        return K
 
 
-def svm_fit(X, y, params, seed=0, class_weight=None, descriptor_id=None):
+def _violators(y, alpha, C, G):
+    """-y*G over I_up (-inf elsewhere) and over I_low (+inf elsewhere); padding is in neither."""
+    pos = y > 0
+    minus_yG = -y * G
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    return np.where(up, minus_yG, -np.inf), np.where(low, minus_yG, np.inf)
+
+
+def _pair_update(ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad):
+    """LIBSVM's update of the working pair (i, j), clipped to the box -> (ai, aj)."""
+    if yi != yj:
+        delta = (-Gi - Gj) / quad
+        diff = ai - aj
+        ai += delta
+        aj += delta
+        if diff > 0:
+            if aj < 0:
+                aj, ai = 0.0, diff
+        elif ai < 0:
+            ai, aj = 0.0, -diff
+        if diff > Ci - Cj:
+            if ai > Ci:
+                ai, aj = Ci, Ci - diff
+        elif aj > Cj:
+            aj, ai = Cj, Cj + diff
+    else:
+        delta = (Gi - Gj) / quad
+        total = ai + aj
+        ai -= delta
+        aj += delta
+        if total > Ci:
+            if ai > Ci:
+                ai, aj = Ci, total - Ci
+        elif aj < 0:
+            aj, ai = 0.0, total
+        if total > Cj:
+            if aj > Cj:
+                aj, ai = Cj, total - Cj
+        elif ai < 0:
+            ai, aj = 0.0, total
+    return ai, aj
+
+
+def _bias(y, alpha, C, G):
+    """The bias from the free alphas, as LIBSVM takes it.
+
+    With no free alpha the rows at the bounds only bound it to an interval
+    (both sides hold rows, since y.alpha = 0); take the interval's midpoint.
+    """
+    yG = y * G
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        return -float(np.mean(yG[free]))
+    below = (alpha >= C) == (y > 0)  # rows whose y*G bound the bias from below
+    return -0.5 * float(yG[~below].min() + yG[below].max())
+
+
+def _solve(problems):
+    """Solve independent SVM duals in lockstep -> [(alpha, bias)], in order.
+
+    Each problem is (fold, C per row, params). The problems still running
+    are rows of (A, n_max) arrays, each padded with y = 0 and C = 0, which
+    keeps padding out of I_up and I_low. A problem whose gap m - M falls
+    below its tolerance, or that reaches _MAX_ITER, gets its gradient
+    recomputed exactly; it ends if the exact gap is below tolerance (or at
+    the cap, with a RuntimeWarning) and runs on otherwise.
+    """
+    sizes = [len(fold) for fold, _, _ in problems]
+    n_max = max(sizes, default=1)
+    P = len(problems)
+    y, C, QD = np.zeros((P, n_max)), np.zeros((P, n_max)), np.ones((P, n_max))
+    for p, (fold, C_rows, params) in enumerate(problems):
+        y[p, : sizes[p]] = fold.y
+        C[p, : sizes[p]] = C_rows
+        if params.kernel == "linear":
+            QD[p, : sizes[p]] = (fold.X * fold.X).sum(axis=1)
+    alpha, G = np.zeros((P, n_max)), -np.ones((P, n_max))
+    tol = np.array([params.tolerance for _, _, params in problems])
+    iters = np.zeros(P, dtype=np.int64)
+    ids = np.arange(P)  # problem of each running row
+    gather = _Gather(problems, n_max)
+    out = [None] * P
+    while len(ids):
+        r = np.arange(len(ids))
+        up, low = _violators(y, alpha, C, G)
+        i = up.argmax(axis=1)
+        m = up[r, i]
+        check = (m - low.min(axis=1) < tol) | (iters >= _MAX_ITER)
+        if check.any():
+            running = np.ones(len(ids), dtype=bool)
+            for a in np.flatnonzero(check):
+                fold, _, params = problems[ids[a]]
+                n = sizes[ids[a]]
+                sv = np.flatnonzero(alpha[a, :n] > 0)  # G = Q alpha - 1, summed afresh
+                coef = (alpha[a, sv] * fold.y[sv])[:, None]
+                G[a, :n] = fold.y * (coef * _kernel_rows(fold, params, sv)).sum(axis=0) - 1.0
+                up_a, low_a = _violators(y[a], alpha[a], C[a], G[a])
+                gap = up_a.max() - low_a.min()
+                if gap < tol[a] or iters[a] >= _MAX_ITER:
+                    if gap >= tol[a]:
+                        warnings.warn(f"WSS2 stopped at the {_MAX_ITER}-iteration cap with "
+                                      f"gap m - M = {gap:.3g} above tolerance {tol[a]}",
+                                      RuntimeWarning, stacklevel=3)
+                    out[ids[a]] = (alpha[a, :n].copy(),
+                                   _bias(y[a, :n], alpha[a, :n], C[a, :n], G[a, :n]))
+                    running[a] = False
+            if not running.all():
+                y, C, QD, alpha, G, tol, iters, ids = (
+                    v[running] for v in (y, C, QD, alpha, G, tol, iters, ids))
+                gather = _Gather([problems[p] for p in ids], n_max)
+            continue
+        Ki = gather(i)
+        gain = m[:, None] - low  # > 0 on the rows of I_low that pair with i
+        quad = QD[r, i][:, None] + QD - 2.0 * Ki
+        quad = np.where(quad > 0, quad, _TAU)
+        j = np.where(gain > 0, -(gain * gain) / quad, np.inf).argmin(axis=1)
+        Kj = gather(j)
+        yi, yj = y[r, i], y[r, j]
+        pair = np.array([alpha[r, i], alpha[r, j], C[r, i], C[r, j], yi, yj,
+                         G[r, i], G[r, j], quad[r, j]]).T.tolist()
+        ai, aj = np.array([_pair_update(*v) for v in pair]).T
+        di, dj = yi * (ai - alpha[r, i]), yj * (aj - alpha[r, j])
+        alpha[r, i], alpha[r, j] = ai, aj
+        G += y * (di[:, None] * Ki + dj[:, None] * Kj)
+        iters += 1
+    return out
+
+
+def _support(alpha):
+    """Row indices of the support vectors of a solution."""
+    sv = np.flatnonzero(alpha > 1e-12)
+    return sv if len(sv) else np.flatnonzero(alpha > 0)
+
+
+def _problem(X, y, params, class_weight=None, descriptor_id=None):
+    """One fit's (fold, C per row, params, descriptor_id) from svm_fit's arguments."""
+    if hasattr(X, "descriptor_id"):  # FeatureMatrix
+        if descriptor_id is None:
+            descriptor_id = X.descriptor_id
+        X = X.data
+    fold = X if isinstance(X, _Fold) else _Fold(X, y)
+    C_rows = np.full(len(fold), float(params.C))
+    if class_weight:
+        for label, w in class_weight.items():
+            if w <= 0:
+                raise ConfigurationError("class weights must be positive")
+            C_rows[fold.y == float(label)] *= w
+    return fold, C_rows, params, descriptor_id or ""
+
+
+def svm_fit_many(fits):
+    """Train one two-class SVM per fit, solved as one lockstep batch -> [SvmModel].
+
+    Each fit is a tuple of svm_fit's arguments (X, y, params[, class_weight[,
+    descriptor_id]]). Every model is bit-identical to svm_fit on its own
+    arguments.
+    """
+    problems = [_problem(*fit) for fit in fits]
+    models = []
+    for (fold, _, params, descriptor_id), (alpha, bias) in zip(
+            problems, _solve([p[:3] for p in problems])):
+        sv = _support(alpha)
+        fold.support = sv
+        models.append(SvmModel(
+            support_vectors=fold.X[sv],
+            dual_coefs=alpha[sv] * fold.y[sv],
+            bias=bias,
+            params=params,
+            feature_min=fold.lo,
+            feature_max=fold.hi,
+            descriptor_id=descriptor_id,
+        ))
+    return models
+
+
+def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
     both classes present. X may instead be a `_Fold` already built from the
     rows and labels, and y is then ignored. class_weight optionally maps
     each label to a multiplier on C (useful for imbalanced data). The result
-    is deterministic in (data, params, seed) regardless of row order. A
-    solve that stops at the sweep cap before converging warns with
+    is deterministic in (data, params) regardless of row order. A solve
+    that stops at the iteration cap before converging warns with
     RuntimeWarning.
     """
-    if hasattr(X, "descriptor_id"):  # FeatureMatrix
-        if descriptor_id is None:
-            descriptor_id = X.descriptor_id
-        X = X.data
-    fold = X if isinstance(X, _Fold) else _Fold(X, y)
-    Xs, ys = fold.X, fold.y
-
-    C_per = np.full(len(ys), float(params.C))
-    if class_weight:
-        for label, w in class_weight.items():
-            if w <= 0:
-                raise ConfigurationError("class weights must be positive")
-            C_per[ys == float(label)] *= w
-
-    smo = _Smo(fold, C_per, params, seed)
-    smo.solve()
-    if smo.capped:
-        warnings.warn(f"SMO stopped at the {_SWEEP_CAP}-sweep cap before the KKT "
-                      f"conditions held at tolerance {params.tolerance}",
-                      RuntimeWarning, stacklevel=2)
-
-    sv = np.flatnonzero(smo.alpha > 1e-12)
-    if not len(sv):
-        sv = np.flatnonzero(smo.alpha > 0)
-    fold.support = sv
-    return SvmModel(
-        support_vectors=Xs[sv],
-        dual_coefs=smo.alpha[sv] * ys[sv],
-        bias=float(smo.b),
-        params=params,
-        feature_min=fold.lo,
-        feature_max=fold.hi,
-        descriptor_id=descriptor_id or "",
-    )
+    return svm_fit_many([(X, y, params, class_weight, descriptor_id)])[0]
 
 
-def grid_search(X, y, folds, grid=None, seed=0, class_weight=None):
+def grid_search(X, y, folds, grid=None, class_weight=None):
     """Pick hyper-parameters by mean cross-validated accuracy.
 
     Ties go to the smaller C, then the smaller gamma. Each fold's training
-    rows are prepared once (a `_Fold`) and every grid point is fitted on
-    them, so the squared distances between them, and from the held-out rows
-    to them, are computed once per fold rather than once per fit.
+    rows are prepared once (a `_Fold`), so the squared distances between
+    them, and from the held-out rows to them, are computed once per fold
+    rather than once per fit, and every (fold, grid point) is solved in one
+    batch.
     """
     if grid is None:
         grid = default_grid()
     if not grid:
         raise ConfigurationError("empty parameter grid")
-    accs = _grid_accuracies(X, y, folds, grid, seed, class_weight)
+    accs = _grid_accuracies(X, y, folds, grid, class_weight)
     best = None
     for params, row in zip(grid, accs):
         key = (-np.mean(row), params.C, params.gamma)
@@ -478,29 +492,34 @@ def grid_search(X, y, folds, grid=None, seed=0, class_weight=None):
     return best[1]
 
 
-def _grid_accuracies(X, y, folds, grid, seed, class_weight):
+def _grid_accuracies(X, y, folds, grid, class_weight):
     """Held-out accuracy of every grid point on every fold -> (len(grid), k).
 
-    The fit of grid point pi on fold f is seeded with derive_seed(seed, pi, f)
-    and goes through svm_fit; held-out rows are scored from the support
-    vectors' columns of the fold's distance block, which gives the signs
-    that model.decision_function would.
+    All len(grid) x k problems are solved as one batch. Held-out rows are
+    then scored, one fold at a time, from each solution's support rows and
+    the support columns of the fold's distance block, which gives the signs
+    that svm_fit's model.decision_function would.
     """
     if hasattr(X, "descriptor_id"):
         X = X.data
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    accs = np.empty((len(grid), folds.k))
-    for f in range(folds.k):
-        train_idx, test_idx = folds.split(f)
+    splits = [folds.split(f) for f in range(folds.k)]
+    problems = []
+    for train_idx, _ in splits:
         fold = _Fold(X[train_idx], y[train_idx])
+        problems += [_problem(fold, None, params, class_weight)[:3] for params in grid]
+    solutions = _solve(problems)
+    accs = np.empty((len(grid), folds.k))
+    for f, (_, test_idx) in enumerate(splits):
+        fold = problems[f * len(grid)][0]
         Xt, d2 = fold.held_out(X[test_idx])
         for pi, params in enumerate(grid):
-            model = svm_fit(fold, None, params, seed=derive_seed(seed, pi, f),
-                            class_weight=class_weight)
-            sv_d2 = d2[:, fold.support] if params.kernel == "rbf" else None
-            k = _kernel_block(params, Xt, model.support_vectors, sv_d2)
-            pred = np.where(k @ model.dual_coefs + model.bias >= 0, 1.0, -1.0)
+            alpha, bias = solutions[f * len(grid) + pi]
+            sv = _support(alpha)
+            sv_d2 = d2[:, sv] if params.kernel == "rbf" else None
+            k = _kernel_block(params, Xt, fold.X[sv], sv_d2)
+            pred = np.where(k @ (alpha[sv] * fold.y[sv]) + bias >= 0, 1.0, -1.0)
             accs[pi, f] = np.mean(pred == y[test_idx])
     return accs
 
@@ -578,8 +597,7 @@ def write_model(fh, model):
     write_header(fh, _MODEL_MAGIC, _MODEL_VERSION)
     fh.write(pack_str(model.descriptor_id))
     fh.write(pack_str(model.params.kernel))
-    fh.write(struct.pack("<dddI", model.params.C, model.params.gamma,
-                         model.params.tolerance, model.params.max_passes))
+    fh.write(struct.pack("<ddd", model.params.C, model.params.gamma, model.params.tolerance))
     fh.write(struct.pack("<IId", n_sv, n_dims, model.bias))
     fh.write(np.ascontiguousarray(model.feature_min, dtype="<f8").tobytes())
     fh.write(np.ascontiguousarray(model.feature_max, dtype="<f8").tobytes())
@@ -592,7 +610,7 @@ def read_model(fh, path="<stream>"):
     read_header(fh, path, _MODEL_MAGIC, _MODEL_VERSION, "facestack SVM model record")
     descriptor_id = read_str(fh, path)
     kernel = read_str(fh, path)
-    C, gamma, tol, max_passes = read_struct(fh, "<dddI", path)
+    C, gamma, tol = read_struct(fh, "<ddd", path)
     n_sv, n_dims, bias = read_struct(fh, "<IId", path)
     lo = read_array(fh, "<f8", n_dims, path)
     hi = read_array(fh, "<f8", n_dims, path)
@@ -602,7 +620,7 @@ def read_model(fh, path="<stream>"):
         support_vectors=sv.reshape(n_sv, n_dims),
         dual_coefs=dual,
         bias=float(bias),
-        params=SvmParams(C=C, gamma=gamma, tolerance=tol, max_passes=int(max_passes), kernel=kernel),
+        params=SvmParams(C=C, gamma=gamma, tolerance=tol, kernel=kernel),
         feature_min=lo,
         feature_max=hi,
         descriptor_id=descriptor_id,

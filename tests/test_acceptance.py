@@ -124,7 +124,7 @@ def test_c03_smo_matches_qp_oracle():
                "rel gap <= 1e-3, KKT at 1e-3", 60.0):
         for X, y, C, gamma in _qp_datasets():
             params = SvmParams(C=C, gamma=gamma)
-            model = svm_fit(X, y, params, seed=5)
+            model = svm_fit(X, y, params)
             _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
             K = _kernel_block(params, Xs, Xs)
             alpha = _full_alpha(model, Xs)
@@ -162,11 +162,11 @@ def test_c04_stacking_complementarity():
 
         singles = []
         for X in mats:
-            m = svm_fit(X[train], y[train], params, seed=2)
+            m = svm_fit(X[train], y[train], params)
             singles.append(_acc(np.where(m.decision_function(X[~train]) >= 0, 1, -1), y[~train]))
 
         stacked = stack_fit([X[train] for X in mats], y[train], folds, specs,
-                            params=params, seed=3)
+                            params=params)
         s = stack_scores(stacked, [X[~train] for X in mats])
         acc_stack = _acc(np.where(s >= 0, 1, -1), y[~train])
         print(f"    singles={[round(a, 3) for a in singles]} stacked={acc_stack:.3f}")
@@ -177,7 +177,7 @@ def test_c04_stacking_complementarity():
         # through the same path and lifts the stack to near-perfect accuracy
         ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
         with_ext = stack_fit([X[train] for X in mats], y[train], folds, specs,
-                             external_scores=ext, params=params, seed=3)
+                             external_scores=ext, params=params)
         s2 = stack_scores(with_ext, [X[~train] for X in mats],
                           external={"EXT": y[~train] * 3.0})
         assert _acc(np.where(s2 >= 0, 1, -1), y[~train]) >= 0.97
@@ -195,7 +195,7 @@ def test_c05_stacking_leak_freedom():
         specs = [FirstStageSpec("C1", "custom", "raw"), FirstStageSpec("C3", "custom", "raw")]
         params = SvmParams(C=8.0, gamma=0.5)  # deliberately overfit-prone
         model = stack_fit(tr, y_tr, inner_folds(y_tr, k=5, seed=0), specs,
-                          params=params, seed=4)
+                          params=params)
         s = stack_scores(model, te)
         acc = _acc(np.where(s >= 0, 1, -1), y_te)
         print(f"    held-out accuracy {acc:.3f}")

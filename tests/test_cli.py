@@ -90,7 +90,7 @@ def test_stack_grid_matches_direct_stack_fit(workspace, tmp_path):
                            check_files=False).labels().astype(np.float64)
     model = stack_fit(mats, labels, load_folds(workspace / "folds.csv"),
                       [CANONICAL_STAGES["C1"], CANONICAL_STAGES["C4"]],
-                      params=None, seed=derive_seed(3, 2))
+                      params=None)
     direct = tmp_path / "direct.fstk"
     save_stacked(direct, model)
     assert out.read_bytes() == direct.read_bytes()

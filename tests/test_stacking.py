@@ -20,7 +20,6 @@ from facestack import (
 )
 from facestack import stacking
 from facestack.stacking import DEFAULT_STAGE_PARAMS
-from facestack.svm import derive_seed as _fit_seed
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
 
@@ -60,7 +59,7 @@ def _views(n, seed=0):
 def test_oof_scores_shape_and_columns():
     views, y = _views(60)
     folds = inner_folds(y, k=3, seed=1)
-    sm = oof_scores(views, y, folds, _specs(2), seed=2, params=PARAMS)
+    sm = oof_scores(views, y, folds, _specs(2), params=PARAMS)
     assert sm.scores.shape == (60, 2)
     assert sm.column_ids == ("C1", "C2")
 
@@ -68,11 +67,26 @@ def test_oof_scores_shape_and_columns():
 def test_oof_scores_come_from_excluded_fold_models():
     views, y = _views(45, seed=3)
     folds = inner_folds(y, k=3, seed=4)
-    sm = oof_scores(views, y, folds, _specs(2), seed=7, params=PARAMS)
+    sm = oof_scores(views, y, folds, _specs(2), params=PARAMS)
     # rebuild one fold model by hand and match its scores bit for bit
     train, test = folds.split(1)
-    m = svm_fit(views[0][train], y[train], PARAMS, seed=_fit_seed(7, 0, 1))
+    m = svm_fit(views[0][train], y[train], PARAMS)
     np.testing.assert_array_equal(sm.scores[test, 0], m.decision_function(views[0][test]))
+
+
+def test_oof_scores_equal_one_fit_per_fold():
+    views, y = _views(51, seed=18)
+    folds = inner_folds(y, k=4, seed=2)
+    weights = {-1: 1.5, 1: 1.0}
+    plist = [PARAMS, SvmParams(C=4.0, gamma=0.5)]
+    sm = oof_scores(views, y, folds, _specs(2), params=plist, class_weight=weights)
+    want = np.full((51, 2), np.nan)
+    for si, (X, p) in enumerate(zip(views, plist)):
+        for f in range(folds.k):
+            train, test = folds.split(f)
+            m = svm_fit(X[train], y[train], p, class_weight=weights)
+            want[test, si] = m.decision_function(X[test])
+    assert np.array_equal(sm.scores, want)
 
 
 def test_oof_scores_on_noise_stay_modest():
@@ -80,7 +94,7 @@ def test_oof_scores_on_noise_stay_modest():
     X = rng.normal(0, 1, (120, 4))
     y = np.where(rng.random(120) < 0.5, 1.0, -1.0)
     folds = inner_folds(y, k=4, seed=0)
-    sm = oof_scores([X], y, folds, _specs(1), seed=1, params=PARAMS)
+    sm = oof_scores([X], y, folds, _specs(1), params=PARAMS)
     acc = np.mean(np.where(sm.scores[:, 0] >= 0, 1, -1) == y)
     assert acc < 0.68  # resubstitution would be near 1.0 here
 
@@ -91,11 +105,11 @@ def test_stack_beats_single_stages_on_complementary_views():
     te = np.arange(160, 240)
     folds = inner_folds(y[tr], k=4, seed=2)
     model = stack_fit([v[tr] for v in views], y[tr], folds, _specs(2),
-                      params=PARAMS, seed=3)
+                      params=PARAMS)
     stacked = np.mean(np.where(stack_scores(model, [v[te] for v in views]) >= 0, 1, -1) == y[te])
     singles = []
     for v in views:
-        m = svm_fit(v[tr], y[tr], PARAMS, seed=3)
+        m = svm_fit(v[tr], y[tr], PARAMS)
         singles.append(np.mean(np.where(m.decision_function(v[te]) >= 0, 1, -1) == y[te]))
     assert stacked >= max(singles) + 0.05
 
@@ -109,7 +123,7 @@ def test_external_oracle_column_dominates():
     ext = ScoreMatrix(np.c_[y * 3.0], ("EXT",), row_indices.copy())
     folds = inner_folds(y, k=3, seed=0)
     model = stack_fit(noise, y, folds, _specs(1), external_scores=ext,
-                      params=PARAMS, seed=1,
+                      params=PARAMS,
                       row_indices=row_indices)
     assert model.column_ids == ("C1", "EXT")
     assert model.external_ids == ("EXT",)
@@ -163,7 +177,7 @@ def test_random_labels_stay_at_chance():
     y = np.where(rng.random(n_tr + n_te) < 0.5, 1.0, -1.0)
     folds = inner_folds(y[:n_tr], k=4, seed=1)
     model = stack_fit([X[:n_tr], X[:n_tr, :3]], y[:n_tr], folds, _specs(2),
-                      params=PARAMS, seed=2)
+                      params=PARAMS)
     acc = np.mean(np.where(stack_scores(model, [X[n_tr:], X[n_tr:, :3]]) >= 0, 1, -1) == y[n_tr:])
     assert 0.38 <= acc <= 0.62
 
@@ -171,39 +185,42 @@ def test_random_labels_stay_at_chance():
 def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch):
     views, y = _views(48, seed=17)
     folds = inner_folds(y, k=3, seed=0)
-    searches, fit_seeds = [], []
-    real_fit = stacking.svm_fit
+    searches, fits = [], []
+    real_fit, real_fit_many = stacking.svm_fit, stacking.svm_fit_many
 
-    def grid_spy(X, labels, plan, seed=0, class_weight=None):
+    def grid_spy(X, labels, plan, class_weight=None):
         # a distinct pick per call shows which model received which choice
         chosen = SvmParams(C=float(len(searches) + 1), gamma=0.095)
-        searches.append((np.asarray(X), plan, seed, chosen))
+        searches.append((np.asarray(X), plan, chosen))
         return chosen
 
-    def fit_spy(*args, seed=0, **kwargs):
-        fit_seeds.append(seed)
-        return real_fit(*args, seed=seed, **kwargs)
+    def fit_spy(*args, **kwargs):
+        fits.append(args[2])
+        return real_fit(*args, **kwargs)
+
+    def fit_many_spy(batch):
+        fits.extend(fit[2] for fit in batch)
+        return real_fit_many(batch)
 
     monkeypatch.setattr(stacking, "grid_search", grid_spy)
     monkeypatch.setattr(stacking, "svm_fit", fit_spy)
-    model = stack_fit(views, y, folds, _specs(2), params=None, seed=5)
+    monkeypatch.setattr(stacking, "svm_fit_many", fit_many_spy)
+    model = stack_fit(views, y, folds, _specs(2), params=None)
 
     assert len(searches) == 3  # one per first stage, then the meta columns
-    for (X, plan, _, _), view in zip(searches, views):
+    for (X, plan, _), view in zip(searches, views):
         assert plan is folds and np.array_equal(X, view)
-    meta_X, plan, _, meta_params = searches[2]
+    meta_X, plan, meta_params = searches[2]
     assert plan is folds and meta_X.shape == (48, 2)
-    grid_seeds = [seed for _, _, seed, _ in searches]
-    assert len(fit_seeds) == 2 * (folds.k + 1) + 1
-    assert len(set(grid_seeds + fit_seeds)) == len(grid_seeds) + len(fit_seeds)
-    assert [m.params for _, m in model.first_stage] == [searches[0][3], searches[1][3]]
+    assert len(fits) == 2 * (folds.k + 1) + 1
+    assert [m.params for _, m in model.first_stage] == [searches[0][2], searches[1][2]]
     assert model.meta.params == meta_params
 
 
 def test_stack_predict_matches_scores():
     views, y = _views(50, seed=14)
     folds = inner_folds(y, k=3, seed=0)
-    model = stack_fit(views, y, folds, _specs(2), params=PARAMS, seed=0)
+    model = stack_fit(views, y, folds, _specs(2), params=PARAMS)
     scores = stack_scores(model, views)
     label, score = stack_predict(model, [views[0][7], views[1][7]])
     assert score == pytest.approx(scores[7])

@@ -16,13 +16,14 @@ from facestack import (
     save_model,
     save_scores,
     svm_fit,
+    svm_fit_many,
     svm_score,
 )
 from facestack.dataset import FoldPlan
 from facestack.svm import (GRID_C, GRID_GAMMA, _Fold, _grid_accuracies, _kernel_block,
-                           _scale_fit, derive_seed, rbf_kernel)
+                           _scale_fit, _sq_dists, rbf_kernel)
 
-# a solve that stops at the sweep cap warns; no test here may do so unasked
+# a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -69,7 +70,7 @@ def test_two_point_case():
 def test_blobs_match_qp_oracle():
     X, y = _blobs(20)
     params = SvmParams(C=1.0, gamma=0.5)
-    m = svm_fit(X, y, params, seed=1)
+    m = svm_fit(X, y, params)
     assert _accuracy(m, X, y) == 1.0
 
     _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
@@ -93,7 +94,7 @@ def _alphas_by_row(model, Xs):
 def test_kkt_at_tolerance():
     X, y = _blobs(30, gap=0.8, seed=3)  # overlapping, so some alphas hit C
     params = SvmParams(C=1.0, gamma=0.5)
-    m = svm_fit(X, y, params, seed=2)
+    m = svm_fit(X, y, params)
     _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
     alpha = _alphas_by_row(m, Xs)
     bad = oracles.kkt_violations(alpha, y, m.decision_function(X), params.C, params.tolerance)
@@ -103,7 +104,7 @@ def test_kkt_at_tolerance():
 def test_model_invariants():
     X, y = _blobs(25, gap=0.5, seed=4)
     params = SvmParams(C=2.0, gamma=1.0)
-    m = svm_fit(X, y, params, seed=0)
+    m = svm_fit(X, y, params)
     assert (np.abs(m.dual_coefs) <= params.C + 1e-12).all()
     assert abs(m.dual_coefs.sum()) <= 1e-6
     assert (m.dual_coefs > 0).any() and (m.dual_coefs < 0).any()  # one SV per class
@@ -123,10 +124,10 @@ def test_xor_needs_rbf():
 def test_row_order_invariance():
     X, y = _blobs(25, gap=1.0, seed=5)
     params = SvmParams(C=1.0, gamma=0.5)
-    m1 = svm_fit(X, y, params, seed=9)
+    m1 = svm_fit(X, y, params)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(y))
-    m2 = svm_fit(X[perm], y[perm], params, seed=9)
+    m2 = svm_fit(X[perm], y[perm], params)
     probe = rng.normal(0, 1.5, (40, 2))
     assert np.array_equal(m1.support_vectors, m2.support_vectors)
     assert np.array_equal(m1.decision_function(probe), m2.decision_function(probe))
@@ -137,19 +138,66 @@ def test_duplication_leaves_held_out_scores():
     # wide margin and generous C keep every alpha interior, where doubling
     # each sample leaves the solution unchanged
     params = SvmParams(C=10.0, gamma=0.5)
-    m1 = svm_fit(X, y, params, seed=1)
-    m2 = svm_fit(np.vstack([X, X]), np.r_[y, y], params, seed=1)
+    m1 = svm_fit(X, y, params)
+    m2 = svm_fit(np.vstack([X, X]), np.r_[y, y], params)
     probe = np.random.default_rng(1).normal(0, 2.0, (50, 2))
     np.testing.assert_allclose(m1.decision_function(probe),
                                m2.decision_function(probe), atol=1e-6)
 
 
-def test_seed_changes_nothing_but_pair_order():
+def test_fits_are_deterministic():
     X, y = _blobs(20, gap=1.5, seed=8)
     params = SvmParams(C=1.0, gamma=0.5)
-    s1 = svm_fit(X, y, params, seed=1).decision_function(X)
-    s2 = svm_fit(X, y, params, seed=2).decision_function(X)
-    np.testing.assert_allclose(s1, s2, atol=1e-3)  # same optimum either way
+    a, b = svm_fit(X, y, params), svm_fit(X, y, params)
+    for name in ("support_vectors", "dual_coefs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.bias == b.bias
+    assert np.array_equal(a.decision_function(X), b.decision_function(X))
+
+
+def _mixed_fits():
+    """Fits of different sizes, C, gamma and class weights, one with a linear kernel."""
+    fits = []
+    for k, (n_per, C, gamma, weights) in enumerate([
+            (12, 0.25, 0.5, None), (32, 16.0, 2.0, None), (20, 1.0, 0.05, {-1: 3.0}),
+            (25, 4.0, 1.0, {1: 0.5, -1: 2.0}), (17, 2.0, 0.5, None)]):
+        X, y = _blobs(n_per, gap=0.6, d=3, seed=30 + k)
+        kernel = "linear" if k == 4 else "rbf"
+        fits.append((X, y, SvmParams(C=C, gamma=gamma, kernel=kernel), weights))
+    return fits
+
+
+def test_fit_many_equals_one_fit_each():
+    fits = _mixed_fits()
+    for got, fit in zip(svm_fit_many(fits), fits):
+        want = svm_fit(*fit)
+        for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.bias == want.bias
+        assert got.params == want.params
+
+
+def test_padded_batch_meets_kkt():
+    fits = _mixed_fits()
+    for model, (X, y, params, weights) in zip(svm_fit_many(fits), fits):
+        _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
+        C = params.C * np.array([(weights or {}).get(int(label), 1.0) for label in y])
+        alpha = _alphas_by_row(model, Xs)
+        bad = oracles.kkt_violations(alpha, y, model.decision_function(X), C, 1e-3)
+        assert bad == []
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "lru"])
+def test_memo_rows_equal_direct_rows(monkeypatch, dense):
+    if not dense:
+        monkeypatch.setattr(svm_module, "_DENSE_BYTES", 0)
+        monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
+    rng = np.random.default_rng(40)
+    fold = _Fold(rng.random((30, 97)), np.where(np.arange(30) % 3, 1.0, -1.0))
+    for _ in range(12):  # one or a few rows at a time, in random order, repeats included
+        idx = rng.integers(0, 30, rng.integers(1, 5))
+        assert np.array_equal(fold.d2_rows(idx), _sq_dists(fold.X[idx], fold.X))
+    assert np.array_equal(fold.d2_rows(np.arange(30)), _sq_dists(fold.X, fold.X))
 
 
 def test_class_weight_shifts_boundary():
@@ -242,9 +290,9 @@ def test_default_grid_layout():
 def test_grid_search_picks_sensible_params():
     X, y = _blobs(30, gap=1.2, seed=13)
     folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
-    best = grid_search(X, y, folds, seed=5)
+    best = grid_search(X, y, folds)
     assert best in default_grid()
-    assert best == grid_search(X, y, folds, seed=5)  # deterministic
+    assert best == grid_search(X, y, folds)  # deterministic
 
 
 def test_grid_search_beats_bad_params():
@@ -257,7 +305,7 @@ def test_grid_search_beats_bad_params():
     folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
     good = SvmParams(C=4.0, gamma=4.0)
     bad = SvmParams(C=0.25, gamma=1e-6)
-    assert grid_search(X, y, folds, grid=[bad, good], seed=0) == good
+    assert grid_search(X, y, folds, grid=[bad, good]) == good
 
 
 def test_grid_search_empty_grid():
@@ -267,14 +315,13 @@ def test_grid_search_empty_grid():
         grid_search(X, y, folds, grid=[])
 
 
-def _naive_accuracies(X, y, folds, grid, seed, class_weight=None):
+def _naive_accuracies(X, y, folds, grid, class_weight=None):
     """Reference for _grid_accuracies: one fit on raw rows per point and fold."""
     accs = np.empty((len(grid), folds.k))
     for pi, params in enumerate(grid):
         for f in range(folds.k):
             train_idx, test_idx = folds.split(f)
-            m = svm_fit(X[train_idx], y[train_idx], params, seed=derive_seed(seed, pi, f),
-                        class_weight=class_weight)
+            m = svm_fit(X[train_idx], y[train_idx], params, class_weight=class_weight)
             pred = np.where(m.decision_function(X[test_idx]) >= 0, 1.0, -1.0)
             accs[pi, f] = np.mean(pred == y[test_idx])
     return accs
@@ -299,21 +346,21 @@ def test_grid_search_matches_naive_loop(grid, class_weight):
     X, y = _blobs(30, gap=0.35, d=8, seed=21)
     folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
     points = default_grid() if grid is None else grid
-    want = _naive_accuracies(X, y, folds, points, 7, class_weight)
-    got = _grid_accuracies(X, y, folds, points, 7, class_weight)
+    want = _naive_accuracies(X, y, folds, points, class_weight)
+    got = _grid_accuracies(X, y, folds, points, class_weight)
     assert len(np.unique(want.mean(axis=1))) > 1  # the points do differ
     assert np.array_equal(got, want)
     pick = min(range(len(points)), key=lambda pi: (-np.mean(want[pi]), points[pi].C,
                                                    points[pi].gamma))
-    assert grid_search(X, y, folds, grid=grid, seed=7, class_weight=class_weight) == points[pick]
+    assert grid_search(X, y, folds, grid=grid, class_weight=class_weight) == points[pick]
 
 
 def test_fit_on_prepared_fold_matches_raw_rows():
     X, y = _blobs(25, gap=0.8, d=5, seed=22)
     params = SvmParams(C=2.0, gamma=0.3)
     fold = _Fold(X, y)
-    a = svm_fit(fold, None, params, seed=4, class_weight={-1: 2.0})
-    b = svm_fit(X, y, params, seed=4, class_weight={-1: 2.0})
+    a = svm_fit(fold, None, params, class_weight={-1: 2.0})
+    b = svm_fit(X, y, params, class_weight={-1: 2.0})
     for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.bias == b.bias
@@ -326,7 +373,7 @@ def test_fold_distances_give_the_direct_kernel(n, d):
     # kernels computed directly on the same rows
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
-    Xt, d2 = fold.held_out(rng.random((40, d)))  # two row chunks at d=1475
+    Xt, d2 = fold.held_out(rng.random((40, d)))  # 14 chunks of at most 3 rows at d=1475
     cols = np.sort(rng.choice(n, n // 2, replace=False))
     for gamma in GRID_GAMMA:
         p = SvmParams(C=1.0, gamma=gamma)
@@ -334,30 +381,32 @@ def test_fold_distances_give_the_direct_kernel(n, d):
                               _kernel_block(p, Xt, fold.X[cols]))
         for i in (0, n // 2, n - 1):
             row = fold.X[i : i + 1]
-            assert np.array_equal(_kernel_block(p, fold.X, row, fold.d2_row(i)[:, None]),
+            assert np.array_equal(_kernel_block(p, fold.X, row, fold.d2_rows(np.array([i])).T),
                                   _kernel_block(p, fold.X, row))
 
 
-def test_grid_search_fits_through_svm_fit(monkeypatch):
+def test_grid_search_solves_one_batch(monkeypatch):
     X, y = _blobs(15, gap=1.0, seed=23)
     folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
-    calls = []
+    batches = []
+    real_solve = svm_module._solve
 
-    def spy(*args, **kwargs):
-        calls.append((args[0], kwargs["seed"]))
-        return svm_fit(*args, **kwargs)
+    def spy(problems):
+        batches.append(problems)
+        return real_solve(problems)
 
-    monkeypatch.setattr(svm_module, "svm_fit", spy)
+    monkeypatch.setattr(svm_module, "_solve", spy)
     grid = default_grid()
-    grid_search(X, y, folds, grid=grid, seed=1)
-    assert len(calls) == len(grid) * folds.k
-    assert len({id(fold) for fold, _ in calls}) == folds.k  # one prepared fold each
-    assert sorted(seed for _, seed in calls) == sorted(
-        derive_seed(1, pi, f) for pi in range(len(grid)) for f in range(folds.k))
+    grid_search(X, y, folds, grid=grid)
+    assert len(batches) == 1
+    problems = batches[0]
+    assert len(problems) == len(grid) * folds.k
+    assert len({id(fold) for fold, _, _ in problems}) == folds.k  # one prepared fold each
+    assert [params for _, _, params in problems] == grid * folds.k
 
 
-def test_sweep_cap_warns(monkeypatch):
+def test_iteration_cap_warns(monkeypatch):
     X, y = _blobs(30, gap=0.8, seed=3)
-    monkeypatch.setattr(svm_module, "_SWEEP_CAP", 1)
-    with pytest.warns(RuntimeWarning, match="sweep cap"):
-        svm_fit(X, y, SvmParams(C=1.0, gamma=0.5), seed=2)
+    monkeypatch.setattr(svm_module, "_MAX_ITER", 1)
+    with pytest.warns(RuntimeWarning, match="1-iteration cap with gap m - M"):
+        svm_fit(X, y, SvmParams(C=1.0, gamma=0.5))

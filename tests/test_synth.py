@@ -72,6 +72,6 @@ def test_classes_separable_from_face_window():
     X = np.array(feats)
     y = np.array(labels)
     train = np.arange(len(y)) < 40
-    model = svm_fit(X[train], y[train], SvmParams(C=4.0, gamma=0.095), seed=0)
+    model = svm_fit(X[train], y[train], SvmParams(C=4.0, gamma=0.095))
     acc = float(np.mean(np.sign(svm_score(model, X[~train])) == y[~train]))
     assert acc >= 0.9
