@@ -16,8 +16,8 @@ is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. That scaled, ordered training set is
 a `_Fold`, which also memoizes the squared distances between its rows, which
-every fit on those rows shares: one n x n array, filled a row at a time on
-first use, up to _DENSE_BYTES; an LRU of _CACHE_ROWS rows above that.
+every fit on those rows shares: one n x n array, filled whole on first use,
+up to _DENSE_BYTES; an LRU of _CACHE_ROWS rows above that.
 
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
@@ -60,14 +60,16 @@ class SvmParams:
     kernel: str = "rbf"
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigurationError("C must be positive")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
+        for name in ("C", "gamma", "tolerance"):
+            _check_positive(name, getattr(self, name))
         if self.kernel not in KERNELS:
             raise ConfigurationError(f"kernel must be one of {KERNELS}")
+
+
+def _check_positive(name, value):
+    """ConfigurationError unless value is a finite number above 0 (NaN is not)."""
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 def default_grid():
@@ -175,6 +177,24 @@ def svm_score(model, x):
     return model.decision_function(np.asarray(x, dtype=np.float64))
 
 
+def _canonical_order(Xs, y):
+    """Row order by feature values, column 0 first, then by label: the order of
+    np.lexsort over all d + 1 keys.
+
+    A lexsort on the first k columns gives that order whenever it is strict,
+    that is when adjacent sorted rows differ somewhere in those k columns;
+    otherwise k widens, and the last resort is the full lexsort.
+    """
+    k = 8
+    while k < Xs.shape[1]:
+        order = np.lexsort(Xs[:, :k].T[::-1])
+        head = Xs[order, :k]
+        if (head[1:] != head[:-1]).any(axis=1).all():
+            return order
+        k *= 4
+    return np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
+
+
 class _Fold:
     """Training rows min-max scaled and put in canonical order, once.
 
@@ -182,6 +202,8 @@ class _Fold:
     the memo of squared distances between the rows. None of it depends on
     (C, gamma), so every fit on the same rows can share one _Fold.
     `support` holds the row indices of the support vectors of the latest fit.
+    Up to _DENSE_BYTES the memo is the whole n x n array, filled on first
+    use; above, an LRU of _CACHE_ROWS rows.
     """
 
     def __init__(self, X, y):
@@ -197,46 +219,44 @@ class _Fold:
         if len(np.unique(y)) < 2:
             raise ConfigurationError("training data must contain both classes")
         self.lo, self.hi, Xs = _scale_fit(X)
-        # canonical row order: sort by feature values then label
-        order = np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
+        order = _canonical_order(Xs, y)
         self.X = np.ascontiguousarray(Xs[order])
         self.y = y[order]
         self.support = None
         n = len(self.y)
-        if n * n * 8 <= _DENSE_BYTES:
-            self._d2 = np.empty((n, n))
-            self._have = np.zeros(n, dtype=bool)
-        else:
-            self._d2 = OrderedDict()
+        self._d2 = None if n * n * 8 <= _DENSE_BYTES else OrderedDict()
 
     def __len__(self):
         return len(self.y)
 
-    def d2_rows(self, idx):
-        """Squared distances from the rows idx (an int array) to every row -> (len(idx), n).
+    def dense_d2(self):
+        """The whole (n, n) squared-distance array, filled on the first call;
+        None above _DENSE_BYTES.
 
-        Entry (i, j) of a new dense row is copied from row j when that row is
-        already held, which is exact: (a - b)**2 == (b - a)**2.
+        Row i is computed against rows i.. only and mirrored into column i,
+        which is exact: (a - b)**2 == (b - a)**2.
         """
-        if isinstance(self._d2, OrderedDict):  # an LRU of rows
-            rows = []
-            for i in idx.tolist():
-                if i not in self._d2:
-                    if len(self._d2) >= _CACHE_ROWS:
-                        self._d2.popitem(last=False)
-                    self._d2[i] = _sq_dists(self.X, self.X[i : i + 1])[:, 0]
-                self._d2.move_to_end(i)
-                rows.append(self._d2[i])
-            return np.array(rows).reshape(len(idx), len(self))
-        have = self._have[idx]
-        if not have.all():
-            new = np.unique(idx[~have])
-            held = self._have.nonzero()[0]
-            rest = (~self._have).nonzero()[0]
-            self._d2[new[:, None], held] = self._d2[held[:, None], new].T
-            self._d2[new[:, None], rest] = _sq_block(self.X[new], self.X[rest])
-            self._have[new] = True
-        return self._d2[idx]
+        if self._d2 is None:
+            n = len(self)
+            self._d2 = np.empty((n, n))
+            for i in range(n):
+                self._d2[i, i:] = self._d2[i:, i] = _sq_dists(self.X[i : i + 1], self.X[i:])[0]
+        return None if isinstance(self._d2, OrderedDict) else self._d2
+
+    def d2_rows(self, idx):
+        """Squared distances from the rows idx (an int array) to every row -> (len(idx), n)."""
+        d2 = self.dense_d2()
+        if d2 is not None:
+            return d2[idx]
+        rows = []
+        for i in idx.tolist():
+            if i not in self._d2:
+                if len(self._d2) >= _CACHE_ROWS:
+                    self._d2.popitem(last=False)
+                self._d2[i] = _sq_dists(self.X, self.X[i : i + 1])[:, 0]
+            self._d2.move_to_end(i)
+            rows.append(self._d2[i])
+        return np.array(rows).reshape(len(idx), len(self))
 
     def held_out(self, X):
         """Raw rows X scaled like the training rows, and their squared
@@ -255,24 +275,50 @@ def _kernel_rows(fold, params, idx):
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem.
 
-    rbf rows are gathered from each fold's memo in one step per fold and
-    exponentiated together; linear rows are computed one problem at a time.
+    The distance arrays of the dense folds that rbf problems use are moved
+    into one padded stack, so those problems' rows come out of one fancy
+    index; each fold keeps a view of its slot, so no array is held twice.
+    A last all-zero row stands in for the other problems: padding has
+    distance 0, kernel 1. Rows on LRU folds are then gathered fold by fold,
+    and linear rows computed one problem at a time.
     """
 
     def __init__(self, problems, n_max):
-        self.n_max = n_max
-        self.neg_gamma = np.array([[-params.gamma] for _, _, params in problems])
+        self.problems, self.n_max = problems, n_max
+        dense = {id(fold): fold for fold, _, params in problems
+                 if params.kernel == "rbf" and fold.dense_d2() is not None}
+        self.width = max((len(fold) for fold in dense.values()), default=1)
+        zero = len(dense) * self.width
+        self.stack = np.zeros((zero + 1, self.width))
+        slot = {}
+        for s, (key, fold) in enumerate(dense.items()):
+            n = len(fold)
+            view = self.stack[s * self.width : s * self.width + n, :n]
+            view[...] = fold.dense_d2()
+            fold._d2 = view
+            slot[key] = s * self.width
+        self.base = np.array([slot.get(id(fold), zero) if params.kernel == "rbf" else zero
+                              for fold, _, params in problems], dtype=np.intp)
+        self.keep(np.ones(len(problems), dtype=bool))
+
+    def keep(self, running):
+        """Narrow to the problems still running (a mask over the current ones)."""
+        self.problems = [p for p, r in zip(self.problems, running) if r]
+        self.base = self.base[running]
+        self.step = (self.base < len(self.stack) - 1).astype(np.intp)  # 0: the zero row
+        self.neg_gamma = np.array([[-params.gamma] for _, _, params in self.problems])
         by_fold, self.linear = {}, []
-        for a, (fold, _, params) in enumerate(problems):
+        for a, (fold, _, params) in enumerate(self.problems):
             if params.kernel == "linear":
                 self.linear.append((a, fold, params))
-            else:
+            elif not self.step[a]:
                 by_fold.setdefault(id(fold), (fold, []))[1].append(a)
-        self.rbf = [(fold, np.array(pos)) for fold, pos in by_fold.values()]
+        self.lru = [(fold, np.array(pos)) for fold, pos in by_fold.values()]
 
     def __call__(self, rows):
-        d2 = np.zeros((len(rows), self.n_max))  # padding: distance 0, kernel 1
-        for fold, pos in self.rbf:
+        d2 = np.zeros((len(rows), self.n_max))
+        d2[:, : self.width] = self.stack[self.base + self.step * rows]
+        for fold, pos in self.lru:
             d2[pos, : len(fold)] = fold.d2_rows(rows[pos])
         K = np.exp(self.neg_gamma * d2)
         for a, fold, params in self.linear:
@@ -390,7 +436,7 @@ def _solve(problems):
             if not running.all():
                 y, C, QD, alpha, G, tol, iters, ids = (
                     v[running] for v in (y, C, QD, alpha, G, tol, iters, ids))
-                gather = _Gather([problems[p] for p in ids], n_max)
+                gather.keep(running)
             continue
         Ki = gather(i)
         gain = m[:, None] - low  # > 0 on the rows of I_low that pair with i
@@ -425,8 +471,7 @@ def _problem(X, y, params, class_weight=None, descriptor_id=None):
     C_rows = np.full(len(fold), float(params.C))
     if class_weight:
         for label, w in class_weight.items():
-            if w <= 0:
-                raise ConfigurationError("class weights must be positive")
+            _check_positive(f"C times the class weight of label {label}", params.C * w)
             C_rows[fold.y == float(label)] *= w
     return fold, C_rows, params, descriptor_id or ""
 
@@ -616,11 +661,17 @@ def read_model(fh, path="<stream>"):
     hi = read_array(fh, "<f8", n_dims, path)
     dual = read_array(fh, "<f8", n_sv, path)
     sv = read_array(fh, "<f8", n_sv * n_dims, path)
+    try:
+        params = SvmParams(C=C, gamma=gamma, tolerance=tol, kernel=kernel)
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: bad SVM parameters: {exc}") from None
+    if not all(np.isfinite(a).all() for a in (lo, hi, dual, sv, bias)):
+        raise DataError(f"{path}: non-finite value in SVM model record")
     return SvmModel(
         support_vectors=sv.reshape(n_sv, n_dims),
         dual_coefs=dual,
         bias=float(bias),
-        params=SvmParams(C=C, gamma=gamma, tolerance=tol, kernel=kernel),
+        params=params,
         feature_min=lo,
         feature_max=hi,
         descriptor_id=descriptor_id,

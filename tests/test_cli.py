@@ -9,6 +9,7 @@ import pytest
 import facestack
 from facestack import SvmParams, evaluation
 from facestack import cli
+from facestack import svm as svm_module
 from facestack.cli import main
 from facestack.dataset import Manifest, load_folds, load_manifest, save_manifest
 from facestack.descriptors import extract_descriptor
@@ -194,6 +195,18 @@ def test_exit_code_configuration_error(workspace, tmp_path, capsys):
                "--manifest", str(workspace / "corpus" / "manifest.csv"), "--k", "1"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--C", "nan"), ("--C", "inf"), ("--gamma", "nan"),
+                                         ("--weight-female", "nan"), ("--weight-male", "0")])
+def test_bad_svm_value_exits_2_before_any_solve(workspace, tmp_path, capsys, monkeypatch,
+                                               flag, value):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    rc = main(["--out", str(tmp_path / "eval"), "eval", "kfold",
+               "--manifest", str(workspace / "corpus" / "manifest.csv"),
+               "--stage", f"C1={workspace / 'hog.fsfm'}", "--k", "3", flag, value])
+    assert rc == 2
+    assert "must be finite and positive" in capsys.readouterr().err
 
 
 def test_exit_code_data_error(workspace, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from facestack import (
 )
 from facestack.dataset import FoldPlan
 from facestack.svm import (GRID_C, GRID_GAMMA, _Fold, _grid_accuracies, _kernel_block,
-                           _scale_fit, _sq_dists, rbf_kernel)
+                           _scale_fit, _sq_dists, rbf_kernel, read_model, write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -49,6 +52,58 @@ def test_params_validation():
         SvmParams(C=1.0, gamma=0.1, tolerance=0)
     with pytest.raises(ConfigurationError):
         SvmParams(C=1.0, gamma=0.1, kernel="poly")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("name", ["C", "gamma", "tolerance"])
+def test_params_must_be_finite_and_positive(name, value):
+    fields = dict(C=1.0, gamma=0.1, tolerance=1e-3)
+    fields[name] = value
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite and positive"):
+        SvmParams(**fields)
+
+
+@pytest.mark.parametrize("C, weight", [(1.0, np.nan), (1.0, np.inf), (1.0, 0.0), (1.0, -1.0),
+                                       (1e300, 1e10)])  # the last overflows C
+def test_class_weights_must_be_finite_and_positive(monkeypatch, C, weight):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    X, y = _blobs(5)
+    with pytest.raises(ConfigurationError, match="class weight of label -1"):
+        svm_fit(X, y, SvmParams(C=C, gamma=0.1), class_weight={-1: weight, 1: 1.0})
+
+
+@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (1, np.nan), (2, 0.0)],
+                         ids=["C-nan", "C-inf", "gamma-nan", "tolerance-zero"])
+def test_read_model_rejects_bad_params(field, value):
+    X, y = _blobs(5)
+    params = SvmParams(C=2.0, gamma=0.095)
+    buf = io.BytesIO()
+    write_model(buf, svm_fit(X, y, params))
+    good = [params.C, params.gamma, params.tolerance]
+    bad = list(good)
+    bad[field] = value
+    record = buf.getvalue()
+    assert record.count(struct.pack("<ddd", *good)) == 1
+    record = record.replace(struct.pack("<ddd", *good), struct.pack("<ddd", *bad))
+    with pytest.raises(DataError, match="bad SVM parameters"):
+        read_model(io.BytesIO(record))
+
+
+@pytest.mark.parametrize("where", ["bias", "support_vector"])
+def test_read_model_rejects_non_finite_values(where):
+    X, y = _blobs(5)
+    m = svm_fit(X, y, SvmParams(C=2.0, gamma=0.095))
+    buf = io.BytesIO()
+    write_model(buf, m)
+    record = buf.getvalue()
+    if where == "bias":
+        head = struct.pack("<IId", *m.support_vectors.shape, m.bias)
+        assert record.count(head) == 1
+        record = record.replace(head, struct.pack("<IId", *m.support_vectors.shape, np.nan))
+    else:  # the record ends with the support vectors
+        record = record[:-8] + struct.pack("<d", np.inf)
+    with pytest.raises(DataError, match="non-finite value"):
+        read_model(io.BytesIO(record))
 
 
 def test_rbf_kernel_values():
@@ -198,6 +253,62 @@ def test_memo_rows_equal_direct_rows(monkeypatch, dense):
         idx = rng.integers(0, 30, rng.integers(1, 5))
         assert np.array_equal(fold.d2_rows(idx), _sq_dists(fold.X[idx], fold.X))
     assert np.array_equal(fold.d2_rows(np.arange(30)), _sq_dists(fold.X, fold.X))
+
+
+def _assert_same_models(got, want):
+    for a, b in zip(got, want, strict=True):
+        for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.bias == b.bias
+        assert a.params == b.params
+
+
+def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
+    def fits():
+        fits = _mixed_fits()  # n = 24, 64, 40, 50, 34; the last is linear
+        X, y, _, _ = fits[2]
+        shared = _Fold(X, y)  # two more problems on one fold: rbf and linear
+        return fits + [(shared, None, SvmParams(C=2.0, gamma=0.3)),
+                       (shared, None, SvmParams(C=1.0, gamma=1.0, kernel="linear"))]
+
+    want = svm_fit_many(fits())  # every fold dense
+    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
+    for dense_bytes, dense in [(40 * 40 * 8, [True, False, True, False, True]),
+                               (0, [False] * 5)]:
+        monkeypatch.setattr(svm_module, "_DENSE_BYTES", dense_bytes)
+        batch = fits()
+        assert [_Fold(X, y).dense_d2() is not None for X, y, *_ in batch[:5]] == dense
+        _assert_same_models(svm_fit_many(batch), want)
+
+
+def _canonical_case(case):
+    """Rows with many ties (values 0, 1, 2), built to defeat a prefix sort."""
+    rng = np.random.default_rng(50)
+    n, d = 40, 600
+    X = rng.integers(0, 3, (n, d)).astype(np.float64)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)[rng.permutation(n)]
+    if case == "constant_lead":
+        X[:, :20] = 1.0
+    elif case.startswith("equal_"):  # pairs of rows agree on their first k columns
+        k = int(case.split("_")[1])
+        X[1::2, :k] = X[0::2, :k]
+    elif case == "duplicates":  # exact duplicates with opposite labels
+        X[n // 2 :] = X[: n // 2]
+        y[n // 2 :] = -y[: n // 2]
+    elif case == "narrow":
+        X = X[:, :5]
+    return X, y
+
+
+@pytest.mark.parametrize("case", ["random", "constant_lead", "equal_8", "equal_32",
+                                  "equal_128", "duplicates", "narrow"])
+def test_canonical_order_is_the_full_lexsort(case):
+    X, y = _canonical_case(case)
+    _, _, Xs = _scale_fit(X)
+    full = np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
+    fold = _Fold(X, y)
+    assert np.array_equal(fold.X, Xs[full])
+    assert np.array_equal(fold.y, y[full])
 
 
 def test_class_weight_shifts_boundary():
