@@ -9,7 +9,7 @@ one batch.
 
 import numpy as np
 
-from facestack import SvmParams, default_grid, grid_search, inner_folds, svm_fit
+from facestack import SvmParams, default_grid, grid_search, make_folds, svm_fit
 
 rng = np.random.default_rng(0)
 centers = [(1, 1, 1.0), (-1, -1, 1.0), (1, -1, -1.0), (-1, 1, -1.0)]
@@ -29,7 +29,7 @@ model = svm_fit(X, y, SvmParams(C=4.0, gamma=4.0))
 print("scores at (1,1), (0,0), (-1,-1):",
       np.round(model.decision_function(probe), 3))
 
-folds = inner_folds(y, k=5, seed=1)
+folds = make_folds(y, 5, seed=1)
 best = grid_search(X, y, folds)
 print(f"grid search over {len(default_grid())} candidates picked "
       f"C={best.C} gamma={best.gamma}")

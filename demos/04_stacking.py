@@ -8,7 +8,7 @@ score column (here an oracle) rides along through the same interface.
 
 import numpy as np
 
-from facestack import (FirstStageSpec, ScoreMatrix, SvmParams, inner_folds,
+from facestack import (FirstStageSpec, ScoreMatrix, SvmParams, make_folds,
                        oof_scores, stack_fit, stack_scores, svm_fit)
 
 rng = np.random.default_rng(5)
@@ -23,7 +23,7 @@ b[~half, 0] = y[~half] * 2 + rng.normal(0, 0.3, (~half).sum())
 train = np.arange(n) < 240
 specs = [FirstStageSpec("C1", "custom", "raw"), FirstStageSpec("C3", "custom", "raw")]
 params = SvmParams(C=1.0, gamma=0.095)
-folds = inner_folds(y[train], k=5, seed=1)
+folds = make_folds(y[train], 5, seed=1)
 
 def acc(scores):
     return np.mean(np.where(scores >= 0, 1, -1) == y[~train])
@@ -34,8 +34,7 @@ for name, X in (("view a", a), ("view b", b)):
 
 # the meta stage trains on out-of-fold first-stage scores, never on
 # scores a model produced for its own training rows
-oof = oof_scores([a[train], b[train]], y[train], folds, specs,
-                 params=[params, params])
+oof = oof_scores([a[train], b[train]], y[train], folds, specs, params=params)
 print(f"out-of-fold score matrix: {oof.scores.shape}, columns {oof.column_ids}")
 
 stacked = stack_fit([a[train], b[train]], y[train], folds, specs,

@@ -19,19 +19,19 @@ from .geometry import (F_PATTERN, HS_PATTERN, MAX_GAUSSIAN_VARIANCE,
 from .pgm import load_gray, read_pgm, write_pgm
 from .dataset import (ADULT_GROUPS, AGE_GROUPS, DAGO_MIN_EYE_DISTANCE,
                       GENDERS, FoldPlan, Manifest, Sample, adults_mask,
-                      dago_mask, filter_adults, filter_dago, load_folds,
-                      load_manifest, make_folds, save_folds, save_manifest)
+                      dago_mask, load_folds, load_manifest, make_folds,
+                      save_folds, save_manifest)
 from .features import FeatureMatrix, export_csv, load_features, save_features
 from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
                           U2_TABLE, extract_descriptor, grid_histogram, hog,
                           lbp_code, lbp_code_map, lbp_u2_map, losib, lsp_code,
                           lsp_code_map, nilbp_code, nilbp_code_map)
 from .pca import PcaModel, pca_fit
-from .svm import (ScoreMatrix, SvmModel, SvmParams, default_grid, grid_search,
-                  load_model, load_scores, rbf_kernel, save_model,
-                  save_scores, svm_fit, svm_fit_many, svm_score)
+from .svm import (ScoreMatrix, SvmModel, SvmParams, cv_scores, default_grid,
+                  grid_search, load_model, load_scores, rbf_kernel, save_model,
+                  save_scores, svm_fit, svm_fit_many)
 from .stacking import (CANONICAL_STAGES, S_CONFIGS, FirstStageSpec,
-                       StackedModel, inner_folds, load_stacked, oof_scores,
+                       StackedModel, load_stacked, oof_scores,
                        save_stacked, stack_fit, stack_predict, stack_scores)
 from .stats import (StatTestResult, chi2_sf, gammainc_lower, jarque_bera,
                     kruskal_wallis)

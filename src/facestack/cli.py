@@ -122,11 +122,20 @@ def _parse_stage(text, paired=False):
     return sid, rest, pca
 
 
-def _stage_spec(sid, descriptor_id):
-    canon = CANONICAL_STAGES.get(sid)
-    if canon is not None:
-        return canon
-    return FirstStageSpec(sid, "custom", descriptor_id or "custom")
+def _stage_specs(sids, descriptor_ids):
+    """One FirstStageSpec per stage id, given its feature file's descriptor; a
+    canonical id (C1..C5) on another descriptor, or a repeated id, is a
+    ConfigurationError."""
+    specs = []
+    for sid, descriptor_id in zip(sids, descriptor_ids):
+        if sid in (s.id for s in specs):
+            raise ConfigurationError(f"stage id {sid!r} is given more than once")
+        canon = CANONICAL_STAGES.get(sid)
+        if canon is not None and canon.descriptor != descriptor_id:
+            raise ConfigurationError(f"stage {sid} is {canon.descriptor} features, "
+                                     f"but its file holds {descriptor_id!r}")
+        specs.append(canon or FirstStageSpec(sid, "custom", descriptor_id or "custom"))
+    return specs
 
 
 def _load_stage_features(path, n_expected):
@@ -253,19 +262,16 @@ def cmd_stack(ns):
     parsed = [_parse_stage(s) for s in ns.stage]
     if not parsed:
         raise ConfigurationError("need at least one --stage")
-    first_n = None
-    mats, specs = [], []
-    for sid, path, pca in parsed:
+    fms = []
+    for _, path, pca in parsed:
         if pca:
             raise ConfigurationError("PCA stage suffixes are only supported by eval")
-        fm = load_features(path)
-        if first_n is None:
-            first_n = len(fm.data)
-        elif len(fm.data) != first_n:
+        fms.append(load_features(path))
+        if len(fms[-1].data) != len(fms[0].data):
             raise DataError(f"{path}: row count differs from the first stage file")
-        mats.append(fm.data.astype(np.float64))
-        specs.append(_stage_spec(sid, fm.descriptor_id))
-    manifest, labels, plan = _training_setup(ns, first_n)
+    specs = _stage_specs([p[0] for p in parsed], [fm.descriptor_id for fm in fms])
+    mats = [fm.data.astype(np.float64) for fm in fms]
+    manifest, labels, plan = _training_setup(ns, len(mats[0]))
     external = load_scores(ns.external) if ns.external else None
     model = stack_fit(mats, labels, plan, specs, external_scores=external, **_svm_flags(ns))
     save_stacked(ns.out, model)
@@ -310,12 +316,11 @@ def cmd_eval_kfold(ns):
     sub = manifest.subset(idx)
     labels = sub.labels().astype(np.float64)
 
-    stages = []
-    for text in ns.stage:
-        sid, path, pca = _parse_stage(text)
-        fm = _load_stage_features(path, len(manifest))
-        stages.append(StageData(_stage_spec(sid, fm.descriptor_id),
-                                fm.data[idx].astype(np.float64), pca))
+    parsed = [_parse_stage(text) for text in ns.stage]
+    fms = [_load_stage_features(path, len(manifest)) for _, path, _ in parsed]
+    specs = _stage_specs([p[0] for p in parsed], [fm.descriptor_id for fm in fms])
+    stages = [StageData(spec, fm.data[idx].astype(np.float64), pca)
+              for spec, fm, (_, _, pca) in zip(specs, fms, parsed)]
     if ns.folds:
         if ns.protocol != "none":
             raise ConfigurationError(
@@ -346,12 +351,14 @@ def cmd_eval_crossdb(ns):
     te_idx = _protocol_indices(test_man, ns.protocol)
     tr_sub, te_sub = train_man.subset(tr_idx), test_man.subset(te_idx)
 
+    parsed = [_parse_stage(text, paired=True) for text in ns.stage]
+    pairs = [(_load_stage_features(tr_path, len(train_man)),
+              _load_stage_features(te_path, len(test_man))) for _, tr_path, te_path, _ in parsed]
+    sids = [p[0] for p in parsed]
+    specs = _stage_specs(sids, [tr_fm.descriptor_id for tr_fm, _ in pairs])
+    _stage_specs(sids, [te_fm.descriptor_id for _, te_fm in pairs])  # the test side must fit too
     train_stages, test_stages = [], []
-    for text in ns.stage:
-        sid, tr_path, te_path, pca = _parse_stage(text, paired=True)
-        tr_fm = _load_stage_features(tr_path, len(train_man))
-        te_fm = _load_stage_features(te_path, len(test_man))
-        spec = _stage_spec(sid, tr_fm.descriptor_id)
+    for spec, (tr_fm, te_fm), (*_, pca) in zip(specs, pairs, parsed):
         train_stages.append(StageData(spec, tr_fm.data[tr_idx].astype(np.float64), pca))
         test_stages.append(StageData(spec, te_fm.data[te_idx].astype(np.float64), pca))
 
@@ -387,7 +394,7 @@ def cmd_noise_sweep(ns):
     labels = manifest.labels().astype(np.float64)
     images = [load_gray(s.image_path) for s in manifest.samples]
     plan = make_folds(manifest, ns.k, seed=derive_seed(ns.seed, 77))
-    spec = _stage_spec("sweep", ns.descriptor)
+    spec = FirstStageSpec("sweep", "custom", ns.descriptor)
 
     rows = []
     for li, level in enumerate(levels):
@@ -467,11 +474,12 @@ def build_parser():
         "stack", help="train the two-stage stacked model",
         description="Train the two-stage stacked model. --C/--gamma set every SVM: "
                     "each first stage and the meta SVM. With --grid, each first "
-                    "stage's C/gamma is picked on the same fold plan (--folds or "
-                    "--kfolds) that then produces the out-of-fold meta features, so "
-                    "each meta feature's held-out fold took part in the choice; the "
-                    "meta SVM's C/gamma is then picked on that plan too. "
-                    "`eval kfold --grid` searches inside each outer training fold.")
+                    "stage is grid-searched on the fold plan (--folds or --kfolds), "
+                    "and the search's held-out scores for the winning C/gamma are "
+                    "its out-of-fold meta features, so each meta feature's held-out "
+                    "fold took part in the choice; the meta SVM's C/gamma is then "
+                    "picked on that plan too. `eval kfold --grid` searches inside "
+                    "each outer training fold.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stage", action="append", default=[],
                    help="ID=FEATURES.fsfm, repeatable (C1..C5 or custom ids)")

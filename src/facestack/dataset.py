@@ -151,14 +151,6 @@ def adults_mask(manifest):
     return np.array([s.age_group in ADULT_GROUPS for s in manifest.samples])
 
 
-def filter_dago(manifest):
-    return manifest.subset(np.flatnonzero(dago_mask(manifest)))
-
-
-def filter_adults(manifest):
-    return manifest.subset(np.flatnonzero(adults_mask(manifest)))
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     k: int

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import make_folds
 from .errors import ConfigurationError, DataError
 from .geometry import _require_gray, _round_u8
 from .pca import pca_fit
-from .stacking import (DEFAULT_STAGE_PARAMS, FirstStageSpec, inner_folds,
-                       stack_fit, stack_scores)
+from .stacking import DEFAULT_STAGE_PARAMS, FirstStageSpec, stack_fit, stack_scores
 from .svm import derive_seed, grid_search, svm_fit
 
 
@@ -146,7 +146,7 @@ def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params, class_weigh
         Xtr.append(a)
         Xte.append(b)
     specs = [s.spec for s in stages]
-    inner = inner_folds(ytr, k=min(_INNER_K, len(ytr)), seed=derive_seed(seed, 101))
+    inner = make_folds(ytr, min(_INNER_K, len(ytr)), derive_seed(seed, 101))
     if len(specs) > 1:
         model = stack_fit(Xtr, ytr, inner, specs, params=params, class_weight=class_weight)
         return stack_scores(model, Xte)
@@ -174,7 +174,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
     if any(len(s.features) != n for s in stages):
         raise DataError("stage features not aligned with labels")
     if folds is None:
-        folds = inner_folds(y, k=k, seed=derive_seed(seed, 77))
+        folds = make_folds(y, k, derive_seed(seed, 77))
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
     pooled = np.zeros(n)

@@ -7,9 +7,10 @@ columns of a small second-stage SVM. External score columns (e.g. from a
 network trained elsewhere) can join by row index. Stacked models
 serialize as `.fstk` files in the shared layout of `records`.
 
-`stack_fit` takes one `params`: an `SvmParams` used for every SVM (each
-first stage and the meta SVM), or None to grid-search each first stage
-and then the meta SVM on the fold plan it is given.
+`oof_scores` and `stack_fit` take one `params`: an `SvmParams` used for
+every SVM, or None to grid-search each first stage (and then the meta SVM)
+on the fold plan given. A stage's column is one row of `svm.cv_scores`:
+under None the search's own held-out scores for the winner, with no refit.
 """
 
 import struct
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import make_folds
 from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
                       write_header)
-from .svm import (ScoreMatrix, SvmParams, grid_search, read_model, svm_fit, svm_fit_many,
-                  write_model)
+from .svm import (ScoreMatrix, SvmParams, best_point, cv_scores, default_grid, grid_search,
+                  read_model, svm_fit, svm_fit_many, write_model)
 
 # hyper-parameters when no grid search is requested: mid grid
 DEFAULT_STAGE_PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -73,8 +73,13 @@ def _as_matrices(X_per_spec, specs, n=None):
     return mats, n
 
 
-def _stage_inputs(X_per_spec, y, folds, specs):
-    """Checked (specs, matrices, labels, n) for a fit over `folds`."""
+def _stage_columns(X_per_spec, y, folds, specs, params, class_weight):
+    """Checked inputs, each stage's params and its out-of-fold column.
+
+    -> (specs, mats, y, [SvmParams per stage], ScoreMatrix). Each stage
+    takes one cv_scores call: over [params], or over default_grid() when
+    params is None, keeping the row of the point best_point picks.
+    """
     specs = list(specs)
     if not specs:
         raise ConfigurationError("no first-stage specs")
@@ -84,7 +89,15 @@ def _stage_inputs(X_per_spec, y, folds, specs):
         raise DataError("labels not aligned with feature rows")
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with feature rows")
-    return specs, mats, y, n
+    grid = default_grid() if params is None else [params]
+    chosen, cols = [], []
+    for X in mats:
+        scores = cv_scores(X, y, folds, grid, class_weight)
+        g = best_point(grid, scores, y, folds)
+        chosen.append(grid[g])
+        cols.append(scores[g])
+    oof = ScoreMatrix(scores=np.column_stack(cols), column_ids=tuple(s.id for s in specs))
+    return specs, mats, y, chosen, oof
 
 
 def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_weight=None):
@@ -92,21 +105,10 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_w
 
     Every sample is scored by the fold model whose training part excluded
     it, so the columns are usable as leak-free meta training features.
-    params is one SvmParams for every spec or a list of one per spec. Each
-    spec's k fold fits are solved as one batch.
+    params is one SvmParams for every spec, or None to grid-search each
+    spec on `folds` and keep the winner's held-out scores.
     """
-    specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
-    plist = [params] * len(specs) if isinstance(params, SvmParams) else list(params)
-    if len(plist) != len(specs):
-        raise ConfigurationError("need one SvmParams per first-stage spec")
-    splits = [folds.split(fold) for fold in range(folds.k)]
-    scores = np.zeros((n, len(specs)))
-    for si, (X, p) in enumerate(zip(mats, plist)):
-        models = svm_fit_many([(X[train_idx], y[train_idx], p, class_weight)
-                               for train_idx, _ in splits])
-        for (_, test_idx), model in zip(splits, models):
-            scores[test_idx, si] = model.decision_function(X[test_idx])
-    return ScoreMatrix(scores=scores, column_ids=tuple(s.id for s in specs))
+    return _stage_columns(X_per_spec, y, folds, specs, params, class_weight)[-1]
 
 
 def _join_external(row_indices, external):
@@ -142,15 +144,15 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
 
     Meta training consumes out-of-fold first-stage scores plus any external
     columns joined by row index; the deployed first-stage models are then
-    retrained on all rows, as one batch. params is one SvmParams for every
-    SVM; None grid-searches each first stage on `folds`, then the meta SVM
-    on the score columns with the same plan.
+    trained on all rows, as one batch. params is one SvmParams for every
+    SVM; None grid-searches each first stage on `folds`, taking its
+    out-of-fold column from that search's held-out scores for the winner,
+    then the meta SVM on the score columns with the same plan.
     """
-    specs, mats, y, n = _stage_inputs(X_per_spec, y, folds, specs)
+    specs, mats, y, plist, oof = _stage_columns(X_per_spec, y, folds, specs, params,
+                                                class_weight)
     if row_indices is None:
-        row_indices = np.arange(n)
-    plist = [params or grid_search(X, y, folds, class_weight=class_weight) for X in mats]
-    oof = oof_scores(mats, y, folds, specs, params=plist, class_weight=class_weight)
+        row_indices = np.arange(len(y))
     meta_X = oof.scores
     column_ids = list(oof.column_ids)
     if external_scores is not None:
@@ -223,8 +225,3 @@ def load_stacked(path):
         meta = read_model(fh, path)
         check_end(fh, path)
     return StackedModel(first_stage=tuple(first), meta=meta, column_ids=column_ids)
-
-
-def inner_folds(y, k=5, seed=0):
-    """Convenience fold plan over bare labels for meta-score generation."""
-    return make_folds(y, k, seed)

@@ -8,8 +8,13 @@ gap checked again, so the KKT conditions hold at `tolerance` on exit; the
 bias comes from the free alphas. A solve that stops at the iteration cap
 warns with RuntimeWarning. `_solve` runs a batch of independent problems in
 lockstep on (P, n_max) arrays, each problem computed the same way in any
-batch, so batches (`svm_fit_many`, `grid_search`) give models bit-identical
+batch, so batches (`svm_fit_many`, `cv_scores`) give models bit-identical
 to one `svm_fit` per problem.
+
+`cv_scores`, the one cross-validated scorer, gives each row's held-out score
+under every grid point; `grid_search` picks from them, stacking takes its
+out-of-fold columns from them. `_decision` scores held-out rows and
+`decision_function` alike, so both give the same bits.
 
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
@@ -95,12 +100,6 @@ def _sq_dists(A, B):
     return np.square(diff, out=diff).sum(axis=2)
 
 
-def _sq_block(A, B):
-    """_sq_dists(A, B), computed in row chunks of A."""
-    chunk = _chunk_rows(B)
-    return np.concatenate([_sq_dists(A[lo : lo + chunk], B) for lo in range(0, len(A), chunk)])
-
-
 def _kernel_block(params, A, B, d2=None):
     """Kernel values between the rows of A (m,d) and B (n,d) -> (m,n).
 
@@ -163,18 +162,25 @@ class SvmModel:
             raise DataError(f"expected {self.n_dims} dims, got {X.shape[1]}")
         if not np.all(np.isfinite(X)):
             raise DataError("non-finite feature value")
-        Xs = self.scale(X)
-        scores = np.empty(len(Xs))
-        chunk = _chunk_rows(self.support_vectors)
-        for lo in range(0, len(Xs), chunk):
-            k = _kernel_block(self.params, Xs[lo : lo + chunk], self.support_vectors)
-            scores[lo : lo + chunk] = k @ self.dual_coefs + self.bias
+        scores = _decision(self.params, self.scale(X), self.support_vectors,
+                           self.dual_coefs, self.bias)
         return float(scores[0]) if one else scores
 
 
-def svm_score(model, x):
-    """Signed decision value for one raw feature vector."""
-    return model.decision_function(np.asarray(x, dtype=np.float64))
+def _decision(params, Xs, sv, coef, bias, d2=None):
+    """Decision values of scaled rows Xs under support rows sv with weights coef.
+
+    Each _chunk_rows(sv) chunk is one C-ordered kernel block times coef; the
+    chunks and the memory order both set the product's last bits. d2 holds
+    the squared distances from Xs to sv (C-ordered) when the caller has them.
+    """
+    scores = np.empty(len(Xs))
+    chunk = _chunk_rows(sv)
+    for lo in range(0, len(Xs), chunk):
+        rows = slice(lo, lo + chunk)
+        k = _kernel_block(params, Xs[rows], sv, None if d2 is None else d2[rows])
+        scores[rows] = k @ coef + bias
+    return scores
 
 
 def _canonical_order(Xs, y):
@@ -201,7 +207,6 @@ class _Fold:
     Holds the scaling (`lo`, `hi`), the ordered rows `X` and labels `y`, and
     the memo of squared distances between the rows. None of it depends on
     (C, gamma), so every fit on the same rows can share one _Fold.
-    `support` holds the row indices of the support vectors of the latest fit.
     Up to _DENSE_BYTES the memo is the whole n x n array, filled on first
     use; above, an LRU of _CACHE_ROWS rows.
     """
@@ -222,7 +227,6 @@ class _Fold:
         order = _canonical_order(Xs, y)
         self.X = np.ascontiguousarray(Xs[order])
         self.y = y[order]
-        self.support = None
         n = len(self.y)
         self._d2 = None if n * n * 8 <= _DENSE_BYTES else OrderedDict()
 
@@ -258,11 +262,14 @@ class _Fold:
             rows.append(self._d2[i])
         return np.array(rows).reshape(len(idx), len(self))
 
-    def held_out(self, X):
+    def held_out(self, X, rows):
         """Raw rows X scaled like the training rows, and their squared
-        distances to every training row -> (Xs (m,d), d2 (m,n))."""
+        distances to the training rows `rows` -> (Xs (m,d), d2 (m,len(rows)))."""
         Xs = _min_max(np.asarray(X, dtype=np.float64), self.lo, self.hi)
-        return Xs, _sq_block(Xs, self.X)
+        B = self.X[rows]
+        chunk = _chunk_rows(B)
+        return Xs, np.concatenate([_sq_dists(Xs[lo : lo + chunk], B)
+                                   for lo in range(0, len(Xs), chunk)])
 
 
 def _kernel_rows(fold, params, idx):
@@ -488,7 +495,6 @@ def svm_fit_many(fits):
     for (fold, _, params, descriptor_id), (alpha, bias) in zip(
             problems, _solve([p[:3] for p in problems])):
         sv = _support(alpha)
-        fold.support = sv
         models.append(SvmModel(
             support_vectors=fold.X[sv],
             dual_coefs=alpha[sv] * fold.y[sv],
@@ -515,39 +521,17 @@ def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
     return svm_fit_many([(X, y, params, class_weight, descriptor_id)])[0]
 
 
-def grid_search(X, y, folds, grid=None, class_weight=None):
-    """Pick hyper-parameters by mean cross-validated accuracy.
+def cv_scores(X, y, folds, grid, class_weight=None):
+    """Held-out scores of every grid point -> (len(grid), n).
 
-    Ties go to the smaller C, then the smaller gamma. Each fold's training
-    rows are prepared once (a `_Fold`), so the squared distances between
-    them, and from the held-out rows to them, are computed once per fold
-    rather than once per fit, and every (fold, grid point) is solved in one
-    batch.
+    Entry (g, i) is decision_function(row i) of svm_fit(grid[g]) on the rows
+    outside row i's fold, bit for bit. All len(grid) x k problems are one
+    batch, on one `_Fold` per fold; a fold's held-out rows get their
+    distances to the union of its models' support rows once.
     """
-    if grid is None:
-        grid = default_grid()
     if not grid:
         raise ConfigurationError("empty parameter grid")
-    accs = _grid_accuracies(X, y, folds, grid, class_weight)
-    best = None
-    for params, row in zip(grid, accs):
-        key = (-np.mean(row), params.C, params.gamma)
-        if best is None or key < best[0]:
-            best = (key, params)
-    return best[1]
-
-
-def _grid_accuracies(X, y, folds, grid, class_weight):
-    """Held-out accuracy of every grid point on every fold -> (len(grid), k).
-
-    All len(grid) x k problems are solved as one batch. Held-out rows are
-    then scored, one fold at a time, from each solution's support rows and
-    the support columns of the fold's distance block, which gives the signs
-    that svm_fit's model.decision_function would.
-    """
-    if hasattr(X, "descriptor_id"):
-        X = X.data
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X.data if hasattr(X, "descriptor_id") else X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     splits = [folds.split(f) for f in range(folds.k)]
     problems = []
@@ -555,18 +539,36 @@ def _grid_accuracies(X, y, folds, grid, class_weight):
         fold = _Fold(X[train_idx], y[train_idx])
         problems += [_problem(fold, None, params, class_weight)[:3] for params in grid]
     solutions = _solve(problems)
-    accs = np.empty((len(grid), folds.k))
+    scores = np.empty((len(grid), len(y)))
     for f, (_, test_idx) in enumerate(splits):
         fold = problems[f * len(grid)][0]
-        Xt, d2 = fold.held_out(X[test_idx])
-        for pi, params in enumerate(grid):
-            alpha, bias = solutions[f * len(grid) + pi]
-            sv = _support(alpha)
-            sv_d2 = d2[:, sv] if params.kernel == "rbf" else None
-            k = _kernel_block(params, Xt, fold.X[sv], sv_d2)
-            pred = np.where(k @ (alpha[sv] * fold.y[sv]) + bias >= 0, 1.0, -1.0)
-            accs[pi, f] = np.mean(pred == y[test_idx])
-    return accs
+        fits = solutions[f * len(grid) : (f + 1) * len(grid)]
+        svs = [_support(alpha) for alpha, _ in fits]
+        union = np.unique(np.concatenate(svs))
+        Xt, d2 = fold.held_out(X[test_idx], union)
+        for g, (params, (alpha, bias), sv) in enumerate(zip(grid, fits, svs)):
+            sv_d2 = d2.take(np.searchsorted(union, sv), axis=1) if params.kernel == "rbf" else None
+            scores[g, test_idx] = _decision(params, Xt, fold.X[sv], alpha[sv] * fold.y[sv],
+                                            bias, sv_d2)
+    return scores
+
+
+def best_point(grid, scores, y, folds):
+    """Index of the grid point whose cv_scores have the best mean per-fold accuracy.
+
+    Ties go to the smaller C, then the smaller gamma, then the earlier point.
+    """
+    hits = np.where(scores >= 0, 1.0, -1.0) == np.asarray(y, dtype=np.float64)
+    tests = [folds.split(f)[1] for f in range(folds.k)]
+    mean_acc = [np.mean([np.mean(row[t]) for t in tests]) for row in hits]
+    return min(range(len(grid)), key=lambda g: (-mean_acc[g], grid[g].C, grid[g].gamma))
+
+
+def grid_search(X, y, folds, grid=None, class_weight=None):
+    """The best_point of cv_scores over grid (default_grid() if None)."""
+    if grid is None:
+        grid = default_grid()
+    return grid[best_point(grid, cv_scores(X, y, folds, grid, class_weight), y, folds)]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from facestack import (
     SvmParams,
     U2_TABLE,
     extract_descriptor,
-    inner_folds,
+    make_folds,
     jarque_bera,
     kruskal_wallis,
     lbp_code_map,
@@ -158,7 +158,7 @@ def test_c04_stacking_complementarity():
         train = np.arange(400) < 240
         specs = [FirstStageSpec("C1", "custom", "raw"), FirstStageSpec("C3", "custom", "raw")]
         params = SvmParams(C=1.0, gamma=0.095)
-        folds = inner_folds(y[train], k=5, seed=1)
+        folds = make_folds(y[train], 5, seed=1)
 
         singles = []
         for X in mats:
@@ -194,7 +194,7 @@ def test_c05_stacking_leak_freedom():
         te = [rng.normal(0, 1, (n_test, 6)) for _ in range(2)]
         specs = [FirstStageSpec("C1", "custom", "raw"), FirstStageSpec("C3", "custom", "raw")]
         params = SvmParams(C=8.0, gamma=0.5)  # deliberately overfit-prone
-        model = stack_fit(tr, y_tr, inner_folds(y_tr, k=5, seed=0), specs,
+        model = stack_fit(tr, y_tr, make_folds(y_tr, 5, seed=0), specs,
                           params=params)
         s = stack_scores(model, te)
         acc = _acc(np.where(s >= 0, 1, -1), y_te)

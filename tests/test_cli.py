@@ -274,6 +274,60 @@ def test_stack_requires_stage_flag(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+def _stage_argv(ws, command, stages):
+    """argv for `command` over the workspace feature files of stages [(id, descriptor)]."""
+    manifest = str(ws / "corpus" / "manifest.csv")
+    if command == "eval crossdb":
+        return (["eval", "crossdb", "--train-manifest", manifest, "--test-manifest", manifest,
+                 "--train-name", "a", "--test-name", "b", "--C", "4.0"]
+                + [a for sid, d in stages
+                   for a in ("--stage", f"{sid}={ws / f'{d}.fsfm'},{ws / f'{d}.fsfm'}")])
+    head = {"stack": ["stack", "--folds", str(ws / "folds.csv")],
+            "eval kfold": ["eval", "kfold", "--k", "3"]}[command]
+    return (head + ["--manifest", manifest, "--C", "4.0"]
+            + [a for sid, d in stages for a in ("--stage", f"{sid}={ws / f'{d}.fsfm'}")])
+
+
+@pytest.mark.parametrize("stages, message", [
+    pytest.param([("C1", "losib")], "stage C1 is hog features, but its file holds 'losib'",
+                 id="canonical-mislabelled"),
+    pytest.param([("C4", "losib"), ("C3", "hog")], "stage C3 is lbpu2 features",
+                 id="canonical-mislabelled-second"),
+    pytest.param([("C1", "hog"), ("C1", "hog")], "stage id 'C1' is given more than once",
+                 id="duplicate-canonical"),
+    pytest.param([("X", "hog"), ("X", "losib")], "stage id 'X' is given more than once",
+                 id="duplicate-custom"),
+])
+@pytest.mark.parametrize("command", ["stack", "eval kfold", "eval crossdb"])
+def test_bad_stage_ids_exit_2_before_any_fit(workspace, tmp_path, capsys, monkeypatch,
+                                             command, stages, message):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    out = tmp_path / ("out" if command.startswith("eval") else "out.fstk")
+    assert main(["--out", str(out)] + _stage_argv(workspace, command, stages)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_grid_paths_rerun_byte_identical(workspace, tmp_path):
+    # c09 reruns fixed (C, gamma); this reruns the grid-searched stacking paths
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    stages = ["--stage", f"C1={workspace / 'hog.fsfm'}",
+              "--stage", f"C4={workspace / 'losib.fsfm'}"]
+    trees = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        assert main(["--seed", "3", "--out", str(root / "stack.fstk"), "stack",
+                     "--manifest", manifest, *stages,
+                     "--folds", str(workspace / "folds.csv"), "--grid"]) == 0
+        assert main(["--seed", "3", "--out", str(root / "eval"), "eval", "kfold",
+                     "--manifest", manifest, *stages, "--k", "3", "--grid"]) == 0
+        trees.append({str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                      if p.is_file() and p.name != "run.json"})
+    assert sorted(trees[0]) == ["eval/report.json", "eval/roc.csv", "stack.fstk"]
+    assert trees[0] == trees[1]
+
+
 def test_unknown_descriptor_rejected_by_parser(workspace, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "x.fsfm"), "extract",

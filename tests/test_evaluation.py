@@ -23,7 +23,7 @@ from facestack import (
 )
 from facestack import evaluation
 from facestack.svm import derive_seed
-from facestack.stacking import inner_folds
+from facestack.dataset import make_folds
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
 
@@ -108,7 +108,7 @@ def _stagedata(n, seed=0, informative=True, pca=0, width=4):
 def test_run_kfold_pooled_equals_weighted_fold_mean():
     stage, y = _stagedata(103, seed=2)
     report, pooled = run_kfold([stage], y, k=5, seed=4, params=PARAMS)
-    folds = inner_folds(y, k=5, seed=derive_seed(4, 77))
+    folds = make_folds(y, 5, seed=derive_seed(4, 77))
     sizes = np.bincount(folds.assignments, minlength=5)
     weighted = float(np.dot(report.per_fold_accuracies, sizes) / sizes.sum())
     assert report.accuracy == pytest.approx(weighted, abs=1e-12)
@@ -142,14 +142,14 @@ def test_run_kfold_two_seeds_agree_on_separable_data():
 
 def test_run_kfold_with_explicit_folds_and_guards():
     stage, y = _stagedata(30, seed=5)
-    folds = inner_folds(y, k=3, seed=9)
+    folds = make_folds(y, 3, seed=9)
     report, _ = run_kfold([stage], y, folds=folds, params=PARAMS)
     assert len(report.per_fold_accuracies) == 3
     with pytest.raises(ConfigurationError):
         run_kfold([], y)
     with pytest.raises(DataError):
         run_kfold([stage], y[:-1], params=PARAMS)
-    short = inner_folds(y[:-2], k=3, seed=9)
+    short = make_folds(y[:-2], 3, seed=9)
     with pytest.raises(DataError):
         run_kfold([stage], y, folds=short, params=PARAMS)
 

@@ -8,17 +8,21 @@ from facestack import (
     FirstStageSpec,
     S_CONFIGS,
     ScoreMatrix,
+    StackedModel,
     SvmParams,
-    inner_folds,
+    default_grid,
+    grid_search,
     load_stacked,
+    make_folds,
     oof_scores,
     save_stacked,
     stack_fit,
     stack_predict,
     stack_scores,
     svm_fit,
+    svm_fit_many,
 )
-from facestack import stacking
+from facestack import svm as svm_module
 from facestack.stacking import DEFAULT_STAGE_PARAMS
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -58,7 +62,7 @@ def _views(n, seed=0):
 
 def test_oof_scores_shape_and_columns():
     views, y = _views(60)
-    folds = inner_folds(y, k=3, seed=1)
+    folds = make_folds(y, 3, seed=1)
     sm = oof_scores(views, y, folds, _specs(2), params=PARAMS)
     assert sm.scores.shape == (60, 2)
     assert sm.column_ids == ("C1", "C2")
@@ -66,7 +70,7 @@ def test_oof_scores_shape_and_columns():
 
 def test_oof_scores_come_from_excluded_fold_models():
     views, y = _views(45, seed=3)
-    folds = inner_folds(y, k=3, seed=4)
+    folds = make_folds(y, 3, seed=4)
     sm = oof_scores(views, y, folds, _specs(2), params=PARAMS)
     # rebuild one fold model by hand and match its scores bit for bit
     train, test = folds.split(1)
@@ -76,24 +80,26 @@ def test_oof_scores_come_from_excluded_fold_models():
 
 def test_oof_scores_equal_one_fit_per_fold():
     views, y = _views(51, seed=18)
-    folds = inner_folds(y, k=4, seed=2)
+    folds = make_folds(y, 4, seed=2)
     weights = {-1: 1.5, 1: 1.0}
-    plist = [PARAMS, SvmParams(C=4.0, gamma=0.5)]
-    sm = oof_scores(views, y, folds, _specs(2), params=plist, class_weight=weights)
-    want = np.full((51, 2), np.nan)
-    for si, (X, p) in enumerate(zip(views, plist)):
-        for f in range(folds.k):
-            train, test = folds.split(f)
-            m = svm_fit(X[train], y[train], p, class_weight=weights)
-            want[test, si] = m.decision_function(X[test])
-    assert np.array_equal(sm.scores, want)
+    # fixed params, and under None each view's own grid-search winner
+    for params in (PARAMS, SvmParams(C=4.0, gamma=0.5), None):
+        sm = oof_scores(views, y, folds, _specs(2), params=params, class_weight=weights)
+        want = np.full((51, 2), np.nan)
+        for si, X in enumerate(views):
+            p = params or grid_search(X, y, folds, class_weight=weights)
+            for f in range(folds.k):
+                train, test = folds.split(f)
+                m = svm_fit(X[train], y[train], p, class_weight=weights)
+                want[test, si] = m.decision_function(X[test])
+        assert np.array_equal(sm.scores, want)
 
 
 def test_oof_scores_on_noise_stay_modest():
     rng = np.random.default_rng(5)
     X = rng.normal(0, 1, (120, 4))
     y = np.where(rng.random(120) < 0.5, 1.0, -1.0)
-    folds = inner_folds(y, k=4, seed=0)
+    folds = make_folds(y, 4, seed=0)
     sm = oof_scores([X], y, folds, _specs(1), params=PARAMS)
     acc = np.mean(np.where(sm.scores[:, 0] >= 0, 1, -1) == y)
     assert acc < 0.68  # resubstitution would be near 1.0 here
@@ -103,7 +109,7 @@ def test_stack_beats_single_stages_on_complementary_views():
     views, y = _views(240, seed=8)
     tr = np.arange(160)
     te = np.arange(160, 240)
-    folds = inner_folds(y[tr], k=4, seed=2)
+    folds = make_folds(y[tr], 4, seed=2)
     model = stack_fit([v[tr] for v in views], y[tr], folds, _specs(2),
                       params=PARAMS)
     stacked = np.mean(np.where(stack_scores(model, [v[te] for v in views]) >= 0, 1, -1) == y[te])
@@ -121,7 +127,7 @@ def test_external_oracle_column_dominates():
     noise = [rng.normal(0, 1, (n, 3))]
     row_indices = rng.permutation(1000)[:n]  # sparse, shuffled global ids
     ext = ScoreMatrix(np.c_[y * 3.0], ("EXT",), row_indices.copy())
-    folds = inner_folds(y, k=3, seed=0)
+    folds = make_folds(y, 3, seed=0)
     model = stack_fit(noise, y, folds, _specs(1), external_scores=ext,
                       params=PARAMS,
                       row_indices=row_indices)
@@ -139,7 +145,7 @@ def test_external_join_by_row_index():
     # external matrix stored in scrambled order must still line up by id
     shuffle = rng.permutation(n)
     ext = ScoreMatrix(np.c_[y[shuffle] * 2.0], ("EXT",), rows[shuffle])
-    folds = inner_folds(y, k=3, seed=1)
+    folds = make_folds(y, 3, seed=1)
     model = stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
                       external_scores=ext, params=PARAMS, row_indices=rows)
     scores = stack_scores(model, [rng.normal(0, 1, (n, 2))], external={"EXT": y * 2.0})
@@ -151,7 +157,7 @@ def test_external_missing_row_index():
     n = 20
     y = np.r_[np.ones(10), -np.ones(10)]
     ext = ScoreMatrix(np.zeros((n - 1, 1)), ("EXT",), np.arange(n - 1))
-    folds = inner_folds(y, k=2, seed=0)
+    folds = make_folds(y, 2, seed=0)
     with pytest.raises(DataError, match="row_index"):
         stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
                   external_scores=ext, params=PARAMS)
@@ -161,7 +167,7 @@ def test_stack_scores_requires_external_columns():
     views, y = _views(40, seed=12)
     rows = np.arange(40)
     ext = ScoreMatrix(np.c_[y * 2.0], ("EXT",), rows)
-    folds = inner_folds(y, k=2, seed=0)
+    folds = make_folds(y, 2, seed=0)
     model = stack_fit([views[0]], y, folds, _specs(1), external_scores=ext,
                       params=PARAMS, row_indices=rows)
     with pytest.raises(DataError, match="EXT"):
@@ -175,51 +181,60 @@ def test_random_labels_stay_at_chance():
     n_tr, n_te = 120, 240
     X = rng.normal(0, 1, (n_tr + n_te, 5))
     y = np.where(rng.random(n_tr + n_te) < 0.5, 1.0, -1.0)
-    folds = inner_folds(y[:n_tr], k=4, seed=1)
+    folds = make_folds(y[:n_tr], 4, seed=1)
     model = stack_fit([X[:n_tr], X[:n_tr, :3]], y[:n_tr], folds, _specs(2),
                       params=PARAMS)
     acc = np.mean(np.where(stack_scores(model, [X[n_tr:], X[n_tr:, :3]]) >= 0, 1, -1) == y[n_tr:])
     assert 0.38 <= acc <= 0.62
 
 
-def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch):
+def _stack_fit_by_refits(views, y, folds, specs):
+    """stack_fit(params=None) built from separate steps: a grid search per
+    stage, k fold fits per stage for its out-of-fold column, the deployed
+    first stages, then a grid search and a fit on the meta columns."""
+    plist = [grid_search(X, y, folds) for X in views]
+    oof = np.zeros((len(y), len(views)))
+    for si, (X, p) in enumerate(zip(views, plist)):
+        for f in range(folds.k):
+            train, test = folds.split(f)
+            oof[test, si] = svm_fit(X[train], y[train], p).decision_function(X[test])
+    first = svm_fit_many([(X, y, p, None, spec.descriptor)
+                          for spec, X, p in zip(specs, views, plist)])
+    meta = svm_fit(oof, y, grid_search(oof, y, folds), descriptor_id="scores")
+    return StackedModel(tuple(zip(specs, first)), meta, tuple(s.id for s in specs))
+
+
+def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_path):
     views, y = _views(48, seed=17)
-    folds = inner_folds(y, k=3, seed=0)
-    searches, fits = [], []
-    real_fit, real_fit_many = stacking.svm_fit, stacking.svm_fit_many
+    folds = make_folds(y, 3, seed=0)
+    specs = _specs(2)
+    save_stacked(tmp_path / "want.fstk", _stack_fit_by_refits(views, y, folds, specs))
+    batches = []
+    real_solve = svm_module._solve
 
-    def grid_spy(X, labels, plan, class_weight=None):
-        # a distinct pick per call shows which model received which choice
-        chosen = SvmParams(C=float(len(searches) + 1), gamma=0.095)
-        searches.append((np.asarray(X), plan, chosen))
-        return chosen
+    def solve_spy(problems):
+        batches.append(problems)
+        return real_solve(problems)
 
-    def fit_spy(*args, **kwargs):
-        fits.append(args[2])
-        return real_fit(*args, **kwargs)
+    monkeypatch.setattr(svm_module, "_solve", solve_spy)
+    model = stack_fit(views, y, folds, specs, params=None)
 
-    def fit_many_spy(batch):
-        fits.extend(fit[2] for fit in batch)
-        return real_fit_many(batch)
-
-    monkeypatch.setattr(stacking, "grid_search", grid_spy)
-    monkeypatch.setattr(stacking, "svm_fit", fit_spy)
-    monkeypatch.setattr(stacking, "svm_fit_many", fit_many_spy)
-    model = stack_fit(views, y, folds, _specs(2), params=None)
-
-    assert len(searches) == 3  # one per first stage, then the meta columns
-    for (X, plan, _), view in zip(searches, views):
-        assert plan is folds and np.array_equal(X, view)
-    meta_X, plan, meta_params = searches[2]
-    assert plan is folds and meta_X.shape == (48, 2)
-    assert len(fits) == 2 * (folds.k + 1) + 1
-    assert [m.params for _, m in model.first_stage] == [searches[0][2], searches[1][2]]
-    assert model.meta.params == meta_params
+    # a k x 30 search per stage, the deployed first stages, the meta search,
+    # the meta fit, and no batch of k refits for the out-of-fold columns
+    sizes = [len(folds.split(f)[0]) for f in range(folds.k)]
+    search = [(n, p) for n in sizes for p in default_grid()]
+    shapes = [[(len(fold), params) for fold, _, params in b] for b in batches]
+    assert shapes == [search, search,
+                      [(48, m.params) for _, m in model.first_stage],
+                      search,
+                      [(48, model.meta.params)]]
+    save_stacked(tmp_path / "got.fstk", model)
+    assert (tmp_path / "got.fstk").read_bytes() == (tmp_path / "want.fstk").read_bytes()
 
 
 def test_stack_predict_matches_scores():
     views, y = _views(50, seed=14)
-    folds = inner_folds(y, k=3, seed=0)
+    folds = make_folds(y, 3, seed=0)
     model = stack_fit(views, y, folds, _specs(2), params=PARAMS)
     scores = stack_scores(model, views)
     label, score = stack_predict(model, [views[0][7], views[1][7]])
@@ -231,7 +246,7 @@ def test_stacked_roundtrip(tmp_path):
     views, y = _views(60, seed=15)
     rows = np.arange(60)
     ext = ScoreMatrix(np.c_[y * 1.5], ("EXT",), rows)
-    folds = inner_folds(y, k=3, seed=0)
+    folds = make_folds(y, 3, seed=0)
     model = stack_fit(views, y, folds, _specs(2), external_scores=ext,
                       params=PARAMS, row_indices=rows)
     p = tmp_path / "stack.bin"
@@ -255,23 +270,11 @@ def test_load_stacked_rejects_garbage(tmp_path):
 
 def test_misaligned_inputs():
     views, y = _views(30, seed=16)
-    folds = inner_folds(y, k=3, seed=0)
+    folds = make_folds(y, 3, seed=0)
     with pytest.raises(DataError):
         oof_scores(views, y[:-1], folds, _specs(2), params=PARAMS)
     with pytest.raises(DataError):
         oof_scores([views[0], views[1][:-2]], y, folds, _specs(2), params=PARAMS)
     with pytest.raises(ConfigurationError):
         oof_scores(views[:0], y, folds, [], params=PARAMS)
-    with pytest.raises(ConfigurationError):
-        oof_scores(views, y, folds, _specs(2), params=[PARAMS])
 
-
-def test_inner_folds_properties():
-    y = np.r_[np.ones(17), -np.ones(14)]
-    a = inner_folds(y, k=5, seed=3)
-    b = inner_folds(y, k=5, seed=3)
-    assert np.array_equal(a.assignments, b.assignments)
-    sizes = np.bincount(a.assignments, minlength=5)
-    assert sizes.max() - sizes.min() <= 1
-    with pytest.raises(ConfigurationError):
-        inner_folds(np.ones(3), k=5)

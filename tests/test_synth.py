@@ -9,7 +9,6 @@ from facestack import (
     load_manifest,
     prepare_pattern,
     svm_fit,
-    svm_score,
     synth_corpus,
     synth_sample,
 )
@@ -73,5 +72,5 @@ def test_classes_separable_from_face_window():
     y = np.array(labels)
     train = np.arange(len(y)) < 40
     model = svm_fit(X[train], y[train], SvmParams(C=4.0, gamma=0.095))
-    acc = float(np.mean(np.sign(svm_score(model, X[~train])) == y[~train]))
+    acc = float(np.mean(np.sign(model.decision_function(X[~train])) == y[~train]))
     assert acc >= 0.9
