@@ -8,7 +8,7 @@ when the texture changes.
 import numpy as np
 
 from facestack import (DESCRIPTOR_IDS, U2_TABLE, extract_descriptor,
-                       lbp_code, lbp_code_map, lsp_code, nilbp_code,
+                       lbp_code_map, lsp_code_map, nilbp_code_map,
                        prepare_pattern, synth_sample)
 
 rng = np.random.default_rng(7)
@@ -20,14 +20,14 @@ for did in DESCRIPTOR_IDS:
     v = extract_descriptor(pat, did)
     print(f"  {did:>8}: {v.shape[0]:5d} dims, L1 mass {np.abs(v).sum():.2f}")
 
-# point coders at one interior pixel
+# the code maps cover the interior pixels: pixel (x, y) is entry [y - 1, x - 1]
+codes = lbp_code_map(pat)
 x, y = 30, 32
-print(f"\ncodes at pixel ({x},{y}): lbp={lbp_code(pat, x, y)} "
-      f"(u2 bin {U2_TABLE[lbp_code(pat, x, y)]}), "
-      f"nilbp={nilbp_code(pat, x, y)}, lsp={lsp_code(pat, x, y)}")
+lbp = codes[y - 1, x - 1]
+print(f"\ncodes at pixel ({x},{y}): lbp={lbp} (u2 bin {U2_TABLE[lbp]}), "
+      f"nilbp={nilbp_code_map(pat)[y - 1, x - 1]}, lsp={lsp_code_map(pat)[y - 1, x - 1]}")
 
 # uniform codes cover most of a natural image
-codes = lbp_code_map(pat)
 uniform = (U2_TABLE[codes] < 58).mean()
 print(f"uniform LBP codes on this window: {uniform:.1%} of pixels")
 

@@ -1,7 +1,8 @@
 """RBF SVM trained by sequential minimal optimization (LIBSVM's WSS2).
 
 XOR-patterned clusters are the classic case a linear machine cannot fit:
-the RBF kernel gets them exactly, the linear kernel tops out near 75%.
+a narrow RBF kernel (large gamma) gets them exactly, while a wide one
+(small gamma) is all but linear and stays near chance.
 Fits take no seed: the same data and parameters give the same model.
 Ends with a grid search over C and gamma, every (fold, point) solved in
 one batch.
@@ -16,11 +17,10 @@ centers = [(1, 1, 1.0), (-1, -1, 1.0), (1, -1, -1.0), (-1, 1, -1.0)]
 X = np.vstack([rng.normal(0, 0.18, (20, 2)) + (cx, cy) for cx, cy, _ in centers])
 y = np.concatenate([np.full(20, lab) for _, _, lab in centers])
 
-for kernel in ("rbf", "linear"):
-    params = SvmParams(C=4.0, gamma=4.0, kernel=kernel)
-    model = svm_fit(X, y, params)
+for gamma in (4.0, 0.01):
+    model = svm_fit(X, y, SvmParams(C=4.0, gamma=gamma))
     acc = np.mean(np.where(model.decision_function(X) >= 0, 1, -1) == y)
-    print(f"{kernel:>6}: train accuracy {acc:.4f}, "
+    print(f"gamma {gamma:>4}: train accuracy {acc:.4f}, "
           f"{len(model.dual_coefs)} support vectors, bias {model.bias:+.3f}")
 
 # scores grow with distance from the boundary

@@ -24,11 +24,10 @@ from .dataset import (ADULT_GROUPS, AGE_GROUPS, DAGO_MIN_EYE_DISTANCE,
 from .features import FeatureMatrix, export_csv, load_features, save_features
 from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
                           U2_TABLE, extract_descriptor, grid_histogram, hog,
-                          lbp_code, lbp_code_map, lbp_u2_map, losib, lsp_code,
-                          lsp_code_map, nilbp_code, nilbp_code_map)
+                          lbp_code_map, losib, lsp_code_map, nilbp_code_map)
 from .pca import PcaModel, pca_fit
 from .svm import (ScoreMatrix, SvmModel, SvmParams, cv_scores, default_grid,
-                  grid_search, load_model, load_scores, rbf_kernel, save_model,
+                  grid_search, load_model, load_scores, save_model,
                   save_scores, svm_fit, svm_fit_many)
 from .stacking import (CANONICAL_STAGES, S_CONFIGS, FirstStageSpec,
                        StackedModel, load_stacked, oof_scores,

@@ -113,6 +113,8 @@ def _parse_stage(text, paired=False):
     m = _STAGE_RE.search(rest)
     if m:
         pca = int(m.group(1))
+        if not pca:
+            raise ConfigurationError(f"stage {text!r}: PCA needs at least one component")
         rest = rest[: m.start()]
     if paired:
         parts = rest.split(",")

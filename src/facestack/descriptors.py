@@ -21,8 +21,8 @@ the `np.add.at` it replaced, so the sums are bit-identical. HOG therefore
 bincounts its k0 votes and then its k1 votes in one call, concatenated in
 that order (two bincounts added together would re-associate the sums),
 and its 2x2 block normalization adds the blocks that cover a cell in
-row-major block order. The per-pixel coders (`lbp_code`, ...) stay scalar:
-they are the oracles the maps are tested against.
+row-major block order. The naive per-pixel references the maps are tested
+against live in the test suite (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import _require_gray
 
 # (dx, dy) clockwise from the top-left neighbour; x right, y down
 NEIGHBOR_OFFSETS = ((-1, -1), (0, -1), (1, -1), (1, 0),
@@ -57,12 +56,6 @@ CODER_GRID = GridSpec(5, 5)
 LOSIB_GRID = GridSpec(8, 8)
 
 
-def _check_interior(img, x, y):
-    h, w = img.shape
-    if not (1 <= x <= w - 2 and 1 <= y <= h - 2):
-        raise ConfigurationError(f"pixel ({x},{y}) does not have all 8 neighbours in bounds")
-
-
 def _require_patterns(patterns):
     """One (H, W) or a stack of (N, H, W) uint8 patterns."""
     patterns = np.asarray(patterns)
@@ -87,20 +80,9 @@ def _center(img):
     return img[..., 1:-1, 1:-1].astype(np.int32)
 
 
-def lbp_code(img, x, y):
-    """8-bit LBP code at one interior pixel (neighbour >= center sets the bit)."""
-    img = _require_gray(img)
-    _check_interior(img, x, y)
-    center = int(img[y, x])
-    code = 0
-    for i, (dx, dy) in enumerate(NEIGHBOR_OFFSETS):
-        if int(img[y + dy, x + dx]) >= center:
-            code |= 1 << (7 - i)
-    return code
-
-
 def lbp_code_map(img):
-    """LBP codes for all interior pixels, shape (..., H-2, W-2)."""
+    """8-bit LBP codes (neighbour >= center sets the bit) of all interior
+    pixels, shape (..., H-2, W-2)."""
     img = _require_patterns(img)
     stack = _neighbor_stack(img)
     center = _center(img)
@@ -111,20 +93,8 @@ def lbp_code_map(img):
     return codes
 
 
-def nilbp_code(img, x, y):
-    """LBP variant thresholding each neighbour against the neighbourhood mean."""
-    img = _require_gray(img)
-    _check_interior(img, x, y)
-    vals = [int(img[y + dy, x + dx]) for dx, dy in NEIGHBOR_OFFSETS]
-    mean = sum(vals) / 8.0
-    code = 0
-    for i, v in enumerate(vals):
-        if v >= mean:
-            code |= 1 << (7 - i)
-    return code
-
-
 def nilbp_code_map(img):
+    """LBP variant thresholding each neighbour against the neighbourhood mean."""
     img = _require_patterns(img)
     stack = _neighbor_stack(img)
     mean = stack.mean(axis=0)
@@ -135,30 +105,15 @@ def nilbp_code_map(img):
     return codes
 
 
-def lsp_code(img, x, y, t=0):
-    """Salient-position code: where the largest positive and negative
-    center differences sit in the neighbourhood.
+def lsp_code_map(img, t=0):
+    """Salient-position codes: where the largest positive and negative
+    center differences sit in each interior pixel's neighbourhood.
 
     With d_i = neighbour_i - center, the code is
     argmax(d) * 7 + rank(argmin(d)) where the rank skips the argmax slot;
     ties pick the lowest neighbour index, and the argmin is taken over the
     remaining seven slots. If max|d_i| <= t the pixel is flat (bin 56).
     """
-    if t < 0:
-        raise ConfigurationError("LSP threshold must be non-negative")
-    img = _require_gray(img)
-    _check_interior(img, x, y)
-    center = int(img[y, x])
-    d = [int(img[y + dy, x + dx]) - center for dx, dy in NEIGHBOR_OFFSETS]
-    if max(abs(v) for v in d) <= t:
-        return LSP_FLAT_BIN
-    imax = max(range(8), key=lambda i: (d[i], -i))
-    imin = min((i for i in range(8) if i != imax), key=lambda i: (d[i], i))
-    rank = imin - (imin > imax)
-    return imax * 7 + rank
-
-
-def lsp_code_map(img, t=0):
     if t < 0:
         raise ConfigurationError("LSP threshold must be non-negative")
     img = _require_patterns(img)
@@ -191,13 +146,6 @@ def _build_u2_table():
 
 
 U2_TABLE = _build_u2_table()
-
-
-def lbp_u2_map(code):
-    """Map an 8-bit code to its uniform bin; non-uniform codes share bin 58."""
-    if not 0 <= code < 256:
-        raise ConfigurationError(f"LBP code {code} outside [0,256)")
-    return int(U2_TABLE[code])
 
 
 def _cell_index(n, parts):

@@ -1,11 +1,12 @@
-"""Soft-margin SVM trained by SMO with second-order working-set selection.
+"""Soft-margin RBF SVM trained by SMO with second-order working-set selection.
 
+The kernel is K(a, b) = exp(-gamma |a - b|^2) and `SvmParams` is (C, gamma).
 The solver is LIBSVM's WSS2 (Fan, Chen & Lin, JMLR 2005): keep the dual's
 gradient G, pick i = argmax over I_up of -y*G, pick j in I_low by the
 largest second-order gain, make the clipped two-variable update. When the
-gap m - M falls below `tolerance` the gradient is recomputed exactly and the
-gap checked again, so the KKT conditions hold at `tolerance` on exit; the
-bias comes from the free alphas. A solve that stops at the iteration cap
+gap m - M falls below _TOL = 1e-3 the gradient is recomputed exactly and the
+gap checked again, so the KKT conditions hold at _TOL on exit; the bias
+comes from the free alphas. A solve that stops at the iteration cap
 warns with RuntimeWarning. `_solve` runs a batch of independent problems in
 lockstep on (P, n_max) arrays, each problem computed the same way in any
 batch, so batches (`svm_fit_many`, `cv_scores`) give models bit-identical
@@ -38,14 +39,13 @@ from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_array, read_header,
                       read_str, read_struct, read_text, write_header)
 
-KERNELS = ("rbf", "linear")
-
 GRID_C = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 GRID_GAMMA = (0.04, 0.0675, 0.095, 0.1225, 0.15)
 
 _MODEL_MAGIC = b"FSVM"
 _MODEL_VERSION = 2
 
+_TOL = 1e-3  # the KKT tolerance: every solve ends with gap m - M below it
 _TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
 _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
 _DENSE_BYTES = 64 << 20  # a fold's squared distances stay one n x n array up to this
@@ -61,14 +61,10 @@ def derive_seed(seed, *key):
 class SvmParams:
     C: float
     gamma: float
-    tolerance: float = 1e-3
-    kernel: str = "rbf"
 
     def __post_init__(self):
-        for name in ("C", "gamma", "tolerance"):
+        for name in ("C", "gamma"):
             _check_positive(name, getattr(self, name))
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(f"kernel must be one of {KERNELS}")
 
 
 def _check_positive(name, value):
@@ -82,14 +78,6 @@ def default_grid():
     return [SvmParams(C=c, gamma=g) for c in GRID_C for g in GRID_GAMMA]
 
 
-def rbf_kernel(a, b, gamma):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ConfigurationError("rbf_kernel expects two equal-length vectors")
-    return float(_kernel_block(SvmParams(C=1.0, gamma=gamma), a[None], b[None])[0, 0])
-
-
 def _sq_dists(A, B):
     """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
 
@@ -101,12 +89,10 @@ def _sq_dists(A, B):
 
 
 def _kernel_block(params, A, B, d2=None):
-    """Kernel values between the rows of A (m,d) and B (n,d) -> (m,n).
+    """RBF kernel values between the rows of A (m,d) and B (n,d) -> (m,n).
 
-    An rbf caller that already holds `_sq_dists(A, B)` passes it as d2.
+    A caller that already holds `_sq_dists(A, B)` passes it as d2.
     """
-    if params.kernel == "linear":
-        return A @ B.T
     if d2 is None:
         d2 = _sq_dists(A, B)
     return np.exp(-params.gamma * d2)
@@ -272,28 +258,19 @@ class _Fold:
                                    for lo in range(0, len(Xs), chunk)])
 
 
-def _kernel_rows(fold, params, idx):
-    """Kernel values between the training rows idx and every row -> (len(idx), n)."""
-    if params.kernel == "linear":
-        return np.array([fold.X @ fold.X[i] for i in idx]).reshape(len(idx), len(fold))
-    return np.exp(-params.gamma * fold.d2_rows(idx))
-
-
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem.
 
-    The distance arrays of the dense folds that rbf problems use are moved
-    into one padded stack, so those problems' rows come out of one fancy
-    index; each fold keeps a view of its slot, so no array is held twice.
-    A last all-zero row stands in for the other problems: padding has
-    distance 0, kernel 1. Rows on LRU folds are then gathered fold by fold,
-    and linear rows computed one problem at a time.
+    The distance arrays of the dense folds are moved into one padded stack,
+    so those problems' rows come out of one fancy index; each fold keeps a
+    view of its slot, so no array is held twice. A last all-zero row stands
+    in for the LRU folds' problems: padding has distance 0, kernel 1. Their
+    rows are then gathered fold by fold.
     """
 
     def __init__(self, problems, n_max):
         self.problems, self.n_max = problems, n_max
-        dense = {id(fold): fold for fold, _, params in problems
-                 if params.kernel == "rbf" and fold.dense_d2() is not None}
+        dense = {id(fold): fold for fold, _, _ in problems if fold.dense_d2() is not None}
         self.width = max((len(fold) for fold in dense.values()), default=1)
         zero = len(dense) * self.width
         self.stack = np.zeros((zero + 1, self.width))
@@ -304,8 +281,7 @@ class _Gather:
             view[...] = fold.dense_d2()
             fold._d2 = view
             slot[key] = s * self.width
-        self.base = np.array([slot.get(id(fold), zero) if params.kernel == "rbf" else zero
-                              for fold, _, params in problems], dtype=np.intp)
+        self.base = np.array([slot.get(id(fold), zero) for fold, _, _ in problems], dtype=np.intp)
         self.keep(np.ones(len(problems), dtype=bool))
 
     def keep(self, running):
@@ -314,11 +290,9 @@ class _Gather:
         self.base = self.base[running]
         self.step = (self.base < len(self.stack) - 1).astype(np.intp)  # 0: the zero row
         self.neg_gamma = np.array([[-params.gamma] for _, _, params in self.problems])
-        by_fold, self.linear = {}, []
-        for a, (fold, _, params) in enumerate(self.problems):
-            if params.kernel == "linear":
-                self.linear.append((a, fold, params))
-            elif not self.step[a]:
+        by_fold = {}
+        for a, (fold, _, _) in enumerate(self.problems):
+            if not self.step[a]:
                 by_fold.setdefault(id(fold), (fold, []))[1].append(a)
         self.lru = [(fold, np.array(pos)) for fold, pos in by_fold.values()]
 
@@ -327,10 +301,7 @@ class _Gather:
         d2[:, : self.width] = self.stack[self.base + self.step * rows]
         for fold, pos in self.lru:
             d2[pos, : len(fold)] = fold.d2_rows(rows[pos])
-        K = np.exp(self.neg_gamma * d2)
-        for a, fold, params in self.linear:
-            K[a, : len(fold)] = _kernel_rows(fold, params, rows[a : a + 1])[0]
-        return K
+        return np.exp(self.neg_gamma * d2)
 
 
 def _violators(y, alpha, C, G):
@@ -397,21 +368,18 @@ def _solve(problems):
     Each problem is (fold, C per row, params). The problems still running
     are rows of (A, n_max) arrays, each padded with y = 0 and C = 0, which
     keeps padding out of I_up and I_low. A problem whose gap m - M falls
-    below its tolerance, or that reaches _MAX_ITER, gets its gradient
-    recomputed exactly; it ends if the exact gap is below tolerance (or at
-    the cap, with a RuntimeWarning) and runs on otherwise.
+    below _TOL, or that reaches _MAX_ITER, gets its gradient recomputed
+    exactly; it ends if the exact gap is below _TOL (or at the cap, with a
+    RuntimeWarning) and runs on otherwise.
     """
     sizes = [len(fold) for fold, _, _ in problems]
     n_max = max(sizes, default=1)
     P = len(problems)
-    y, C, QD = np.zeros((P, n_max)), np.zeros((P, n_max)), np.ones((P, n_max))
-    for p, (fold, C_rows, params) in enumerate(problems):
+    y, C = np.zeros((P, n_max)), np.zeros((P, n_max))
+    for p, (fold, C_rows, _) in enumerate(problems):
         y[p, : sizes[p]] = fold.y
         C[p, : sizes[p]] = C_rows
-        if params.kernel == "linear":
-            QD[p, : sizes[p]] = (fold.X * fold.X).sum(axis=1)
     alpha, G = np.zeros((P, n_max)), -np.ones((P, n_max))
-    tol = np.array([params.tolerance for _, _, params in problems])
     iters = np.zeros(P, dtype=np.int64)
     ids = np.arange(P)  # problem of each running row
     gather = _Gather(problems, n_max)
@@ -421,7 +389,7 @@ def _solve(problems):
         up, low = _violators(y, alpha, C, G)
         i = up.argmax(axis=1)
         m = up[r, i]
-        check = (m - low.min(axis=1) < tol) | (iters >= _MAX_ITER)
+        check = (m - low.min(axis=1) < _TOL) | (iters >= _MAX_ITER)
         if check.any():
             running = np.ones(len(ids), dtype=bool)
             for a in np.flatnonzero(check):
@@ -429,25 +397,25 @@ def _solve(problems):
                 n = sizes[ids[a]]
                 sv = np.flatnonzero(alpha[a, :n] > 0)  # G = Q alpha - 1, summed afresh
                 coef = (alpha[a, sv] * fold.y[sv])[:, None]
-                G[a, :n] = fold.y * (coef * _kernel_rows(fold, params, sv)).sum(axis=0) - 1.0
+                K = np.exp(-params.gamma * fold.d2_rows(sv))
+                G[a, :n] = fold.y * (coef * K).sum(axis=0) - 1.0
                 up_a, low_a = _violators(y[a], alpha[a], C[a], G[a])
                 gap = up_a.max() - low_a.min()
-                if gap < tol[a] or iters[a] >= _MAX_ITER:
-                    if gap >= tol[a]:
+                if gap < _TOL or iters[a] >= _MAX_ITER:
+                    if gap >= _TOL:
                         warnings.warn(f"WSS2 stopped at the {_MAX_ITER}-iteration cap with "
-                                      f"gap m - M = {gap:.3g} above tolerance {tol[a]}",
+                                      f"gap m - M = {gap:.3g} above tolerance {_TOL}",
                                       RuntimeWarning, stacklevel=3)
                     out[ids[a]] = (alpha[a, :n].copy(),
                                    _bias(y[a, :n], alpha[a, :n], C[a, :n], G[a, :n]))
                     running[a] = False
             if not running.all():
-                y, C, QD, alpha, G, tol, iters, ids = (
-                    v[running] for v in (y, C, QD, alpha, G, tol, iters, ids))
+                y, C, alpha, G, iters, ids = (v[running] for v in (y, C, alpha, G, iters, ids))
                 gather.keep(running)
             continue
         Ki = gather(i)
         gain = m[:, None] - low  # > 0 on the rows of I_low that pair with i
-        quad = QD[r, i][:, None] + QD - 2.0 * Ki
+        quad = 2.0 - 2.0 * Ki  # K(i, i) + K(j, j) - 2 K(i, j), the RBF diagonal being 1
         quad = np.where(quad > 0, quad, _TAU)
         j = np.where(gain > 0, -(gain * gain) / quad, np.inf).argmin(axis=1)
         Kj = gather(j)
@@ -547,7 +515,7 @@ def cv_scores(X, y, folds, grid, class_weight=None):
         union = np.unique(np.concatenate(svs))
         Xt, d2 = fold.held_out(X[test_idx], union)
         for g, (params, (alpha, bias), sv) in enumerate(zip(grid, fits, svs)):
-            sv_d2 = d2.take(np.searchsorted(union, sv), axis=1) if params.kernel == "rbf" else None
+            sv_d2 = d2.take(np.searchsorted(union, sv), axis=1)
             scores[g, test_idx] = _decision(params, Xt, fold.X[sv], alpha[sv] * fold.y[sv],
                                             bias, sv_d2)
     return scores
@@ -643,8 +611,8 @@ def write_model(fh, model):
     n_sv, n_dims = model.support_vectors.shape
     write_header(fh, _MODEL_MAGIC, _MODEL_VERSION)
     fh.write(pack_str(model.descriptor_id))
-    fh.write(pack_str(model.params.kernel))
-    fh.write(struct.pack("<ddd", model.params.C, model.params.gamma, model.params.tolerance))
+    fh.write(pack_str("rbf"))  # the record keeps the kernel and tolerance fields, fixed
+    fh.write(struct.pack("<ddd", model.params.C, model.params.gamma, _TOL))
     fh.write(struct.pack("<IId", n_sv, n_dims, model.bias))
     fh.write(np.ascontiguousarray(model.feature_min, dtype="<f8").tobytes())
     fh.write(np.ascontiguousarray(model.feature_max, dtype="<f8").tobytes())
@@ -663,8 +631,11 @@ def read_model(fh, path="<stream>"):
     hi = read_array(fh, "<f8", n_dims, path)
     dual = read_array(fh, "<f8", n_sv, path)
     sv = read_array(fh, "<f8", n_sv * n_dims, path)
+    if kernel != "rbf" or tol != _TOL:
+        raise DataError(f"{path}: bad SVM parameters: kernel {kernel!r} at tolerance {tol}, "
+                        f"not 'rbf' at {_TOL}")
     try:
-        params = SvmParams(C=C, gamma=gamma, tolerance=tol, kernel=kernel)
+        params = SvmParams(C=C, gamma=gamma)
     except ConfigurationError as exc:
         raise DataError(f"{path}: bad SVM parameters: {exc}") from None
     if not all(np.isfinite(a).all() for a in (lo, hi, dual, sv, bias)):

@@ -309,6 +309,20 @@ def test_bad_stage_ids_exit_2_before_any_fit(workspace, tmp_path, capsys, monkey
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["stack", "eval kfold", "eval crossdb"])
+def test_zero_pca_components_exit_2_before_any_fit(workspace, tmp_path, capsys, monkeypatch,
+                                                   command):
+    # N = 0 components would mean no PCA at all, while the reports echo `:pca0`
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    out = tmp_path / ("out" if command.startswith("eval") else "out.fstk")
+    argv = _stage_argv(workspace, command, [("C1", "hog")])
+    argv[-1] += ":pca0"
+    assert main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "PCA needs at least one component" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_grid_paths_rerun_byte_identical(workspace, tmp_path):
     # c09 reruns fixed (C, gamma); this reruns the grid-searched stacking paths
     manifest = str(workspace / "corpus" / "manifest.csv")

@@ -15,13 +15,9 @@ from facestack.descriptors import (
     GridSpec,
     grid_histogram,
     hog,
-    lbp_code,
     lbp_code_map,
-    lbp_u2_map,
     losib,
-    lsp_code,
     lsp_code_map,
-    nilbp_code,
     nilbp_code_map,
 )
 from facestack.descriptors import _cell_index
@@ -57,55 +53,36 @@ def test_u2_table():
     assert U2_BINS == 59
 
 
-def test_lbp_u2_scalar_lookup():
-    ref = oracles.ref_u2_map()
-    for code in (0, 1, 255, 0b01010101, 37):
-        assert lbp_u2_map(code) == ref[code]
-    with pytest.raises(ConfigurationError):
-        lbp_u2_map(256)
-
-
-def test_scalar_coders_agree_with_maps():
-    img = next(_rand_images(1, 9, 9, seed=3))
-    lbp = lbp_code_map(img)
-    ni = nilbp_code_map(img)
-    lsp1 = lsp_code_map(img, 1)
-    for y in range(1, 8):
-        for x in range(1, 8):
-            assert lbp_code(img, x, y) == lbp[y - 1, x - 1]
-            assert nilbp_code(img, x, y) == ni[y - 1, x - 1]
-            assert lsp_code(img, x, y, 1) == lsp1[y - 1, x - 1]
-
-
 def test_coders_reject_border_pixels():
-    img = next(_rand_images(1, 5, 5, seed=6))
-    with pytest.raises(ConfigurationError):
-        lbp_code(img, 0, 2)
-    with pytest.raises(ConfigurationError):
-        lsp_code(img, 4, 2)
+    # in a 2-row or 2-column pattern every pixel is on the border
+    for shape in ((2, 5), (5, 2), (3, 2, 9)):
+        img = np.zeros(shape, dtype=np.uint8)
+        for coder in (lbp_code_map, nilbp_code_map, lsp_code_map):
+            with pytest.raises(ConfigurationError, match="too small"):
+                coder(img)
 
 
 def test_lbp_bit_order():
     # only the top-left neighbour >= center: that's bit 7
     patch = np.array([[9, 0, 0], [0, 5, 0], [0, 0, 0]], dtype=np.uint8)
-    assert lbp_code(patch, 1, 1) == 0b10000000
+    assert lbp_code_map(patch)[0, 0] == 0b10000000
     # only the west neighbour: last offset, bit 0
     patch = np.array([[0, 0, 0], [9, 5, 0], [0, 0, 0]], dtype=np.uint8)
-    assert lbp_code(patch, 1, 1) == 0b00000001
+    assert lbp_code_map(patch)[0, 0] == 0b00000001
 
 
 def test_lsp_flat_and_argmax():
-    assert lsp_code(np.full((3, 3), 80, dtype=np.uint8), 1, 1, 0) == LSP_FLAT_BIN
+    assert lsp_code_map(np.full((3, 3), 80, dtype=np.uint8), 0)[0, 0] == LSP_FLAT_BIN
     # one clear max (north, index 1) and min (west, index 7)
     patch = np.array([[5, 9, 5], [1, 5, 5], [5, 5, 5]], dtype=np.uint8)
-    assert lsp_code(patch, 1, 1, 0) == 1 * 7 + (7 - 1)
+    assert lsp_code_map(patch, 0)[0, 0] == 1 * 7 + (7 - 1)
     assert LSP_BINS == 57
 
 
 def test_lsp_threshold_window():
     patch = np.array([[5, 7, 5], [3, 5, 5], [5, 5, 5]], dtype=np.uint8)
-    assert lsp_code(patch, 1, 1, 2) == LSP_FLAT_BIN  # max |diff| == 2 <= t
-    assert lsp_code(patch, 1, 1, 1) != LSP_FLAT_BIN
+    assert lsp_code_map(patch, 2)[0, 0] == LSP_FLAT_BIN  # max |diff| == 2 <= t
+    assert lsp_code_map(patch, 1)[0, 0] != LSP_FLAT_BIN
 
 
 def test_cell_index_near_equal_split():

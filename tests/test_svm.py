@@ -22,8 +22,9 @@ from facestack import (
     svm_fit_many,
 )
 from facestack.dataset import FoldPlan
-from facestack.svm import (GRID_C, GRID_GAMMA, _Fold, _kernel_block, _scale_fit, _sq_dists,
-                           cv_scores, rbf_kernel, read_model, write_model)
+from facestack.records import pack_str
+from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, _Fold, _kernel_block, _scale_fit,
+                           _sq_dists, cv_scores, read_model, write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -47,16 +48,12 @@ def test_params_validation():
         SvmParams(C=0.0, gamma=0.1)
     with pytest.raises(ConfigurationError):
         SvmParams(C=1.0, gamma=-1.0)
-    with pytest.raises(ConfigurationError):
-        SvmParams(C=1.0, gamma=0.1, tolerance=0)
-    with pytest.raises(ConfigurationError):
-        SvmParams(C=1.0, gamma=0.1, kernel="poly")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
-@pytest.mark.parametrize("name", ["C", "gamma", "tolerance"])
+@pytest.mark.parametrize("name", ["C", "gamma"])
 def test_params_must_be_finite_and_positive(name, value):
-    fields = dict(C=1.0, gamma=0.1, tolerance=1e-3)
+    fields = dict(C=1.0, gamma=0.1)
     fields[name] = value
     with pytest.raises(ConfigurationError, match=f"{name} must be finite and positive"):
         SvmParams(**fields)
@@ -71,19 +68,25 @@ def test_class_weights_must_be_finite_and_positive(monkeypatch, C, weight):
         svm_fit(X, y, SvmParams(C=C, gamma=0.1), class_weight={-1: weight, 1: 1.0})
 
 
-@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (1, np.nan), (2, 0.0)],
-                         ids=["C-nan", "C-inf", "gamma-nan", "tolerance-zero"])
+@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (1, np.nan), (2, 0.0),
+                                          ("kernel", "linear")],
+                         ids=["C-nan", "C-inf", "gamma-nan", "tolerance-zero", "kernel-linear"])
 def test_read_model_rejects_bad_params(field, value):
+    # the record keeps a kernel and a tolerance field; only "rbf" at _TOL reads back
     X, y = _blobs(5)
     params = SvmParams(C=2.0, gamma=0.095)
     buf = io.BytesIO()
     write_model(buf, svm_fit(X, y, params))
-    good = [params.C, params.gamma, params.tolerance]
-    bad = list(good)
-    bad[field] = value
+    if field == "kernel":
+        good, bad = pack_str("rbf"), pack_str(value)
+    else:
+        fields = [params.C, params.gamma, _TOL]
+        good = struct.pack("<ddd", *fields)
+        fields[field] = value
+        bad = struct.pack("<ddd", *fields)
     record = buf.getvalue()
-    assert record.count(struct.pack("<ddd", *good)) == 1
-    record = record.replace(struct.pack("<ddd", *good), struct.pack("<ddd", *bad))
+    assert record.count(good) == 1
+    record = record.replace(good, bad)
     with pytest.raises(DataError, match="bad SVM parameters"):
         read_model(io.BytesIO(record))
 
@@ -106,8 +109,10 @@ def test_read_model_rejects_non_finite_values(where):
 
 
 def test_rbf_kernel_values():
-    assert rbf_kernel([0.0, 0.0], [0.0, 0.0], 0.5) == 1.0
-    assert rbf_kernel([0.0], [2.0], 0.25) == pytest.approx(np.exp(-1.0))
+    same = _kernel_block(SvmParams(C=1.0, gamma=0.5), np.zeros((1, 2)), np.zeros((1, 2)))
+    assert same[0, 0] == 1.0
+    k = _kernel_block(SvmParams(C=1.0, gamma=0.25), np.array([[0.0]]), np.array([[2.0]]))
+    assert k[0, 0] == pytest.approx(np.exp(-1.0))
 
 
 def test_two_point_case():
@@ -151,7 +156,7 @@ def test_kkt_at_tolerance():
     m = svm_fit(X, y, params)
     _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
     alpha = _alphas_by_row(m, Xs)
-    bad = oracles.kkt_violations(alpha, y, m.decision_function(X), params.C, params.tolerance)
+    bad = oracles.kkt_violations(alpha, y, m.decision_function(X), params.C, _TOL)
     assert bad == []
 
 
@@ -165,14 +170,15 @@ def test_model_invariants():
 
 
 def test_xor_needs_rbf():
+    # a narrow kernel bends round each cluster; a wide one is near linear and underfits
     rng = np.random.default_rng(7)
     centers = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
     X = np.vstack([rng.normal(0, 0.18, (20, 2)) + [cx, cy] for cx, cy, _ in centers])
     y = np.array(sum(([float(s)] * 20 for _, _, s in centers), []))
-    rbf = svm_fit(X, y, SvmParams(C=4.0, gamma=4.0))
-    lin = svm_fit(X, y, SvmParams(C=4.0, gamma=1.0, kernel="linear"))
-    assert _accuracy(rbf, X, y) == 1.0
-    assert _accuracy(lin, X, y) <= 0.75
+    narrow = svm_fit(X, y, SvmParams(C=4.0, gamma=4.0))
+    wide = svm_fit(X, y, SvmParams(C=4.0, gamma=0.01))
+    assert _accuracy(narrow, X, y) == 1.0
+    assert _accuracy(wide, X, y) <= 0.75
 
 
 def test_row_order_invariance():
@@ -210,14 +216,13 @@ def test_fits_are_deterministic():
 
 
 def _mixed_fits():
-    """Fits of different sizes, C, gamma and class weights, one with a linear kernel."""
+    """Fits of different sizes, C, gamma and class weights; gamma 0.5 comes twice."""
     fits = []
     for k, (n_per, C, gamma, weights) in enumerate([
             (12, 0.25, 0.5, None), (32, 16.0, 2.0, None), (20, 1.0, 0.05, {-1: 3.0}),
-            (25, 4.0, 1.0, {1: 0.5, -1: 2.0}), (17, 2.0, 0.5, None)]):
+            (25, 4.0, 1.0, {1: 0.5, -1: 2.0}), (17, 8.0, 0.5, None)]):
         X, y = _blobs(n_per, gap=0.6, d=3, seed=30 + k)
-        kernel = "linear" if k == 4 else "rbf"
-        fits.append((X, y, SvmParams(C=C, gamma=gamma, kernel=kernel), weights))
+        fits.append((X, y, SvmParams(C=C, gamma=gamma), weights))
     return fits
 
 
@@ -264,11 +269,11 @@ def _assert_same_models(got, want):
 
 def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
     def fits():
-        fits = _mixed_fits()  # n = 24, 64, 40, 50, 34; the last is linear
+        fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
         X, y, _, _ = fits[2]
-        shared = _Fold(X, y)  # two more problems on one fold: rbf and linear
+        shared = _Fold(X, y)  # two more problems on one fold
         return fits + [(shared, None, SvmParams(C=2.0, gamma=0.3)),
-                       (shared, None, SvmParams(C=1.0, gamma=1.0, kernel="linear"))]
+                       (shared, None, SvmParams(C=0.5, gamma=1.5))]
 
     want = svm_fit_many(fits())  # every fold dense
     monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
@@ -440,9 +445,9 @@ def _naive_scores(X, y, folds, grid, class_weight=None):
     return scores, accs
 
 
-_HAND_GRID = [  # a linear point, and gamma values repeated and out of order
+_HAND_GRID = [  # gamma values repeated and out of order
     SvmParams(C=1.0, gamma=0.5),
-    SvmParams(C=4.0, gamma=0.1, kernel="linear"),
+    SvmParams(C=4.0, gamma=0.1),
     SvmParams(C=2.0, gamma=0.05),
     SvmParams(C=0.5, gamma=2.0),
     SvmParams(C=1.0, gamma=0.5),
