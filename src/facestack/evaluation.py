@@ -129,6 +129,18 @@ class StageData:
     pca_components: int = 0  # 0 disables the PCA step
 
 
+def _check_pca(stages, n_train):
+    """ConfigurationError for a stage whose PCA asks for more components than
+    a training part of n_train rows supports: min(width, n_train - 1)."""
+    for stage in stages:
+        most = min(stage.features.shape[1], n_train - 1)
+        if stage.pca_components > most:
+            raise ConfigurationError(
+                f"stage {stage.spec.id}: pca{stage.pca_components} asks for more components "
+                f"than a training part of {n_train} rows of {stage.features.shape[1]} dims "
+                f"supports (at most {most})")
+
+
 def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params, class_weight):
     """Train on each stage's training rows, score its test rows; PCA sees training rows only.
 
@@ -177,6 +189,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
         folds = make_folds(y, k, derive_seed(seed, 77))
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
+    _check_pca(stages, min(len(folds.split(f)[0]) for f in range(folds.k)))
     pooled = np.zeros(n)
     fold_accs = []
     for fold in range(folds.k):
@@ -207,6 +220,7 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     test_stages = list(test_stages)
     if [s.spec for s in train_stages] != [s.spec for s in test_stages]:
         raise ConfigurationError("train and test stages must list the same specs")
+    _check_pca(train_stages, len(train_labels))
     scores = _fit_and_score(train_stages, [s.features for s in train_stages],
                             np.asarray(train_labels, dtype=np.float64),
                             [s.features for s in test_stages], derive_seed(seed, 9),

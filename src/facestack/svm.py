@@ -25,6 +25,16 @@ a `_Fold`, which also memoizes the squared distances between its rows, which
 every fit on those rows shares: one n x n array, filled whole on first use,
 up to _DENSE_BYTES; an LRU of _CACHE_ROWS rows above that.
 
+A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
+terms of each row of A against B from one BLAS matrix-vector product B @ a
+(`_sq_dists`). Not one matrix product for the whole block: the bits of a
+gemm depend on the block's shape (sub-blocks, column subsets and single rows
+all differ from the full product) and on the BLAS thread count. Row by row,
+a row's distances are the same bits in a full fill, an LRU row or a block of
+held-out rows, and each product stays under _BLAS_ELEMS elements, which
+OpenBLAS runs on one thread, so the output bytes do not depend on the BLAS
+thread count either.
+
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
 
@@ -50,6 +60,10 @@ _TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
 _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
 _DENSE_BYTES = 64 << 20  # a fold's squared distances stay one n x n array up to this
 _CACHE_ROWS = 1024  # squared-distance rows a fold keeps above _DENSE_BYTES
+# Elements per BLAS matrix-vector product. OpenBLAS (0.3.31) splits one of more
+# than about 4.6e5 across threads, and where the split falls changes the last
+# bits of the result.
+_BLAS_ELEMS = 1 << 18
 
 
 def derive_seed(seed, *key):
@@ -81,29 +95,33 @@ def default_grid():
 def _sq_dists(A, B):
     """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
 
-    Each entry is the same difference, square and sum over d whatever the
-    shapes of A and B, so blocks cut from a larger one are bit-identical.
+    Row r is -2 B.A[r] + |B|^2 + |A[r]|^2, clamped at 0, its cross term one BLAS
+    matrix-vector product per row block of B (_BLAS_ELEMS). Row r depends on
+    A[r] and B alone, never on the other rows of A, so a row computed on its
+    own is bit-identical to the same row of a larger call.
     """
-    diff = A[:, None, :] - B[None, :, :]
-    return np.square(diff, out=diff).sum(axis=2)
+    step = max(1, _BLAS_ELEMS // max(1, B.shape[1]))
+    blocks = [(slice(lo, lo + step), B[lo : lo + step]) for lo in range(0, len(B), step)]
+    out = np.empty((len(A), len(B)))
+    for r, a in enumerate(A):
+        for cols, block in blocks:
+            np.dot(block, a, out=out[r, cols])
+    out *= -2.0
+    out += np.einsum("ij,ij->i", B, B)
+    out += np.einsum("ij,ij->i", A, A)[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
-def _kernel_block(params, A, B, d2=None):
-    """RBF kernel values between the rows of A (m,d) and B (n,d) -> (m,n).
-
-    A caller that already holds `_sq_dists(A, B)` passes it as d2.
-    """
-    if d2 is None:
-        d2 = _sq_dists(A, B)
-    return np.exp(-params.gamma * d2)
+def _kernel_block(params, A, B):
+    """RBF kernel values between the rows of A (m,d) and B (n,d) -> (m,n)."""
+    return np.exp(-params.gamma * _sq_dists(A, B))
 
 
 def _chunk_rows(B):
-    """Rows of A per `_sq_dists(A, B)` call: an (m, n, d) temporary of about 4 MB.
-
-    32 MB fragment the heap; under 2 MB, glibc's trim threshold (twice the largest
-    freed block) stays so low that later half-megabyte arrays fault in afresh."""
-    return max(1, int(5e5 / max(1, B.size)))
+    """Rows of A per `_decision` chunk against support rows B: an m x n_sv
+    kernel block of at most _BLAS_ELEMS, so its product with the weights
+    stays one single-threaded BLAS call."""
+    return max(1, _BLAS_ELEMS // max(1, len(B)))
 
 
 def _min_max(X, lo, hi):
@@ -153,19 +171,17 @@ class SvmModel:
         return float(scores[0]) if one else scores
 
 
-def _decision(params, Xs, sv, coef, bias, d2=None):
+def _decision(params, Xs, sv, coef, bias):
     """Decision values of scaled rows Xs under support rows sv with weights coef.
 
-    Each _chunk_rows(sv) chunk is one C-ordered kernel block times coef; the
-    chunks and the memory order both set the product's last bits. d2 holds
-    the squared distances from Xs to sv (C-ordered) when the caller has them.
+    Each _chunk_rows(sv) chunk is one kernel block times coef; the chunks set
+    the product's last bits, so every caller scores through here.
     """
     scores = np.empty(len(Xs))
     chunk = _chunk_rows(sv)
     for lo in range(0, len(Xs), chunk):
         rows = slice(lo, lo + chunk)
-        k = _kernel_block(params, Xs[rows], sv, None if d2 is None else d2[rows])
-        scores[rows] = k @ coef + bias
+        scores[rows] = _kernel_block(params, Xs[rows], sv) @ coef + bias
     return scores
 
 
@@ -223,14 +239,12 @@ class _Fold:
         """The whole (n, n) squared-distance array, filled on the first call;
         None above _DENSE_BYTES.
 
-        Row i is computed against rows i.. only and mirrored into column i,
-        which is exact: (a - b)**2 == (b - a)**2.
+        Row i of the memo, dense or LRU, is `_sq_dists(X[i:i+1], X)[0]` with
+        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes.
         """
         if self._d2 is None:
-            n = len(self)
-            self._d2 = np.empty((n, n))
-            for i in range(n):
-                self._d2[i, i:] = self._d2[i:, i] = _sq_dists(self.X[i : i + 1], self.X[i:])[0]
+            self._d2 = _sq_dists(self.X, self.X)
+            np.fill_diagonal(self._d2, 0.0)
         return None if isinstance(self._d2, OrderedDict) else self._d2
 
     def d2_rows(self, idx):
@@ -243,19 +257,12 @@ class _Fold:
             if i not in self._d2:
                 if len(self._d2) >= _CACHE_ROWS:
                     self._d2.popitem(last=False)
-                self._d2[i] = _sq_dists(self.X, self.X[i : i + 1])[:, 0]
+                row = _sq_dists(self.X[i : i + 1], self.X)[0]
+                row[i] = 0.0
+                self._d2[i] = row
             self._d2.move_to_end(i)
             rows.append(self._d2[i])
         return np.array(rows).reshape(len(idx), len(self))
-
-    def held_out(self, X, rows):
-        """Raw rows X scaled like the training rows, and their squared
-        distances to the training rows `rows` -> (Xs (m,d), d2 (m,len(rows)))."""
-        Xs = _min_max(np.asarray(X, dtype=np.float64), self.lo, self.hi)
-        B = self.X[rows]
-        chunk = _chunk_rows(B)
-        return Xs, np.concatenate([_sq_dists(Xs[lo : lo + chunk], B)
-                                   for lo in range(0, len(Xs), chunk)])
 
 
 class _Gather:
@@ -493,9 +500,9 @@ def cv_scores(X, y, folds, grid, class_weight=None):
     """Held-out scores of every grid point -> (len(grid), n).
 
     Entry (g, i) is decision_function(row i) of svm_fit(grid[g]) on the rows
-    outside row i's fold, bit for bit. All len(grid) x k problems are one
-    batch, on one `_Fold` per fold; a fold's held-out rows get their
-    distances to the union of its models' support rows once.
+    outside row i's fold, bit for bit: each model scores its held-out rows
+    through the same `_decision` call. All len(grid) x k problems are one
+    batch, on one `_Fold` per fold.
     """
     if not grid:
         raise ConfigurationError("empty parameter grid")
@@ -506,18 +513,15 @@ def cv_scores(X, y, folds, grid, class_weight=None):
     for train_idx, _ in splits:
         fold = _Fold(X[train_idx], y[train_idx])
         problems += [_problem(fold, None, params, class_weight)[:3] for params in grid]
-    solutions = _solve(problems)
+    solutions = iter(_solve(problems))
     scores = np.empty((len(grid), len(y)))
     for f, (_, test_idx) in enumerate(splits):
         fold = problems[f * len(grid)][0]
-        fits = solutions[f * len(grid) : (f + 1) * len(grid)]
-        svs = [_support(alpha) for alpha, _ in fits]
-        union = np.unique(np.concatenate(svs))
-        Xt, d2 = fold.held_out(X[test_idx], union)
-        for g, (params, (alpha, bias), sv) in enumerate(zip(grid, fits, svs)):
-            sv_d2 = d2.take(np.searchsorted(union, sv), axis=1)
-            scores[g, test_idx] = _decision(params, Xt, fold.X[sv], alpha[sv] * fold.y[sv],
-                                            bias, sv_d2)
+        Xt = _min_max(X[test_idx], fold.lo, fold.hi)
+        for g, params in enumerate(grid):
+            alpha, bias = next(solutions)
+            sv = _support(alpha)
+            scores[g, test_idx] = _decision(params, Xt, fold.X[sv], alpha[sv] * fold.y[sv], bias)
     return scores
 
 

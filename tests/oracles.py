@@ -110,6 +110,13 @@ def ref_grid_hist(codes, n_bins, rows, cols):
     return np.concatenate(out)
 
 
+def ref_sq_dists(A, B):
+    """Squared euclidean distances between the rows of A (m,d) and B (n,d) as the
+    difference, square and sum over d -> (m,n)."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.square(diff, out=diff).sum(axis=2)
+
+
 def dual_objective(K, y, alpha):
     v = alpha * y
     return float(alpha.sum() - 0.5 * v @ K @ v)

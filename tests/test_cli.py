@@ -323,6 +323,29 @@ def test_zero_pca_components_exit_2_before_any_fit(workspace, tmp_path, capsys, 
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command, pca, most", [
+    ("eval kfold", 9999, 19),
+    ("eval kfold", 20, 19),  # 3 folds of 10 rows: each training part has 20
+    ("eval crossdb", 30, 29),  # crossdb trains on all 30 rows
+])
+def test_pca_above_the_training_part_exits_2_before_any_fit(workspace, tmp_path, capsys,
+                                                            monkeypatch, command, pca, most):
+    # pca_fit would keep only `most` components, while the reports echo the N asked for
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    monkeypatch.setattr(evaluation, "pca_fit", lambda *a: pytest.fail("a PCA fit started"))
+    out = tmp_path / "out"
+    argv = _stage_argv(workspace, command, [("C1", "hog")])
+    argv[-1] += f":pca{pca}"
+    assert main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"pca{pca} asks for more components" in err
+    assert f"(at most {most})" in err
+    assert not out.exists() or os.listdir(out) == []
+    argv[-1] = argv[-1].replace(f":pca{pca}", f":pca{most}")
+    monkeypatch.undo()
+    assert main(["--out", str(tmp_path / "ok")] + argv) == 0
+
+
 def test_grid_paths_rerun_byte_identical(workspace, tmp_path):
     # c09 reruns fixed (C, gamma); this reruns the grid-searched stacking paths
     manifest = str(workspace / "corpus" / "manifest.csv")

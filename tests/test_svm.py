@@ -1,9 +1,13 @@
 import io
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import facestack
 import oracles
 from facestack import svm as svm_module
 from facestack import (
@@ -246,6 +250,25 @@ def test_padded_batch_meets_kkt():
         assert bad == []
 
 
+def _memo_rows(fold, idx):
+    """The memo's definition: row i is _sq_dists(X[i:i+1], X)[0] with entry i exactly 0."""
+    want = np.array([_sq_dists(fold.X[i : i + 1], fold.X)[0] for i in idx])
+    want[np.arange(len(idx)), idx] = 0.0
+    return want
+
+
+@pytest.mark.parametrize("m, n, d", [(5, 48, 576), (3, 96, 1475), (7, 600, 512)])
+def test_sq_dists_match_the_difference_square_sum(m, n, d):
+    # n = 600 at d = 512 cuts each cross-term product into two row blocks of B
+    rng = np.random.default_rng(m + n + d)
+    B = rng.random((n, d))
+    A = np.vstack([rng.random((m, d)), B[:3], B[:1]])  # duplicate rows have distance 0
+    got = _sq_dists(A, B)
+    assert (got >= 0).all()
+    scale = np.square(A).sum(axis=1).max() + np.square(B).sum(axis=1).max()
+    np.testing.assert_allclose(got, oracles.ref_sq_dists(A, B), rtol=1e-12, atol=1e-12 * scale)
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "lru"])
 def test_memo_rows_equal_direct_rows(monkeypatch, dense):
     if not dense:
@@ -255,8 +278,8 @@ def test_memo_rows_equal_direct_rows(monkeypatch, dense):
     fold = _Fold(rng.random((30, 97)), np.where(np.arange(30) % 3, 1.0, -1.0))
     for _ in range(12):  # one or a few rows at a time, in random order, repeats included
         idx = rng.integers(0, 30, rng.integers(1, 5))
-        assert np.array_equal(fold.d2_rows(idx), _sq_dists(fold.X[idx], fold.X))
-    assert np.array_equal(fold.d2_rows(np.arange(30)), _sq_dists(fold.X, fold.X))
+        assert np.array_equal(fold.d2_rows(idx), _memo_rows(fold, idx))
+    assert np.array_equal(fold.d2_rows(np.arange(30)), _memo_rows(fold, np.arange(30)))
 
 
 def _assert_same_models(got, want):
@@ -491,22 +514,80 @@ def test_fit_on_prepared_fold_matches_raw_rows():
 
 @pytest.mark.parametrize("n, d", [(48, 576), (96, 1475), (96, 512)])
 def test_fold_distances_give_the_direct_kernel(n, d):
-    # rows cut from the fold's memo and block must be bit-identical to
-    # kernels computed directly on the same rows
+    # the solver's kernel rows, cut from the fold's memo, must be bit-identical
+    # to kernels computed directly on the same rows, with K(i, i) = 1
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
-    X_out = rng.random((40, d))
-    Xt, d2 = fold.held_out(X_out, np.arange(n))  # 14 chunks of at most 3 rows at d=1475
-    cols = np.sort(rng.choice(n, n // 2, replace=False))
-    assert np.array_equal(fold.held_out(X_out, cols)[1], d2[:, cols])  # any column subset
     for gamma in GRID_GAMMA:
         p = SvmParams(C=1.0, gamma=gamma)
-        assert np.array_equal(_kernel_block(p, Xt, fold.X[cols], d2[:, cols]),
-                              _kernel_block(p, Xt, fold.X[cols]))
         for i in (0, n // 2, n - 1):
-            row = fold.X[i : i + 1]
-            assert np.array_equal(_kernel_block(p, fold.X, row, fold.d2_rows(np.array([i])).T),
-                                  _kernel_block(p, fold.X, row))
+            want = _kernel_block(p, fold.X[i : i + 1], fold.X)
+            want[0, i] = 1.0
+            assert np.array_equal(np.exp(-gamma * fold.d2_rows(np.array([i]))), want)
+
+
+def _structured(n, d, seed):
+    """Two overlapping 2-D blobs embedded in d dimensions, so that the support
+    sets differ across grid points."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)
+    Z = rng.normal(0, 1, (n, 2)) + y[:, None]
+    return Z @ rng.normal(0, 1, (2, d)) + rng.normal(0, 0.1, (n, d)), y
+
+
+@pytest.mark.parametrize("d", [576, 1475])
+def test_cv_scores_equal_decision_function_in_high_dims(d):
+    X, y = _structured(60, d, seed=d)
+    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    grid = [SvmParams(C=c, gamma=g) for c in (0.25, 4.0) for g in (0.01, 0.1)]
+    train_idx = folds.split(0)[0]
+    supports = {len(svm_fit(X[train_idx], y[train_idx], p).dual_coefs) for p in grid}
+    assert len(supports) > 1  # the support sets do differ
+    want, _ = _naive_scores(X, y, folds, grid)
+    assert np.array_equal(cv_scores(X, y, folds, grid), want)  # bit for bit
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from facestack import (FirstStageSpec, SvmModel, SvmParams, make_folds, save_model,
+                       save_stacked, stack_fit, svm_fit)
+from facestack.svm import _sq_dists
+
+out = sys.argv[1]
+rng = np.random.default_rng(0)
+n, d = 300, 576
+y = np.where(np.arange(n) % 2, 1.0, -1.0)
+views = [rng.normal(0, 1, (n, 2)) + y[:, None] for _ in range(2)]
+views = [Z @ rng.normal(0, 1, (2, d)) + rng.normal(0, 0.1, (n, d)) for Z in views]
+params = SvmParams(C=4.0, gamma=0.01)
+save_model(out + "/c1.fsvm", svm_fit(views[0], y, params))
+specs = [FirstStageSpec(s, "custom", "raw") for s in ("C1", "C2")]
+save_stacked(out + "/s.fstk", stack_fit(views, y, make_folds(y, 3, seed=0), specs,
+                                        params=params))
+# above the size at which OpenBLAS splits one matrix-vector product across threads
+B = rng.random((1001, 512))
+np.save(out + "/d2.npy", _sq_dists(B[:40], B))
+sv = rng.random((1001, 8))
+model = SvmModel(sv, rng.normal(0, 1, 1001), 0.0, params, np.zeros(8), np.ones(8))
+np.save(out + "/scores.npy", model.decision_function(rng.random((1001, 8))))
+"""
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(facestack.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["c1.fsvm", "d2.npy", "s.fstk", "scores.npy"]
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
 
 
 def test_grid_search_solves_one_batch(monkeypatch):
