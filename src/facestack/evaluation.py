@@ -17,8 +17,9 @@ from .dataset import make_folds
 from .errors import ConfigurationError, DataError
 from .geometry import _require_gray, _round_u8
 from .pca import pca_fit
-from .stacking import DEFAULT_STAGE_PARAMS, FirstStageSpec, stack_fit, stack_scores
-from .svm import derive_seed, grid_search, svm_fit
+from .stacking import DEFAULT_STAGE_PARAMS, FirstStageSpec, _fit_plan
+from .svm import Part, derive_seed, solve_plans
+from .svm import svm_fit  # noqa: F401  (perfbench's tracer patches it in every namespace)
 
 
 @dataclass(frozen=True)
@@ -141,32 +142,37 @@ def _check_pca(stages, n_train):
                 f"supports (at most {most})")
 
 
-def _fit_and_score(stages, train_sets, ytr, test_sets, seed, params, class_weight):
-    """Train on each stage's training rows, score its test rows; PCA sees training rows only.
+def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params, class_weight):
+    """Plan (see `svm.solve_plans`) of one training part -> its test scores.
 
-    params=None grid-searches on an inner fold plan over the training rows.
+    Each stage trains on rows train_idx of its matrix in mats (all rows if
+    None), labelled by y, and scores rows test_idx of its test matrix (all
+    if None); PCA sees training rows only. One stage is a plain SVM, more
+    are stacked. params=None grid-searches on an inner fold plan over the
+    training rows.
     """
-    Xtr, Xte = [], []
-    for stage, a, b in zip(stages, train_sets, test_sets):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape[1] != b.shape[1]:
+    ytr = y if train_idx is None else y[train_idx]
+    parts, tests = [], []
+    for stage, X, Xt in zip(stages, mats, test_mats):
+        if X.shape[1] != Xt.shape[1]:
             raise DataError(f"stage {stage.spec.id}: train/test feature widths differ")
         if stage.pca_components:
-            model = pca_fit(a, stage.pca_components)
-            a, b = model.transform(a), model.transform(b)
-        Xtr.append(a)
-        Xte.append(b)
-    specs = [s.spec for s in stages]
+            A = X if train_idx is None else X[train_idx]
+            model = pca_fit(A, stage.pca_components)
+            parts.append(Part(model.transform(A), ytr))
+            tests.append((model.transform(Xt if test_idx is None else Xt[test_idx]), None))
+        else:
+            parts.append(Part(X, y, train_idx))
+            tests.append((Xt, test_idx))
     inner = make_folds(ytr, min(_INNER_K, len(ytr)), derive_seed(seed, 101))
-    if len(specs) > 1:
-        model = stack_fit(Xtr, ytr, inner, specs, params=params, class_weight=class_weight)
-        return stack_scores(model, Xte)
-    if params is None:
-        params = grid_search(Xtr[0], ytr, inner, class_weight=class_weight)
-    model = svm_fit(Xtr[0], ytr, params, class_weight=class_weight,
-                    descriptor_id=specs[0].descriptor)
-    return model.decision_function(Xte[0])
+    first, meta = yield from _fit_plan(parts, ytr, inner, params, class_weight,
+                                       [s.spec.descriptor for s in stages], tests,
+                                       stacked=len(stages) > 1)
+    return first[0] if meta is None else meta
+
+
+def _float_mats(stages):
+    return [np.asarray(s.features, dtype=np.float64) for s in stages]
 
 
 def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARAMS,
@@ -175,8 +181,9 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
 
     A single stage trains a plain SVM; multiple stages train the stacked
     model per fold. params is one SvmParams for every SVM, or None to
-    grid-search inside each outer training fold. Returns (EvalReport,
-    pooled score per row).
+    grid-search inside each outer training fold. The fits of every outer
+    fold run together, one solve per phase of `stacking._fit_plan`. Returns
+    (EvalReport, pooled score per row).
     """
     stages = list(stages)
     if not stages:
@@ -189,14 +196,15 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
         folds = make_folds(y, k, derive_seed(seed, 77))
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
-    _check_pca(stages, min(len(folds.split(f)[0]) for f in range(folds.k)))
+    splits = [folds.split(f) for f in range(folds.k)]
+    _check_pca(stages, min(len(train_idx) for train_idx, _ in splits))
+    mats = _float_mats(stages)
+    plans = [_fit_and_score(stages, mats, y, mats, train_idx, test_idx,
+                            derive_seed(seed, 5, f), params, class_weight)
+             for f, (train_idx, test_idx) in enumerate(splits)]
     pooled = np.zeros(n)
     fold_accs = []
-    for fold in range(folds.k):
-        train_idx, test_idx = folds.split(fold)
-        scores = _fit_and_score(stages, [s.features[train_idx] for s in stages], y[train_idx],
-                                [s.features[test_idx] for s in stages],
-                                derive_seed(seed, 5, fold), params, class_weight)
+    for (_, test_idx), scores in zip(splits, solve_plans(plans)):
         pooled[test_idx] = scores
         pred = np.where(scores >= 0, 1.0, -1.0)
         fold_accs.append(float(np.mean(pred == y[test_idx])))
@@ -221,10 +229,10 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     if [s.spec for s in train_stages] != [s.spec for s in test_stages]:
         raise ConfigurationError("train and test stages must list the same specs")
     _check_pca(train_stages, len(train_labels))
-    scores = _fit_and_score(train_stages, [s.features for s in train_stages],
-                            np.asarray(train_labels, dtype=np.float64),
-                            [s.features for s in test_stages], derive_seed(seed, 9),
-                            params, class_weight)
+    plan = _fit_and_score(train_stages, _float_mats(train_stages),
+                          np.asarray(train_labels, dtype=np.float64), _float_mats(test_stages),
+                          None, None, derive_seed(seed, 9), params, class_weight)
+    (scores,) = solve_plans([plan])
     report = evaluate(scores, np.asarray(test_labels, dtype=np.float64))
     return report, scores
 

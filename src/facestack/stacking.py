@@ -9,8 +9,11 @@ serialize as `.fstk` files in the shared layout of `records`.
 
 `oof_scores` and `stack_fit` take one `params`: an `SvmParams` used for
 every SVM, or None to grid-search each first stage (and then the meta SVM)
-on the fold plan given. A stage's column is one row of `svm.cv_scores`:
-under None the search's own held-out scores for the winner, with no refit.
+on the fold plan given. A stage's column is one row of its cross-validated
+scores (`svm.cv_jobs`): under None the search's own held-out scores for
+the winner, with no refit. `_fit_plan` lays one fit out in phases for
+`svm.solve_plans`, so the evaluation of many training parts solves each
+phase once.
 """
 
 import struct
@@ -21,8 +24,9 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
                       write_header)
-from .svm import (ScoreMatrix, SvmParams, best_point, cv_scores, default_grid, grid_search,
-                  read_model, svm_fit, svm_fit_many, write_model)
+from .svm import (Job, Part, ScoreMatrix, SvmParams, best_point, cv_jobs, cv_table, default_grid,
+                  read_model, solve_plans, write_model)
+from .svm import svm_fit  # noqa: F401  (perfbench's tracer patches it in every namespace)
 
 # hyper-parameters when no grid search is requested: mid grid
 DEFAULT_STAGE_PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -73,13 +77,8 @@ def _as_matrices(X_per_spec, specs, n=None):
     return mats, n
 
 
-def _stage_columns(X_per_spec, y, folds, specs, params, class_weight):
-    """Checked inputs, each stage's params and its out-of-fold column.
-
-    -> (specs, mats, y, [SvmParams per stage], ScoreMatrix). Each stage
-    takes one cv_scores call: over [params], or over default_grid() when
-    params is None, keeping the row of the point best_point picks.
-    """
+def _checked(X_per_spec, y, folds, specs):
+    """Checked inputs -> (specs, mats, y)."""
     specs = list(specs)
     if not specs:
         raise ConfigurationError("no first-stage specs")
@@ -89,15 +88,66 @@ def _stage_columns(X_per_spec, y, folds, specs, params, class_weight):
         raise DataError("labels not aligned with feature rows")
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with feature rows")
+    return specs, mats, y
+
+
+def _columns_plan(parts, y, folds, params, class_weight, extra=()):
+    """Plan (see `svm.solve_plans`) of each part's out-of-fold column, with
+    the jobs `extra` in the same phase -> (each part's params, the (n,
+    len(parts)) columns or None, the results of extra).
+
+    parts are svm.Parts over the same rows, which y labels and folds splits.
+    A column is the row of the part's cv table, over [params] or over
+    default_grid() when params is None, at the point best_point picks.
+    """
     grid = default_grid() if params is None else [params]
+    cv = [cv_jobs(part, folds, grid, class_weight) for part in parts]
+    got = yield [job for jobs in cv for job in jobs] + list(extra)
     chosen, cols = [], []
-    for X in mats:
-        scores = cv_scores(X, y, folds, grid, class_weight)
+    for jobs in cv:
+        scores = cv_table(got[: len(jobs)], folds, grid)
+        got = got[len(jobs) :]
         g = best_point(grid, scores, y, folds)
         chosen.append(grid[g])
         cols.append(scores[g])
-    oof = ScoreMatrix(scores=np.column_stack(cols), column_ids=tuple(s.id for s in specs))
-    return specs, mats, y, chosen, oof
+    return chosen, np.column_stack(cols) if cols else None, got
+
+
+def _fit_plan(parts, y, folds, params, class_weight, descriptors, tests=None, stacked=True,
+              external=None):
+    """Plan (see `svm.solve_plans`) of one fit on a training part ->
+    (first-stage results, meta result).
+
+    parts holds one svm.Part per first stage, all over the same rows, which
+    y labels and folds splits. Each deployed first stage returns its
+    SvmModel or, given tests (one (matrix, rows) per stage), its scores of
+    those rows. Stacked, the meta SVM trains on the out-of-fold columns plus
+    any `external` columns, and returns its model or its scores of the
+    stages' test scores; not stacked, the meta result is None. params is
+    one SvmParams for every SVM, or None to grid-search each first stage on
+    folds and then the meta SVM. The phases: the searches and, with params
+    fixed, the deployed stages; under None, the deployed stages and the
+    meta search; the meta fit.
+    """
+    tests = tests or [None] * len(parts)
+
+    def deploy(chosen):
+        return [Job(part, p, class_weight, test, d)
+                for part, p, test, d in zip(parts, chosen, tests, descriptors)]
+
+    chosen, cols, first = yield from _columns_plan(
+        parts if stacked or params is None else [], y, folds, params, class_weight,
+        [] if params is None else deploy([params] * len(parts)))
+    meta = Part(cols if external is None else np.hstack([cols, external]), y) if stacked else None
+    meta_params = [params]
+    if params is None:
+        meta_params, _, first = yield from _columns_plan(
+            [meta] if stacked else [], y, folds, None, class_weight, deploy(chosen))
+    if not stacked:
+        return first, None
+    test = None if tests[0] is None else (np.column_stack(first), None)
+    (result,) = yield [Job(meta, meta_params[0], class_weight, test, "scores")]
+    return first, result
 
 
 def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_weight=None):
@@ -108,7 +158,10 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_w
     params is one SvmParams for every spec, or None to grid-search each
     spec on `folds` and keep the winner's held-out scores.
     """
-    return _stage_columns(X_per_spec, y, folds, specs, params, class_weight)[-1]
+    specs, mats, y = _checked(X_per_spec, y, folds, specs)
+    plan = _columns_plan([Part(X, y) for X in mats], y, folds, params, class_weight)
+    _, cols, _ = solve_plans([plan])[0]
+    return ScoreMatrix(scores=cols, column_ids=tuple(s.id for s in specs))
 
 
 def _join_external(row_indices, external):
@@ -143,27 +196,23 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
     """Train the two-stage model.
 
     Meta training consumes out-of-fold first-stage scores plus any external
-    columns joined by row index; the deployed first-stage models are then
-    trained on all rows, as one batch. params is one SvmParams for every
-    SVM; None grid-searches each first stage on `folds`, taking its
-    out-of-fold column from that search's held-out scores for the winner,
-    then the meta SVM on the score columns with the same plan.
+    columns joined by row index; the deployed first-stage models are
+    trained on all rows. params is one SvmParams for every SVM; None
+    grid-searches each first stage on `folds`, taking its out-of-fold column
+    from that search's held-out scores for the winner, then the meta SVM on
+    the score columns with the same plan. The fits run in the phases of
+    `_fit_plan`.
     """
-    specs, mats, y, plist, oof = _stage_columns(X_per_spec, y, folds, specs, params,
-                                                class_weight)
-    if row_indices is None:
-        row_indices = np.arange(len(y))
-    meta_X = oof.scores
-    column_ids = list(oof.column_ids)
+    specs, mats, y = _checked(X_per_spec, y, folds, specs)
+    column_ids, external = [s.id for s in specs], None
     if external_scores is not None:
-        meta_X = np.hstack([meta_X, _join_external(row_indices, external_scores)])
+        if row_indices is None:
+            row_indices = np.arange(len(y))
+        external = _join_external(row_indices, external_scores)
         column_ids += list(external_scores.column_ids)
-
-    first = svm_fit_many([(X, y, p, class_weight, spec.descriptor)
-                          for spec, X, p in zip(specs, mats, plist)])
-    if params is None:
-        params = grid_search(meta_X, y, folds, class_weight=class_weight)
-    meta = svm_fit(meta_X, y, params, class_weight=class_weight, descriptor_id="scores")
+    plan = _fit_plan([Part(X, y) for X in mats], y, folds, params, class_weight,
+                     [s.descriptor for s in specs], external=external)
+    first, meta = solve_plans([plan])[0]
     return StackedModel(first_stage=tuple(zip(specs, first)), meta=meta,
                         column_ids=tuple(column_ids))
 

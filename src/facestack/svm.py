@@ -7,23 +7,35 @@ largest second-order gain, make the clipped two-variable update. When the
 gap m - M falls below _TOL = 1e-3 the gradient is recomputed exactly and the
 gap checked again, so the KKT conditions hold at _TOL on exit; the bias
 comes from the free alphas. A solve that stops at the iteration cap
-warns with RuntimeWarning. `_solve` runs a batch of independent problems in
-lockstep on (P, n_max) arrays, each problem computed the same way in any
-batch, so batches (`svm_fit_many`, `cv_scores`) give models bit-identical
-to one `svm_fit` per problem.
+warns with RuntimeWarning. C, and C times a class weight, may not exceed
+_MAX_C. `_solve` runs a batch of independent problems in lockstep on
+(P, n_max) arrays, each problem computed the same way in any batch, so
+batched models are bit-identical to one `svm_fit` per problem.
+
+Every fit is a `Job`: a training `Part` (the caller's matrix, labels and
+training rows), params, class weights, and the rows to score, or none
+for the model. `solve_jobs` solves a list of jobs and returns each one's
+held-out scores or SvmModel. Callers hand it every independent fit of an
+evaluation *phase* at once; `solve_plans` runs plans (generators that
+yield the jobs of their next phase) in lockstep, one `solve_jobs` per
+phase. A phase runs in sub-batches of whole parts whose padded distance
+stack stays under _BATCH_BYTES.
 
 `cv_scores`, the one cross-validated scorer, gives each row's held-out score
 under every grid point; `grid_search` picks from them, stacking takes its
-out-of-fold columns from them. `_decision` scores held-out rows and
-`decision_function` alike, so both give the same bits.
+out-of-fold columns from the same jobs. `_decision` scores held-out rows
+and `decision_function` alike, so both give the same bits.
 
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
-result independent of input row order. That scaled, ordered training set is
-a `_Fold`, which also memoizes the squared distances between its rows, which
-every fit on those rows shares: one n x n array, filled whole on first use,
-up to _DENSE_BYTES; an LRU of _CACHE_ROWS rows above that.
+result independent of input row order. That scaling and order of a part's
+rows is a `_Fold`, built when its sub-batch starts, which also memoizes the
+squared distances between its rows, which every fit on those rows shares:
+one n x n array up to _DENSE_BYTES, filled straight into the sub-batch's
+stack; an LRU of _CACHE_ROWS rows above that. A dense `_Fold` keeps no
+scaled copy of the rows: scaling is elementwise, so the support rows
+rescaled from the caller's matrix after the solve have the same bits.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
 terms of each row of A against B from one BLAS matrix-vector product B @ a
@@ -58,8 +70,10 @@ _MODEL_VERSION = 2
 _TOL = 1e-3  # the KKT tolerance: every solve ends with gap m - M below it
 _TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
 _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
+_MAX_C = 1e6  # largest C, and C times a class weight; the solve time grows with C
 _DENSE_BYTES = 64 << 20  # a fold's squared distances stay one n x n array up to this
 _CACHE_ROWS = 1024  # squared-distance rows a fold keeps above _DENSE_BYTES
+_BATCH_BYTES = 3 << 20  # the distance memos of one sub-batch of a phase, padding included
 # Elements per BLAS matrix-vector product. OpenBLAS (0.3.31) splits one of more
 # than about 4.6e5 across threads, and where the split falls changes the last
 # bits of the result.
@@ -92,17 +106,18 @@ def default_grid():
     return [SvmParams(C=c, gamma=g) for c in GRID_C for g in GRID_GAMMA]
 
 
-def _sq_dists(A, B):
+def _sq_dists(A, B, out=None):
     """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
 
     Row r is -2 B.A[r] + |B|^2 + |A[r]|^2, clamped at 0, its cross term one BLAS
     matrix-vector product per row block of B (_BLAS_ELEMS). Row r depends on
     A[r] and B alone, never on the other rows of A, so a row computed on its
-    own is bit-identical to the same row of a larger call.
+    own is bit-identical to the same row of a larger call. out, if given, is
+    an (m, n) array, or a view whose rows are contiguous, to fill.
     """
     step = max(1, _BLAS_ELEMS // max(1, B.shape[1]))
     blocks = [(slice(lo, lo + step), B[lo : lo + step]) for lo in range(0, len(B), step)]
-    out = np.empty((len(A), len(B)))
+    out = np.empty((len(A), len(B))) if out is None else out
     for r, a in enumerate(A):
         for cols, block in blocks:
             np.dot(block, a, out=out[r, cols])
@@ -124,16 +139,18 @@ def _chunk_rows(B):
     return max(1, _BLAS_ELEMS // max(1, len(B)))
 
 
-def _min_max(X, lo, hi):
-    """Map each column from [lo, hi] onto [0, 1]; constant columns only shift."""
+def _min_max(X, lo, hi, out=None):
+    """Map each column from [lo, hi] onto [0, 1]; constant columns only shift.
+    out may be X itself."""
     span = hi - lo
-    return (X - lo) / np.where(span > 0, span, 1.0)
+    out = np.subtract(X, lo, out=out)
+    return np.divide(out, np.where(span > 0, span, 1.0), out=out)
 
 
-def _scale_fit(X):
+def _scale_fit(X, out=None):
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    return lo, hi, _min_max(X, lo, hi)
+    return lo, hi, _min_max(X, lo, hi, out)
 
 
 @dataclass(frozen=True)
@@ -204,48 +221,72 @@ def _canonical_order(Xs, y):
 
 
 class _Fold:
-    """Training rows min-max scaled and put in canonical order, once.
+    """Training rows `rows` of the caller's matrix X (all if None), min-max
+    scaled and put in canonical order, with a memo of their squared distances.
 
-    Holds the scaling (`lo`, `hi`), the ordered rows `X` and labels `y`, and
-    the memo of squared distances between the rows. None of it depends on
-    (C, gamma), so every fit on the same rows can share one _Fold.
-    Up to _DENSE_BYTES the memo is the whole n x n array, filled on first
-    use; above, an LRU of _CACHE_ROWS rows.
+    Keeps the scaling (`lo`, `hi`), the canonical order as indices `rows`
+    into X, the ordered labels `y`, and the memo. None of it depends on
+    (C, gamma), so every fit on the same rows shares one _Fold. X must be a
+    float64 array that holds its values while the fold lives: `scaled`
+    reads the rows from it again, since min-max scaling is elementwise and
+    gives them the same bits. Up to _DENSE_BYTES the memo is the whole
+    n x n array, filled by `fill`; above, an LRU of _CACHE_ROWS rows, and
+    the fold keeps its scaled rows, which every row miss needs.
     """
 
-    def __init__(self, X, y):
+    def __init__(self, X, y, rows=None):
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2 or len(X) != len(y):
-            raise DataError("X must be (n, d) with one label per row")
-        if not np.all(np.isfinite(X)):
-            raise DataError("non-finite feature value")
-        y = y.astype(np.float64)
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise DataError("labels must be -1 or +1")
-        if len(np.unique(y)) < 2:
-            raise ConfigurationError("training data must contain both classes")
-        self.lo, self.hi, Xs = _scale_fit(X)
-        order = _canonical_order(Xs, y)
-        self.X = np.ascontiguousarray(Xs[order])
-        self.y = y[order]
+        y = np.asarray(y, dtype=np.float64)
+        rows = np.arange(len(X)) if rows is None else np.asarray(rows)
+        Xs = X[rows]
+        self.lo, self.hi, Xs = _scale_fit(Xs, out=Xs)
+        order = _canonical_order(Xs, y[rows])
+        self.src, self.rows, self.y = X, rows[order], y[rows[order]]
         n = len(self.y)
         self._d2 = None if n * n * 8 <= _DENSE_BYTES else OrderedDict()
+        self._X = np.ascontiguousarray(Xs[order]) if self.lru else None
 
     def __len__(self):
         return len(self.y)
 
-    def dense_d2(self):
-        """The whole (n, n) squared-distance array, filled on the first call;
-        None above _DENSE_BYTES.
+    @property
+    def lru(self):
+        return isinstance(self._d2, OrderedDict)
+
+    def scaled(self, idx=slice(None)):
+        """The scaled rows idx of the canonical order."""
+        if self._X is not None:
+            return self._X[idx]
+        Xs = self.src[self.rows[idx]]
+        return _min_max(Xs, self.lo, self.hi, out=Xs)
+
+    def fill(self, out):
+        """Make out, an (n, n) array or view, the dense memo: the distances are
+        computed into it, or moved there from the fold's earlier memo.
 
         Row i of the memo, dense or LRU, is `_sq_dists(X[i:i+1], X)[0]` with
         entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes.
         """
         if self._d2 is None:
-            self._d2 = _sq_dists(self.X, self.X)
-            np.fill_diagonal(self._d2, 0.0)
-        return None if isinstance(self._d2, OrderedDict) else self._d2
+            Xs = self.scaled()
+            _sq_dists(Xs, Xs, out=out)
+            np.fill_diagonal(out, 0.0)
+        else:
+            out[...] = self._d2
+        self._d2 = out
+
+    def forget(self):
+        """Drop a dense memo, and with it the stack it may view; `dense_d2`
+        fills it again."""
+        if not self.lru:
+            self._d2 = None
+
+    def dense_d2(self):
+        """The whole (n, n) squared-distance array, filled on the first call;
+        None above _DENSE_BYTES."""
+        if self._d2 is None:
+            self.fill(np.empty((len(self), len(self))))
+        return None if self.lru else self._d2
 
     def d2_rows(self, idx):
         """Squared distances from the rows idx (an int array) to every row -> (len(idx), n)."""
@@ -257,7 +298,7 @@ class _Fold:
             if i not in self._d2:
                 if len(self._d2) >= _CACHE_ROWS:
                     self._d2.popitem(last=False)
-                row = _sq_dists(self.X[i : i + 1], self.X)[0]
+                row = _sq_dists(self._X[i : i + 1], self._X)[0]
                 row[i] = 0.0
                 self._d2[i] = row
             self._d2.move_to_end(i)
@@ -268,25 +309,23 @@ class _Fold:
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem.
 
-    The distance arrays of the dense folds are moved into one padded stack,
-    so those problems' rows come out of one fancy index; each fold keeps a
-    view of its slot, so no array is held twice. A last all-zero row stands
-    in for the LRU folds' problems: padding has distance 0, kernel 1. Their
-    rows are then gathered fold by fold.
+    The dense folds' distances fill one padded stack, each fold's memo
+    becoming a view of its slot, so those problems' rows come out of one
+    fancy index. A last all-zero row stands in for the LRU folds' problems:
+    padding has distance 0, kernel 1. Their rows are then gathered fold by
+    fold.
     """
 
     def __init__(self, problems, n_max):
         self.problems, self.n_max = problems, n_max
-        dense = {id(fold): fold for fold, _, _ in problems if fold.dense_d2() is not None}
+        dense = {id(fold): fold for fold, _, _ in problems if not fold.lru}
         self.width = max((len(fold) for fold in dense.values()), default=1)
         zero = len(dense) * self.width
         self.stack = np.zeros((zero + 1, self.width))
         slot = {}
         for s, (key, fold) in enumerate(dense.items()):
             n = len(fold)
-            view = self.stack[s * self.width : s * self.width + n, :n]
-            view[...] = fold.dense_d2()
-            fold._d2 = view
+            fold.fill(self.stack[s * self.width : s * self.width + n, :n])
             slot[key] = s * self.width
         self.base = np.array([slot.get(id(fold), zero) for fold, _, _ in problems], dtype=np.intp)
         self.keep(np.ones(len(problems), dtype=bool))
@@ -443,43 +482,194 @@ def _support(alpha):
     return sv if len(sv) else np.flatnonzero(alpha > 0)
 
 
-def _problem(X, y, params, class_weight=None, descriptor_id=None):
-    """One fit's (fold, C per row, params, descriptor_id) from svm_fit's arguments."""
+def _check_C(name, value):
+    """ConfigurationError unless 0 < value <= _MAX_C."""
+    _check_positive(name, value)
+    if value > _MAX_C:
+        raise ConfigurationError(f"{name} must be at most {_MAX_C:g}, got {value:g}")
+
+
+def _label_C(params, class_weight):
+    """(C of label -1, C of label +1) of one fit: C times each label's class weight."""
+    C = {-1.0: float(params.C), 1.0: float(params.C)}
+    for label, w in (class_weight or {}).items():
+        _check_C(f"C times the class weight of label {label}", params.C * w)
+        if float(label) in C:
+            C[float(label)] *= w
+    _check_C("C", params.C)
+    return C[-1.0], C[1.0]
+
+
+@dataclass(frozen=True, eq=False)
+class Part:
+    """Training rows `rows` (all if None) of the caller's float64 matrix X,
+    whose rows y labels. X is read, never copied whole; the jobs on one
+    Part object share one `_Fold`."""
+
+    X: np.ndarray
+    y: np.ndarray
+    rows: np.ndarray = None
+
+    def __len__(self):
+        return len(self.y if self.rows is None else self.rows)
+
+
+@dataclass(frozen=True, eq=False)
+class Job:
+    """One independent fit for `solve_jobs`: train on `part` (a Part, or a
+    `_Fold` already built) at `params`, then score the rows `test[1]` of the
+    raw matrix `test[0]` (all of them if None); with test None, return the
+    SvmModel instead."""
+
+    part: object
+    params: SvmParams
+    class_weight: dict = None
+    test: tuple = None
+    descriptor_id: str = ""
+
+
+def _check_jobs(jobs):
+    """Check every C, training part and test matrix before any solve ->
+    each job's (C of label -1, C of label +1)."""
+    matrices, label_C = {}, []
+    for job in jobs:
+        label_C.append(_label_C(job.params, job.class_weight))
+        part = job.part
+        if isinstance(part, _Fold):
+            continue
+        if part.X.ndim != 2 or len(part.X) != len(part.y):
+            raise DataError("X must be (n, d) with one label per row")
+        y = part.y if part.rows is None else part.y[part.rows]
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise DataError("labels must be -1 or +1")
+        if len(np.unique(y)) < 2:
+            raise ConfigurationError("training data must contain both classes")
+        matrices[id(part.X)] = part.X
+        if job.test is not None:
+            M = job.test[0]
+            if M.ndim != 2 or M.shape[1] != part.X.shape[1]:
+                raise DataError(f"expected {part.X.shape[1]} dims, got {M.shape[-1]}")
+            matrices[id(M)] = M
+    for M in matrices.values():
+        if not np.all(np.isfinite(M)):
+            raise DataError("non-finite feature value")
+    return label_C
+
+
+def _memo_bytes(sizes):
+    """Bytes of the distance memos of folds of these sizes in one `_solve`:
+    the dense ones padded to the widest, each LRU one at its full cache."""
+    dense = [n for n in sizes if n * n * 8 <= _DENSE_BYTES]
+    lru = sum(min(n, _CACHE_ROWS) * n * 8 for n in sizes if n * n * 8 > _DENSE_BYTES)
+    return len(dense) * max(dense, default=0) ** 2 * 8 + lru
+
+
+def _sub_batches(parts):
+    """Parts, in order, cut into runs whose memos fit _BATCH_BYTES (a part
+    over it on its own runs alone)."""
+    runs = []
+    for part in parts:
+        if runs and _memo_bytes([len(p) for p in runs[-1]] + [len(part)]) <= _BATCH_BYTES:
+            runs[-1].append(part)
+        else:
+            runs.append([part])
+    return runs
+
+
+def _result(job, fold, Xs, tests, alpha, bias):
+    """A solved job's held-out scores through `_decision`, or its SvmModel.
+
+    Xs is fold.scaled(); tests caches the fold's scaled test rows by job.test.
+    """
+    sv = _support(alpha)
+    vectors, coef = Xs[sv], alpha[sv] * fold.y[sv]
+    if job.test is None:
+        return SvmModel(vectors, coef, bias, job.params, fold.lo, fold.hi, job.descriptor_id)
+    if id(job.test) not in tests:
+        M, rows = job.test
+        tests[id(job.test)] = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
+    return _decision(job.params, tests[id(job.test)], vectors, coef, bias)
+
+
+def solve_jobs(jobs):
+    """Solve independent fits -> each job's result, in order.
+
+    Jobs run as `_solve` batches of whole parts, cut by `_sub_batches`; a
+    part's `_Fold` is built when its sub-batch starts and dropped when it
+    ends. `_solve` computes each problem the same way in any batch, so the
+    results do not depend on the cut.
+    """
+    jobs = list(jobs)
+    label_C = _check_jobs(jobs)
+    by_part = {}
+    for i, job in enumerate(jobs):
+        by_part.setdefault(id(job.part), (job.part, []))[1].append(i)
+    out = [None] * len(jobs)
+    for run in _sub_batches([part for part, _ in by_part.values()]):
+        for i, result in _solve_run(run, jobs, by_part, label_C):
+            out[i] = result
+    return out
+
+
+def _solve_run(run, jobs, by_part, label_C):
+    """One sub-batch of solve_jobs -> [(job index, result)]. Its folds, and
+    the distance stack they share, are dropped on return."""
+    folds = [part if isinstance(part, _Fold) else _Fold(part.X, part.y, part.rows) for part in run]
+    problems = [(fold, np.where(fold.y > 0, label_C[i][1], label_C[i][0]), jobs[i].params)
+                for fold, part in zip(folds, run) for i in by_part[id(part)][1]]
+    solutions = iter(_solve(problems))
+    for fold in folds:
+        fold.forget()  # frees the distance stack before the results are scored
+    out = []
+    for fold, part in zip(folds, run):
+        Xs, tests = fold.scaled(), {}
+        out += [(i, _result(jobs[i], fold, Xs, tests, *next(solutions)))
+                for i in by_part[id(part)][1]]
+    return out
+
+
+def solve_plans(plans):
+    """Run plans in lockstep -> the value each plan returns.
+
+    A plan is a generator that yields lists of Jobs and is sent back their
+    results. The jobs that the live plans yield in one round are one phase,
+    solved by one `solve_jobs` call.
+    """
+    plans = list(plans)
+    out, sent, live = [None] * len(plans), [None] * len(plans), range(len(plans))
+    while live:
+        asked = {}
+        for p in live:
+            try:
+                asked[p] = plans[p].send(sent[p])
+            except StopIteration as stop:
+                out[p] = stop.value
+        results = iter(solve_jobs([job for jobs in asked.values() for job in jobs]))
+        for p, jobs in asked.items():
+            sent[p] = [next(results) for _ in jobs]
+        live = list(asked)
+    return out
+
+
+def _job(X, y, params, class_weight=None, descriptor_id=None):
+    """svm_fit's arguments as the Job that returns the model."""
     if hasattr(X, "descriptor_id"):  # FeatureMatrix
         if descriptor_id is None:
             descriptor_id = X.descriptor_id
         X = X.data
-    fold = X if isinstance(X, _Fold) else _Fold(X, y)
-    C_rows = np.full(len(fold), float(params.C))
-    if class_weight:
-        for label, w in class_weight.items():
-            _check_positive(f"C times the class weight of label {label}", params.C * w)
-            C_rows[fold.y == float(label)] *= w
-    return fold, C_rows, params, descriptor_id or ""
+    if not isinstance(X, _Fold):
+        X = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    return Job(X, params, class_weight, None, descriptor_id or "")
 
 
 def svm_fit_many(fits):
-    """Train one two-class SVM per fit, solved as one lockstep batch -> [SvmModel].
+    """Train one two-class SVM per fit, solved together -> [SvmModel].
 
     Each fit is a tuple of svm_fit's arguments (X, y, params[, class_weight[,
     descriptor_id]]). Every model is bit-identical to svm_fit on its own
     arguments.
     """
-    problems = [_problem(*fit) for fit in fits]
-    models = []
-    for (fold, _, params, descriptor_id), (alpha, bias) in zip(
-            problems, _solve([p[:3] for p in problems])):
-        sv = _support(alpha)
-        models.append(SvmModel(
-            support_vectors=fold.X[sv],
-            dual_coefs=alpha[sv] * fold.y[sv],
-            bias=bias,
-            params=params,
-            feature_min=fold.lo,
-            feature_max=fold.hi,
-            descriptor_id=descriptor_id,
-        ))
-    return models
+    return solve_jobs([_job(*fit) for fit in fits])
 
 
 def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
@@ -488,12 +678,36 @@ def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
     both classes present. X may instead be a `_Fold` already built from the
     rows and labels, and y is then ignored. class_weight optionally maps
-    each label to a multiplier on C (useful for imbalanced data). The result
-    is deterministic in (data, params) regardless of row order. A solve
-    that stops at the iteration cap before converging warns with
-    RuntimeWarning.
+    each label to a multiplier on C (useful for imbalanced data); C, and C
+    times each weight, must be at most _MAX_C. The result is deterministic
+    in (data, params) regardless of row order. A solve that stops at the
+    iteration cap before converging warns with RuntimeWarning.
     """
     return svm_fit_many([(X, y, params, class_weight, descriptor_id)])[0]
+
+
+def cv_jobs(part, folds, grid, class_weight=None):
+    """The jobs of cv_scores on a Part whose rows `folds` splits: for each
+    fold, its held-out rows scored under every grid point."""
+    jobs = []
+    for f in range(folds.k):
+        train, test = folds.split(f)
+        if part.rows is not None:
+            train, test = part.rows[train], part.rows[test]
+        inner, held_out = Part(part.X, part.y, train), (part.X, test)
+        jobs += [Job(inner, params, class_weight, held_out) for params in grid]
+    return jobs
+
+
+def cv_table(results, folds, grid):
+    """cv_scores' (len(grid), n) table from the results of cv_jobs."""
+    results = iter(results)
+    scores = np.empty((len(grid), len(folds.assignments)))
+    for f in range(folds.k):
+        test = folds.split(f)[1]
+        for g in range(len(grid)):
+            scores[g, test] = next(results)
+    return scores
 
 
 def cv_scores(X, y, folds, grid, class_weight=None):
@@ -502,27 +716,13 @@ def cv_scores(X, y, folds, grid, class_weight=None):
     Entry (g, i) is decision_function(row i) of svm_fit(grid[g]) on the rows
     outside row i's fold, bit for bit: each model scores its held-out rows
     through the same `_decision` call. All len(grid) x k problems are one
-    batch, on one `_Fold` per fold.
+    phase, on one `_Fold` per fold.
     """
     if not grid:
         raise ConfigurationError("empty parameter grid")
     X = np.asarray(X.data if hasattr(X, "descriptor_id") else X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    splits = [folds.split(f) for f in range(folds.k)]
-    problems = []
-    for train_idx, _ in splits:
-        fold = _Fold(X[train_idx], y[train_idx])
-        problems += [_problem(fold, None, params, class_weight)[:3] for params in grid]
-    solutions = iter(_solve(problems))
-    scores = np.empty((len(grid), len(y)))
-    for f, (_, test_idx) in enumerate(splits):
-        fold = problems[f * len(grid)][0]
-        Xt = _min_max(X[test_idx], fold.lo, fold.hi)
-        for g, params in enumerate(grid):
-            alpha, bias = next(solutions)
-            sv = _support(alpha)
-            scores[g, test_idx] = _decision(params, Xt, fold.X[sv], alpha[sv] * fold.y[sv], bias)
-    return scores
+    part = Part(X, np.asarray(y, dtype=np.float64))
+    return cv_table(solve_jobs(cv_jobs(part, folds, grid, class_weight)), folds, grid)
 
 
 def best_point(grid, scores, y, folds):

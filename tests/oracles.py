@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way on purpose: per-pixel
 Python loops for the texture coders, a dense projected-gradient solver for
 the SVM dual, pairwise counting for the rank-sum AUC. None of it shares
-code with the package under test.
+code with the package under test; `ref_fit_and_score`, an evaluation loop,
+takes the package's single SVM fit and PCA as arguments.
 """
 
 import numpy as np
@@ -307,3 +308,53 @@ def ref_losib(img, rows=8, cols=8):
     counts = np.zeros((rows, cols), dtype=np.float64)
     np.add.at(counts, (rc, cc), 1.0)
     return (acc / counts[:, :, None]).ravel()
+
+
+def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=None,
+                      pca_components=(), class_weight=None):
+    """Test scores of one training part, evaluated the naive way: one fit and
+    one decision_function call per stage x inner fold x grid point, with no
+    batching.
+
+    train_views and test_views hold one raw matrix per stage; y labels the
+    training rows; inner_splits lists the inner plan's (train, test) index
+    pairs; grid holds the candidate params (one entry: fixed params, no
+    search). fit(X, y, params, class_weight) returns a model with a
+    decision_function; stage s with pca_components[s] > 0 is first projected
+    by pca(X, n) fitted on its training rows. One stage is scored by its own
+    model; several feed a meta SVM trained on their held-out scores.
+    """
+    views = []
+    for s, (A, B) in enumerate(zip(train_views, test_views)):
+        if s < len(pca_components) and pca_components[s]:
+            model = pca(A, pca_components[s])
+            A, B = model.transform(A), model.transform(B)
+        views.append((A, B))
+
+    def search(X):
+        """(chosen params, its held-out scores); the best mean per-fold
+        accuracy wins, ties to the smaller C, gamma, then earlier point."""
+        scores = np.full((len(grid), len(y)), np.nan)
+        for g, params in enumerate(grid):
+            for train, test in inner_splits:
+                model = fit(X[train], y[train], params, class_weight)
+                scores[g, test] = model.decision_function(X[test])
+        accs = []
+        for row in scores:
+            hits = np.where(row >= 0, 1.0, -1.0) == y
+            accs.append(np.mean([np.mean(hits[test]) for _, test in inner_splits]))
+        best = min(range(len(grid)), key=lambda g: (-accs[g], grid[g].C, grid[g].gamma))
+        return grid[best], scores[best]
+
+    if len(views) == 1:
+        A, B = views[0]
+        params = grid[0] if len(grid) == 1 else search(A)[0]
+        return fit(A, y, params, class_weight).decision_function(B)
+    cols, test_cols = [], []
+    for A, B in views:
+        params, col = search(A)
+        cols.append(col)
+        test_cols.append(fit(A, y, params, class_weight).decision_function(B))
+    meta_X = np.column_stack(cols)
+    params = grid[0] if len(grid) == 1 else search(meta_X)[0]
+    return fit(meta_X, y, params, class_weight).decision_function(np.column_stack(test_cols))

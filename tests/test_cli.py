@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import facestack
-from facestack import SvmParams, evaluation
+from facestack import evaluation, stacking
 from facestack import cli
 from facestack import svm as svm_module
 from facestack.cli import main
@@ -207,6 +207,18 @@ def test_bad_svm_value_exits_2_before_any_solve(workspace, tmp_path, capsys, mon
                "--stage", f"C1={workspace / 'hog.fsfm'}", "--k", "3", flag, value])
     assert rc == 2
     assert "must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--C", "1e300"), ("--C", "2e6"),
+                                         ("--weight-male", "1e7")])
+def test_C_above_the_bound_exits_2_before_any_solve(workspace, tmp_path, capsys, monkeypatch,
+                                                   flag, value):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    rc = main(["--out", str(tmp_path / "eval"), "eval", "kfold",
+               "--manifest", str(workspace / "corpus" / "manifest.csv"),
+               "--stage", f"C1={workspace / 'hog.fsfm'}", "--k", "3", flag, value])
+    assert rc == 2
+    assert "must be at most 1e+06" in capsys.readouterr().err
 
 
 def test_exit_code_data_error(workspace, tmp_path, capsys):
@@ -493,12 +505,13 @@ def test_module_entry_point(tmp_path):
 
 def test_noise_sweep_grid_flag_searches(workspace, monkeypatch):
     calls = []
+    real = stacking.best_point
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return SvmParams(C=4.0, gamma=0.095)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "grid_search", spy)
+    monkeypatch.setattr(stacking, "best_point", spy)
     assert main(["--out", str(workspace / "sweep_grid"), "noise-sweep",
                  "--manifest", str(workspace / "corpus" / "manifest.csv"),
                  "--pattern", "F", "--descriptor", "lbpu2", "--variances", "0,0.05",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from facestack import (
     save_roc,
 )
 from facestack import evaluation
-from facestack.svm import derive_seed
+from facestack import svm as svm_module
+from facestack.pca import pca_fit
+from facestack.stacking import save_stacked, stack_fit
+from facestack.svm import default_grid, derive_seed, svm_fit
 from facestack.dataset import make_folds
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -228,6 +232,153 @@ def test_run_crossdb_pca_sees_training_rows_only(monkeypatch):
     te, yte = _stagedata(40, seed=14, pca=3, width=8)
     run_crossdb([tr], [te], ytr, yte, "a", "b", params=PARAMS)
     assert seen == [70]
+
+
+def _views(n, seed, widths):
+    """One noisy view per width, each informative through a shared 2-D signal."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)[rng.permutation(n)]
+    views = []
+    for d in widths:
+        Z = rng.normal(0, 1, (n, 2)) + 0.7 * y[:, None]
+        views.append(Z @ rng.normal(0, 1, (2, d)) + rng.normal(0, 0.8, (n, d)))
+    return views, y
+
+
+def _naive_fit(X, y, params, class_weight):
+    return svm_fit(X, y, params, class_weight=class_weight)
+
+
+def _stages(views, pca, rows=slice(None)):
+    return [StageData(FirstStageSpec(f"C{s + 1}", "custom", "raw"), X[rows], p)
+            for s, (X, p) in enumerate(zip(views, pca))]
+
+
+# (stage widths, PCA components per stage, params, class_weight)
+EVAL_CASES = [
+    pytest.param((6,), (0,), PARAMS, None, id="single-fixed"),
+    pytest.param((6,), (0,), None, {-1: 2.0}, id="single-grid-weighted"),
+    pytest.param((8,), (3,), PARAMS, None, id="single-pca"),
+    pytest.param((6, 8, 5), (0, 4, 0), SvmParams(C=4.0, gamma=0.3), {1: 1.5},
+                 id="stack3-fixed-pca-weighted"),
+    pytest.param((6, 8, 5), (0, 4, 0), None, None, id="stack3-grid-pca"),
+]
+
+
+@pytest.mark.parametrize("widths, pca, params, class_weight", EVAL_CASES)
+def test_run_kfold_equals_the_naive_loop(widths, pca, params, class_weight):
+    views, y = _views(36, 31, widths)
+    seed, k = 5, 3
+    _, pooled = run_kfold(_stages(views, pca), y, k=k, seed=seed, params=params,
+                          class_weight=class_weight)
+    folds = make_folds(y, k, derive_seed(seed, 77))
+    grid = default_grid() if params is None else [params]
+    want = np.full(len(y), np.nan)
+    for f in range(k):
+        train, test = folds.split(f)
+        inner = make_folds(y[train], 5, derive_seed(derive_seed(seed, 5, f), 101))
+        want[test] = oracles.ref_fit_and_score(
+            [X[train] for X in views], y[train], [X[test] for X in views],
+            [inner.split(i) for i in range(inner.k)], grid, _naive_fit, pca_fit, pca,
+            class_weight)
+    assert np.array_equal(pooled, want)  # bit for bit
+
+
+@pytest.mark.parametrize("widths, pca, params, class_weight",
+                         [EVAL_CASES[1], EVAL_CASES[2], EVAL_CASES[3]])
+def test_run_crossdb_equals_the_naive_loop(widths, pca, params, class_weight):
+    views, y = _views(56, 32, widths)
+    tr, te = slice(0, 30), slice(30, None)
+    seed = 3
+    _, scores = run_crossdb(_stages(views, pca, tr), _stages(views, pca, te), y[tr], y[te],
+                            "a", "b", seed=seed, params=params, class_weight=class_weight)
+    inner = make_folds(y[tr], 5, derive_seed(derive_seed(seed, 9), 101))
+    want = oracles.ref_fit_and_score(
+        [X[tr] for X in views], y[tr], [X[te] for X in views],
+        [inner.split(i) for i in range(inner.k)],
+        default_grid() if params is None else [params], _naive_fit, pca_fit, pca,
+        class_weight)
+    assert np.array_equal(scores, want)  # bit for bit
+
+
+def _five_stages(n=120, widths=(576, 576, 256, 256, 128), seed=0):
+    """Five stages of C1-like widths on n rows, as in S5."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)
+    stages = []
+    for s, d in enumerate(widths):
+        Z = rng.normal(0, 1, (n, 2)) + 0.6 * y[:, None]
+        X = Z @ rng.normal(0, 1, (2, d)) + rng.normal(0, 0.5, (n, d))
+        stages.append(StageData(FirstStageSpec(f"C{s + 1}", "custom", "raw"), X))
+    return stages, y
+
+
+def test_five_stage_kfold_solves_by_phase(monkeypatch):
+    stages, y = _five_stages()
+    sizes = []
+    real = svm_module._solve
+
+    def counted(problems):
+        sizes.append(len(problems))
+        return real(problems)
+
+    monkeypatch.setattr(svm_module, "_solve", counted)
+    run_kfold(stages, y, k=5, seed=7, params=PARAMS)
+    # per outer fold: 5 inner-CV problems per stage, 5 deployed stages, 1 meta
+    # SVM. A solve per stage and outer fold, plus one for the deployed stages
+    # and one for the meta SVM, made 5 x 7 = 35 solves.
+    assert sum(sizes) == 5 * (5 * 5 + 5 + 1)
+    assert len(sizes) <= 8
+
+
+def test_run_kfold_peak_memory_does_not_rise():
+    # tracemalloc peak of this run, measured on the same fixture: 4,758,668
+    # bytes with one solve per stage and outer fold, each fold keeping its
+    # scaled rows; 4,371,528 bytes with one solve per phase under _BATCH_BYTES
+    stages, y = _five_stages()
+    warm, y_warm = _five_stages(n=30, widths=(8, 8))
+    run_kfold(warm, y_warm, k=3, seed=7, params=PARAMS)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        run_kfold(stages, y, k=5, seed=7, params=PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 4_758_668
+
+
+def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
+    views, y = _views(30, 33, (6, 8))
+    folds = make_folds(y, 3, seed=0)  # training parts of 20 rows
+    specs = [FirstStageSpec(f"C{s + 1}", "custom", "raw") for s in range(2)]
+
+    def fit(name):
+        save_stacked(tmp_path / name, stack_fit(views, y, folds, specs, params=PARAMS))
+
+    def kfold():
+        return run_kfold(_stages(views, (0, 0)), y, k=3, seed=2, params=PARAMS)[1]
+
+    fit("want.fstk")
+    want = kfold()
+    solves = []
+    real = svm_module._solve
+
+    def spy(problems):
+        solves.append([fold.lru for fold, _, _ in problems])
+        return real(problems)
+
+    monkeypatch.setattr(svm_module, "_solve", spy)
+    monkeypatch.setattr(svm_module, "_DENSE_BYTES", 29 * 29 * 8)  # 30-row folds are LRU
+    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 5)  # evicts rows along the way
+    # room for two dense 20-row memos and one 30-row LRU cache
+    monkeypatch.setattr(svm_module, "_BATCH_BYTES", 2 * 20 * 20 * 8 + 5 * 30 * 8)
+    fit("got.fstk")
+    *first_phase, meta = solves
+    assert len(first_phase) >= 3 and meta == [True]
+    assert any(any(lru) and not all(lru) for lru in first_phase)  # LRU among dense
+    assert (tmp_path / "got.fstk").read_bytes() == (tmp_path / "want.fstk").read_bytes()
+    assert np.array_equal(kfold(), want)
+    assert len(solves) > 3 + 1 + 2  # each phase of the k-fold run cut too
 
 
 def test_error_breakdown():

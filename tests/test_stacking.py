@@ -219,14 +219,14 @@ def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_p
     monkeypatch.setattr(svm_module, "_solve", solve_spy)
     model = stack_fit(views, y, folds, specs, params=None)
 
-    # a k x 30 search per stage, the deployed first stages, the meta search,
-    # the meta fit, and no batch of k refits for the out-of-fold columns
+    # three phases: the k x 30 search of every stage; the meta search with
+    # the deployed first stages; the meta fit. No batch of k refits for the
+    # out-of-fold columns
     sizes = [len(folds.split(f)[0]) for f in range(folds.k)]
     search = [(n, p) for n in sizes for p in default_grid()]
     shapes = [[(len(fold), params) for fold, _, params in b] for b in batches]
-    assert shapes == [search, search,
-                      [(48, m.params) for _, m in model.first_stage],
-                      search,
+    assert shapes == [search + search,
+                      search + [(48, m.params) for _, m in model.first_stage],
                       [(48, model.meta.params)]]
     save_stacked(tmp_path / "got.fstk", model)
     assert (tmp_path / "got.fstk").read_bytes() == (tmp_path / "want.fstk").read_bytes()
