@@ -28,7 +28,7 @@ from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
 from .pca import PcaModel, pca_fit
 from .svm import (ScoreMatrix, SvmModel, SvmParams, cv_scores, default_grid,
                   grid_search, load_model, load_scores, save_model,
-                  save_scores, svm_fit, svm_fit_many)
+                  save_scores, svm_fit)
 from .stacking import (CANONICAL_STAGES, S_CONFIGS, FirstStageSpec,
                        StackedModel, load_stacked, oof_scores,
                        save_stacked, stack_fit, stack_predict, stack_scores)

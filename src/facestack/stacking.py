@@ -206,6 +206,9 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
     specs, mats, y = _checked(X_per_spec, y, folds, specs)
     column_ids, external = [s.id for s in specs], None
     if external_scores is not None:
+        repeated = [cid for cid in external_scores.column_ids if cid in column_ids]
+        if repeated:
+            raise DataError(f"external score column {repeated[0]!r} repeats a first-stage id")
         if row_indices is None:
             row_indices = np.arange(len(y))
         external = _join_external(row_indices, external_scores)

@@ -30,12 +30,12 @@ Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. That scaling and order of a part's
-rows is a `_Fold`, built when its sub-batch starts, which also memoizes the
-squared distances between its rows, which every fit on those rows shares:
-one n x n array up to _DENSE_BYTES, filled straight into the sub-batch's
-stack; an LRU of _CACHE_ROWS rows above that. A dense `_Fold` keeps no
-scaled copy of the rows: scaling is elementwise, so the support rows
-rescaled from the caller's matrix after the solve have the same bits.
+rows is a `_Fold`, built when its sub-batch starts and shared by every fit
+on those rows. Up to _DENSE_BYTES its squared distances are a block of the
+sub-batch's stack for the length of the solve, and the fold keeps no scaled
+rows: scaling is elementwise, so the support rows rescaled from the
+caller's matrix after the solve have the same bits. Above that, the fold
+keeps its scaled rows and an LRU of _CACHE_ROWS distance rows.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
 terms of each row of A against B from one BLAS matrix-vector product B @ a
@@ -132,13 +132,6 @@ def _kernel_block(params, A, B):
     return np.exp(-params.gamma * _sq_dists(A, B))
 
 
-def _chunk_rows(B):
-    """Rows of A per `_decision` chunk against support rows B: an m x n_sv
-    kernel block of at most _BLAS_ELEMS, so its product with the weights
-    stays one single-threaded BLAS call."""
-    return max(1, _BLAS_ELEMS // max(1, len(B)))
-
-
 def _min_max(X, lo, hi, out=None):
     """Map each column from [lo, hi] onto [0, 1]; constant columns only shift.
     out may be X itself."""
@@ -191,11 +184,12 @@ class SvmModel:
 def _decision(params, Xs, sv, coef, bias):
     """Decision values of scaled rows Xs under support rows sv with weights coef.
 
-    Each _chunk_rows(sv) chunk is one kernel block times coef; the chunks set
-    the product's last bits, so every caller scores through here.
+    Each chunk of rows is one kernel block of at most _BLAS_ELEMS times coef,
+    so the product stays one single-threaded BLAS call; the chunks set its
+    last bits, so every caller scores through here.
     """
     scores = np.empty(len(Xs))
-    chunk = _chunk_rows(sv)
+    chunk = max(1, _BLAS_ELEMS // max(1, len(sv)))
     for lo in range(0, len(Xs), chunk):
         rows = slice(lo, lo + chunk)
         scores[rows] = _kernel_block(params, Xs[rows], sv) @ coef + bias
@@ -220,18 +214,23 @@ def _canonical_order(Xs, y):
     return np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
 
 
+def _dense(n):
+    """Whether the squared distances of n rows are one n x n array (else an LRU)."""
+    return n * n * 8 <= _DENSE_BYTES
+
+
 class _Fold:
     """Training rows `rows` of the caller's matrix X (all if None), min-max
-    scaled and put in canonical order, with a memo of their squared distances.
+    scaled and put in canonical order.
 
     Keeps the scaling (`lo`, `hi`), the canonical order as indices `rows`
-    into X, the ordered labels `y`, and the memo. None of it depends on
-    (C, gamma), so every fit on the same rows shares one _Fold. X must be a
-    float64 array that holds its values while the fold lives: `scaled`
-    reads the rows from it again, since min-max scaling is elementwise and
-    gives them the same bits. Up to _DENSE_BYTES the memo is the whole
-    n x n array, filled by `fill`; above, an LRU of _CACHE_ROWS rows, and
-    the fold keeps its scaled rows, which every row miss needs.
+    into X and the ordered labels `y`. None of it depends on (C, gamma), so
+    every fit on the same rows shares one _Fold. X must be a float64 array
+    that holds its values while the fold lives: `scaled` reads the rows from
+    it again, since min-max scaling is elementwise and gives them the same
+    bits. Above _DENSE_BYTES the fold also keeps its scaled rows, which
+    every row miss needs, and `lru`, a cache of _CACHE_ROWS distance rows;
+    up to it `lru` is None and `_Gather` holds the distances.
     """
 
     def __init__(self, X, y, rows=None):
@@ -242,16 +241,12 @@ class _Fold:
         self.lo, self.hi, Xs = _scale_fit(Xs, out=Xs)
         order = _canonical_order(Xs, y[rows])
         self.src, self.rows, self.y = X, rows[order], y[rows[order]]
-        n = len(self.y)
-        self._d2 = None if n * n * 8 <= _DENSE_BYTES else OrderedDict()
-        self._X = np.ascontiguousarray(Xs[order]) if self.lru else None
+        dense = _dense(len(self.y))
+        self.lru = None if dense else OrderedDict()
+        self._X = None if dense else np.ascontiguousarray(Xs[order])
 
     def __len__(self):
         return len(self.y)
-
-    @property
-    def lru(self):
-        return isinstance(self._d2, OrderedDict)
 
     def scaled(self, idx=slice(None)):
         """The scaled rows idx of the canonical order."""
@@ -261,64 +256,47 @@ class _Fold:
         return _min_max(Xs, self.lo, self.hi, out=Xs)
 
     def fill(self, out):
-        """Make out, an (n, n) array or view, the dense memo: the distances are
-        computed into it, or moved there from the fold's earlier memo.
+        """Compute the squared distances between the fold's rows into out, an
+        (n, n) array or view.
 
-        Row i of the memo, dense or LRU, is `_sq_dists(X[i:i+1], X)[0]` with
-        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes.
+        Row i, here or from `d2_rows`, is `_sq_dists(X[i:i+1], X)[0]` with
+        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes. The
+        scaled rows live only for the call: one fold's at a time.
         """
-        if self._d2 is None:
-            Xs = self.scaled()
-            _sq_dists(Xs, Xs, out=out)
-            np.fill_diagonal(out, 0.0)
-        else:
-            out[...] = self._d2
-        self._d2 = out
-
-    def forget(self):
-        """Drop a dense memo, and with it the stack it may view; `dense_d2`
-        fills it again."""
-        if not self.lru:
-            self._d2 = None
-
-    def dense_d2(self):
-        """The whole (n, n) squared-distance array, filled on the first call;
-        None above _DENSE_BYTES."""
-        if self._d2 is None:
-            self.fill(np.empty((len(self), len(self))))
-        return None if self.lru else self._d2
+        Xs = self.scaled()
+        _sq_dists(Xs, Xs, out=out)
+        np.fill_diagonal(out, 0.0)
 
     def d2_rows(self, idx):
-        """Squared distances from the rows idx (an int array) to every row -> (len(idx), n)."""
-        d2 = self.dense_d2()
-        if d2 is not None:
-            return d2[idx]
+        """Squared distances from the rows idx (an int array) to every row
+        -> (len(idx), n), through the LRU of a fold above _DENSE_BYTES."""
         rows = []
         for i in idx.tolist():
-            if i not in self._d2:
-                if len(self._d2) >= _CACHE_ROWS:
-                    self._d2.popitem(last=False)
+            if i not in self.lru:
+                if len(self.lru) >= _CACHE_ROWS:
+                    self.lru.popitem(last=False)
                 row = _sq_dists(self._X[i : i + 1], self._X)[0]
                 row[i] = 0.0
-                self._d2[i] = row
-            self._d2.move_to_end(i)
-            rows.append(self._d2[i])
+                self.lru[i] = row
+            self.lru.move_to_end(i)
+            rows.append(self.lru[i])
         return np.array(rows).reshape(len(idx), len(self))
 
 
 class _Gather:
-    """Kernel rows of the problems a solve is running, one row per problem.
+    """Kernel rows of the problems a solve is running, one row per problem,
+    and the only owner of the dense folds' squared distances.
 
-    The dense folds' distances fill one padded stack, each fold's memo
-    becoming a view of its slot, so those problems' rows come out of one
-    fancy index. A last all-zero row stands in for the LRU folds' problems:
-    padding has distance 0, kernel 1. Their rows are then gathered fold by
-    fold.
+    Each dense fold's distances are computed into its block of one padded
+    stack, so those problems' rows come out of one fancy index. A last
+    all-zero row stands in for the LRU folds' problems: padding has
+    distance 0, kernel 1. Their rows are then gathered fold by fold from
+    each fold's LRU.
     """
 
     def __init__(self, problems, n_max):
         self.problems, self.n_max = problems, n_max
-        dense = {id(fold): fold for fold, _, _ in problems if not fold.lru}
+        dense = {id(fold): fold for fold, _, _ in problems if fold.lru is None}
         self.width = max((len(fold) for fold in dense.values()), default=1)
         zero = len(dense) * self.width
         self.stack = np.zeros((zero + 1, self.width))
@@ -348,6 +326,14 @@ class _Gather:
         for fold, pos in self.lru:
             d2[pos, : len(fold)] = fold.d2_rows(rows[pos])
         return np.exp(self.neg_gamma * d2)
+
+    def d2_rows(self, a, idx):
+        """Squared distances from the rows idx (an int array) of running
+        problem a's fold to every row of it -> (len(idx), n)."""
+        fold = self.problems[a][0]
+        if fold.lru is not None:
+            return fold.d2_rows(idx)
+        return self.stack[self.base[a] + idx, : len(fold)]
 
 
 def _violators(y, alpha, C, G):
@@ -443,7 +429,7 @@ def _solve(problems):
                 n = sizes[ids[a]]
                 sv = np.flatnonzero(alpha[a, :n] > 0)  # G = Q alpha - 1, summed afresh
                 coef = (alpha[a, sv] * fold.y[sv])[:, None]
-                K = np.exp(-params.gamma * fold.d2_rows(sv))
+                K = np.exp(-params.gamma * gather.d2_rows(a, sv))
                 G[a, :n] = fold.y * (coef * K).sum(axis=0) - 1.0
                 up_a, low_a = _violators(y[a], alpha[a], C[a], G[a])
                 gap = up_a.max() - low_a.min()
@@ -493,9 +479,10 @@ def _label_C(params, class_weight):
     """(C of label -1, C of label +1) of one fit: C times each label's class weight."""
     C = {-1.0: float(params.C), 1.0: float(params.C)}
     for label, w in (class_weight or {}).items():
+        if label not in C:
+            raise ConfigurationError(f"class weight key {label!r} is not a label, -1 or +1")
         _check_C(f"C times the class weight of label {label}", params.C * w)
-        if float(label) in C:
-            C[float(label)] *= w
+        C[label] *= w
     _check_C("C", params.C)
     return C[-1.0], C[1.0]
 
@@ -516,12 +503,11 @@ class Part:
 
 @dataclass(frozen=True, eq=False)
 class Job:
-    """One independent fit for `solve_jobs`: train on `part` (a Part, or a
-    `_Fold` already built) at `params`, then score the rows `test[1]` of the
-    raw matrix `test[0]` (all of them if None); with test None, return the
-    SvmModel instead."""
+    """One independent fit for `solve_jobs`: train on `part` at `params`,
+    then score the rows `test[1]` of the raw matrix `test[0]` (all of them
+    if None); with test None, return the SvmModel instead."""
 
-    part: object
+    part: Part
     params: SvmParams
     class_weight: dict = None
     test: tuple = None
@@ -535,8 +521,6 @@ def _check_jobs(jobs):
     for job in jobs:
         label_C.append(_label_C(job.params, job.class_weight))
         part = job.part
-        if isinstance(part, _Fold):
-            continue
         if part.X.ndim != 2 or len(part.X) != len(part.y):
             raise DataError("X must be (n, d) with one label per row")
         y = part.y if part.rows is None else part.y[part.rows]
@@ -559,8 +543,8 @@ def _check_jobs(jobs):
 def _memo_bytes(sizes):
     """Bytes of the distance memos of folds of these sizes in one `_solve`:
     the dense ones padded to the widest, each LRU one at its full cache."""
-    dense = [n for n in sizes if n * n * 8 <= _DENSE_BYTES]
-    lru = sum(min(n, _CACHE_ROWS) * n * 8 for n in sizes if n * n * 8 > _DENSE_BYTES)
+    dense = [n for n in sizes if _dense(n)]
+    lru = sum(min(n, _CACHE_ROWS) * n * 8 for n in sizes if not _dense(n))
     return len(dense) * max(dense, default=0) ** 2 * 8 + lru
 
 
@@ -612,14 +596,12 @@ def solve_jobs(jobs):
 
 
 def _solve_run(run, jobs, by_part, label_C):
-    """One sub-batch of solve_jobs -> [(job index, result)]. Its folds, and
-    the distance stack they share, are dropped on return."""
-    folds = [part if isinstance(part, _Fold) else _Fold(part.X, part.y, part.rows) for part in run]
+    """One sub-batch of solve_jobs -> [(job index, result)]. The distance
+    stack is dropped when `_solve` returns, its folds on return."""
+    folds = [_Fold(part.X, part.y, part.rows) for part in run]
     problems = [(fold, np.where(fold.y > 0, label_C[i][1], label_C[i][0]), jobs[i].params)
                 for fold, part in zip(folds, run) for i in by_part[id(part)][1]]
     solutions = iter(_solve(problems))
-    for fold in folds:
-        fold.forget()  # frees the distance stack before the results are scored
     out = []
     for fold, part in zip(folds, run):
         Xs, tests = fold.scaled(), {}
@@ -651,39 +633,22 @@ def solve_plans(plans):
     return out
 
 
-def _job(X, y, params, class_weight=None, descriptor_id=None):
-    """svm_fit's arguments as the Job that returns the model."""
-    if hasattr(X, "descriptor_id"):  # FeatureMatrix
-        if descriptor_id is None:
-            descriptor_id = X.descriptor_id
-        X = X.data
-    if not isinstance(X, _Fold):
-        X = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return Job(X, params, class_weight, None, descriptor_id or "")
-
-
-def svm_fit_many(fits):
-    """Train one two-class SVM per fit, solved together -> [SvmModel].
-
-    Each fit is a tuple of svm_fit's arguments (X, y, params[, class_weight[,
-    descriptor_id]]). Every model is bit-identical to svm_fit on its own
-    arguments.
-    """
-    return solve_jobs([_job(*fit) for fit in fits])
-
-
 def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
-    both classes present. X may instead be a `_Fold` already built from the
-    rows and labels, and y is then ignored. class_weight optionally maps
-    each label to a multiplier on C (useful for imbalanced data); C, and C
-    times each weight, must be at most _MAX_C. The result is deterministic
-    in (data, params) regardless of row order. A solve that stops at the
-    iteration cap before converging warns with RuntimeWarning.
+    both classes present. class_weight optionally maps each label to a
+    multiplier on C (useful for imbalanced data); C, and C times each
+    weight, must be at most _MAX_C. The result is deterministic in (data,
+    params) regardless of row order. A solve that stops at the iteration
+    cap before converging warns with RuntimeWarning.
     """
-    return svm_fit_many([(X, y, params, class_weight, descriptor_id)])[0]
+    if hasattr(X, "descriptor_id"):  # FeatureMatrix
+        if descriptor_id is None:
+            descriptor_id = X.descriptor_id
+        X = X.data
+    part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    return solve_jobs([Job(part, params, class_weight, None, descriptor_id or "")])[0]
 
 
 def cv_jobs(part, folds, grid, class_weight=None):
@@ -761,6 +726,8 @@ class ScoreMatrix:
             raise DataError("scores must be 2-D")
         if scores.shape[1] != len(self.column_ids) or scores.shape[1] < 1:
             raise DataError("need one column id per score column")
+        if len(set(self.column_ids)) != len(self.column_ids):
+            raise DataError(f"repeated score column id in {tuple(self.column_ids)}")
         if not np.all(np.isfinite(scores)):
             raise DataError("non-finite score")
         object.__setattr__(self, "scores", scores)

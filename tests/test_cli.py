@@ -280,6 +280,22 @@ def test_bad_noise_level_exits_2_before_any_row(workspace, tmp_path, capsys, mon
     assert sorted(os.listdir(out)) == []
 
 
+@pytest.mark.parametrize("header", ["row_index,C1", "row_index,a,a"])
+def test_stack_rejects_a_repeated_score_column_id(workspace, tmp_path, header):
+    # a model whose column ids repeat ('C1', 'C1'; 'C1', 'a', 'a') could not be
+    # given its columns apart by stack_scores, so stack exits 3 and writes none
+    width = header.count(",")
+    ext = tmp_path / "ext.csv"
+    ext.write_text(header + "\n" + "".join(f"{i}" + ",0.5" * width + "\n" for i in range(30)))
+    out = tmp_path / "s.fstk"
+    assert main(["--out", str(out), "stack",
+                 "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--stage", f"C1={workspace / 'hog.fsfm'}",
+                 "--folds", str(workspace / "folds.csv"),
+                 "--external", str(ext), "--C", "4.0"]) == 3
+    assert not out.exists()
+
+
 def test_stack_requires_stage_flag(workspace, tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "s.fstk"), "stack",
                "--manifest", str(workspace / "corpus" / "manifest.csv")])

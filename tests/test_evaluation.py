@@ -364,7 +364,7 @@ def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
     real = svm_module._solve
 
     def spy(problems):
-        solves.append([fold.lru for fold, _, _ in problems])
+        solves.append([fold.lru is not None for fold, _, _ in problems])
         return real(problems)
 
     monkeypatch.setattr(svm_module, "_solve", spy)

@@ -20,7 +20,6 @@ from facestack import (
     stack_predict,
     stack_scores,
     svm_fit,
-    svm_fit_many,
 )
 from facestack import svm as svm_module
 from facestack.stacking import DEFAULT_STAGE_PARAMS
@@ -198,8 +197,8 @@ def _stack_fit_by_refits(views, y, folds, specs):
         for f in range(folds.k):
             train, test = folds.split(f)
             oof[test, si] = svm_fit(X[train], y[train], p).decision_function(X[test])
-    first = svm_fit_many([(X, y, p, None, spec.descriptor)
-                          for spec, X, p in zip(specs, views, plist)])
+    first = [svm_fit(X, y, p, descriptor_id=spec.descriptor)
+             for spec, X, p in zip(specs, views, plist)]
     meta = svm_fit(oof, y, grid_search(oof, y, folds), descriptor_id="scores")
     return StackedModel(tuple(zip(specs, first)), meta, tuple(s.id for s in specs))
 

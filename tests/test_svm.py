@@ -23,12 +23,12 @@ from facestack import (
     save_model,
     save_scores,
     svm_fit,
-    svm_fit_many,
 )
 from facestack.dataset import FoldPlan
 from facestack.records import pack_str
-from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, _Fold, _kernel_block, _scale_fit,
-                           _sq_dists, cv_scores, read_model, write_model)
+from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Job, Part, _Fold, _Gather, _kernel_block,
+                           _scale_fit, _sq_dists, cv_scores, read_model, solve_jobs,
+                           write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -47,11 +47,20 @@ def _accuracy(model, X, y):
     return float(np.mean(np.where(model.decision_function(X) >= 0, 1, -1) == y))
 
 
-def test_params_validation():
+def test_params_validation(monkeypatch):
     with pytest.raises(ConfigurationError):
         SvmParams(C=0.0, gamma=0.1)
     with pytest.raises(ConfigurationError):
         SvmParams(C=1.0, gamma=-1.0)
+    # a class-weight key other than -1 or +1 would weight no row; no solve may start
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    X, y = _blobs(5)
+    params = SvmParams(C=1.0, gamma=0.1)
+    for key in (0, 2, "m", -1.5):
+        with pytest.raises(ConfigurationError, match="is not a label"):
+            svm_fit(X, y, params, class_weight={key: 5.0})
+        with pytest.raises(ConfigurationError, match="is not a label"):
+            solve_jobs([Job(Part(X, y), params, {1: 2.0, key: 5.0}, (X, None))])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
@@ -247,9 +256,14 @@ def _mixed_fits():
     return fits
 
 
+def _jobs(fits):
+    """The model Jobs of svm_fit argument tuples (X, y, params, class_weight)."""
+    return [Job(Part(X, y), params, weights) for X, y, params, weights in fits]
+
+
 def test_fit_many_equals_one_fit_each():
     fits = _mixed_fits()
-    for got, fit in zip(svm_fit_many(fits), fits):
+    for got, fit in zip(solve_jobs(_jobs(fits)), fits):
         want = svm_fit(*fit)
         for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -259,7 +273,7 @@ def test_fit_many_equals_one_fit_each():
 
 def test_padded_batch_meets_kkt():
     fits = _mixed_fits()
-    for model, (X, y, params, weights) in zip(svm_fit_many(fits), fits):
+    for model, (X, y, params, weights) in zip(solve_jobs(_jobs(fits)), fits):
         _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
         C = params.C * np.array([(weights or {}).get(int(label), 1.0) for label in y])
         alpha = _alphas_by_row(model, Xs)
@@ -294,10 +308,11 @@ def test_memo_rows_equal_direct_rows(monkeypatch, dense):
         monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
     rng = np.random.default_rng(40)
     fold = _Fold(rng.random((30, 97)), np.where(np.arange(30) % 3, 1.0, -1.0))
+    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))], len(fold))
     for _ in range(12):  # one or a few rows at a time, in random order, repeats included
         idx = rng.integers(0, 30, rng.integers(1, 5))
-        assert np.array_equal(fold.d2_rows(idx), _memo_rows(fold, idx))
-    assert np.array_equal(fold.d2_rows(np.arange(30)), _memo_rows(fold, np.arange(30)))
+        assert np.array_equal(gather.d2_rows(0, idx), _memo_rows(fold, idx))
+    assert np.array_equal(gather.d2_rows(0, np.arange(30)), _memo_rows(fold, np.arange(30)))
 
 
 def _assert_same_models(got, want):
@@ -309,21 +324,42 @@ def _assert_same_models(got, want):
 
 
 def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
-    def fits():
-        fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
-        X, y, _, _ = fits[2]
-        shared = _Fold(X, y)  # two more problems on one fold
-        return fits + [(shared, None, SvmParams(C=2.0, gamma=0.3)),
-                       (shared, None, SvmParams(C=0.5, gamma=1.5))]
+    def jobs():
+        jobs = _jobs(_mixed_fits())  # n = 24, 64, 40, 50, 34
+        shared = jobs[2].part  # two more problems on one fold
+        return jobs + [Job(shared, SvmParams(C=2.0, gamma=0.3)),
+                       Job(shared, SvmParams(C=0.5, gamma=1.5))]
 
-    want = svm_fit_many(fits())  # every fold dense
+    want = solve_jobs(jobs())  # every fold dense
     monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
     for dense_bytes, dense in [(40 * 40 * 8, [True, False, True, False, True]),
                                (0, [False] * 5)]:
         monkeypatch.setattr(svm_module, "_DENSE_BYTES", dense_bytes)
-        batch = fits()
-        assert [_Fold(X, y).dense_d2() is not None for X, y, *_ in batch[:5]] == dense
-        _assert_same_models(svm_fit_many(batch), want)
+        batch = jobs()
+        assert [_Fold(job.part.X, job.part.y).lru is None for job in batch[:5]] == dense
+        _assert_same_models(solve_jobs(batch), want)
+
+
+def test_jobs_on_one_part_share_one_fold(monkeypatch):
+    # the grid search runs all its points on one fold of each training part
+    built = []
+    real = svm_module._Fold
+
+    def spy(X, y, rows=None):
+        fold = real(X, y, rows)
+        built.append((id(X), None if rows is None else tuple(rows), fold.lru is None))
+        return fold
+
+    monkeypatch.setattr(svm_module, "_Fold", spy)
+    monkeypatch.setattr(svm_module, "_DENSE_BYTES", 40 * 40 * 8)  # 64 and 50 rows are LRU
+    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)
+    fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
+    parts = [Part(X, y) for X, y, _, _ in fits] + [Part(fits[1][0], fits[1][1], np.arange(40))]
+    grid = [SvmParams(C=C, gamma=g) for C in (0.5, 2.0) for g in (0.3, 1.5)]
+    jobs = [Job(part, params) for params in grid for part in parts]
+    assert len(solve_jobs(jobs)) == len(grid) * len(parts)
+    assert built == [(id(p.X), None if p.rows is None else tuple(p.rows), dense)
+                     for p, dense in zip(parts, [True, False, True, False, True, True])]
 
 
 def _canonical_case(case):
@@ -432,6 +468,8 @@ def test_score_matrix_roundtrip(tmp_path):
 def test_score_matrix_validation():
     with pytest.raises(DataError):
         ScoreMatrix(np.zeros((2, 3)), ("C1", "C2"))
+    with pytest.raises(DataError, match="repeated score column id"):
+        ScoreMatrix(np.zeros((2, 2)), ("C1", "C1"))
     with pytest.raises(DataError):
         ScoreMatrix(np.zeros((2, 2)), ("C1", "C2"), np.array([0, 1, 2]))
 
@@ -519,30 +557,20 @@ def test_grid_search_matches_naive_loop(grid, class_weight):
     assert grid_search(X, y, folds, grid=grid, class_weight=class_weight) == points[pick]
 
 
-def test_fit_on_prepared_fold_matches_raw_rows():
-    X, y = _blobs(25, gap=0.8, d=5, seed=22)
-    params = SvmParams(C=2.0, gamma=0.3)
-    fold = _Fold(X, y)
-    a = svm_fit(fold, None, params, class_weight={-1: 2.0})
-    b = svm_fit(X, y, params, class_weight={-1: 2.0})
-    for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.bias == b.bias
-
-
 @pytest.mark.parametrize("n, d", [(48, 576), (96, 1475), (96, 512)])
 def test_fold_distances_give_the_direct_kernel(n, d):
     # the solver's kernel rows, cut from the fold's memo, must be bit-identical
     # to kernels computed directly on the same rows, with K(i, i) = 1
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
+    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))], n)
     X = fold.scaled()
     for gamma in GRID_GAMMA:
         p = SvmParams(C=1.0, gamma=gamma)
         for i in (0, n // 2, n - 1):
             want = _kernel_block(p, X[i : i + 1], X)
             want[0, i] = 1.0
-            assert np.array_equal(np.exp(-gamma * fold.d2_rows(np.array([i]))), want)
+            assert np.array_equal(np.exp(-gamma * gather.d2_rows(0, np.array([i]))), want)
 
 
 def _structured(n, d, seed):
