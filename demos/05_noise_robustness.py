@@ -19,7 +19,7 @@ spec = FirstStageSpec("C1", "F", "hog")
 with tempfile.TemporaryDirectory() as td:
     man = synth_corpus(td, 60, seed=0)
     imgs = [load_gray(s.image_path) for s in man.samples]
-    y = man.labels().astype(np.float64)
+    y = man.labels()
 
     def sweep(kind, levels, make):
         print(f"{kind}:")

@@ -234,7 +234,7 @@ def _training_setup(ns, features_n):
     manifest = load_manifest(ns.manifest, check_files=False)
     if len(manifest) != features_n:
         raise DataError(f"manifest has {len(manifest)} rows, features {features_n}")
-    labels = manifest.labels().astype(np.float64)
+    labels = manifest.labels()
     if ns.folds:
         plan = load_folds(ns.folds)
         if plan.assignments.shape != (features_n,):
@@ -316,7 +316,7 @@ def cmd_eval_kfold(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
     idx = _protocol_indices(manifest, ns.protocol)
     sub = manifest.subset(idx)
-    labels = sub.labels().astype(np.float64)
+    labels = sub.labels()
 
     parsed = [_parse_stage(text) for text in ns.stage]
     fms = [_load_stage_features(path, len(manifest)) for _, path, _ in parsed]
@@ -365,9 +365,8 @@ def cmd_eval_crossdb(ns):
         test_stages.append(StageData(spec, te_fm.data[te_idx].astype(np.float64), pca))
 
     report, scores = run_crossdb(
-        train_stages, test_stages, tr_sub.labels().astype(np.float64),
-        te_sub.labels().astype(np.float64), train_man.dataset_name,
-        test_man.dataset_name, seed=ns.seed, **_svm_flags(ns))
+        train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
+        train_man.dataset_name, test_man.dataset_name, seed=ns.seed, **_svm_flags(ns))
     doc = _write_eval(ns, report, te_sub.samples, scores, mode="crossdb",
                       train_dataset=train_man.dataset_name,
                       test_dataset=test_man.dataset_name)
@@ -393,7 +392,7 @@ def _sweep_levels(ns):
 def cmd_noise_sweep(ns):
     levels = _sweep_levels(ns)
     manifest = load_manifest(ns.manifest)
-    labels = manifest.labels().astype(np.float64)
+    labels = manifest.labels()
     images = [load_gray(s.image_path) for s in manifest.samples]
     plan = make_folds(manifest, ns.k, seed=derive_seed(ns.seed, 77))
     spec = FirstStageSpec("sweep", "custom", ns.descriptor)

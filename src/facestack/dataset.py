@@ -72,7 +72,7 @@ class Manifest:
         return iter(self.samples)
 
     def labels(self):
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return np.array([s.label for s in self.samples], dtype=np.float64)
 
     def subset(self, indices):
         return Manifest(self.dataset_name, tuple(self.samples[i] for i in indices))
@@ -155,8 +155,6 @@ def adults_mask(manifest):
 class FoldPlan:
     k: int
     assignments: np.ndarray  # per-sample fold index in [0, k)
-    seed: int
-    grouping: str  # "by_sample" or "by_identity"
 
     def split(self, fold):
         """(train_indices, test_indices) for one held-out fold."""
@@ -200,7 +198,7 @@ def make_folds(manifest, k, seed, grouping="by_sample"):
             assignments[rows] = fold
             sizes[fold] += len(rows)
 
-    return FoldPlan(k, assignments, seed, grouping)
+    return FoldPlan(k, assignments)
 
 
 def save_folds(plan, path):
@@ -232,4 +230,4 @@ def load_folds(path):
     k = max(ids) + 1
     if min(ids) < 0 or k < 2 or len(ids) != k:  # every fold in [0, k) holds a row
         raise ParseError(f"{path}: fold ids must cover 0..k-1 with k >= 2, got {sorted(ids)}")
-    return FoldPlan(k, np.array([f for _, f in pairs], dtype=np.int64), 0, "by_sample")
+    return FoldPlan(k, np.array([f for _, f in pairs], dtype=np.int64))

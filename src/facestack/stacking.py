@@ -185,6 +185,8 @@ class StackedModel:
         stage_ids = tuple(spec.id for spec, _ in self.first_stage)
         if self.column_ids[: len(stage_ids)] != stage_ids:
             raise ConfigurationError("column_ids must start with the first-stage ids")
+        if len(set(self.column_ids)) != len(self.column_ids):
+            raise DataError(f"repeated score column id in {tuple(self.column_ids)}")
 
     @property
     def external_ids(self):

@@ -31,11 +31,12 @@ is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. That scaling and order of a part's
 rows is a `_Fold`, built when its sub-batch starts and shared by every fit
-on those rows. Up to _DENSE_BYTES its squared distances are a block of the
-sub-batch's stack for the length of the solve, and the fold keeps no scaled
-rows: scaling is elementwise, so the support rows rescaled from the
-caller's matrix after the solve have the same bits. Above that, the fold
-keeps its scaled rows and an LRU of _CACHE_ROWS distance rows.
+on those rows. A solve's `_Gather` owns their squared distances, in one
+of two forms under one bound, _DENSE_BYTES. Up to it they are a block of
+the sub-batch's stack, and the fold keeps no scaled rows: scaling is
+elementwise, so the support rows rescaled from the caller's matrix after
+the solve have the same bits. A fold above it solves alone, keeps its
+scaled rows, and has its distance rows computed on demand into an LRU.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
 terms of each row of A against B from one BLAS matrix-vector product B @ a
@@ -71,8 +72,7 @@ _TOL = 1e-3  # the KKT tolerance: every solve ends with gap m - M below it
 _TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
 _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
 _MAX_C = 1e6  # largest C, and C times a class weight; the solve time grows with C
-_DENSE_BYTES = 64 << 20  # a fold's squared distances stay one n x n array up to this
-_CACHE_ROWS = 1024  # squared-distance rows a fold keeps above _DENSE_BYTES
+_DENSE_BYTES = 64 << 20  # a fold's squared distances: one n x n array up to this, else an LRU
 _BATCH_BYTES = 3 << 20  # the distance memos of one sub-batch of a phase, padding included
 # Elements per BLAS matrix-vector product. OpenBLAS (0.3.31) splits one of more
 # than about 4.6e5 across threads, and where the split falls changes the last
@@ -229,8 +229,7 @@ class _Fold:
     that holds its values while the fold lives: `scaled` reads the rows from
     it again, since min-max scaling is elementwise and gives them the same
     bits. Above _DENSE_BYTES the fold also keeps its scaled rows, which
-    every row miss needs, and `lru`, a cache of _CACHE_ROWS distance rows;
-    up to it `lru` is None and `_Gather` holds the distances.
+    every row computed on demand needs.
     """
 
     def __init__(self, X, y, rows=None):
@@ -241,9 +240,7 @@ class _Fold:
         self.lo, self.hi, Xs = _scale_fit(Xs, out=Xs)
         order = _canonical_order(Xs, y[rows])
         self.src, self.rows, self.y = X, rows[order], y[rows[order]]
-        dense = _dense(len(self.y))
-        self.lru = None if dense else OrderedDict()
-        self._X = None if dense else np.ascontiguousarray(Xs[order])
+        self._X = None if _dense(len(self.y)) else np.ascontiguousarray(Xs[order])
 
     def __len__(self):
         return len(self.y)
@@ -255,85 +252,77 @@ class _Fold:
         Xs = self.src[self.rows[idx]]
         return _min_max(Xs, self.lo, self.hi, out=Xs)
 
-    def fill(self, out):
-        """Compute the squared distances between the fold's rows into out, an
-        (n, n) array or view.
+    def fill(self, out, lo=0):
+        """Compute the squared distances from the fold's rows lo, lo + 1, ...
+        to every row into out, an (m, n) array or a view of one.
 
-        Row i, here or from `d2_rows`, is `_sq_dists(X[i:i+1], X)[0]` with
-        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes. The
-        scaled rows live only for the call: one fold's at a time.
+        Row i is `_sq_dists(X[i:i+1], X)[0]` in a whole block or alone, with
+        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes. A dense
+        fold's scaled rows live only for the call: one fold's at a time.
         """
         Xs = self.scaled()
-        _sq_dists(Xs, Xs, out=out)
-        np.fill_diagonal(out, 0.0)
-
-    def d2_rows(self, idx):
-        """Squared distances from the rows idx (an int array) to every row
-        -> (len(idx), n), through the LRU of a fold above _DENSE_BYTES."""
-        rows = []
-        for i in idx.tolist():
-            if i not in self.lru:
-                if len(self.lru) >= _CACHE_ROWS:
-                    self.lru.popitem(last=False)
-                row = _sq_dists(self._X[i : i + 1], self._X)[0]
-                row[i] = 0.0
-                self.lru[i] = row
-            self.lru.move_to_end(i)
-            rows.append(self.lru[i])
-        return np.array(rows).reshape(len(idx), len(self))
+        _sq_dists(Xs[lo : lo + len(out)], Xs, out=out)
+        np.fill_diagonal(out[:, lo:], 0.0)
 
 
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem,
-    and the only owner of the dense folds' squared distances.
+    and the only owner of their folds' squared distances, in the form the
+    widest fold takes.
 
-    Each dense fold's distances are computed into its block of one padded
-    stack, so those problems' rows come out of one fancy index. A last
-    all-zero row stands in for the LRU folds' problems: padding has
-    distance 0, kernel 1. Their rows are then gathered fold by fold from
-    each fold's LRU.
+    Up to _DENSE_BYTES, each fold's distances are computed into its block of
+    one stack padded to the widest (padding has distance 0, kernel 1), so
+    every problem's row comes out of one fancy index. A fold above it solves
+    alone (`_sub_batches`), and its rows are computed on demand into an LRU
+    of at most _DENSE_BYTES (one row at least) that drops the least recently
+    used row first.
     """
 
-    def __init__(self, problems, n_max):
-        self.problems, self.n_max = problems, n_max
-        dense = {id(fold): fold for fold, _, _ in problems if fold.lru is None}
-        self.width = max((len(fold) for fold in dense.values()), default=1)
-        zero = len(dense) * self.width
-        self.stack = np.zeros((zero + 1, self.width))
-        slot = {}
-        for s, (key, fold) in enumerate(dense.items()):
-            n = len(fold)
-            fold.fill(self.stack[s * self.width : s * self.width + n, :n])
-            slot[key] = s * self.width
-        self.base = np.array([slot.get(id(fold), zero) for fold, _, _ in problems], dtype=np.intp)
+    def __init__(self, problems):
+        folds = {id(fold): fold for fold, _, _ in problems}
+        self.problems, self.width = problems, max(len(fold) for fold in folds.values())
+        self.lru = None
+        if _dense(self.width):
+            slot = {key: s * self.width for s, key in enumerate(folds)}
+            self.stack = np.zeros((len(folds) * self.width, self.width))
+            for key, fold in folds.items():
+                fold.fill(self.stack[slot[key] : slot[key] + len(fold), : len(fold)])
+            self.base = np.array([slot[id(fold)] for fold, _, _ in problems], dtype=np.intp)
+        else:
+            assert len(folds) == 1, "a fold above _DENSE_BYTES solves alone"
+            (self.fold,) = folds.values()
+            self.lru, self.cap = OrderedDict(), max(1, _DENSE_BYTES // (8 * self.width))
+            self.base = np.zeros(len(problems), dtype=np.intp)  # LRU rows are fold rows
         self.keep(np.ones(len(problems), dtype=bool))
 
     def keep(self, running):
         """Narrow to the problems still running (a mask over the current ones)."""
         self.problems = [p for p, r in zip(self.problems, running) if r]
         self.base = self.base[running]
-        self.step = (self.base < len(self.stack) - 1).astype(np.intp)  # 0: the zero row
         self.neg_gamma = np.array([[-params.gamma] for _, _, params in self.problems])
-        by_fold = {}
-        for a, (fold, _, _) in enumerate(self.problems):
-            if not self.step[a]:
-                by_fold.setdefault(id(fold), (fold, []))[1].append(a)
-        self.lru = [(fold, np.array(pos)) for fold, pos in by_fold.values()]
+
+    def _d2(self, rows):
+        """Squared distances of the memo rows `rows` (an int array) -> (len(rows), width)."""
+        if self.lru is None:
+            return self.stack[rows]
+        out = []
+        for i in rows.tolist():
+            if i not in self.lru:
+                if len(self.lru) >= self.cap:
+                    self.lru.popitem(last=False)
+                self.lru[i] = np.empty(self.width)
+                self.fold.fill(self.lru[i][None], i)
+            self.lru.move_to_end(i)
+            out.append(self.lru[i])
+        return np.array(out).reshape(len(rows), self.width)
 
     def __call__(self, rows):
-        d2 = np.zeros((len(rows), self.n_max))
-        d2[:, : self.width] = self.stack[self.base + self.step * rows]
-        for fold, pos in self.lru:
-            d2[pos, : len(fold)] = fold.d2_rows(rows[pos])
-        return np.exp(self.neg_gamma * d2)
+        return np.exp(self.neg_gamma * self._d2(self.base + rows))
 
     def d2_rows(self, a, idx):
         """Squared distances from the rows idx (an int array) of running
         problem a's fold to every row of it -> (len(idx), n)."""
-        fold = self.problems[a][0]
-        if fold.lru is not None:
-            return fold.d2_rows(idx)
-        return self.stack[self.base[a] + idx, : len(fold)]
+        return self._d2(self.base[a] + idx)[:, : len(self.problems[a][0])]
 
 
 def _violators(y, alpha, C, G):
@@ -414,7 +403,7 @@ def _solve(problems):
     alpha, G = np.zeros((P, n_max)), -np.ones((P, n_max))
     iters = np.zeros(P, dtype=np.int64)
     ids = np.arange(P)  # problem of each running row
-    gather = _Gather(problems, n_max)
+    gather = _Gather(problems)
     out = [None] * P
     while len(ids):
         r = np.arange(len(ids))
@@ -540,20 +529,13 @@ def _check_jobs(jobs):
     return label_C
 
 
-def _memo_bytes(sizes):
-    """Bytes of the distance memos of folds of these sizes in one `_solve`:
-    the dense ones padded to the widest, each LRU one at its full cache."""
-    dense = [n for n in sizes if _dense(n)]
-    lru = sum(min(n, _CACHE_ROWS) * n * 8 for n in sizes if not _dense(n))
-    return len(dense) * max(dense, default=0) ** 2 * 8 + lru
-
-
 def _sub_batches(parts):
-    """Parts, in order, cut into runs whose memos fit _BATCH_BYTES (a part
-    over it on its own runs alone)."""
+    """Parts, in order, cut into runs whose dense memos, padded to the
+    widest, fit _BATCH_BYTES; a part above _DENSE_BYTES runs alone."""
     runs = []
     for part in parts:
-        if runs and _memo_bytes([len(p) for p in runs[-1]] + [len(part)]) <= _BATCH_BYTES:
+        width = max(len(p) for p in runs[-1] + [part]) if runs else 0
+        if runs and _dense(width) and (len(runs[-1]) + 1) * width * width * 8 <= _BATCH_BYTES:
             runs[-1].append(part)
         else:
             runs.append([part])

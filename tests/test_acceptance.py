@@ -207,7 +207,7 @@ def test_c06_noise_monotonicity(tmp_path):
                "non-increasing within 2 points per step", 300.0):
         man = synth_corpus(tmp_path, 200, seed=0)
         imgs = [load_gray(s.image_path) for s in man.samples]
-        y = man.labels().astype(np.float64)
+        y = man.labels()
         spec = FirstStageSpec("C1", "F", "hog")
         params = SvmParams(C=8.0, gamma=0.04)
         accs = []
@@ -342,7 +342,7 @@ def test_c10_groups_reference_accuracies():
     def run(mask, stages, target, label):
         idx = np.flatnonzero(mask)
         sub = manifest.subset(idx)
-        y = sub.labels().astype(np.float64)
+        y = sub.labels()
         data = [StageData(FirstStageSpec(sid, pat, desc), features_for(sub, pat, desc))
                 for sid, pat, desc in stages]
         folds = make_folds(sub, 5, seed=0)

@@ -88,7 +88,7 @@ def test_stack_grid_matches_direct_stack_fit(workspace, tmp_path):
     mats = [load_features(workspace / f"{d}.fsfm").data.astype(np.float64)
             for d in ("hog", "losib")]
     labels = load_manifest(workspace / "corpus" / "manifest.csv",
-                           check_files=False).labels().astype(np.float64)
+                           check_files=False).labels()
     model = stack_fit(mats, labels, load_folds(workspace / "folds.csv"),
                       [CANONICAL_STAGES["C1"], CANONICAL_STAGES["C4"]],
                       params=None)

@@ -30,7 +30,8 @@ def _manifest(n=10):
 def test_sample_labels():
     assert _sample(0, "m").label == 1
     assert _sample(1, "f").label == -1
-    assert _manifest(4).labels().tolist() == [-1, 1, -1, 1]
+    labels = _manifest(4).labels()
+    assert labels.dtype == np.float64 and labels.tolist() == [-1.0, 1.0, -1.0, 1.0]
 
 
 def test_sample_validation():

@@ -364,18 +364,19 @@ def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
     real = svm_module._solve
 
     def spy(problems):
-        solves.append([fold.lru is not None for fold, _, _ in problems])
+        distinct = {id(fold): fold for fold, _, _ in problems}.values()
+        solves.append([not svm_module._dense(len(fold)) for fold in distinct])
         return real(problems)
 
     monkeypatch.setattr(svm_module, "_solve", spy)
-    monkeypatch.setattr(svm_module, "_DENSE_BYTES", 29 * 29 * 8)  # 30-row folds are LRU
-    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 5)  # evicts rows along the way
-    # room for two dense 20-row memos and one 30-row LRU cache
-    monkeypatch.setattr(svm_module, "_BATCH_BYTES", 2 * 20 * 20 * 8 + 5 * 30 * 8)
+    # 20-row folds are dense, 30-row folds LRU with 13 rows cached: evicts rows along the way
+    monkeypatch.setattr(svm_module, "_DENSE_BYTES", 20 * 20 * 8)
+    monkeypatch.setattr(svm_module, "_BATCH_BYTES", 2 * 20 * 20 * 8)  # two dense 20-row memos
     fit("got.fstk")
     *first_phase, meta = solves
     assert len(first_phase) >= 3 and meta == [True]
-    assert any(any(lru) and not all(lru) for lru in first_phase)  # LRU among dense
+    assert any(any(lru) for lru in first_phase)
+    assert all(lru == [True] for lru in solves if any(lru))  # each LRU fold solves alone
     assert (tmp_path / "got.fstk").read_bytes() == (tmp_path / "want.fstk").read_bytes()
     assert np.array_equal(kfold(), want)
     assert len(solves) > 3 + 1 + 2  # each phase of the k-fold run cut too

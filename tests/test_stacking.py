@@ -267,6 +267,23 @@ def test_load_stacked_rejects_garbage(tmp_path):
         load_stacked(tmp_path / "missing.fstk")
 
 
+def test_load_stacked_rejects_a_repeated_column_id(tmp_path):
+    # column ids ('C1', 'C1'): what `stack` saved before stack_fit rejected an
+    # external column named like a first stage
+    views, y = _views(30, seed=17)
+    model = stack_fit([views[0]], y, make_folds(y, 3, seed=0), _specs(1),
+                      external_scores=ScoreMatrix(np.c_[y], ("X1",)), params=PARAMS)
+    p = tmp_path / "stack.fstk"
+    save_stacked(p, model)
+    data = p.read_bytes()
+    assert data.count(b"X1") == 1
+    p.write_bytes(data.replace(b"X1", b"C1"))
+    with pytest.raises(DataError, match="repeated score column id"):
+        load_stacked(p)
+    with pytest.raises(DataError):
+        StackedModel(model.first_stage, model.meta, ("C1", "C1"))
+
+
 def test_misaligned_inputs():
     views, y = _views(30, seed=16)
     folds = make_folds(y, 3, seed=0)

@@ -303,12 +303,11 @@ def test_sq_dists_match_the_difference_square_sum(m, n, d):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "lru"])
 def test_memo_rows_equal_direct_rows(monkeypatch, dense):
-    if not dense:
-        monkeypatch.setattr(svm_module, "_DENSE_BYTES", 0)
-        monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
+    if not dense:  # 30 rows are LRU, 7 of them cached: evicts rows along the way
+        monkeypatch.setattr(svm_module, "_DENSE_BYTES", 7 * 30 * 8)
     rng = np.random.default_rng(40)
     fold = _Fold(rng.random((30, 97)), np.where(np.arange(30) % 3, 1.0, -1.0))
-    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))], len(fold))
+    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))])
     for _ in range(12):  # one or a few rows at a time, in random order, repeats included
         idx = rng.integers(0, 30, rng.integers(1, 5))
         assert np.array_equal(gather.d2_rows(0, idx), _memo_rows(fold, idx))
@@ -331,12 +330,12 @@ def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
                        Job(shared, SvmParams(C=0.5, gamma=1.5))]
 
     want = solve_jobs(jobs())  # every fold dense
-    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)  # evicts rows along the way
+    # LRU folds cache 25 of 64 and 32 of 50 rows, then one row: evicts rows along the way
     for dense_bytes, dense in [(40 * 40 * 8, [True, False, True, False, True]),
                                (0, [False] * 5)]:
         monkeypatch.setattr(svm_module, "_DENSE_BYTES", dense_bytes)
         batch = jobs()
-        assert [_Fold(job.part.X, job.part.y).lru is None for job in batch[:5]] == dense
+        assert [svm_module._dense(len(job.part)) for job in batch[:5]] == dense
         _assert_same_models(solve_jobs(batch), want)
 
 
@@ -347,12 +346,11 @@ def test_jobs_on_one_part_share_one_fold(monkeypatch):
 
     def spy(X, y, rows=None):
         fold = real(X, y, rows)
-        built.append((id(X), None if rows is None else tuple(rows), fold.lru is None))
+        built.append((id(X), None if rows is None else tuple(rows), svm_module._dense(len(fold))))
         return fold
 
     monkeypatch.setattr(svm_module, "_Fold", spy)
     monkeypatch.setattr(svm_module, "_DENSE_BYTES", 40 * 40 * 8)  # 64 and 50 rows are LRU
-    monkeypatch.setattr(svm_module, "_CACHE_ROWS", 7)
     fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
     parts = [Part(X, y) for X, y, _, _ in fits] + [Part(fits[1][0], fits[1][1], np.arange(40))]
     grid = [SvmParams(C=C, gamma=g) for C in (0.5, 2.0) for g in (0.3, 1.5)]
@@ -483,7 +481,7 @@ def test_default_grid_layout():
 
 def test_grid_search_picks_sensible_params():
     X, y = _blobs(30, gap=1.2, seed=13)
-    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    folds = FoldPlan(3, np.arange(len(y)) % 3)
     best = grid_search(X, y, folds)
     assert best in default_grid()
     assert best == grid_search(X, y, folds)  # deterministic
@@ -496,7 +494,7 @@ def test_grid_search_beats_bad_params():
     centers = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
     X = np.vstack([rng.normal(0, 0.2, (12, 2)) + [cx, cy] for cx, cy, _ in centers])
     y = np.array(sum(([float(s)] * 12 for _, _, s in centers), []))
-    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    folds = FoldPlan(3, np.arange(len(y)) % 3)
     good = SvmParams(C=4.0, gamma=4.0)
     bad = SvmParams(C=0.25, gamma=1e-6)
     assert grid_search(X, y, folds, grid=[bad, good]) == good
@@ -504,7 +502,7 @@ def test_grid_search_beats_bad_params():
 
 def test_grid_search_empty_grid():
     X, y = _blobs(6)
-    folds = FoldPlan(2, np.arange(len(y)) % 2, 0, "by_sample")
+    folds = FoldPlan(2, np.arange(len(y)) % 2)
     with pytest.raises(ConfigurationError):
         grid_search(X, y, folds, grid=[])
 
@@ -541,7 +539,7 @@ _HAND_GRID = [  # gamma values repeated and out of order
 ], ids=["default", "class_weight", "hand_grid"])
 def test_grid_search_matches_naive_loop(grid, class_weight):
     X, y = _blobs(30, gap=0.35, d=8, seed=21)
-    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    folds = FoldPlan(3, np.arange(len(y)) % 3)
     points = default_grid() if grid is None else grid
     want_scores, want = _naive_scores(X, y, folds, points, class_weight)
     got_scores = cv_scores(X, y, folds, points, class_weight)
@@ -563,7 +561,7 @@ def test_fold_distances_give_the_direct_kernel(n, d):
     # to kernels computed directly on the same rows, with K(i, i) = 1
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
-    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))], n)
+    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))])
     X = fold.scaled()
     for gamma in GRID_GAMMA:
         p = SvmParams(C=1.0, gamma=gamma)
@@ -585,7 +583,7 @@ def _structured(n, d, seed):
 @pytest.mark.parametrize("d", [576, 1475])
 def test_cv_scores_equal_decision_function_in_high_dims(d):
     X, y = _structured(60, d, seed=d)
-    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    folds = FoldPlan(3, np.arange(len(y)) % 3)
     grid = [SvmParams(C=c, gamma=g) for c in (0.25, 4.0) for g in (0.01, 0.1)]
     train_idx = folds.split(0)[0]
     supports = {len(svm_fit(X[train_idx], y[train_idx], p).dual_coefs) for p in grid}
@@ -598,7 +596,7 @@ _THREADS_SCRIPT = """
 import sys
 import numpy as np
 from facestack import (FirstStageSpec, SvmModel, SvmParams, make_folds, save_model,
-                       save_stacked, stack_fit, svm_fit)
+                       save_stacked, stack_fit, svm, svm_fit)
 from facestack.svm import _sq_dists
 
 out = sys.argv[1]
@@ -618,12 +616,14 @@ np.save(out + "/d2.npy", _sq_dists(B[:40], B))
 sv = rng.random((1001, 8))
 model = SvmModel(sv, rng.normal(0, 1, 1001), 0.0, params, np.zeros(8), np.ones(8))
 np.save(out + "/scores.npy", model.decision_function(rng.random((1001, 8))))
+svm._DENSE_BYTES = 100 * n * 8  # an LRU fold: its 100 cached rows are computed on demand
+save_model(out + "/lru.fsvm", svm_fit(views[1], y, params))
 """
 
 
 def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """SVM models, stacked models, distances and scores have the same bytes
-    under 1 and 2 BLAS threads. `:pcaN` stages are the exception, and not
+    """SVM models (dense and LRU folds), stacked models, distances and scores
+    have the same bytes under 1 and 2 BLAS threads. `:pcaN` stages are the exception, and not
     tested here: `pca_fit` and its transform (gemm and `eigh`) give
     different bytes under 1 and 2 threads."""
     src = os.path.dirname(os.path.dirname(facestack.__file__))
@@ -636,14 +636,14 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(outputs[0]) == ["c1.fsvm", "d2.npy", "s.fstk", "scores.npy"]
+    assert sorted(outputs[0]) == ["c1.fsvm", "d2.npy", "lru.fsvm", "s.fstk", "scores.npy"]
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
 
 
 def test_grid_search_solves_one_batch(monkeypatch):
     X, y = _blobs(15, gap=1.0, seed=23)
-    folds = FoldPlan(3, np.arange(len(y)) % 3, 0, "by_sample")
+    folds = FoldPlan(3, np.arange(len(y)) % 3)
     batches = []
     real_solve = svm_module._solve
 
