@@ -102,12 +102,12 @@ def _svm_flags(ns):
 _STAGE_RE = re.compile(r":pca(\d+)$")
 
 
-def _parse_stage(text, paired=False):
-    """Parse ID=FILE[:pcaN] (or ID=TRAIN,TEST[:pcaN] when paired)."""
+def _parse_stage(text, n_files):
+    """Parse ID=FILE[:pcaN], FILE being n_files comma-separated files (TRAIN,TEST
+    for 2) -> (id, [file, ...], pca)."""
+    shape = "ID=" + ("FILE" if n_files == 1 else "TRAIN,TEST") + "[:pcaN]"
     if "=" not in text:
-        raise ConfigurationError(
-            f"stage {text!r} must look like ID=FILE[:pcaN]"
-            + (" with FILE as TRAIN,TEST" if paired else ""))
+        raise ConfigurationError(f"stage {text!r} must look like {shape}")
     sid, rest = text.split("=", 1)
     pca = 0
     m = _STAGE_RE.search(rest)
@@ -116,12 +116,10 @@ def _parse_stage(text, paired=False):
         if not pca:
             raise ConfigurationError(f"stage {text!r}: PCA needs at least one component")
         rest = rest[: m.start()]
-    if paired:
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"stage {text!r}: need TRAIN,TEST feature files")
-        return sid, parts[0], parts[1], pca
-    return sid, rest, pca
+    files = rest.split(",")
+    if len(files) != n_files:
+        raise ConfigurationError(f"stage {text!r} must look like {shape}")
+    return sid, files, pca
 
 
 def _stage_specs(sids, descriptor_ids):
@@ -140,11 +138,38 @@ def _stage_specs(sids, descriptor_ids):
     return specs
 
 
-def _load_stage_features(path, n_expected):
+def _features(path, manifest):
+    """The feature file at path, which must hold one row per manifest row."""
     fm = load_features(path)
-    if len(fm.data) != n_expected:
-        raise DataError(f"{path}: {len(fm.data)} rows, manifest has {n_expected}")
+    if len(fm.data) != len(manifest):
+        raise DataError(f"{path}: {len(fm.data)} rows, manifest has {len(manifest)}")
     return fm
+
+
+def _load_stages(texts, sides):
+    """The --stage texts as one StageData list per side. sides holds one
+    (manifest, rows) pair per file of a stage: file i has one row per row of
+    manifest i, and its StageData keeps the rows `rows` of it."""
+    parsed = [_parse_stage(text, len(sides)) for text in texts]
+    out = []
+    for i, (manifest, rows) in enumerate(sides):
+        fms = [_features(files[i], manifest) for _, files, _ in parsed]
+        specs = _stage_specs([sid for sid, _, _ in parsed], [fm.descriptor_id for fm in fms])
+        out.append([StageData(spec, fm.data[rows].astype(np.float64), pca)
+                    for spec, fm, (_, _, pca) in zip(specs, fms, parsed)])
+    return out
+
+
+def _fold_plan(path, manifest, k, seed, grouping="by_sample"):
+    """The fold plan at path (--folds), which must cover the manifest's rows,
+    or without one a k-fold plan of the manifest made from seed."""
+    if not path:
+        return make_folds(manifest, k, derive_seed(seed, 77), grouping)
+    plan = load_folds(path)
+    if plan.assignments.shape != (len(manifest),):
+        raise DataError(f"{path}: fold plan covers {len(plan.assignments)} rows, "
+                        f"manifest has {len(manifest)}")
+    return plan
 
 
 def _protocol_indices(manifest, protocol):
@@ -230,23 +255,11 @@ def cmd_extract(ns):
     return {"n_samples": int(fm.data.shape[0]), "n_dims": int(fm.data.shape[1])}, []
 
 
-def _training_setup(ns, features_n):
-    manifest = load_manifest(ns.manifest, check_files=False)
-    if len(manifest) != features_n:
-        raise DataError(f"manifest has {len(manifest)} rows, features {features_n}")
-    labels = manifest.labels()
-    if ns.folds:
-        plan = load_folds(ns.folds)
-        if plan.assignments.shape != (features_n,):
-            raise DataError("fold plan does not cover the feature rows")
-    else:
-        plan = make_folds(manifest, ns.kfolds, seed=derive_seed(ns.seed, 77))
-    return manifest, labels, plan
-
-
 def cmd_train(ns):
-    fm = load_features(ns.features)
-    manifest, labels, plan = _training_setup(ns, len(fm.data))
+    manifest = load_manifest(ns.manifest, check_files=False)
+    fm = _features(ns.features, manifest)
+    labels = manifest.labels()
+    plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
     flags = _svm_flags(ns)
     params, cw = flags["params"], flags["class_weight"]
     if params is None:
@@ -261,23 +274,17 @@ def cmd_train(ns):
 
 
 def cmd_stack(ns):
-    parsed = [_parse_stage(s) for s in ns.stage]
-    if not parsed:
-        raise ConfigurationError("need at least one --stage")
-    fms = []
-    for _, path, pca in parsed:
-        if pca:
-            raise ConfigurationError("PCA stage suffixes are only supported by eval")
-        fms.append(load_features(path))
-        if len(fms[-1].data) != len(fms[0].data):
-            raise DataError(f"{path}: row count differs from the first stage file")
-    specs = _stage_specs([p[0] for p in parsed], [fm.descriptor_id for fm in fms])
-    mats = [fm.data.astype(np.float64) for fm in fms]
-    manifest, labels, plan = _training_setup(ns, len(mats[0]))
+    manifest = load_manifest(ns.manifest, check_files=False)
+    (stages,) = _load_stages(ns.stage, [(manifest, slice(None))])
+    if any(stage.pca_components for stage in stages):
+        raise ConfigurationError("PCA stage suffixes are only supported by eval")
+    plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
     external = load_scores(ns.external) if ns.external else None
-    model = stack_fit(mats, labels, plan, specs, external_scores=external, **_svm_flags(ns))
+    model = stack_fit([stage.features for stage in stages], manifest.labels(), plan,
+                      [stage.spec for stage in stages], external_scores=external,
+                      **_svm_flags(ns))
     save_stacked(ns.out, model)
-    print(f"stack: {len(specs)} first-stage columns "
+    print(f"stack: {len(stages)} first-stage columns "
           f"{'+ external ' if external else ''}-> {ns.out}")
     return {"columns": list(model.column_ids)}, []
 
@@ -316,23 +323,15 @@ def cmd_eval_kfold(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
     idx = _protocol_indices(manifest, ns.protocol)
     sub = manifest.subset(idx)
-    labels = sub.labels()
 
-    parsed = [_parse_stage(text) for text in ns.stage]
-    fms = [_load_stage_features(path, len(manifest)) for _, path, _ in parsed]
-    specs = _stage_specs([p[0] for p in parsed], [fm.descriptor_id for fm in fms])
-    stages = [StageData(spec, fm.data[idx].astype(np.float64), pca)
-              for spec, fm, (_, _, pca) in zip(specs, fms, parsed)]
-    if ns.folds:
-        if ns.protocol != "none":
-            raise ConfigurationError(
-                "--folds plans index the unfiltered manifest; with a protocol "
-                "preset, let eval build folds on the filtered rows")
-        plan = load_folds(ns.folds)  # run_kfold checks that it covers the rows
-    else:
-        plan = make_folds(sub, ns.k, seed=derive_seed(ns.seed, 77), grouping=ns.grouping)
+    (stages,) = _load_stages(ns.stage, [(manifest, idx)])
+    if ns.folds and ns.protocol != "none":
+        raise ConfigurationError(
+            "--folds plans index the unfiltered manifest; with a protocol "
+            "preset, let eval build folds on the filtered rows")
+    plan = _fold_plan(ns.folds, sub, ns.k, ns.seed, ns.grouping)
 
-    report, scores = run_kfold(stages, labels, folds=plan, seed=ns.seed, **_svm_flags(ns))
+    report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed, **_svm_flags(ns))
     doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
                       dataset=manifest.dataset_name)
     doc["mean_patterns"] = []
@@ -353,16 +352,7 @@ def cmd_eval_crossdb(ns):
     te_idx = _protocol_indices(test_man, ns.protocol)
     tr_sub, te_sub = train_man.subset(tr_idx), test_man.subset(te_idx)
 
-    parsed = [_parse_stage(text, paired=True) for text in ns.stage]
-    pairs = [(_load_stage_features(tr_path, len(train_man)),
-              _load_stage_features(te_path, len(test_man))) for _, tr_path, te_path, _ in parsed]
-    sids = [p[0] for p in parsed]
-    specs = _stage_specs(sids, [tr_fm.descriptor_id for tr_fm, _ in pairs])
-    _stage_specs(sids, [te_fm.descriptor_id for _, te_fm in pairs])  # the test side must fit too
-    train_stages, test_stages = [], []
-    for spec, (tr_fm, te_fm), (*_, pca) in zip(specs, pairs, parsed):
-        train_stages.append(StageData(spec, tr_fm.data[tr_idx].astype(np.float64), pca))
-        test_stages.append(StageData(spec, te_fm.data[te_idx].astype(np.float64), pca))
+    train_stages, test_stages = _load_stages(ns.stage, [(train_man, tr_idx), (test_man, te_idx)])
 
     report, scores = run_crossdb(
         train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
@@ -394,7 +384,7 @@ def cmd_noise_sweep(ns):
     manifest = load_manifest(ns.manifest)
     labels = manifest.labels()
     images = [load_gray(s.image_path) for s in manifest.samples]
-    plan = make_folds(manifest, ns.k, seed=derive_seed(ns.seed, 77))
+    plan = _fold_plan(None, manifest, ns.k, ns.seed)
     spec = FirstStageSpec("sweep", "custom", ns.descriptor)
 
     rows = []

@@ -17,7 +17,7 @@ from .dataset import make_folds
 from .errors import ConfigurationError, DataError
 from .geometry import _require_gray, _round_u8
 from .pca import pca_fit
-from .stacking import DEFAULT_STAGE_PARAMS, FirstStageSpec, _fit_plan
+from .stacking import DEFAULT_STAGE_PARAMS, FirstStageSpec, _fit_plan, _matrices
 from .svm import Part, derive_seed, solve_plans
 from .svm import svm_fit  # noqa: F401  (perfbench's tracer patches it in every namespace)
 
@@ -171,10 +171,6 @@ def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params
     return first[0] if meta is None else meta
 
 
-def _float_mats(stages):
-    return [np.asarray(s.features, dtype=np.float64) for s in stages]
-
-
 def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARAMS,
               class_weight=None):
     """k-fold evaluation with pooled test scores.
@@ -186,19 +182,14 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
     (EvalReport, pooled score per row).
     """
     stages = list(stages)
-    if not stages:
-        raise ConfigurationError("no stages to evaluate")
     y = np.asarray(labels, dtype=np.float64)
-    n = len(y)
-    if any(len(s.features) != n for s in stages):
-        raise DataError("stage features not aligned with labels")
+    mats, n = _matrices([s.features for s in stages], len(y))
     if folds is None:
         folds = make_folds(y, k, derive_seed(seed, 77))
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
     splits = [folds.split(f) for f in range(folds.k)]
     _check_pca(stages, min(len(train_idx) for train_idx, _ in splits))
-    mats = _float_mats(stages)
     plans = [_fit_and_score(stages, mats, y, mats, train_idx, test_idx,
                             derive_seed(seed, 5, f), params, class_weight)
              for f, (train_idx, test_idx) in enumerate(splits)]
@@ -228,10 +219,12 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     test_stages = list(test_stages)
     if [s.spec for s in train_stages] != [s.spec for s in test_stages]:
         raise ConfigurationError("train and test stages must list the same specs")
-    _check_pca(train_stages, len(train_labels))
-    plan = _fit_and_score(train_stages, _float_mats(train_stages),
-                          np.asarray(train_labels, dtype=np.float64), _float_mats(test_stages),
-                          None, None, derive_seed(seed, 9), params, class_weight)
+    y = np.asarray(train_labels, dtype=np.float64)
+    train_mats, _ = _matrices([s.features for s in train_stages], len(y))
+    test_mats, _ = _matrices([s.features for s in test_stages], len(test_labels))
+    _check_pca(train_stages, len(y))
+    plan = _fit_and_score(train_stages, train_mats, y, test_mats, None, None,
+                          derive_seed(seed, 9), params, class_weight)
     (scores,) = solve_plans([plan])
     report = evaluate(scores, np.asarray(test_labels, dtype=np.float64))
     return report, scores

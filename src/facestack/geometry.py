@@ -91,14 +91,6 @@ class SimilarityTransform:
     tx: float
     ty: float
 
-    @property
-    def scale(self):
-        return math.hypot(self.a, self.b)
-
-    @property
-    def rotation(self):
-        return math.atan2(self.b, self.a)
-
     def apply(self, point):
         x, y = point
         return (self.a * x - self.b * y + self.tx, self.b * x + self.a * y + self.ty)

@@ -8,11 +8,12 @@ through Pillow when it is installed, behind the same grayscale interface.
 import numpy as np
 
 from .errors import DataError
+from .records import open_binary
 
 
 def read_pgm(path):
     """Read a binary (P5) PGM into an HxW uint8 array."""
-    with open(path, "rb") as fh:
+    with open_binary(path, "PGM image") as fh:
         data = fh.read()
 
     fields = []
@@ -68,7 +69,7 @@ def load_gray(path):
     PGM is decoded natively; anything else goes through Pillow if present.
     """
     path = str(path)
-    with open(path, "rb") as fh:
+    with open_binary(path, "image") as fh:
         magic = fh.read(2)
     if magic == b"P5":
         return read_pgm(path)

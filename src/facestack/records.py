@@ -7,9 +7,9 @@ followed by that many UTF-8 bytes, and arrays raw little-endian rows.
 Records are self-delimiting, so a file may hold several back to back; a
 file ends exactly where its last record does. Any short read, wrong magic,
 unknown version, bad UTF-8 or trailing byte raises DataError naming the
-file. `open_binary` opens a record file and `read_text` a CSV input; both
-turn a missing or unreadable file into DataError as well, and `read_text`
-a non-UTF-8 one.
+file. `open_binary` opens a record file or an image and `read_text` a CSV
+input; both turn a missing or unreadable file into DataError as well, and
+`read_text` a non-UTF-8 one.
 """
 
 import io

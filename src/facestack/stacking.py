@@ -59,9 +59,10 @@ S_CONFIGS = {
 }
 
 
-def _as_matrices(X_per_spec, specs, n=None):
-    if len(X_per_spec) != len(specs):
-        raise DataError("need one feature matrix per first-stage spec")
+def _matrices(X_per_spec, n=None):
+    """X_per_spec as float64 2-D arrays of n rows (the first's if None) -> (mats, n)."""
+    if not len(X_per_spec):
+        raise ConfigurationError("no stages: need at least one first-stage feature matrix")
     mats = []
     for X in X_per_spec:
         if hasattr(X, "descriptor_id"):  # FeatureMatrix
@@ -72,22 +73,19 @@ def _as_matrices(X_per_spec, specs, n=None):
         if n is None:
             n = len(X)
         elif len(X) != n:
-            raise DataError("feature matrices are not row-aligned")
+            raise DataError(f"features and labels are not row-aligned: {len(X)} rows, not {n}")
         mats.append(X)
     return mats, n
 
 
-def _checked(X_per_spec, y, folds, specs):
-    """Checked inputs -> (specs, mats, y)."""
+def _checked(X_per_spec, y, specs):
+    """Checked inputs -> (specs, mats, y). The fold plan is checked where
+    it is split (`svm.cv_jobs`)."""
     specs = list(specs)
-    if not specs:
-        raise ConfigurationError("no first-stage specs")
-    mats, n = _as_matrices(X_per_spec, specs)
     y = np.asarray(y, dtype=np.float64)
-    if len(y) != n:
-        raise DataError("labels not aligned with feature rows")
-    if folds.assignments.shape != (n,):
-        raise DataError("fold plan not aligned with feature rows")
+    mats, _ = _matrices(X_per_spec, len(y))
+    if len(mats) != len(specs):
+        raise DataError("need one feature matrix per first-stage spec")
     return specs, mats, y
 
 
@@ -158,7 +156,7 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_w
     params is one SvmParams for every spec, or None to grid-search each
     spec on `folds` and keep the winner's held-out scores.
     """
-    specs, mats, y = _checked(X_per_spec, y, folds, specs)
+    specs, mats, y = _checked(X_per_spec, y, specs)
     plan = _columns_plan([Part(X, y) for X in mats], y, folds, params, class_weight)
     _, cols, _ = solve_plans([plan])[0]
     return ScoreMatrix(scores=cols, column_ids=tuple(s.id for s in specs))
@@ -181,10 +179,10 @@ class StackedModel:
 
     def __post_init__(self):
         if self.meta.n_dims != len(self.column_ids):
-            raise ConfigurationError("meta model dimension != number of score columns")
+            raise DataError("meta model dimension != number of score columns")
         stage_ids = tuple(spec.id for spec, _ in self.first_stage)
-        if self.column_ids[: len(stage_ids)] != stage_ids:
-            raise ConfigurationError("column_ids must start with the first-stage ids")
+        if not stage_ids or self.column_ids[: len(stage_ids)] != stage_ids:
+            raise DataError("column_ids must start with the ids of one or more first stages")
         if len(set(self.column_ids)) != len(self.column_ids):
             raise DataError(f"repeated score column id in {tuple(self.column_ids)}")
 
@@ -205,7 +203,7 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
     the score columns with the same plan. The fits run in the phases of
     `_fit_plan`.
     """
-    specs, mats, y = _checked(X_per_spec, y, folds, specs)
+    specs, mats, y = _checked(X_per_spec, y, specs)
     column_ids, external = [s.id for s in specs], None
     if external_scores is not None:
         repeated = [cid for cid in external_scores.column_ids if cid in column_ids]
@@ -228,7 +226,9 @@ def stack_scores(model, X_per_spec, external=None):
     external maps column id -> per-row score array for any non-first-stage
     columns the meta model was trained with.
     """
-    mats, n = _as_matrices(X_per_spec, [spec for spec, _ in model.first_stage])
+    if len(X_per_spec) != len(model.first_stage):
+        raise DataError("need one feature matrix per first-stage spec")
+    mats, n = _matrices(X_per_spec)
     cols = [m.decision_function(X) for (_, m), X in zip(model.first_stage, mats)]
     external = external or {}
     for cid in model.external_ids:

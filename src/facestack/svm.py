@@ -634,8 +634,10 @@ def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
 
 
 def cv_jobs(part, folds, grid, class_weight=None):
-    """The jobs of cv_scores on a Part whose rows `folds` splits: for each
-    fold, its held-out rows scored under every grid point."""
+    """The jobs of cv_scores on a Part whose rows `folds` splits, one fold per
+    row: for each fold, its held-out rows scored under every grid point."""
+    if folds.assignments.shape != (len(part),):
+        raise DataError(f"fold plan covers {len(folds.assignments)} rows, part has {len(part)}")
     jobs = []
     for f in range(folds.k):
         train, test = folds.split(f)

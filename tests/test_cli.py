@@ -587,3 +587,61 @@ def test_corrupt_inputs_exit_2_or_3(workspace, tmp_path, capsys, command, how):
         out = tmp_path / name / ("out" if command.startswith("eval") else "out.bin")
         rc = main(["--out", str(out)] + [a.format(**paths) for a in argv])
         assert rc in (2, 3), (name, rc, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["eval kfold", "eval crossdb"])
+def test_no_stage_exits_2_before_any_fit(workspace, tmp_path, capsys, monkeypatch, command):
+    # eval crossdb without --stage once ended in an IndexError traceback
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    assert main(["--out", str(tmp_path / "out")] + _stage_argv(workspace, command, [])) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at least one first-stage feature matrix" in err
+
+
+@pytest.mark.parametrize("command, files", [
+    pytest.param("stack", "{f},{f}", id="stack-2"),
+    pytest.param("eval kfold", "{f},{f}", id="kfold-2"),
+    pytest.param("eval crossdb", "{f}", id="crossdb-1"),
+    pytest.param("eval crossdb", "{f},{f},{f}", id="crossdb-3"),
+])
+def test_wrong_number_of_stage_files_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                                             command, files):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    argv = _stage_argv(workspace, command, [("C1", "hog")])
+    argv[-1] = "C1=" + files.format(f=workspace / "hog.fsfm")
+    out = tmp_path / ("out" if command.startswith("eval") else "out.fstk")
+    assert main(["--out", str(out)] + argv) == 2
+    assert "must look like ID=" in capsys.readouterr().err
+
+
+def test_eval_kfold_missing_patterns_dir_exits_3(workspace, tmp_path, capsys):
+    # reading a mean pattern's images from a missing directory was a traceback
+    argv = _stage_argv(workspace, "eval kfold", [("C1", "hog")])
+    rc = main(["--out", str(tmp_path / "e")] + argv + ["--patterns", str(tmp_path / "nope")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "nope" in err
+
+
+def test_fold_plan_must_cover_the_manifest(workspace, tmp_path, capsys):
+    lines = (workspace / "folds.csv").read_text().splitlines()
+    plan = tmp_path / "short.csv"
+    plan.write_text("\n".join(lines[:-3]) + "\n")  # 27 of 30 rows
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    hog = str(workspace / "hog.fsfm")
+    for args in (["train", "--features", hog], ["stack", "--stage", f"C1={hog}"],
+                 ["eval", "kfold", "--stage", f"C1={hog}"]):
+        out = tmp_path / ("e" if args[0] == "eval" else "out.bin")
+        rc = main(["--out", str(out)] + args + ["--manifest", manifest, "--folds", str(plan)])
+        assert rc == 3
+        assert "fold plan covers 27 rows, manifest has 30" in capsys.readouterr().err
+
+
+def test_eval_crossdb_custom_stage_on_two_descriptors_exits_2(workspace, tmp_path, capsys,
+                                                              monkeypatch):
+    # each side's stage ids are checked against its own files
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    argv = _stage_argv(workspace, "eval crossdb", [("X", "hog")])
+    argv[-1] = f"X={workspace / 'hog.fsfm'},{workspace / 'losib.fsfm'}"
+    assert main(["--out", str(tmp_path / "out")] + argv) == 2
+    assert "train and test stages must list the same specs" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from facestack import (
     svm_fit,
 )
 from facestack import svm as svm_module
+from facestack.records import pack_str
 from facestack.stacking import DEFAULT_STAGE_PARAMS
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -282,6 +283,35 @@ def test_load_stacked_rejects_a_repeated_column_id(tmp_path):
         load_stacked(p)
     with pytest.raises(DataError):
         StackedModel(model.first_stage, model.meta, ("C1", "C1"))
+
+
+def test_load_stacked_rejects_a_first_stage_id_missing_from_the_columns(tmp_path):
+    # a malformed .fstk is a data error, as every other bad record is
+    views, y = _views(30, seed=18)
+    model = stack_fit(views, y, make_folds(y, 3, seed=0), _specs(2), params=PARAMS)
+    p = tmp_path / "stack.fstk"
+    save_stacked(p, model)
+    data, tag = p.read_bytes(), pack_str("C1")
+    at = data.index(tag, data.index(tag) + 1)  # the first stage's id, after the column ids
+    p.write_bytes(data[:at] + pack_str("Q1") + data[at + len(tag):])
+    with pytest.raises(DataError, match="column_ids must start with the ids"):
+        load_stacked(p)
+    with pytest.raises(DataError, match="column_ids must start with the ids"):
+        StackedModel((), model.meta, model.column_ids)  # no first stage
+    with pytest.raises(DataError, match="meta model dimension"):
+        StackedModel(model.first_stage, model.meta, ("C1",))
+
+
+@pytest.mark.parametrize("n_plan", [27, 33])
+def test_fold_plan_must_cover_the_rows(monkeypatch, n_plan):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    views, y = _views(30, seed=19)
+    folds = make_folds(np.zeros(n_plan), 3, seed=0)
+    for params in (PARAMS, None):
+        with pytest.raises(DataError, match=f"fold plan covers {n_plan} rows"):
+            oof_scores(views, y, folds, _specs(2), params=params)
+        with pytest.raises(DataError, match=f"fold plan covers {n_plan} rows"):
+            stack_fit(views, y, folds, _specs(2), params=params)
 
 
 def test_misaligned_inputs():

@@ -507,6 +507,20 @@ def test_grid_search_empty_grid():
         grid_search(X, y, folds, grid=[])
 
 
+@pytest.mark.parametrize("n_plan", [30, 50])
+def test_fold_plan_must_cover_the_rows(monkeypatch, n_plan):
+    # on 40 rows a 30-row plan once trained on the first 30 rows only, and a
+    # 50-row plan raised IndexError
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    X, y = _blobs(20)
+    folds = FoldPlan(3, np.arange(n_plan) % 3)
+    message = f"fold plan covers {n_plan} rows, part has 40"
+    with pytest.raises(DataError, match=message):
+        cv_scores(X, y, folds, default_grid())
+    with pytest.raises(DataError, match=message):
+        grid_search(X, y, folds)
+
+
 def _naive_scores(X, y, folds, grid, class_weight=None):
     """Reference for cv_scores: one fit on raw rows per point and fold, then
     (held-out scores, per-fold accuracies)."""
