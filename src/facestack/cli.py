@@ -295,17 +295,16 @@ def _breakdown_doc(samples, scores):
     return {f"{g}/{a}": cells[(g, a)] for g, a in sorted(cells)}
 
 
-def _write_mean_patterns(out, manifest_rows, row_ids, patterns_dir):
+def _mean_patterns(manifest_rows, row_ids, patterns_dir):
+    """The mean pattern of each gender/age cell -> {file name: image}."""
     by_cell = {}
     for sample, rid in zip(manifest_rows, row_ids):
         by_cell.setdefault((sample.gender, sample.age_group), []).append(rid)
-    written = []
+    means = {}
     for (gender, age), rows in sorted(by_cell.items()):
         imgs = [read_pgm(os.path.join(patterns_dir, f"{r:06d}.pgm")) for r in rows]
-        name = f"mean_{gender}_{age.replace('+', 'plus')}.pgm"
-        write_pgm(os.path.join(out, name), mean_pattern(imgs))
-        written.append(name)
-    return written
+        means[f"mean_{gender}_{age.replace('+', 'plus')}.pgm"] = mean_pattern(imgs)
+    return means
 
 
 def _write_eval(ns, report, samples, scores, **extra):
@@ -330,13 +329,14 @@ def cmd_eval_kfold(ns):
             "--folds plans index the unfiltered manifest; with a protocol "
             "preset, let eval build folds on the filtered rows")
     plan = _fold_plan(ns.folds, sub, ns.k, ns.seed, ns.grouping)
+    means = _mean_patterns(sub.samples, idx, ns.patterns) if ns.patterns else {}
 
     report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed, **_svm_flags(ns))
     doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
                       dataset=manifest.dataset_name)
-    doc["mean_patterns"] = []
-    if ns.patterns:
-        doc["mean_patterns"] = _write_mean_patterns(ns.out, sub.samples, idx, ns.patterns)
+    for name, image in means.items():
+        write_pgm(os.path.join(ns.out, name), image)
+    doc["mean_patterns"] = list(means)
     print(f"eval kfold: accuracy={report.accuracy:.4f} "
           f"(female {report.accuracy_female:.4f} / male {report.accuracy_male:.4f}) "
           f"auc={report.auc:.4f} n={report.n_samples}")

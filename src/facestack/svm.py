@@ -106,14 +106,15 @@ def default_grid():
     return [SvmParams(C=c, gamma=g) for c in GRID_C for g in GRID_GAMMA]
 
 
-def _sq_dists(A, B, out=None):
+def _sq_dists(A, B, out=None, B_sq=None):
     """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
 
     Row r is -2 B.A[r] + |B|^2 + |A[r]|^2, clamped at 0, its cross term one BLAS
     matrix-vector product per row block of B (_BLAS_ELEMS). Row r depends on
     A[r] and B alone, never on the other rows of A, so a row computed on its
     own is bit-identical to the same row of a larger call. out, if given, is
-    an (m, n) array, or a view whose rows are contiguous, to fill.
+    an (m, n) array, or a view whose rows are contiguous, to fill. B_sq, if
+    given, is |B|^2 as computed here, kept by a caller that fills many rows.
     """
     step = max(1, _BLAS_ELEMS // max(1, B.shape[1]))
     blocks = [(slice(lo, lo + step), B[lo : lo + step]) for lo in range(0, len(B), step)]
@@ -122,7 +123,7 @@ def _sq_dists(A, B, out=None):
         for cols, block in blocks:
             np.dot(block, a, out=out[r, cols])
     out *= -2.0
-    out += np.einsum("ij,ij->i", B, B)
+    out += np.einsum("ij,ij->i", B, B) if B_sq is None else B_sq
     out += np.einsum("ij,ij->i", A, A)[:, None]
     return np.maximum(out, 0.0, out=out)
 
@@ -229,7 +230,7 @@ class _Fold:
     that holds its values while the fold lives: `scaled` reads the rows from
     it again, since min-max scaling is elementwise and gives them the same
     bits. Above _DENSE_BYTES the fold also keeps its scaled rows, which
-    every row computed on demand needs.
+    every row computed on demand needs, and their squared norms.
     """
 
     def __init__(self, X, y, rows=None):
@@ -241,6 +242,7 @@ class _Fold:
         order = _canonical_order(Xs, y[rows])
         self.src, self.rows, self.y = X, rows[order], y[rows[order]]
         self._X = None if _dense(len(self.y)) else np.ascontiguousarray(Xs[order])
+        self._X_sq = None if self._X is None else np.einsum("ij,ij->i", self._X, self._X)
 
     def __len__(self):
         return len(self.y)
@@ -261,7 +263,7 @@ class _Fold:
         fold's scaled rows live only for the call: one fold's at a time.
         """
         Xs = self.scaled()
-        _sq_dists(Xs[lo : lo + len(out)], Xs, out=out)
+        _sq_dists(Xs[lo : lo + len(out)], Xs, out=out, B_sq=self._X_sq)
         np.fill_diagonal(out[:, lo:], 0.0)
 
 
@@ -280,7 +282,9 @@ class _Gather:
 
     def __init__(self, problems):
         folds = {id(fold): fold for fold, _, _ in problems}
-        self.problems, self.width = problems, max(len(fold) for fold in folds.values())
+        self.width = max(len(fold) for fold in folds.values())
+        self.n = np.array([len(fold) for fold, _, _ in problems])
+        self.neg_gamma = np.array([[-params.gamma] for _, _, params in problems])
         self.lru = None
         if _dense(self.width):
             slot = {key: s * self.width for s, key in enumerate(folds)}
@@ -293,13 +297,11 @@ class _Gather:
             (self.fold,) = folds.values()
             self.lru, self.cap = OrderedDict(), max(1, _DENSE_BYTES // (8 * self.width))
             self.base = np.zeros(len(problems), dtype=np.intp)  # LRU rows are fold rows
-        self.keep(np.ones(len(problems), dtype=bool))
 
     def keep(self, running):
         """Narrow to the problems still running (a mask over the current ones)."""
-        self.problems = [p for p, r in zip(self.problems, running) if r]
-        self.base = self.base[running]
-        self.neg_gamma = np.array([[-params.gamma] for _, _, params in self.problems])
+        self.base, self.n, self.neg_gamma = (
+            v[running] for v in (self.base, self.n, self.neg_gamma))
 
     def _d2(self, rows):
         """Squared distances of the memo rows `rows` (an int array) -> (len(rows), width)."""
@@ -322,51 +324,43 @@ class _Gather:
     def d2_rows(self, a, idx):
         """Squared distances from the rows idx (an int array) of running
         problem a's fold to every row of it -> (len(idx), n)."""
-        return self._d2(self.base[a] + idx)[:, : len(self.problems[a][0])]
+        return self._d2(self.base[a] + idx)[:, : self.n[a]]
 
 
-def _violators(y, alpha, C, G):
-    """-y*G over I_up (-inf elsewhere) and over I_low (+inf elsewhere); padding is in neither."""
-    pos = y > 0
-    minus_yG = -y * G
-    up = np.where(pos, alpha < C, alpha > 0)
-    low = np.where(pos, alpha > 0, alpha < C)
-    return np.where(up, minus_yG, -np.inf), np.where(low, minus_yG, np.inf)
+def _violators(y, alpha, G, hi, lo):
+    """-y*G over I_up (-inf elsewhere) and over I_low (+inf elsewhere).
+
+    With s = y*alpha, I_up is s < hi and I_low is s > lo: hi is C where y > 0,
+    else 0, and lo is 0 where y > 0, else -C. Padding (y = hi = lo = 0) is in neither.
+    """
+    s, minus_yG = y * alpha, -y * G
+    return np.where(s < hi, minus_yG, -np.inf), np.where(s > lo, minus_yG, np.inf)
 
 
 def _pair_update(ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad):
-    """LIBSVM's update of the working pair (i, j), clipped to the box -> (ai, aj)."""
-    if yi != yj:
-        delta = (-Gi - Gj) / quad
-        diff = ai - aj
-        ai += delta
-        aj += delta
-        if diff > 0:
-            if aj < 0:
-                aj, ai = 0.0, diff
-        elif ai < 0:
-            ai, aj = 0.0, -diff
-        if diff > Ci - Cj:
-            if ai > Ci:
-                ai, aj = Ci, Ci - diff
-        elif aj > Cj:
-            aj, ai = Cj, Cj + diff
-    else:
-        delta = (Gi - Gj) / quad
-        total = ai + aj
-        ai -= delta
-        aj += delta
-        if total > Ci:
-            if ai > Ci:
-                ai, aj = Ci, total - Ci
-        elif aj < 0:
-            aj, ai = 0.0, total
-        if total > Cj:
-            if aj > Cj:
-                aj, ai = Cj, total - Cj
-        elif ai < 0:
-            ai, aj = 0.0, total
-    return ai, aj
+    """LIBSVM's update of working pairs (i, j), clipped to the box -> (ai, aj).
+
+    Arrays, one pair per entry: both label cases are computed (both divide
+    by quad, which must be > 0), each clip one np.where in LIBSVM's order,
+    and yi == yj picks the case.
+    """
+    def clip(c, a, b, a_to, b_to):
+        return np.where(c, a_to, a), np.where(c, b_to, b)
+
+    diff, total = ai - aj, ai + aj
+    delta = (-Gi - Gj) / quad  # yi != yj: ai - aj is kept
+    a, b = ai + delta, aj + delta
+    a, b = clip((diff > 0) & (b < 0), a, b, diff, 0.0)
+    a, b = clip((diff <= 0) & (a < 0), a, b, 0.0, -diff)
+    a, b = clip((diff > Ci - Cj) & (a > Ci), a, b, Ci, Ci - diff)
+    a, b = clip((diff <= Ci - Cj) & (b > Cj), a, b, Cj + diff, Cj)
+    delta = (Gi - Gj) / quad  # yi == yj: ai + aj is kept
+    e, f = ai - delta, aj + delta
+    e, f = clip((total > Ci) & (e > Ci), e, f, Ci, total - Ci)
+    e, f = clip((total <= Ci) & (f < 0), e, f, total, 0.0)
+    e, f = clip((total > Cj) & (f > Cj), e, f, total - Cj, Cj)
+    e, f = clip((total <= Cj) & (e < 0), e, f, 0.0, total)
+    return np.where(yi == yj, e, a), np.where(yi == yj, f, b)
 
 
 def _bias(y, alpha, C, G):
@@ -387,29 +381,33 @@ def _solve(problems):
     """Solve independent SVM duals in lockstep -> [(alpha, bias)], in order.
 
     Each problem is (fold, C per row, params). The problems still running
-    are rows of (A, n_max) arrays, each padded with y = 0 and C = 0, which
-    keeps padding out of I_up and I_low. A problem whose gap m - M falls
-    below _TOL, or that reaches _MAX_ITER, gets its gradient recomputed
-    exactly; it ends if the exact gap is below _TOL (or at the cap, with a
-    RuntimeWarning) and runs on otherwise.
+    are rows of (A, n_max) arrays, each padded with y = 0 and the box
+    [0, 0], which keeps padding out of I_up and I_low, and a pass takes one
+    WSS2 step on every row at once, in array code. A problem whose gap
+    m - M falls below _TOL, or that reaches _MAX_ITER, gets its gradient
+    recomputed exactly; it ends if the exact gap is below _TOL (or at the
+    cap, with a RuntimeWarning), and otherwise steps in the same pass from
+    its exact gradient, so a check costs the other problems nothing. Every
+    problem runs the same float operations in the same order in any batch,
+    so it gets the same bits alone or batched.
     """
     sizes = [len(fold) for fold, _, _ in problems]
     n_max = max(sizes, default=1)
     P = len(problems)
-    y, C = np.zeros((P, n_max)), np.zeros((P, n_max))
+    y, hi, lo = (np.zeros((P, n_max)) for _ in range(3))  # lo <= y*alpha <= hi; C = hi - lo
     for p, (fold, C_rows, _) in enumerate(problems):
         y[p, : sizes[p]] = fold.y
-        C[p, : sizes[p]] = C_rows
+        hi[p, : sizes[p]] = np.where(fold.y > 0, C_rows, 0.0)
+        lo[p, : sizes[p]] = np.where(fold.y > 0, 0.0, -C_rows)
     alpha, G = np.zeros((P, n_max)), -np.ones((P, n_max))
     iters = np.zeros(P, dtype=np.int64)
     ids = np.arange(P)  # problem of each running row
     gather = _Gather(problems)
     out = [None] * P
     while len(ids):
-        r = np.arange(len(ids))
-        up, low = _violators(y, alpha, C, G)
+        up, low = _violators(y, alpha, G, hi, lo)
         i = up.argmax(axis=1)
-        m = up[r, i]
+        m = up[np.arange(len(i)), i]
         check = (m - low.min(axis=1) < _TOL) | (iters >= _MAX_ITER)
         if check.any():
             running = np.ones(len(ids), dtype=bool)
@@ -420,32 +418,34 @@ def _solve(problems):
                 coef = (alpha[a, sv] * fold.y[sv])[:, None]
                 K = np.exp(-params.gamma * gather.d2_rows(a, sv))
                 G[a, :n] = fold.y * (coef * K).sum(axis=0) - 1.0
-                up_a, low_a = _violators(y[a], alpha[a], C[a], G[a])
-                gap = up_a.max() - low_a.min()
+                up[a], low[a] = _violators(y[a], alpha[a], G[a], hi[a], lo[a])
+                i[a] = up[a].argmax()
+                m[a] = up[a, i[a]]
+                gap = m[a] - low[a].min()
                 if gap < _TOL or iters[a] >= _MAX_ITER:
                     if gap >= _TOL:
                         warnings.warn(f"WSS2 stopped at the {_MAX_ITER}-iteration cap with "
                                       f"gap m - M = {gap:.3g} above tolerance {_TOL}",
                                       RuntimeWarning, stacklevel=3)
-                    out[ids[a]] = (alpha[a, :n].copy(),
-                                   _bias(y[a, :n], alpha[a, :n], C[a, :n], G[a, :n]))
+                    bias = _bias(y[a, :n], alpha[a, :n], hi[a, :n] - lo[a, :n], G[a, :n])
+                    out[ids[a]] = (alpha[a, :n].copy(), bias)
                     running[a] = False
             if not running.all():
-                y, C, alpha, G, iters, ids = (v[running] for v in (y, C, alpha, G, iters, ids))
+                y, hi, lo, alpha, G, iters, ids, low, i, m = (
+                    v[running] for v in (y, hi, lo, alpha, G, iters, ids, low, i, m))
                 gather.keep(running)
-            continue
+        r = np.arange(len(ids))  # none left: the step below runs on empty arrays
         Ki = gather(i)
         gain = m[:, None] - low  # > 0 on the rows of I_low that pair with i
         quad = 2.0 - 2.0 * Ki  # K(i, i) + K(j, j) - 2 K(i, j), the RBF diagonal being 1
         quad = np.where(quad > 0, quad, _TAU)
         j = np.where(gain > 0, -(gain * gain) / quad, np.inf).argmin(axis=1)
         Kj = gather(j)
-        yi, yj = y[r, i], y[r, j]
-        pair = np.array([alpha[r, i], alpha[r, j], C[r, i], C[r, j], yi, yj,
-                         G[r, i], G[r, j], quad[r, j]]).T.tolist()
-        ai, aj = np.array([_pair_update(*v) for v in pair]).T
-        di, dj = yi * (ai - alpha[r, i]), yj * (aj - alpha[r, j])
-        alpha[r, i], alpha[r, j] = ai, aj
+        ai, aj, yi, yj = alpha[r, i], alpha[r, j], y[r, i], y[r, j]
+        new_i, new_j = _pair_update(ai, aj, hi[r, i] - lo[r, i], hi[r, j] - lo[r, j], yi, yj,
+                                    G[r, i], G[r, j], quad[r, j])
+        di, dj = yi * (new_i - ai), yj * (new_j - aj)
+        alpha[r, i], alpha[r, j] = new_i, new_j
         G += y * (di[:, None] * Ki + dj[:, None] * Kj)
         iters += 1
     return out

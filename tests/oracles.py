@@ -187,6 +187,84 @@ def qp_reference(K, y, C, max_iter=100_000, stall=100):
     return best_alpha, best
 
 
+def ref_pair_update(ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad):
+    """LIBSVM's update of one working pair (i, j), clipped to the box, as its
+    scalar branch ladder (Fan, Chen & Lin 2005; svm.cpp, Solver::Solve) -> (ai, aj)."""
+    if yi != yj:
+        delta = (-Gi - Gj) / quad
+        diff = ai - aj
+        ai += delta
+        aj += delta
+        if diff > 0:
+            if aj < 0:
+                aj, ai = 0.0, diff
+        elif ai < 0:
+            ai, aj = 0.0, -diff
+        if diff > Ci - Cj:
+            if ai > Ci:
+                ai, aj = Ci, Ci - diff
+        elif aj > Cj:
+            aj, ai = Cj, Cj + diff
+    else:
+        delta = (Gi - Gj) / quad
+        total = ai + aj
+        ai -= delta
+        aj += delta
+        if total > Ci:
+            if ai > Ci:
+                ai, aj = Ci, total - Ci
+        elif aj < 0:
+            aj, ai = 0.0, total
+        if total > Cj:
+            if aj > Cj:
+                aj, ai = Cj, total - Cj
+        elif ai < 0:
+            ai, aj = 0.0, total
+    return ai, aj
+
+
+def ref_wss2(kernel_row, exact_rows, y, C, tol, tau):
+    """LIBSVM's SMO with WSS2 on one problem, one scalar step at a time -> (alpha, G).
+
+    kernel_row(i) is the kernel row a step uses, exact_rows(sv) the rows of
+    the exact gradient, G = y * sum_s alpha_s y_s K[s] - 1, recomputed when
+    the gap m - M falls below tol; the solve ends if the exact gap is below
+    tol too, and otherwise steps on from the exact gradient.
+    """
+    n = len(y)
+    alpha, G = np.zeros(n), -np.ones(n)
+    up = lambda t: alpha[t] < C[t] if y[t] > 0 else alpha[t] > 0
+    low = lambda t: alpha[t] > 0 if y[t] > 0 else alpha[t] < C[t]
+    checked = False
+    while True:
+        v = [-y[t] * G[t] for t in range(n)]
+        i = max((t for t in range(n) if up(t)), key=lambda t: v[t])  # the first on ties
+        m, M = v[i], min(v[t] for t in range(n) if low(t))
+        if m - M < tol and not checked:
+            sv = np.flatnonzero(alpha > 0)
+            G = y * ((alpha[sv] * y[sv])[:, None] * exact_rows(sv)).sum(axis=0) - 1.0
+            checked = True
+            continue
+        if m - M < tol:
+            return alpha, G
+        checked = False
+        Ki = kernel_row(i)
+        best = None
+        for t in range(n):
+            gain = m - v[t]
+            if low(t) and gain > 0:
+                quad = 2.0 - 2.0 * Ki[t]
+                quad = quad if quad > 0 else tau
+                if best is None or -(gain * gain) / quad < best[0]:
+                    best = (-(gain * gain) / quad, t, quad)
+        _, j, quad = best
+        Kj = kernel_row(j)
+        ai, aj = ref_pair_update(alpha[i], alpha[j], C[i], C[j], y[i], y[j], G[i], G[j], quad)
+        di, dj = y[i] * (ai - alpha[i]), y[j] * (aj - alpha[j])
+        alpha[i], alpha[j] = ai, aj
+        G = G + y * (di * Ki + dj * Kj)
+
+
 def kkt_violations(alpha, y, f, C, tol):
     """Indices violating the optimality conditions at `tol`.
 

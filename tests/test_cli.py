@@ -623,6 +623,15 @@ def test_eval_kfold_missing_patterns_dir_exits_3(workspace, tmp_path, capsys):
     assert "data error" in err and "nope" in err
 
 
+def test_eval_kfold_reads_the_patterns_before_any_output(workspace, tmp_path, monkeypatch):
+    # a missing pattern image left a full-looking report.json and roc.csv behind
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    out = tmp_path / "e"
+    argv = _stage_argv(workspace, "eval kfold", [("C1", "hog")])
+    assert main(["--out", str(out)] + argv + ["--patterns", str(tmp_path / "nope")]) == 3
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 def test_fold_plan_must_cover_the_manifest(workspace, tmp_path, capsys):
     lines = (workspace / "folds.csv").read_text().splitlines()
     plan = tmp_path / "short.csv"

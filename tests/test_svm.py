@@ -680,3 +680,112 @@ def test_iteration_cap_warns(monkeypatch):
     monkeypatch.setattr(svm_module, "_MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="1-iteration cap with gap m - M"):
         svm_fit(X, y, SvmParams(C=1.0, gamma=0.5))
+
+
+def _ref_pairs(rows):
+    """ref_pair_update of each row of (ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad) -> (ai, aj)."""
+    return tuple(np.array(v) for v in zip(*(oracles.ref_pair_update(*row) for row in rows)))
+
+
+def _pair_update(rows):
+    return svm_module._pair_update(*np.array(rows, dtype=np.float64).T)
+
+
+# (ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad) -> the (ai, aj) LIBSVM's ladder ends at
+PAIR_BRANCHES = [
+    # yi != yj: ai - aj = diff is kept
+    ((0.5, 0.2, 1.0, 1.0, 1, -1, 0.5, 0.5, 1.0), (0.3, 0.0)),     # diff > 0, aj < 0
+    ((0.2, 0.5, 1.0, 1.0, -1, 1, 0.5, 0.5, 1.0), (0.0, 0.3)),     # diff <= 0, ai < 0
+    ((0.5, 0.2, 1.0, 1.0, 1, -1, -0.5, -0.5, 1.0), (1.0, 0.7)),   # diff > Ci - Cj, ai > Ci
+    ((0.2, 0.5, 1.0, 1.0, -1, 1, -0.5, -0.5, 1.0), (0.7, 1.0)),   # diff <= Ci - Cj, aj > Cj
+    ((0.5, 0.2, 2.0, 0.5, 1, -1, -0.5, -0.5, 1.0), (0.8, 0.5)),   # diff <= Ci - Cj, aj > Cj
+    ((0.2, 0.1, 0.5, 2.0, 1, -1, -0.5, -0.5, 1.0), (0.5, 0.4)),   # diff > Ci - Cj, ai > Ci
+    ((0.5, 0.2, 1.0, 1.0, 1, -1, -0.1, -0.1, 1.0), (0.7, 0.4)),   # no clip
+    ((0.3, 0.3, 1.0, 1.0, 1, -1, 0.5, 0.5, 1.0), (0.0, -0.0)),    # diff = 0: aj = -diff
+    ((0.9, 0.0, 1.0, 0.1, 1, -1, -0.5, -0.5, 1.0), (1.0, 0.1)),   # diff = Ci - Cj: aj = Cj
+    # yi == yj: ai + aj = total is kept
+    ((0.8, 0.6, 1.0, 1.0, 1, 1, -0.5, 0.5, 1.0), (1.0, 0.4)),     # total > Ci, ai > Ci
+    ((0.3, 0.2, 1.0, 1.0, -1, -1, -0.5, 0.5, 1.0), (0.5, 0.0)),   # total <= Ci, aj < 0
+    ((0.8, 0.6, 1.0, 1.0, 1, 1, 0.5, -0.5, 1.0), (0.4, 1.0)),     # total > Cj, aj > Cj
+    ((0.3, 0.2, 1.0, 1.0, -1, -1, 0.5, -0.5, 1.0), (0.0, 0.5)),   # total <= Cj, ai < 0
+    ((0.3, 0.2, 0.4, 2.0, 1, 1, -0.5, 0.5, 1.0), (0.4, 0.1)),     # total > Ci, ai > Ci
+    ((0.3, 0.2, 2.0, 0.4, 1, 1, 0.5, -0.5, 1.0), (0.1, 0.4)),     # total > Cj, aj > Cj
+    ((0.3, 0.2, 1.0, 1.0, 1, 1, -0.1, 0.1, 1e-12), (0.5, 0.0)),   # quad at _TAU, aj < 0
+]
+
+
+def test_pair_update_reaches_every_clip_of_libsvm():
+    rows = [row for row, _ in PAIR_BRANCHES]
+    got, want = _pair_update(rows), _ref_pairs(rows)
+    assert oracles.same_bits(got[0], want[0]) and oracles.same_bits(got[1], want[1])
+    np.testing.assert_allclose(np.array(got).T, [end for _, end in PAIR_BRANCHES], atol=1e-15)
+
+
+def test_pair_update_equals_the_scalar_ladder():
+    # unequal Ci and Cj as class weights give them; alphas often sit at a bound
+    rng = np.random.default_rng(60)
+    n = 4000
+    C = rng.choice([0.25, 1.0, 3.0, 8.0], (n, 2))
+    alpha = np.where(rng.random((n, 2)) < 0.3, rng.choice([0.0, 1.0], (n, 2)),
+                     rng.random((n, 2))) * C
+    y = rng.choice([-1.0, 1.0], (n, 2))
+    G = rng.normal(0, 2, (n, 2))
+    quad = np.where(rng.random(n) < 0.05, 1e-12, rng.random(n) * 4)
+    rows = np.column_stack([alpha, C, y, G, quad])
+    got, want = _pair_update(rows), _ref_pairs(rows.tolist())
+    assert oracles.same_bits(got[0], want[0]) and oracles.same_bits(got[1], want[1])
+
+
+def test_violators_mark_I_up_and_I_low():
+    rng = np.random.default_rng(61)
+    y = rng.choice([-1.0, 0.0, 1.0], (6, 50))
+    C = np.where(y == 0, 0.0, rng.choice([0.5, 2.0], y.shape))  # y = 0 is padding
+    alpha = np.where(rng.random(y.shape) < 0.5, rng.choice([0.0, 1.0], y.shape),
+                     rng.random(y.shape)) * C
+    G = rng.normal(size=y.shape)
+    up, low = svm_module._violators(y, alpha, G, np.where(y > 0, C, 0.0), np.where(y > 0, 0.0, -C))
+    in_up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    in_low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    assert oracles.same_bits(up, np.where(in_up, -y * G, -np.inf))
+    assert oracles.same_bits(low, np.where(in_low, -y * G, np.inf))
+
+
+def test_checked_problem_that_runs_on_keeps_its_bits(monkeypatch):
+    # The steps' kernel rows are off by a factor 1 + 1e-3, the exact gradient of a
+    # check is not, so an incremental gap below _TOL can be an exact gap above
+    # it, and the problem runs on from the check. (At 1 + 1e-9 no problem here
+    # does.) It must step in the same pass and keep its bits in any batch.
+    real_call, real_rows = _Gather.__call__, _Gather.d2_rows
+    checks = []
+
+    def spy(self, a, idx):
+        checks.append(a)
+        return real_rows(self, a, idx)
+
+    monkeypatch.setattr(_Gather, "__call__", lambda self, rows: real_call(self, rows) * (1 + 1e-3))
+    monkeypatch.setattr(_Gather, "d2_rows", spy)
+    fits = _mixed_fits()
+    batched = solve_jobs(_jobs(fits))
+    assert len(checks) > len(fits)  # one check ends each problem; the others ran on
+    _assert_same_models(batched, [svm_fit(*fit) for fit in fits])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-3], ids=["exact", "drifting"])
+def test_solve_equals_the_scalar_wss2_oracle(monkeypatch, scale):
+    # every problem of a lockstep batch takes the steps of LIBSVM's scalar loop,
+    # also when kernel rows that drift from the exact gradient make checks run on
+    real_call = _Gather.__call__
+    monkeypatch.setattr(_Gather, "__call__", lambda self, rows: real_call(self, rows) * scale)
+    problems = []
+    for X, y, params, weights in _mixed_fits():
+        fold = _Fold(X, y)
+        C = params.C * np.array([(weights or {}).get(label, 1.0) for label in fold.y])
+        problems.append((fold, C, params))
+    for (fold, C, params), (alpha, bias) in zip(problems, svm_module._solve(problems)):
+        alone = _Gather([(fold, C, params)])
+        want, G = oracles.ref_wss2(
+            lambda i: alone(np.array([i]))[0],
+            lambda sv: np.exp(-params.gamma * alone.d2_rows(0, sv)),
+            fold.y, C, _TOL, svm_module._TAU)
+        assert oracles.same_bits(alpha, want)
+        assert bias == svm_module._bias(fold.y, want, C, G)
