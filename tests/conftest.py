@@ -1,0 +1,21 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes during the test, in order."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

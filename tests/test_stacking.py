@@ -205,6 +205,7 @@ def _stack_fit_by_refits(views, y, folds, specs):
 
 
 def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_path):
+    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
     views, y = _views(48, seed=17)
     folds = make_folds(y, 3, seed=0)
     specs = _specs(2)
@@ -230,6 +231,16 @@ def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_p
                       [(48, model.meta.params)]]
     save_stacked(tmp_path / "got.fstk", model)
     assert (tmp_path / "got.fstk").read_bytes() == (tmp_path / "want.fstk").read_bytes()
+
+
+def test_stack_fit_does_not_depend_on_the_worker_count(monkeypatch, forks, tmp_path):
+    views, y = _views(48, seed=17)
+    folds = make_folds(y, 3, seed=0)
+    for cores in (1, 2):
+        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        save_stacked(tmp_path / f"{cores}.fstk", stack_fit(views, y, folds, _specs(2), params=None))
+    assert forks
+    assert (tmp_path / "1.fstk").read_bytes() == (tmp_path / "2.fstk").read_bytes()
 
 
 def test_stack_predict_matches_scores():
