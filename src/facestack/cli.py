@@ -63,9 +63,10 @@ def _chunks(patterns):
         yield np.stack(run)
 
 
-def _extract_rows(patterns, descriptor_id, dtype):
-    """Feature matrix of an iterable of patterns, one extract call per chunk."""
-    blocks = [extract_descriptor(stack, descriptor_id).astype(dtype, copy=False)
+def _extract_rows(patterns, descriptor_id):
+    """The float32 rows a feature file holds for an iterable of patterns,
+    one extract call per chunk."""
+    blocks = [extract_descriptor(stack, descriptor_id).astype(np.float32)
               for stack in _chunks(patterns)]
     widths = sorted({b.shape[1] for b in blocks})
     if len(widths) > 1:
@@ -194,7 +195,7 @@ def cmd_synth(ns):
 
 def cmd_folds(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
-    plan = make_folds(manifest, ns.k, seed=ns.seed, grouping=ns.grouping)
+    plan = _fold_plan(None, manifest, ns.k, ns.seed, ns.grouping)
     save_folds(plan, ns.out)
     sizes = [int(np.sum(plan.assignments == f)) for f in range(plan.k)]
     print(f"folds: wrote {plan.k}-fold plan ({ns.grouping}) to {ns.out}; sizes {sizes}")
@@ -246,8 +247,7 @@ def cmd_extract(ns):
         raise DataError(f"{ns.manifest}: no samples")
 
     patterns = (read_pgm(sample.image_path) for sample in manifest.samples)
-    fm = FeatureMatrix(_extract_rows(patterns, ns.descriptor, np.float32),
-                       ns.descriptor)
+    fm = FeatureMatrix(_extract_rows(patterns, ns.descriptor), ns.descriptor)
     save_features(fm, ns.out)
     if ns.csv:
         export_csv(fm, ns.csv)
@@ -388,12 +388,11 @@ def cmd_noise_sweep(ns):
     spec = FirstStageSpec("sweep", "custom", ns.descriptor)
 
     rows = []
-    for li, level in enumerate(levels):
+    for level in levels:  # each level is prepare -> extract -> eval kfold at that level
         patterns = (prepare_pattern(img, s.eye_left, s.eye_right, ns.pattern,
-                                    noise=_noise_spec(ns.noise, level,
-                                                      derive_seed(ns.seed, li, row)))
+                                    noise=_noise_spec(ns.noise, level, derive_seed(ns.seed, row)))
                     for row, (img, s) in enumerate(zip(images, manifest.samples)))
-        feats = _extract_rows(patterns, ns.descriptor, np.float64)
+        feats = _extract_rows(patterns, ns.descriptor)
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
                               seed=ns.seed, **_svm_flags(ns))
         rows.append((level, report.accuracy))
@@ -523,11 +522,17 @@ def build_parser():
 
 
 def _run_dir(ns):
-    # run.json goes to the output directory, or next to an output file
+    """The directory run.json goes to: --out, or the one holding the output
+    file --out. An --out that cannot be written is a ConfigurationError."""
     out = ns.out
     if ns.command not in ("synth", "prepare", "noise-sweep", "eval"):
+        if os.path.isdir(out):
+            raise ConfigurationError(f"--out {out} is a directory, not a file")
         out = os.path.dirname(os.path.abspath(out))
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {ns.out}: cannot make directory {out}: {exc}") from None
     return out
 
 

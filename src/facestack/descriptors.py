@@ -80,29 +80,26 @@ def _center(img):
     return img[..., 1:-1, 1:-1].astype(np.int32)
 
 
+def _pack_bits(bits):
+    """8-bit codes from the (8, ...) neighbour bits, neighbour 0 the MSB."""
+    codes = np.zeros(bits.shape[1:], dtype=np.int64)
+    for i in range(8):
+        codes |= bits[i].astype(np.int64) << (7 - i)
+    return codes
+
+
 def lbp_code_map(img):
     """8-bit LBP codes (neighbour >= center sets the bit) of all interior
     pixels, shape (..., H-2, W-2)."""
     img = _require_patterns(img)
-    stack = _neighbor_stack(img)
-    center = _center(img)
-    bits = stack >= center
-    codes = np.zeros(center.shape, dtype=np.int64)
-    for i in range(8):
-        codes |= bits[i].astype(np.int64) << (7 - i)
-    return codes
+    return _pack_bits(_neighbor_stack(img) >= _center(img))
 
 
 def nilbp_code_map(img):
     """LBP variant thresholding each neighbour against the neighbourhood mean."""
     img = _require_patterns(img)
     stack = _neighbor_stack(img)
-    mean = stack.mean(axis=0)
-    bits = stack >= mean
-    codes = np.zeros(mean.shape, dtype=np.int64)
-    for i in range(8):
-        codes |= bits[i].astype(np.int64) << (7 - i)
-    return codes
+    return _pack_bits(stack >= stack.mean(axis=0))
 
 
 def lsp_code_map(img, t=0):
@@ -129,19 +126,13 @@ def lsp_code_map(img, t=0):
     return codes.astype(np.int64)
 
 
-def _circular_transitions(code):
-    bits = [(code >> i) & 1 for i in range(8)]
-    return sum(bits[i] != bits[(i + 1) % 8] for i in range(8))
-
-
 def _build_u2_table():
+    """Bin of each 8-bit code: codes with at most 2 circular bit transitions
+    get bins 0..57 in ascending code order, the rest share bin 58."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    uniform = (bits != np.roll(bits, -1, axis=1)).sum(axis=1) <= 2
     table = np.full(256, U2_BINS - 1, dtype=np.int64)
-    next_bin = 0
-    for code in range(256):  # ascending code order fixes the bin layout
-        if _circular_transitions(code) <= 2:
-            table[code] = next_bin
-            next_bin += 1
-    assert next_bin == U2_BINS - 1
+    table[uniform] = np.arange(U2_BINS - 1)  # raises unless 58 codes are uniform
     return table
 
 

@@ -102,10 +102,7 @@ def evaluate(scores, labels, per_fold_accuracies=()):
     if len(np.unique(labels)) < 2:
         raise DataError("per-class metrics undefined: only one class present")
     pred = np.where(scores >= 0, 1.0, -1.0)
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    for true_i, true_lab in enumerate((-1.0, 1.0)):
-        for pred_j, pred_lab in enumerate((-1.0, 1.0)):
-            confusion[true_i, pred_j] = np.sum((labels == true_lab) & (pred == pred_lab))
+    confusion = np.bincount(2 * (labels > 0) + (pred > 0), minlength=4).reshape(2, 2)
     points = roc_curve(scores, labels)
     return EvalReport(
         accuracy=float(np.trace(confusion) / confusion.sum()),

@@ -55,25 +55,16 @@ def pca_fit(X, n_components):
     mean = X.mean(axis=0)
     Xc = X - mean
 
-    if d <= n:
-        cov = (Xc.T @ Xc) / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1][:k]
-        components = evecs[:, order].T
-        eigenvalues = evals[order]
-    else:
-        gram = (Xc @ Xc.T) / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1][:k]
-        evals = evals[order]
-        evecs = evecs[:, order]
+    evals, evecs = np.linalg.eigh(((Xc.T @ Xc) if d <= n else (Xc @ Xc.T)) / (n - 1))
+    order = np.argsort(evals)[::-1][:k]
+    evecs = evecs[:, order]
+    components = evecs.T
+    if d > n:
         # lift Gram eigenvectors back to feature space and normalize
         components = (Xc.T @ evecs).T
         norms = np.linalg.norm(components, axis=1)
         norms[norms == 0] = 1.0
         components = components / norms[:, None]
-        eigenvalues = evals
-
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    eigenvalues = np.maximum(evals[order], 0.0)
     return PcaModel(mean=mean, components=_fix_signs(np.ascontiguousarray(components)),
                     eigenvalues=eigenvalues)

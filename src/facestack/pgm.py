@@ -79,8 +79,11 @@ def load_gray(path):
         raise DataError(
             f"{path}: only PGM (P5) is supported without Pillow installed"
         ) from None
-    with Image.open(path) as im:
-        arr = np.asarray(im.convert("RGB"))
+    try:
+        with Image.open(path) as im:
+            arr = np.asarray(im.convert("RGB"))
+    except OSError as exc:  # PIL.UnidentifiedImageError, a truncated file, ...
+        raise DataError(f"{path}: cannot decode image: {exc}") from None
     from .geometry import to_gray
 
     return to_gray(arr)

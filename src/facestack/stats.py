@@ -109,20 +109,11 @@ def jarque_bera(samples):
 
 
 def _ranks_with_ties(values):
-    """Ranks 1..n, tied values sharing the average of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    tie_sizes = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.array(tie_sizes, dtype=np.float64)
+    """Ranks 1..n, tied values sharing the average of their rank range, and
+    the size of each run of tied values in ascending order."""
+    _, run, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(sizes)  # a run holds the sorted positions end - size .. end - 1
+    return (0.5 * (2 * end - sizes - 1) + 1.0)[run], sizes.astype(np.float64)
 
 
 def kruskal_wallis(groups):

@@ -35,12 +35,13 @@ is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
 result independent of input row order. That scaling and order of a part's
 rows is a `_Fold`, built when its sub-batch starts and shared by every fit
-on those rows. A solve's `_Gather` owns their squared distances, in one
-of two forms under one bound, _DENSE_BYTES. Up to it they are a block of
-the sub-batch's stack, and the fold keeps no scaled rows: scaling is
-elementwise, so the support rows rescaled from the caller's matrix after
-the solve have the same bits. A fold above it solves alone, keeps its
-scaled rows, and has its distance rows computed on demand into an LRU.
+on those rows. The fold keeps no scaled rows: scaling is elementwise, so
+rows rescaled from the caller's matrix, as the support rows are after the
+solve, have the same bits. A solve's `_Gather` owns the squared
+distances, in one of two forms under one bound, _DENSE_BYTES. Up to it
+they are a block of the sub-batch's stack. A fold above it solves alone,
+and the gather keeps its scaled rows and computes its distance rows on
+demand into an LRU.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
 terms of each row of A against B from one BLAS matrix-vector product B @ a
@@ -237,8 +238,7 @@ class _Fold:
     every fit on the same rows shares one _Fold. X must be a float64 array
     that holds its values while the fold lives: `scaled` reads the rows from
     it again, since min-max scaling is elementwise and gives them the same
-    bits. Above _DENSE_BYTES the fold also keeps its scaled rows, which
-    every row computed on demand needs, and their squared norms.
+    bits. The fold keeps no scaled rows; a `_Gather` that needs them does.
     """
 
     def __init__(self, X, y, rows=None):
@@ -249,43 +249,31 @@ class _Fold:
         self.lo, self.hi, Xs = _scale_fit(Xs, out=Xs)
         order = _canonical_order(Xs, y[rows])
         self.src, self.rows, self.y = X, rows[order], y[rows[order]]
-        self._X = None if _dense(len(self.y)) else np.ascontiguousarray(Xs[order])
-        self._X_sq = None if self._X is None else np.einsum("ij,ij->i", self._X, self._X)
 
     def __len__(self):
         return len(self.y)
 
-    def scaled(self, idx=slice(None)):
-        """The scaled rows idx of the canonical order."""
-        if self._X is not None:
-            return self._X[idx]
-        Xs = self.src[self.rows[idx]]
+    def scaled(self):
+        """The scaled rows in canonical order."""
+        Xs = self.src[self.rows]
         return _min_max(Xs, self.lo, self.hi, out=Xs)
-
-    def fill(self, out, lo=0):
-        """Compute the squared distances from the fold's rows lo, lo + 1, ...
-        to every row into out, an (m, n) array or a view of one.
-
-        Row i is `_sq_dists(X[i:i+1], X)[0]` in a whole block or alone, with
-        entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes. A dense
-        fold's scaled rows live only for the call: one fold's at a time.
-        """
-        Xs = self.scaled()
-        _sq_dists(Xs[lo : lo + len(out)], Xs, out=out, B_sq=self._X_sq)
-        np.fill_diagonal(out[:, lo:], 0.0)
 
 
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem,
     and the only owner of their folds' squared distances, in the form the
-    widest fold takes.
+    widest fold takes. Row i of a fold with scaled rows Xs is
+    `_sq_dists(Xs[i:i+1], Xs)[0]`, the same bits in a block or alone, with
+    entry i set to exactly 0, so K(i, i) = 1 as `_solve` assumes.
 
     Up to _DENSE_BYTES, each fold's distances are computed into its block of
     one stack padded to the widest (padding has distance 0, kernel 1), so
-    every problem's row comes out of one fancy index. A fold above it solves
-    alone (`_sub_batches`), and its rows are computed on demand into an LRU
-    of at most _DENSE_BYTES (one row at least) that drops the least recently
-    used row first.
+    every problem's row comes out of one fancy index; a fold's scaled rows
+    live only while its block fills. A fold above it solves alone
+    (`_sub_batches`): the gather keeps its scaled rows and their squared
+    norms, and computes its rows on demand into an LRU of at most
+    _DENSE_BYTES (one row at least) that drops the least recently used row
+    first.
     """
 
     def __init__(self, problems):
@@ -298,11 +286,16 @@ class _Gather:
             slot = {key: s * self.width for s, key in enumerate(folds)}
             self.stack = np.zeros((len(folds) * self.width, self.width))
             for key, fold in folds.items():
-                fold.fill(self.stack[slot[key] : slot[key] + len(fold), : len(fold)])
+                Xs = fold.scaled()
+                block = self.stack[slot[key] : slot[key] + len(Xs), : len(Xs)]
+                np.fill_diagonal(_sq_dists(Xs, Xs, out=block), 0.0)
+                del Xs  # before the next fold's: one fold's scaled rows at a time
             self.base = np.array([slot[id(fold)] for fold, _, _ in problems], dtype=np.intp)
         else:
             assert len(folds) == 1, "a fold above _DENSE_BYTES solves alone"
-            (self.fold,) = folds.values()
+            (fold,) = folds.values()
+            self.Xs = fold.scaled()
+            self.Xs_sq = np.einsum("ij,ij->i", self.Xs, self.Xs)
             self.lru, self.cap = OrderedDict(), max(1, _DENSE_BYTES // (8 * self.width))
             self.base = np.zeros(len(problems), dtype=np.intp)  # LRU rows are fold rows
 
@@ -320,8 +313,8 @@ class _Gather:
             if i not in self.lru:
                 if len(self.lru) >= self.cap:
                     self.lru.popitem(last=False)
-                self.lru[i] = np.empty(self.width)
-                self.fold.fill(self.lru[i][None], i)
+                self.lru[i] = _sq_dists(self.Xs[i : i + 1], self.Xs, B_sq=self.Xs_sq)[0]
+                self.lru[i][i] = 0.0
             self.lru.move_to_end(i)
             out.append(self.lru[i])
         return np.array(out).reshape(len(rows), self.width)
@@ -511,13 +504,13 @@ class Job:
     descriptor_id: str = ""
 
 
-def _check_jobs(jobs):
+def _check_jobs(jobs, parts):
     """Check every C, training part and test matrix before any solve ->
-    each job's (C of label -1, C of label +1)."""
-    matrices, label_C = {}, []
-    for job in jobs:
-        label_C.append(_label_C(job.params, job.class_weight))
-        part = job.part
+    each job's (C of label -1, C of label +1). parts holds each training
+    part once, with the indices of its jobs."""
+    label_C = [_label_C(job.params, job.class_weight) for job in jobs]
+    matrices = {}
+    for part, idx in parts:
         if part.X.ndim != 2 or len(part.X) != len(part.y):
             raise DataError("X must be (n, d) with one label per row")
         y = part.y if part.rows is None else part.y[part.rows]
@@ -526,8 +519,7 @@ def _check_jobs(jobs):
         if len(np.unique(y)) < 2:
             raise ConfigurationError("training data must contain both classes")
         matrices[id(part.X)] = part.X
-        if job.test is not None:
-            M = job.test[0]
+        for M in (jobs[i].test[0] for i in idx if jobs[i].test is not None):
             if M.ndim != 2 or M.shape[1] != part.X.shape[1]:
                 raise DataError(f"expected {part.X.shape[1]} dims, got {M.shape[-1]}")
             matrices[id(M)] = M
@@ -538,15 +530,15 @@ def _check_jobs(jobs):
 
 
 def _sub_batches(parts):
-    """Parts, in order, cut into runs whose dense memos, padded to the
-    widest, fit _BATCH_BYTES; a part above _DENSE_BYTES runs alone."""
+    """(part, job indices) pairs, in order, cut into runs whose dense memos,
+    padded to the widest, fit _BATCH_BYTES; a part above _DENSE_BYTES alone."""
     runs = []
-    for part in parts:
-        width = max(len(p) for p in runs[-1] + [part]) if runs else 0
+    for item in parts:
+        width = max(len(part) for part, _ in runs[-1] + [item]) if runs else 0
         if runs and _dense(width) and (len(runs[-1]) + 1) * width * width * 8 <= _BATCH_BYTES:
-            runs[-1].append(part)
+            runs[-1].append(item)
         else:
-            runs.append([part])
+            runs.append([item])
     return runs
 
 
@@ -578,16 +570,16 @@ def solve_jobs(jobs):
     results do not depend on either cut, nor on the core count.
     """
     jobs = list(jobs)
-    label_C = _check_jobs(jobs)
     by_part = {}
     for i, job in enumerate(jobs):
         by_part.setdefault(id(job.part), (job.part, []))[1].append(i)
+    parts = list(by_part.values())  # (part, indices of its jobs), in order
+    label_C = _check_jobs(jobs, parts)
 
     def solve(group):
-        return [r for run in _sub_batches(group) for r in _solve_run(run, jobs, by_part, label_C)]
+        return [r for run in _sub_batches(group) for r in _solve_run(run, jobs, label_C)]
 
-    parts = [part for part, _ in by_part.values()]
-    costs = [len(ids) * len(part) ** 2 for part, ids in by_part.values()]
+    costs = [len(idx) * len(part) ** 2 for part, idx in parts]
     out = [None] * len(jobs)
     for results in _fork_map(solve, _groups(parts, costs, _cores())):
         for i, result in results:
@@ -689,18 +681,18 @@ def _unpack(data, status):
     return value
 
 
-def _solve_run(run, jobs, by_part, label_C):
-    """One sub-batch of solve_jobs -> [(job index, result)]. The distance
-    stack is dropped when `_solve` returns, its folds on return."""
-    folds = [_Fold(part.X, part.y, part.rows) for part in run]
+def _solve_run(run, jobs, label_C):
+    """One sub-batch of solve_jobs, (part, job indices) pairs -> [(job
+    index, result)]. The distance memo is dropped when `_solve` returns,
+    its folds on return."""
+    folds = [_Fold(part.X, part.y, part.rows) for part, _ in run]
     problems = [(fold, np.where(fold.y > 0, label_C[i][1], label_C[i][0]), jobs[i].params)
-                for fold, part in zip(folds, run) for i in by_part[id(part)][1]]
+                for fold, (_, idx) in zip(folds, run) for i in idx]
     solutions = iter(_solve(problems))
     out = []
-    for fold, part in zip(folds, run):
+    for fold, (_, idx) in zip(folds, run):
         Xs, tests = fold.scaled(), {}
-        out += [(i, _result(jobs[i], fold, Xs, tests, *next(solutions)))
-                for i in by_part[id(part)][1]]
+        out += [(i, _result(jobs[i], fold, Xs, tests, *next(solutions))) for i in idx]
     return out
 
 

@@ -436,3 +436,41 @@ def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=N
     meta_X = np.column_stack(cols)
     params = grid[0] if len(grid) == 1 else search(meta_X)[0]
     return fit(meta_X, y, params, class_weight).decision_function(np.column_stack(test_cols))
+
+
+def ref_pca_fit(X, n_components):
+    """PCA as two separate branches -> (mean, components, eigenvalues).
+
+    d <= n: eigendecomposition of the d x d covariance. d > n: of the n x n
+    Gram matrix of centered rows, its eigenvectors lifted to feature space
+    and normalized. Either way the k largest eigenvalues in descending
+    order, and each axis signed so its largest-magnitude coordinate is
+    positive.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    k = min(n_components, n - 1, d)
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    if d <= n:
+        cov = (Xc.T @ Xc) / (n - 1)
+        evals, evecs = np.linalg.eigh(cov)
+        order = np.argsort(evals)[::-1][:k]
+        components = evecs[:, order].T
+        eigenvalues = evals[order]
+    else:
+        gram = (Xc @ Xc.T) / (n - 1)
+        evals, evecs = np.linalg.eigh(gram)
+        order = np.argsort(evals)[::-1][:k]
+        evals = evals[order]
+        evecs = evecs[:, order]
+        components = (Xc.T @ evecs).T
+        norms = np.linalg.norm(components, axis=1)
+        norms[norms == 0] = 1.0
+        components = components / norms[:, None]
+        eigenvalues = evals
+    components = np.ascontiguousarray(components)
+    idx = np.abs(components).argmax(axis=1)
+    signs = np.sign(components[np.arange(components.shape[0]), idx])
+    signs[signs == 0] = 1.0
+    return mean, components * signs[:, None], np.maximum(eigenvalues, 0.0)

@@ -654,3 +654,73 @@ def test_eval_crossdb_custom_stage_on_two_descriptors_exits_2(workspace, tmp_pat
     argv[-1] = f"X={workspace / 'hog.fsfm'},{workspace / 'losib.fsfm'}"
     assert main(["--out", str(tmp_path / "out")] + argv) == 2
     assert "train and test stages must list the same specs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("folds", "dir"), ("extract", "dir"), ("train", "dir"), ("stack", "dir"),
+    ("train", "under_file"), ("synth", "under_file"), ("prepare", "file"),
+    ("eval kfold", "file")])
+def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                command, out):
+    # a file output that is a directory, or a directory that cannot be made
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    hog = str(workspace / "hog.fsfm")
+    args = {
+        "folds": ["folds", "--manifest", manifest, "--k", "3"],
+        "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
+                    "--descriptor", "lbpu2"],
+        "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
+        "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
+                  "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],
+        "synth": ["synth", "--per-class", "2"],
+        "prepare": ["prepare", "--manifest", manifest, "--pattern", "F"],
+        "eval kfold": ["eval", "kfold", "--manifest", manifest, "--stage", f"C1={hog}",
+                       "--k", "3", "--C", "4.0"],
+    }[command]
+    taken = tmp_path / "taken"
+    if out == "dir":
+        taken.mkdir()
+    else:
+        taken.write_text("kept\n")
+    target = taken / "x" if out == "under_file" else taken
+    assert main(["--out", str(target)] + args) == 2
+    assert "configuration error" in capsys.readouterr().err
+    if out == "dir":
+        assert list(taken.iterdir()) == []
+    else:
+        assert taken.read_text() == "kept\n"
+
+
+def test_folds_seed_is_the_plan_the_other_commands_build(workspace, tmp_path):
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    stage = ["--stage", f"C1={workspace / 'hog.fsfm'}", "--C", "4.0"]
+    plan = str(tmp_path / "folds.csv")
+    assert main(["--seed", "7", "--out", plan, "folds", "--manifest", manifest, "--k", "3"]) == 0
+    assert main(["--seed", "7", "--out", str(tmp_path / "given"), "eval", "kfold",
+                 "--manifest", manifest, "--folds", plan] + stage) == 0
+    assert main(["--seed", "7", "--out", str(tmp_path / "built"), "eval", "kfold",
+                 "--manifest", manifest, "--k", "3"] + stage) == 0
+    report = "report.json"
+    assert (tmp_path / "given" / report).read_bytes() == (tmp_path / "built" / report).read_bytes()
+
+
+def test_noise_sweep_level_equals_prepare_extract_eval(workspace, tmp_path):
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    svm_flags = ["--k", "3", "--C", "4.0", "--gamma", "0.04"]
+    levels = ["0.05", "0.1"]
+    assert main(["--seed", "3", "--out", str(tmp_path / "sweep"), "noise-sweep",
+                 "--manifest", manifest, "--pattern", "F", "--descriptor", "hog",
+                 "--variances", ",".join(levels)] + svm_flags) == 0
+    swept = json.loads((tmp_path / "sweep" / "run.json").read_text())["results"]["accuracies"]
+    piped = []
+    for level in levels:
+        ws = tmp_path / level
+        assert main(["--seed", "3", "--out", str(ws / "pat"), "prepare", "--manifest", manifest,
+                     "--pattern", "F", "--noise", "gaussian", "--variance", level]) == 0
+        assert main(["--seed", "3", "--out", str(ws / "hog.fsfm"), "extract",
+                     "--manifest", str(ws / "pat" / "manifest.csv"), "--descriptor", "hog"]) == 0
+        assert main(["--seed", "3", "--out", str(ws / "eval"), "eval", "kfold",
+                     "--manifest", manifest, "--stage", f"C1={ws / 'hog.fsfm'}"] + svm_flags) == 0
+        piped.append(json.loads((ws / "eval" / "report.json").read_text())["accuracy"])
+    assert swept == piped

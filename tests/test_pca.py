@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from facestack import ConfigurationError, DataError, pca_fit
 
 
@@ -91,3 +92,16 @@ def test_errors():
     m = pca_fit(rng.normal(0, 1, (10, 5)), 2)
     with pytest.raises(DataError):
         m.transform(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("n, d, k", [(40, 12, 5), (30, 30, 40), (12, 30, 6), (80, 1475, 50),
+                                     (5, 20, 50), (60, 8, 8)])
+def test_fit_equals_the_two_branch_reference_bit_for_bit(n, d, k):
+    # one eigh on the smaller Gram matrix, with a lift for d > n, against
+    # the covariance and Gram routes written out separately
+    X = np.random.default_rng(n * d + k).normal(3, 2, (n, d))
+    m = pca_fit(X, k)
+    mean, components, eigenvalues = oracles.ref_pca_fit(X, k)
+    assert oracles.same_bits(m.mean, mean)
+    assert oracles.same_bits(m.components, components)
+    assert oracles.same_bits(m.eigenvalues, eigenvalues)

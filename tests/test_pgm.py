@@ -1,3 +1,6 @@
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -62,3 +65,20 @@ def test_load_gray_reads_pgm(tmp_path):
     p = tmp_path / "g.pgm"
     write_pgm(p, img)
     assert np.array_equal(load_gray(p), img)
+
+
+@pytest.mark.parametrize("error", [OSError("cannot identify image file"),
+                                   OSError("image file is truncated")])
+def test_load_gray_reports_an_undecodable_image_as_data_error(tmp_path, monkeypatch, error):
+    def open_image(path):
+        raise error
+
+    # PIL.UnidentifiedImageError and truncated files are OSErrors
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=open_image)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setitem(sys.modules, "PIL.Image", pil.Image)
+    p = tmp_path / "face.png"
+    p.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(20))
+    with pytest.raises(DataError, match="face.png: cannot decode image"):
+        load_gray(p)

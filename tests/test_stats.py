@@ -4,7 +4,7 @@ from scipy import special as ssp
 from scipy import stats as ss
 
 from facestack import ConfigurationError, DataError, chi2_sf, jarque_bera, kruskal_wallis
-from facestack.stats import StatTestResult, gammainc_lower
+from facestack.stats import StatTestResult, _ranks_with_ties, gammainc_lower
 
 
 def test_gammainc_lower_matches_scipy():
@@ -108,3 +108,16 @@ def test_result_type():
     assert isinstance(r, StatTestResult)
     assert r.statistic >= 0
     assert 0.0 <= r.p_value <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ranks_with_ties_equal_scipy_rankdata(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4 + 3 * seed, 12 + 9 * seed).astype(np.float64)
+    if seed % 2:
+        values = np.concatenate([values, rng.normal(size=7), [-0.0, 0.0]])
+    ranks, tie_sizes = _ranks_with_ties(values)
+    assert ranks.dtype == np.float64 and tie_sizes.dtype == np.float64
+    assert ranks.tobytes() == ss.rankdata(values).tobytes()
+    distinct = sorted(set(values.tolist()))
+    assert tie_sizes.tolist() == [float(np.sum(values == v)) for v in distinct]
