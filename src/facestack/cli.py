@@ -526,8 +526,8 @@ def _run_dir(ns):
     file --out. An --out that cannot be written is a ConfigurationError."""
     out = ns.out
     if ns.command not in ("synth", "prepare", "noise-sweep", "eval"):
-        if os.path.isdir(out):
-            raise ConfigurationError(f"--out {out} is a directory, not a file")
+        if not os.path.basename(out) or os.path.isdir(out):
+            raise ConfigurationError(f"--out {out!r} names a directory, not a file")
         out = os.path.dirname(os.path.abspath(out))
     try:
         os.makedirs(out, exist_ok=True)
@@ -541,6 +541,8 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     started = _now()
     try:
+        if ns.seed < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {ns.seed}")
         run_dir = _run_dir(ns)
         results, failures = ns.func(ns)
         _write_run(run_dir, ns, started, results, failures)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError
-from .records import read_text
+from .records import read_csv
 
 GENDERS = ("female", "male")
 GENDER_TOKENS = {"f": "female", "m": "male"}
@@ -45,6 +45,8 @@ class Sample:
             raise DataError(f"unknown gender {self.gender!r}")
         if self.age_group not in AGE_GROUPS:
             raise DataError(f"unknown age group {self.age_group!r}")
+        if not all(math.isfinite(v) for v in (*self.eye_left, *self.eye_right)):
+            raise DataError("eye coordinates must be finite")
         if not self.eye_left[0] < self.eye_right[0]:
             raise DataError("left eye must lie left of the right eye")
         if self.inter_eye_distance <= 0:
@@ -84,44 +86,27 @@ def load_manifest(path, dataset_name=None, check_files=True):
         dataset_name = os.path.splitext(os.path.basename(path))[0]
     base = os.path.dirname(os.path.abspath(path))
 
-    with read_text(path, "manifest") as fh:
-        reader = csv.reader(fh)
+    _, rows = read_csv(path, "manifest", MANIFEST_HEADER)
+    samples = []
+    for lineno, row in rows:
+        rel, identity, gender_tok, age_group = (c.strip() for c in row[:4])
+        if gender_tok not in GENDER_TOKENS:
+            raise ParseError(f"{path}: row {lineno}: unknown gender token {gender_tok!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected header "
-                             f"{','.join(MANIFEST_HEADER)}") from None
-        if [c.strip() for c in header] != MANIFEST_HEADER:
-            raise ParseError(f"{path}: bad header {header!r}")
-
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise ParseError(f"{path}: row {lineno}: expected "
-                                 f"{len(MANIFEST_HEADER)} columns, got {len(row)}")
-            rel, identity, gender_tok, age_group = (c.strip() for c in row[:4])
-            if gender_tok not in GENDER_TOKENS:
-                raise ParseError(f"{path}: row {lineno}: unknown gender token {gender_tok!r}")
-            if age_group not in AGE_GROUPS:
-                raise ParseError(f"{path}: row {lineno}: unknown age group {age_group!r}")
-            try:
-                lx, ly, rx, ry = (float(c) for c in row[4:])
-            except ValueError:
-                raise ParseError(f"{path}: row {lineno}: non-numeric eye coordinate") from None
-            image_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            try:
-                sample = Sample(image_path, identity, GENDER_TOKENS[gender_tok],
-                                age_group, (lx, ly), (rx, ry))
-            except DataError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            samples.append(sample)
+            lx, ly, rx, ry = (float(c) for c in row[4:])
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: non-numeric eye coordinate") from None
+        image_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
+        try:
+            samples.append(Sample(image_path, identity, GENDER_TOKENS[gender_tok],
+                                  age_group, (lx, ly), (rx, ry)))
+        except DataError as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
 
     if check_files:
-        for i, s in enumerate(samples):
+        for (lineno, _), s in zip(rows, samples):
             if not os.path.isfile(s.image_path):
-                raise DataError(f"{path}: row {i + 2}: image not found: {s.image_path}")
+                raise DataError(f"{path}: row {lineno}: image not found: {s.image_path}")
     return Manifest(dataset_name, tuple(samples))
 
 
@@ -210,17 +195,13 @@ def save_folds(plan, path):
 
 
 def load_folds(path):
-    with read_text(path, "fold plan") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row_index", "fold"]:
-            raise ParseError(f"{path}: bad fold plan header {header!r}")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
-                raise ParseError(f"{path}: row {lineno}: bad fold entry") from None
+    _, rows = read_csv(path, "fold plan", ["row_index", "fold"])
+    pairs = []
+    for lineno, (row_index, fold) in rows:
+        try:
+            pairs.append((int(row_index), int(fold)))
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: bad fold entry") from None
     pairs.sort()
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ParseError(f"{path}: row indices must cover 0..{len(pairs) - 1}")

@@ -5,40 +5,32 @@ pattern file on disk is an 8-bit P5. Other formats (PNG, JPEG) are decoded
 through Pillow when it is installed, behind the same grayscale interface.
 """
 
+import re
+
 import numpy as np
 
 from .errors import DataError
 from .records import open_binary
 
+# four fields after whitespace or '#' comments, then one whitespace byte; a
+# field never starts with '#', so the match is linear even when it fails
+_HEADER = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)(?!\S)" * 4 + rb"\s")
+
 
 def read_pgm(path):
-    """Read a binary (P5) PGM into an HxW uint8 array."""
+    """Read a binary (P5) PGM into an HxW uint8 array; a maxval below 255 is
+    rescaled to 0..255, rounding to nearest."""
     with open_binary(path, "PGM image") as fh:
         data = fh.read()
 
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        if pos >= len(data):
-            raise DataError(f"{path}: truncated PGM header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":  # comment runs to end of line
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            fields.append(data[pos:end])
-            pos = end
-    pos += 1  # single whitespace byte after maxval
-
-    if fields[0] != b"P5":
-        raise DataError(f"{path}: not a binary PGM (magic {fields[0]!r})")
+    header = _HEADER.match(data)
+    if header is None:
+        raise DataError(f"{path}: truncated PGM header")
+    magic, *dims = header.groups()
+    if magic != b"P5":
+        raise DataError(f"{path}: not a binary PGM (magic {magic!r})")
     try:
-        width, height, maxval = (int(f) for f in fields[1:])
+        width, height, maxval = (int(f) for f in dims)
     except ValueError:
         raise DataError(f"{path}: non-numeric PGM header field") from None
     if width < 1 or height < 1:
@@ -46,10 +38,15 @@ def read_pgm(path):
     if not 0 < maxval <= 255:
         raise DataError(f"{path}: unsupported PGM maxval {maxval} (8-bit only)")
 
-    raster = data[pos : pos + width * height]
+    raster = data[header.end() : header.end() + width * height]
     if len(raster) != width * height:
         raise DataError(f"{path}: PGM raster short ({len(raster)} of {width * height} bytes)")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval == 255:
+        return img.copy()
+    if img.max() > maxval:
+        raise DataError(f"{path}: PGM sample {img.max()} above maxval {maxval}")
+    return ((img.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
 
 
 def write_pgm(path, img):

@@ -1,5 +1,5 @@
 """File primitives: binary records for the .fsfm, .fsvm and .fstk formats,
-and the UTF-8 reader behind the CSV formats.
+and `read_csv`, the one reader of the CSV formats.
 
 Every record opens with a 4-byte magic and a little-endian uint32 format
 version. Counts are little-endian uint32, strings a uint32 byte length
@@ -7,11 +7,12 @@ followed by that many UTF-8 bytes, and arrays raw little-endian rows.
 Records are self-delimiting, so a file may hold several back to back; a
 file ends exactly where its last record does. Any short read, wrong magic,
 unknown version, bad UTF-8 or trailing byte raises DataError naming the
-file. `open_binary` opens a record file or an image and `read_text` a CSV
-input; both turn a missing or unreadable file into DataError as well, and
-`read_text` a non-UTF-8 one.
+file. `open_binary` opens a record file or an image and `read_csv` reads a
+CSV input; both turn a missing or unreadable file into DataError as well,
+and `read_csv` a non-UTF-8 or malformed one.
 """
 
+import csv
 import io
 import struct
 
@@ -81,10 +82,24 @@ def open_binary(path, what):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_text(path, what):
-    """The UTF-8 file at path as a text stream that keeps its line endings."""
+def read_csv(path, what, header=None):
+    """(header, rows) of the UTF-8 CSV file at path, rows as (line number,
+    fields) pairs with blank rows skipped. Every row has the header's field
+    count, and a given `header` equals the first row's stripped fields; any
+    other file raises ParseError naming the row."""
     with open_binary(path, what) as fh:
-        try:
-            return io.StringIO(fh.read().decode("utf-8"), newline="")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: {what} is not UTF-8 text") from None
+        data = fh.read()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: {what} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    first = rows.pop(0)[1] if rows else []
+    if header is not None and [c.strip() for c in first] != header:
+        raise ParseError(f"{path}: bad {what} header {first!r}, expected {','.join(header)}")
+    for lineno, row in rows:
+        if len(row) != len(first):
+            raise ParseError(f"{path}: row {lineno}: expected {len(first)} columns, got {len(row)}")
+    return first, rows

@@ -56,6 +56,7 @@ thread count either.
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
 
+import csv
 import os
 import pickle
 import signal
@@ -67,9 +68,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .records import (check_end, open_binary, pack_str, read_array, read_header,
-                      read_str, read_struct, read_text, write_header)
+from .errors import ConfigurationError, DataError, ParseError
+from .records import (check_end, open_binary, pack_str, read_array, read_csv, read_header,
+                      read_str, read_struct, write_header)
 
 GRID_C = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 GRID_GAMMA = (0.04, 0.0675, 0.095, 0.1225, 0.15)
@@ -835,33 +836,27 @@ class ScoreMatrix:
 
 
 def save_scores(path, matrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row_index," + ",".join(matrix.column_ids) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("row_index",) + matrix.column_ids)
         for ri, row in zip(matrix.row_indices, matrix.scores):
-            fh.write(str(int(ri)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            writer.writerow([int(ri)] + [repr(float(v)) for v in row])
 
 
 def load_scores(path):
-    with read_text(path, "score file") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:1] != ["row_index"] or len(header) < 2:
-            raise DataError(f"{path}: expected a row_index,<columns> header")
-        rows, idx = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path} line {lineno}: expected {len(header)} fields")
-            try:
-                idx.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from None
+    header, rows = read_csv(path, "score file")
+    if header[:1] != ["row_index"] or len(header) < 2:
+        raise ParseError(f"{path}: expected a row_index,<columns> header")
     if not rows:
-        raise DataError(f"{path}: no score rows")
-    return ScoreMatrix(scores=np.array(rows), column_ids=tuple(header[1:]),
+        raise ParseError(f"{path}: no score rows")
+    idx, scores = [], []
+    for lineno, (ri, *values) in rows:
+        try:
+            idx.append(int(ri))
+            scores.append([float(v) for v in values])
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+    return ScoreMatrix(scores=np.array(scores), column_ids=tuple(header[1:]),
                        row_indices=np.array(idx))
 
 

@@ -656,14 +656,41 @@ def test_eval_crossdb_custom_stage_on_two_descriptors_exits_2(workspace, tmp_pat
     assert "train and test stages must list the same specs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "eval kfold"])
+def test_negative_seed_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    args = {"synth": ["synth", "--per-class", "2"],
+            "eval kfold": ["eval", "kfold", "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                           "--stage", f"C1={workspace / 'hog.fsfm'}", "--k", "3"]}[command]
+    out = tmp_path / "out"
+    assert main(["--seed", "-1", "--out", str(out)] + args) == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prepare_rejects_a_non_finite_eye_coordinate(workspace, tmp_path, capsys):
+    header, first, *rest = (workspace / "corpus" / "manifest.csv").read_text().splitlines()
+    fields = first.split(",")
+    fields[0] = str(workspace / "corpus" / fields[0])
+    fields[4] = "-inf"  # eye_lx
+    man = tmp_path / "manifest.csv"
+    man.write_text("\n".join([header, ",".join(fields)]) + "\n")
+    out = tmp_path / "pats"
+    assert main(["--out", str(out), "prepare", "--manifest", str(man), "--pattern", "F"]) == 3
+    assert "row 2: eye coordinates must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+
+
 @pytest.mark.parametrize("command, out", [
     ("folds", "dir"), ("extract", "dir"), ("train", "dir"), ("stack", "dir"),
     ("train", "under_file"), ("synth", "under_file"), ("prepare", "file"),
-    ("eval kfold", "file")])
+    ("eval kfold", "file"), ("extract", "ends_in_sep"), ("extract", "empty")])
 def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
                                                 command, out):
-    # a file output that is a directory, or a directory that cannot be made
+    # a file output that is a directory or names no file ("" or a path ending
+    # in a separator), or a directory that cannot be made
     monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    monkeypatch.setattr(cli, "extract_descriptor", lambda *a: pytest.fail("extraction started"))
     manifest = str(workspace / "corpus" / "manifest.csv")
     hog = str(workspace / "hog.fsfm")
     args = {
@@ -681,15 +708,19 @@ def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys, mon
     taken = tmp_path / "taken"
     if out == "dir":
         taken.mkdir()
-    else:
+    elif out in ("file", "under_file"):
         taken.write_text("kept\n")
-    target = taken / "x" if out == "under_file" else taken
-    assert main(["--out", str(target)] + args) == 2
+    target = {"under_file": str(taken / "x"), "ends_in_sep": str(taken) + os.sep,
+              "empty": ""}.get(out, str(taken))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", target] + args) == 2
     assert "configuration error" in capsys.readouterr().err
     if out == "dir":
         assert list(taken.iterdir()) == []
-    else:
+    elif out in ("file", "under_file"):
         assert taken.read_text() == "kept\n"
+    else:
+        assert list(tmp_path.iterdir()) == []  # no run.json, no output
 
 
 def test_folds_seed_is_the_plan_the_other_commands_build(workspace, tmp_path):

@@ -215,3 +215,32 @@ def test_load_folds_rejects_bad_fold_ids(tmp_path):
     p.write_text("row_index,fold\n0,0\n1,0\n")  # a single fold trains on nothing
     with pytest.raises(ParseError, match="fold ids"):
         load_folds(p)
+
+
+HEADER = "path,identity,gender,age_group,eye_lx,eye_ly,eye_rx,eye_ry\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", range(4))
+def test_manifest_rejects_a_non_finite_eye_coordinate(tmp_path, column, value):
+    coords = ["1", "1", "5", "1"]
+    coords[column] = value
+    p = tmp_path / "m.csv"
+    p.write_text(HEADER + "b.pgm,i0,f,20-36,1,1,5,1\na.pgm,i1,f,20-36," + ",".join(coords) + "\n")
+    with pytest.raises(ParseError, match="row 3: eye coordinates must be finite"):
+        load_manifest(p, check_files=False)
+
+
+def test_missing_image_names_its_line_after_a_blank_line(tmp_path):
+    (tmp_path / "a.pgm").write_bytes(b"")
+    p = tmp_path / "m.csv"
+    p.write_text(HEADER + "a.pgm,i0,f,20-36,1,1,5,1\n\nb.pgm,i1,m,20-36,1,1,5,1\n")
+    with pytest.raises(DataError, match="row 4: image not found"):
+        load_manifest(p)
+
+
+def test_load_folds_rejects_an_extra_field(tmp_path):
+    p = tmp_path / "folds.csv"
+    p.write_text("row_index,fold\n0,0\n1,1,7\n")
+    with pytest.raises(ParseError, match="row 3: expected 2 columns, got 3"):
+        load_folds(p)

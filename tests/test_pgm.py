@@ -1,4 +1,5 @@
 import sys
+import time
 import types
 
 import numpy as np
@@ -82,3 +83,21 @@ def test_load_gray_reports_an_undecodable_image_as_data_error(tmp_path, monkeypa
     p.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(20))
     with pytest.raises(DataError, match="face.png: cannot decode image"):
         load_gray(p)
+
+
+def test_low_maxval_is_rescaled_to_full_range(tmp_path):
+    p = tmp_path / "m15.pgm"
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 7]))
+    assert read_pgm(p).tolist() == [[255, 119]]  # (v * 255 + 7) // 15
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([16, 7]))
+    with pytest.raises(DataError, match="sample 16 above maxval 15"):
+        read_pgm(p)
+
+
+def test_many_comment_lines_and_a_missing_field_fail_fast(tmp_path):
+    p = tmp_path / "comments.pgm"
+    p.write_bytes(b"P5\n" + b"# a comment line of some length\n" * 5000 + b"3 2\n")
+    started = time.perf_counter()
+    with pytest.raises(DataError, match="truncated PGM header"):
+        read_pgm(p)
+    assert time.perf_counter() - started < 1.0

@@ -468,6 +468,15 @@ def test_score_matrix_roundtrip(tmp_path):
         back.column("C9")
 
 
+def test_score_column_id_with_a_comma_survives_save_and_load(tmp_path):
+    sm = ScoreMatrix(np.array([[0.5, -1.25], [2.0, 0.125]]), ("CNN, v2", 'say "hi"'))
+    p = tmp_path / "scores.csv"
+    save_scores(p, sm)
+    back = load_scores(p)
+    assert back.column_ids == ("CNN, v2", 'say "hi"')
+    np.testing.assert_array_equal(back.scores, sm.scores)
+
+
 def test_score_matrix_validation():
     with pytest.raises(DataError):
         ScoreMatrix(np.zeros((2, 3)), ("C1", "C2"))
