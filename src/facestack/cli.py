@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pool
 from .dataset import (Manifest, Sample, adults_mask, dago_mask, load_folds,
                       load_manifest, make_folds, save_folds, save_manifest)
 from .descriptors import DESCRIPTOR_IDS, extract_descriptor
@@ -63,11 +63,16 @@ def _chunks(patterns):
         yield np.stack(run)
 
 
-def _extract_rows(patterns, descriptor_id):
-    """The float32 rows a feature file holds for an iterable of patterns,
-    one extract call per chunk."""
-    blocks = [extract_descriptor(stack, descriptor_id).astype(np.float32)
-              for stack in _chunks(patterns)]
+def _extract_rows(rows, pattern, descriptor_id):
+    """The float32 feature rows of rows, pattern(row) being a row's pattern.
+    The rows are cut into contiguous runs, one per core (`pool.map_groups`),
+    and each run is described one chunk per extract call; the widths are
+    checked across every run's chunks."""
+    def describe(run):
+        return [extract_descriptor(stack, descriptor_id).astype(np.float32)
+                for stack in _chunks(map(pattern, run))]
+
+    blocks = [block for run in pool.map_groups(describe, rows) for block in run]
     widths = sorted({b.shape[1] for b in blocks})
     if len(widths) > 1:
         raise DataError(f"inconsistent feature widths {widths}; "
@@ -211,32 +216,42 @@ def _noise_spec(kind, level, seed):
     return NoiseSpec("motion_blur", motion_length=level, seed=seed)
 
 
+def _pattern(ns, level, row, img, sample):
+    """Row row's pattern: img, its sample's image, normalised to ns.pattern
+    with ns.noise at level seeded by derive_seed(ns.seed, row)."""
+    noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, row))
+    return prepare_pattern(img, sample.eye_left, sample.eye_right, ns.pattern, noise=noise)
+
+
 def cmd_prepare(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
     level = ns.variance if ns.noise == "gaussian" else ns.length
     _noise_spec(ns.noise, level, ns.seed)  # a bad level is a configuration error, not a row's
 
-    patterns, failures = [], []
-    for row, src in enumerate(manifest.samples):
-        try:
-            img = load_gray(src.image_path)
-            noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, row))
-            patterns.append((row, src, prepare_pattern(img, src.eye_left, src.eye_right,
-                                                       ns.pattern, noise=noise)))
-        except (DataError, ConfigurationError, OSError) as exc:
-            failures.append({"row": row, "error": str(exc)})
-
-    # the files are written after every pattern is made: writing each one as
-    # it is made measured about 6% slower on the featurize benchmark (2-core VM)
     eye_l, eye_r = pattern_eyes(ns.pattern)
-    kept = []
-    for row, src, pat in patterns:
-        name = f"{row:06d}.pgm"
-        write_pgm(os.path.join(ns.out, name), pat)
-        kept.append(Sample(os.path.join(ns.out, name), src.identity_id, src.gender,
-                           src.age_group, eye_l, eye_r))
-    prepared = Manifest(manifest.dataset_name, tuple(kept))
-    save_manifest(prepared, os.path.join(ns.out, "manifest.csv"))
+
+    def prepare(rows):
+        """A contiguous run of (row, sample) pairs -> (the prepared samples,
+        failures). The files are written once the run's patterns are made:
+        writing each as it was made measured about 6% slower on featurize."""
+        patterns, failures = [], []
+        for row, src in rows:
+            try:
+                img = load_gray(src.image_path)
+                patterns.append((row, src, _pattern(ns, level, row, img, src)))
+            except (DataError, ConfigurationError, OSError) as exc:
+                failures.append({"row": row, "error": str(exc)})
+        kept = []
+        for row, src, pat in patterns:
+            path = os.path.join(ns.out, f"{row:06d}.pgm")
+            write_pgm(path, pat)
+            kept.append(Sample(path, src.identity_id, src.gender, src.age_group, eye_l, eye_r))
+        return kept, failures
+
+    runs = pool.map_groups(prepare, enumerate(manifest.samples))
+    kept = tuple(sample for samples, _ in runs for sample in samples)
+    failures = [failure for _, failed in runs for failure in failed]
+    save_manifest(Manifest(manifest.dataset_name, kept), os.path.join(ns.out, "manifest.csv"))
     print(f"prepare: {len(kept)} patterns ({ns.pattern}) in {ns.out}, {len(failures)} failed")
     return {"n_prepared": len(kept), "n_failed": len(failures)}, failures
 
@@ -246,8 +261,9 @@ def cmd_extract(ns):
     if len(manifest) == 0:
         raise DataError(f"{ns.manifest}: no samples")
 
-    patterns = (read_pgm(sample.image_path) for sample in manifest.samples)
-    fm = FeatureMatrix(_extract_rows(patterns, ns.descriptor), ns.descriptor)
+    rows = _extract_rows(manifest.samples, lambda sample: read_pgm(sample.image_path),
+                         ns.descriptor)
+    fm = FeatureMatrix(rows, ns.descriptor)
     save_features(fm, ns.out)
     if ns.csv:
         export_csv(fm, ns.csv)
@@ -389,10 +405,8 @@ def cmd_noise_sweep(ns):
 
     rows = []
     for level in levels:  # each level is prepare -> extract -> eval kfold at that level
-        patterns = (prepare_pattern(img, s.eye_left, s.eye_right, ns.pattern,
-                                    noise=_noise_spec(ns.noise, level, derive_seed(ns.seed, row)))
-                    for row, (img, s) in enumerate(zip(images, manifest.samples)))
-        feats = _extract_rows(patterns, ns.descriptor)
+        feats = _extract_rows(range(len(images)), lambda row: _pattern(
+            ns, level, row, images[row], manifest.samples[row]), ns.descriptor)
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
                               seed=ns.seed, **_svm_flags(ns))
         rows.append((level, report.accuracy))

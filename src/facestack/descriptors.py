@@ -11,9 +11,10 @@ Batches: `extract_descriptor`, `hog`, `losib`, `grid_histogram` and the
 `*_code_map` functions take one (H, W) uint8 pattern or an (N, H, W) stack
 of equal-shape patterns; a single pattern is a batch of one, and a stack
 gives one row per pattern, bit-identical to extracting the patterns one at
-a time. The CLI's `extract` and `noise-sweep` pass chunks of at most
+a time. The CLI's `extract` and `noise-sweep` cut the rows into one run
+per core (`pool.map_groups`), each passed in chunks of at most
 `cli._CHUNK_PIXELS` pixels (32768: 8 F or HS64 patterns), which bounds
-the temporaries of one call.
+the temporaries of one call; neither cut changes the bytes.
 
 Cell sums use one weighted `np.bincount` over `image*cells*bins + bin`
 indices. It adds each bin's votes one by one in input order, the order of

@@ -18,12 +18,12 @@ for the model. `solve_jobs` solves a list of jobs and returns each one's
 held-out scores or SvmModel. Callers hand it every independent fit of an
 evaluation *phase* at once; `solve_plans` runs plans (generators that
 yield the jobs of their next phase) in lockstep, one `solve_jobs` per
-phase. A phase runs on every core the process may use, with no flag: its
-parts are cut, in order, into one contiguous group per core, the caller
-solving the first group and a child made by os.fork each other one. A
-group runs in sub-batches of whole parts whose padded distance stack stays
-under _BATCH_BYTES. Each problem gets the same bits in any batch (below),
-so the results do not depend on either cut or on the core count.
+phase. A phase runs on every core the process may use, with no flag: the
+fork pool in `pool` cuts its parts, in order, into one contiguous group
+per core, the caller solving the first group and a child each other one.
+A group runs in sub-batches of whole parts whose padded distance stack
+stays under _BATCH_BYTES. Each problem gets the same bits in any batch
+(below), so the results do not depend on either cut or on the core count.
 
 `cv_scores`, the one cross-validated scorer, gives each row's held-out score
 under every grid point; `grid_search` picks from them, stacking takes its
@@ -57,17 +57,14 @@ Models serialize as `.fsvm` records in the shared layout of `records`.
 """
 
 import csv
-import os
-import pickle
-import signal
 import struct
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigurationError, DataError, ParseError
 from .records import (check_end, open_binary, pack_str, read_array, read_csv, read_header,
                       read_str, read_struct, write_header)
@@ -561,13 +558,11 @@ def _result(job, fold, Xs, tests, alpha, bias):
 def solve_jobs(jobs):
     """Solve independent fits -> each job's result, in order.
 
-    The phase's parts are cut, in order, into one contiguous group per core
-    (`_cores`, at most one per part), of about equal cost (jobs x n^2 per
-    part). The caller's process solves the first group and a child made by
-    `os.fork` each other one (`_fork_map`), so one process runs per core.
-    A group runs as `_solve` batches of whole parts, cut by `_sub_batches`;
-    a part's `_Fold` is built when its sub-batch starts and dropped when it
-    ends. `_solve` computes each problem the same way in any batch, so the
+    `pool.map_groups` cuts the phase's parts, in order, into one contiguous
+    group per core, of about equal cost (jobs x n^2 per part). A group runs
+    as `_solve` batches of whole parts, cut by `_sub_batches`; a part's
+    `_Fold` is built when its sub-batch starts and dropped when it ends.
+    `_solve` computes each problem the same way in any batch, so the
     results do not depend on either cut, nor on the core count.
     """
     jobs = list(jobs)
@@ -582,104 +577,10 @@ def solve_jobs(jobs):
 
     costs = [len(idx) * len(part) ** 2 for part, idx in parts]
     out = [None] * len(jobs)
-    for results in _fork_map(solve, _groups(parts, costs, _cores())):
+    for results in pool.map_groups(solve, parts, costs):
         for i, result in results:
             out[i] = result
     return out
-
-
-def _cores():
-    """The CPUs this process may run on, which sizes a phase's pool; 1 where
-    os.fork or os.sched_getaffinity is missing (Windows, macOS)."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _groups(items, costs, w):
-    """items, in order, cut into at most w contiguous non-empty groups of
-    about equal total cost (costs > 0): an item goes to the w-quantile in
-    which the midpoint of its cost falls."""
-    total = sum(costs)
-    which = [int((end - cost / 2) * w // total) for end, cost in zip(accumulate(costs), costs)]
-    groups = [[item for item, g in zip(items, which) if g == k] for k in range(w)]
-    return [group for group in groups if group]
-
-
-def _fork_map(fn, args):
-    """[fn(arg) for arg in args]: this process runs fn(args[0]), a child
-    made by os.fork each later one.
-
-    A child inherits fn and its argument through the fork, so neither is
-    pickled. It pickles back only its result, or the exception it raised,
-    and the warnings it recorded, and always ends in os._exit, so it never
-    returns into the caller's code. The parent reads each pipe to its end
-    before reaping its child, since a result can exceed the pipe buffer.
-    Then it re-issues a child's warnings in order and raises its exception,
-    as the call would have in-process. Every child is reaped before this
-    returns or raises; if the parent's own call raises, killed first.
-    """
-    children, raw, statuses = [], [], []
-    try:
-        for arg in args[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(fn, arg, write)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        out = [fn(arg) for arg in args[:1]]
-        raw = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    return out + [_unpack(data, status) for data, status in zip(raw, statuses)]
-
-
-def _child(fn, arg, write):
-    """The body of a `_fork_map` child: run fn(arg), send (ok, result or
-    exception, warnings) through the pipe end `write`, exit. Never returns;
-    the exit status is 0 only once the whole payload is written."""
-    code = 1
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                done = (True, fn(arg))
-            except BaseException as exc:  # the parent raises it again
-                done = (False, exc)
-        warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        try:
-            data = pickle.dumps((*done, warned), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((False, pickle.PicklingError(
-                f"a worker's result could not be pickled: {exc!r}"), []))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _unpack(data, status):
-    """A `_fork_map` child's payload and wait status -> its result."""
-    if status != 0:
-        raise ChildProcessError(f"a worker ended with wait status {status} before its result")
-    ok, value, warned = pickle.loads(data)
-    for message, category, filename, lineno in warned:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if not ok:
-        raise value
-    return value
 
 
 def _solve_run(run, jobs, label_C):

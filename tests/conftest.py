@@ -19,3 +19,12 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def assert_reaped():
+    """A check that this process has no child left, running or unreaped."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import facestack
 from facestack import evaluation, stacking
-from facestack import cli
+from facestack import cli, pool
 from facestack import svm as svm_module
 from facestack.cli import main
 from facestack.dataset import Manifest, load_folds, load_manifest, save_manifest
@@ -461,6 +462,26 @@ def test_extract_mixed_pattern_sizes(workspace, tmp_path, capsys):
     assert "inconsistent feature widths [3835, 4096]" in capsys.readouterr().err
 
 
+def test_extract_checks_widths_across_worker_groups(workspace, tmp_path, capsys, monkeypatch,
+                                                   forks, assert_reaped):
+    hs = tmp_path / "hs64"
+    assert main(["--out", str(hs), "prepare", "--manifest",
+                 str(workspace / "corpus" / "manifest.csv"), "--pattern", "HS64"]) == 0
+    f_rows = load_manifest(workspace / "fpat" / "manifest.csv").samples
+    hs_rows = load_manifest(hs / "manifest.csv").samples
+    manifest = tmp_path / "f_then_hs64.csv"
+    save_manifest(Manifest("mixed", f_rows[:15] + hs_rows[15:]), manifest)
+    # on 2 cores each worker group holds one pattern size
+    for cores in (1, 2):
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "raw.fsfm"), "extract",
+                     "--manifest", str(manifest), "--descriptor", "raw"]) == 3
+        assert "inconsistent feature widths [3835, 4096]" in capsys.readouterr().err
+    assert forks
+    assert_reaped()
+
+
 def test_eval_kfold_rejects_negative_fold_ids(workspace, tmp_path, capsys):
     lines = (workspace / "folds.csv").read_text().splitlines()
     for i in range(1, 11):  # 10 of 30 rows get fold -1
@@ -755,3 +776,122 @@ def test_noise_sweep_level_equals_prepare_extract_eval(workspace, tmp_path):
                      "--manifest", manifest, "--stage", f"C1={ws / 'hog.fsfm'}"] + svm_flags) == 0
         piped.append(json.loads((ws / "eval" / "report.json").read_text())["accuracy"])
     assert swept == piped
+
+
+def _tree(root):
+    """Every file under root but run.json, by relative path -> its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "run.json"}
+
+
+def test_row_commands_do_not_depend_on_the_worker_count(workspace, tmp_path, monkeypatch,
+                                                        forks, assert_reaped):
+    manifest = str(workspace / "corpus" / "manifest.csv")
+    commands = {
+        "prepare": ["prepare", "--manifest", manifest, "--pattern", "HS64",
+                    "--noise", "gaussian", "--variance", "0.05"],
+        **{d: ["extract", "--manifest", "prepare/manifest.csv", "--descriptor", d]
+           for d in ("hog", "lbpu2", "losib")},
+        "sweep": ["noise-sweep", "--manifest", manifest, "--pattern", "F", "--descriptor",
+                  "hog", "--variances", "0,0.1", "--k", "3", "--C", "4.0"],
+    }
+    trees, forked = [], []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
+        (tmp_path / str(cores)).mkdir()
+        monkeypatch.chdir(tmp_path / str(cores))
+        counts = {}
+        for name, argv in commands.items():
+            before = len(forks)
+            out = name if name in ("prepare", "sweep") else f"{name}.fsfm"
+            assert main(["--seed", "5", "--out", out] + argv) == 0
+            counts[name] = len(forks) - before
+        trees.append(_tree(tmp_path / str(cores)))
+        forked.append(counts)
+    assert trees[0] == trees[1] == trees[2]
+    assert len([n for n in trees[0] if n.endswith(".pgm")]) == 30
+    assert {"prepare/manifest.csv", "hog.fsfm", "lbpu2.fsfm", "losib.fsfm",
+            "sweep/sweep.csv"} <= set(trees[0])
+    for name in ("prepare", "hog", "lbpu2", "losib"):  # one pooled call each
+        assert [counts[name] for counts in forked] == [0, 1, 2]
+    # the sweep's two levels and its solver phases each fork cores - 1 children
+    sweep = [counts["sweep"] for counts in forked]
+    assert sweep[0] == 0 and sweep[1] > 2 and sweep[2] == 2 * sweep[1]
+    assert_reaped()
+
+
+def test_a_one_row_manifest_forks_nothing(workspace, tmp_path, monkeypatch):
+    corpus = load_manifest(workspace / "corpus" / "manifest.csv")
+    one = tmp_path / "one.csv"
+    save_manifest(Manifest("one", corpus.samples[:1]), one)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert main(["--out", str(tmp_path / "pat"), "prepare", "--manifest", str(one),
+                 "--pattern", "F"]) == 0
+    assert main(["--out", str(tmp_path / "hog.fsfm"), "extract",
+                 "--manifest", str(tmp_path / "pat" / "manifest.csv"), "--descriptor", "hog"]) == 0
+    assert load_features(tmp_path / "hog.fsfm").data.shape == (1, 576)
+
+
+def _with_images(manifest, out, images):
+    """The manifest at path manifest with rows replaced by {row: image path},
+    saved at out."""
+    samples = list(load_manifest(manifest, check_files=False).samples)
+    for row, path in images.items():
+        samples[row] = dataclasses.replace(samples[row], image_path=str(path))
+    save_manifest(Manifest("broken", tuple(samples)), out)
+    return out
+
+
+def test_prepare_failures_in_a_worker_are_listed_in_row_order(workspace, tmp_path, capsys,
+                                                              monkeypatch, forks, assert_reaped):
+    corrupt = tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P5\n59 65\n255\n" + bytes(100))
+    # row 3 in the caller's group; rows 20 and 25 in the worker's
+    man = _with_images(workspace / "corpus" / "manifest.csv", tmp_path / "m.csv",
+                       {3: tmp_path / "missing.pgm", 20: corrupt, 25: tmp_path / "gone.pgm"})
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
+    out = tmp_path / "pat"
+    assert main(["--out", str(out), "prepare", "--manifest", str(man), "--pattern", "F"]) == 4
+    assert "partial failure" in capsys.readouterr().err
+    run = json.loads((out / "run.json").read_text())
+    assert [f["row"] for f in run["failures"]] == [3, 20, 25]
+    assert "raster short" in run["failures"][1]["error"]
+    assert run["results"] == {"n_prepared": 27, "n_failed": 3}
+    kept = load_manifest(out / "manifest.csv").samples
+    assert [os.path.basename(s.image_path) for s in kept] == [
+        f"{row:06d}.pgm" for row in range(30) if row not in (3, 20, 25)]
+    assert len(forks) == 1
+    assert_reaped()
+
+
+def test_a_corrupt_pattern_in_a_worker_exits_3(workspace, tmp_path, capsys, monkeypatch, forks,
+                                               assert_reaped):
+    corrupt = tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P5\n59 65\n255\n" + bytes(100))
+    man = _with_images(workspace / "fpat" / "manifest.csv", tmp_path / "m.csv", {25: corrupt})
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
+    assert main(["--out", str(tmp_path / "hog.fsfm"), "extract", "--manifest", str(man),
+                 "--descriptor", "hog"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "corrupt.pgm" in err
+    assert forks and not (tmp_path / "hog.fsfm").exists()
+    assert_reaped()
+
+
+def test_an_unexpected_worker_error_is_raised_in_the_caller(workspace, tmp_path, monkeypatch,
+                                                            forks, assert_reaped):
+    caller, real = os.getpid(), cli.prepare_pattern
+
+    def prepare(*args, **kwargs):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("a worker's row failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "prepare_pattern", prepare)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
+    with pytest.raises(ZeroDivisionError, match="a worker's row failed"):
+        main(["--out", str(tmp_path / "pat"), "prepare",
+              "--manifest", str(workspace / "corpus" / "manifest.csv"), "--pattern", "F"])
+    assert forks
+    assert_reaped()

@@ -23,6 +23,7 @@ from facestack import (
     save_roc,
 )
 from facestack import evaluation
+from facestack import pool
 from facestack import svm as svm_module
 from facestack.pca import pca_fit
 from facestack.stacking import save_stacked, stack_fit
@@ -314,7 +315,7 @@ def _five_stages(n=120, widths=(576, 576, 256, 256, 128), seed=0):
 
 
 def test_five_stage_kfold_solves_by_phase(monkeypatch):
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     stages, y = _five_stages()
     sizes = []
     real = svm_module._solve
@@ -336,7 +337,7 @@ def test_five_stage_kfold_does_not_depend_on_the_worker_count(monkeypatch, forks
     stages, y = _five_stages()
     pooled = []
     for cores in (1, 2):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         pooled.append(run_kfold(stages, y, k=5, seed=7, params=PARAMS)[1])
         assert bool(forks) == (cores > 1)
     assert oracles.same_bits(*pooled)
@@ -359,7 +360,7 @@ def test_run_kfold_peak_memory_does_not_rise():
 
 
 def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     views, y = _views(30, 33, (6, 8))
     folds = make_folds(y, 3, seed=0)  # training parts of 20 rows
     specs = [FirstStageSpec(f"C{s + 1}", "custom", "raw") for s in range(2)]

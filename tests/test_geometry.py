@@ -99,8 +99,8 @@ def test_prepare_pattern_matches_masked_sampler(pattern_id, monkeypatch):
     got = [prepare_pattern(img, el, er, pattern_id, noise)
            for el, er in eyes for noise in noises]
     assert not got[-3].any()  # the wholly outside window reads zeros
-    monkeypatch.setattr(geometry, "_bilinear_sample",
-                        lambda src, xs, ys: oracles.ref_bilinear_sample(
+    monkeypatch.setattr(geometry, "_bilinear_sample",  # downscale's corners are ignored
+                        lambda src, xs, ys, corners=None: oracles.ref_bilinear_sample(
                             src.astype(np.float64), xs, ys))
     want = [prepare_pattern(img, el, er, pattern_id, noise)
             for el, er in eyes for noise in noises]
@@ -171,6 +171,24 @@ def test_downscale_same_size_is_copy():
 def test_downscale_rounds_half_up():
     img = np.array([[0, 1]], dtype=np.uint8)
     assert downscale(img, 1, 1).tolist() == [[1]]  # mean 0.5 rounds up
+
+
+def test_downscale_matches_masked_sampler_and_builds_its_grid_once():
+    rng = np.random.default_rng(13)
+    for (h, w), (th, tw) in (((155, 159), (64, 64)), ((155, 159), (32, 32)),
+                             ((155, 159), (16, 16)), ((7, 5), (3, 4)), ((3, 4), (6, 9))):
+        img = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
+        ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
+        want = oracles.ref_bilinear_sample(img.astype(np.float64), *np.meshgrid(xs, ys))
+        assert oracles.same_bits(downscale(img, tw, th), np.clip(np.floor(want + 0.5), 0, 255)
+                                 .astype(np.uint8))
+    resample = geometry._resample_grid(159, 155, 64, 64)
+    assert geometry._resample_grid(159, 155, 64, 64) is resample
+    grid = geometry._pixel_grid(59, 65)
+    assert geometry._pixel_grid(59, 65) is grid
+    gx, gy, corners = resample
+    assert not any(a.flags.writeable for a in (*grid, gx, gy, *(a for c in corners for a in c)))
 
 
 def test_noise_spec_validation():

@@ -21,6 +21,7 @@ from facestack import (
     stack_scores,
     svm_fit,
 )
+from facestack import pool
 from facestack import svm as svm_module
 from facestack.records import pack_str
 from facestack.stacking import DEFAULT_STAGE_PARAMS
@@ -205,7 +206,7 @@ def _stack_fit_by_refits(views, y, folds, specs):
 
 
 def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_path):
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     views, y = _views(48, seed=17)
     folds = make_folds(y, 3, seed=0)
     specs = _specs(2)
@@ -237,7 +238,7 @@ def test_stack_fit_does_not_depend_on_the_worker_count(monkeypatch, forks, tmp_p
     views, y = _views(48, seed=17)
     folds = make_folds(y, 3, seed=0)
     for cores in (1, 2):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         save_stacked(tmp_path / f"{cores}.fstk", stack_fit(views, y, folds, _specs(2), params=None))
     assert forks
     assert (tmp_path / "1.fstk").read_bytes() == (tmp_path / "2.fstk").read_bytes()

@@ -13,6 +13,7 @@ import pytest
 
 import facestack
 import oracles
+from facestack import pool
 from facestack import svm as svm_module
 from facestack import (
     ConfigurationError,
@@ -345,7 +346,7 @@ def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
 
 def test_jobs_on_one_part_share_one_fold(monkeypatch):
     # the grid search runs all its points on one fold of each training part
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     built = []
     real = svm_module._Fold
 
@@ -670,7 +671,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_grid_search_solves_one_batch(monkeypatch):
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     X, y = _blobs(15, gap=1.0, seed=23)
     folds = FoldPlan(3, np.arange(len(y)) % 3)
     batches = []
@@ -697,47 +698,41 @@ def test_iteration_cap_warns(monkeypatch):
         svm_fit(X, y, SvmParams(C=1.0, gamma=0.5))
 
 
-def _assert_reaped():
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_groups_are_contiguous_and_balanced():
-    assert svm_module._groups(list("abcde"), [1] * 5, 2) == [["a", "b"], ["c", "d", "e"]]
-    assert svm_module._groups(list("abcde"), [9, 1, 1, 1, 1], 2) == [["a"], ["b", "c", "d", "e"]]
-    assert svm_module._groups(list("abc"), [100, 1, 1], 3) == [["a"], ["b", "c"]]  # none empty
-    assert svm_module._groups(list("ab"), [1, 1], 4) == [["a"], ["b"]]  # at most one per item
-    assert svm_module._groups([], [], 0) == []
+    assert pool._groups(list("abcde"), [1] * 5, 2) == [["a", "b"], ["c", "d", "e"]]
+    assert pool._groups(list("abcde"), [9, 1, 1, 1, 1], 2) == [["a"], ["b", "c", "d", "e"]]
+    assert pool._groups(list("abc"), [100, 1, 1], 3) == [["a"], ["b", "c"]]  # none empty
+    assert pool._groups(list("ab"), [1, 1], 4) == [["a"], ["b"]]  # at most one per item
+    assert pool._groups([], [], 0) == []
 
 
-def test_cv_table_does_not_depend_on_the_worker_count(monkeypatch, forks):
+def test_cv_table_does_not_depend_on_the_worker_count(monkeypatch, forks, assert_reaped):
     X, y = _blobs(20, gap=1.0, seed=24)
     folds = FoldPlan(4, np.arange(len(y)) % 4)
     tables = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         before = len(forks)
         tables.append(cv_scores(X, y, folds, default_grid()))
         assert len(forks) - before == cores - 1
     assert all(oracles.same_bits(table, tables[0]) for table in tables)
-    _assert_reaped()
+    assert_reaped()
 
 
-def test_lru_parts_do_not_depend_on_the_worker_count(monkeypatch, forks):
+def test_lru_parts_do_not_depend_on_the_worker_count(monkeypatch, forks, assert_reaped):
     monkeypatch.setattr(svm_module, "_DENSE_BYTES", 40 * 40 * 8)  # 64 and 50 rows are LRU
     jobs = _jobs(_mixed_fits())  # n = 24, 64, 40, 50, 34
     models = []
     for cores in (1, 2):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         models.append(solve_jobs(jobs))
     assert forks
     _assert_same_models(*models)
-    _assert_reaped()
+    assert_reaped()
 
 
 def test_empty_and_one_part_phases_do_not_fork(monkeypatch):
-    monkeypatch.setattr(svm_module, "_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert solve_jobs([]) == []
     part = Part(*_blobs(10))
@@ -748,12 +743,12 @@ def test_without_fork_or_affinity_a_phase_runs_in_process(monkeypatch):
     want = solve_jobs(_jobs(_mixed_fits()))
     monkeypatch.delattr(os, "fork")
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert svm_module._cores() == 1
+    assert pool._cores() == 1
     _assert_same_models(solve_jobs(_jobs(_mixed_fits())), want)
 
 
 @pytest.mark.parametrize("error", [DataError, ConfigurationError, ZeroDivisionError])
-def test_a_worker_error_is_raised_in_the_caller(monkeypatch, forks, error):
+def test_a_worker_error_is_raised_in_the_caller(monkeypatch, forks, error, assert_reaped):
     jobs = _jobs(_mixed_fits())  # n = 24 in the caller's group, the rest in a worker's
     last, real = jobs[-1].part.X, svm_module._Fold
 
@@ -765,15 +760,15 @@ def test_a_worker_error_is_raised_in_the_caller(monkeypatch, forks, error):
     monkeypatch.setattr(svm_module, "_Fold", fold)
     raised = []
     for cores in (1, 2):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         with pytest.raises(error) as info:
             solve_jobs(jobs)
         raised.append((type(info.value), str(info.value)))
     assert forks and raised == [(error, "no fold on 34 rows")] * 2
-    _assert_reaped()
+    assert_reaped()
 
 
-def test_an_error_in_the_callers_group_kills_the_workers(monkeypatch, forks):
+def test_an_error_in_the_callers_group_kills_the_workers(monkeypatch, forks, assert_reaped):
     caller = os.getpid()
 
     def run(*args):
@@ -782,15 +777,15 @@ def test_an_error_in_the_callers_group_kills_the_workers(monkeypatch, forks):
         raise DataError("the caller's group failed")
 
     monkeypatch.setattr(svm_module, "_solve_run", run)
-    monkeypatch.setattr(svm_module, "_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
     start = time.monotonic()
     with pytest.raises(DataError, match="caller's group"):
         solve_jobs(_jobs(_mixed_fits()))
     assert forks and time.monotonic() - start < 30  # the worker was killed, not waited out
-    _assert_reaped()
+    assert_reaped()
 
 
-def test_a_worker_that_dies_fails_the_call(monkeypatch, forks):
+def test_a_worker_that_dies_fails_the_call(monkeypatch, forks, assert_reaped):
     caller, real = os.getpid(), svm_module._solve_run
 
     def run(*args):
@@ -799,14 +794,15 @@ def test_a_worker_that_dies_fails_the_call(monkeypatch, forks):
         return real(*args)
 
     monkeypatch.setattr(svm_module, "_solve_run", run)
-    monkeypatch.setattr(svm_module, "_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
     with pytest.raises(ChildProcessError, match="wait status 9 "):
         solve_jobs(_jobs(_mixed_fits()))
     assert forks
-    _assert_reaped()
+    assert_reaped()
 
 
-def test_a_result_that_cannot_be_pickled_fails_in_the_caller(monkeypatch, forks, tmp_path):
+def test_a_result_that_cannot_be_pickled_fails_in_the_caller(monkeypatch, forks, tmp_path,
+                                                             assert_reaped):
     caller, real = os.getpid(), svm_module._solve_run
 
     def run(*args):
@@ -814,12 +810,12 @@ def test_a_result_that_cannot_be_pickled_fails_in_the_caller(monkeypatch, forks,
         return out if os.getpid() == caller else [(i, lambda: None) for i, _ in out]
 
     monkeypatch.setattr(svm_module, "_solve_run", run)
-    monkeypatch.setattr(svm_module, "_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
     with pytest.raises(pickle.PicklingError, match="could not be pickled"):
         solve_jobs(_jobs(_mixed_fits()))
     (tmp_path / str(os.getpid())).touch()  # a worker that ran on into this test would, too
     assert forks and [p.name for p in tmp_path.iterdir()] == [str(caller)]
-    _assert_reaped()
+    assert_reaped()
 
 
 def test_worker_warnings_are_reissued_in_order(monkeypatch, forks):
@@ -827,7 +823,7 @@ def test_worker_warnings_are_reissued_in_order(monkeypatch, forks):
     jobs = _jobs(_mixed_fits())
     seen = []
     for cores in (1, 2):
-        monkeypatch.setattr(svm_module, "_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solve_jobs(jobs)
@@ -836,10 +832,10 @@ def test_worker_warnings_are_reissued_in_order(monkeypatch, forks):
     assert len(seen[0]) == len(jobs) and all("1-iteration cap" in w[0] for w in seen[0])
 
 
-def test_a_worker_warning_meets_the_callers_filters(monkeypatch, forks):
+def test_a_worker_warning_meets_the_callers_filters(monkeypatch, forks, assert_reaped):
     # only the worker's problem hits the cap; this module turns RuntimeWarning into an error
     monkeypatch.setattr(svm_module, "_MAX_ITER", 1)
-    monkeypatch.setattr(svm_module, "_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
     params = SvmParams(C=1.0, gamma=0.5)
     two_rows = Part(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]))  # solved in one step
     solve_jobs([Job(two_rows, params)])
@@ -847,7 +843,7 @@ def test_a_worker_warning_meets_the_callers_filters(monkeypatch, forks):
     with pytest.raises(RuntimeWarning, match="1-iteration cap"):
         solve_jobs(jobs)
     assert forks
-    _assert_reaped()
+    assert_reaped()
 
 
 def _ref_pairs(rows):
@@ -923,7 +919,7 @@ def test_checked_problem_that_runs_on_keeps_its_bits(monkeypatch):
     # check is not, so an incremental gap below _TOL can be an exact gap above
     # it, and the problem runs on from the check. (At 1 + 1e-9 no problem here
     # does.) It must step in the same pass and keep its bits in any batch.
-    monkeypatch.setattr(svm_module, "_cores", lambda: 1)  # one process: the spy sees every solve
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every solve
     real_call, real_rows = _Gather.__call__, _Gather.d2_rows
     checks = []
 
