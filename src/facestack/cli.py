@@ -193,7 +193,12 @@ def _protocol_indices(manifest, protocol):
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(ns):
-    manifest = synth_corpus(ns.out, ns.per_class, seed=ns.seed, dataset_name=ns.name)
+    try:
+        manifest = synth_corpus(ns.out, ns.per_class, seed=ns.seed, dataset_name=ns.name)
+    except OSError as exc:  # also one raised in a pool worker
+        if exc.filename is None:  # not a path of the corpus: a failed fork or worker
+            raise
+        raise ConfigurationError(f"--out {ns.out}: cannot write the corpus: {exc}") from None
     print(f"synth: wrote {len(manifest)} samples under {ns.out}")
     return {"n_samples": len(manifest), "manifest": os.path.join(ns.out, "manifest.csv")}, []
 

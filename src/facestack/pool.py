@@ -2,10 +2,11 @@
 
 `map_groups` cuts items, in order, into one contiguous group per usable
 core, with no flag, and runs the first group in the caller and each other
-one in a child made by os.fork. `svm.solve_jobs` and the CLI's row
-commands call it; each makes a group's result depend on its items alone,
-so the output does not depend on the core count. Without os.fork or
-os.sched_getaffinity (Windows, macOS) all items are one group, in-process.
+one in a child made by os.fork. `svm.solve_jobs`, `synth.synth_corpus`
+and the CLI's row commands call it; each makes a group's result depend on
+its items alone, so the output does not depend on the core count. Without
+os.fork or os.sched_getaffinity (Windows, macOS) all items are one group,
+in-process.
 """
 
 import os

@@ -14,6 +14,10 @@ where the real pipeline looks for it:
 Geometry is chosen so the full head-and-shoulders crop fits the canvas for
 every admissible pose. Per-identity intensity/frequency/phase jitter plus
 pixel noise keep the classes from being trivially separable by one pixel.
+
+A corpus is one rng stream that `_draws` reads sample after sample: its
+stream order is the corpus's byte contract. Each core's group of samples
+replays its predecessors' draws, unrendered, before rendering its own.
 """
 
 import math
@@ -21,6 +25,7 @@ import os
 
 import numpy as np
 
+from . import pool
 from .dataset import AGE_GROUPS, Manifest, Sample, save_manifest
 from .errors import ConfigurationError
 from .geometry import _round_u8
@@ -36,13 +41,14 @@ _AGE_WEIGHTS = (0.20, 0.30, 0.30, 0.15, 0.05)  # last entry is "unknown"
 class _Canvas:
     """Canvas-sized arrays that `_render` draws in, reused from image to image.
 
-    One synth_corpus call owns one, so a corpus allocates them once, not
-    about 20 canvas-sized arrays per image.
+    Each group of a synth_corpus call owns one, so a corpus allocates them
+    once per core, not about 20 canvas-sized arrays per image.
     """
 
     def __init__(self):
         shape = (CANVAS_H, CANVAS_W)
-        self.img, self.xc, self.yc, self.t, self.u = (np.empty(shape) for _ in range(5))
+        self.img, self.xc, self.yc, self.t, self.u, self.noise = (np.empty(shape)
+                                                                  for _ in range(6))
         self.face, self.mask, self.m2, self.tmp = (np.empty(shape, dtype=bool)
                                                    for _ in range(4))
 
@@ -73,13 +79,29 @@ def synth_sample(rng, gender):
     return _render(rng, gender, _Canvas())
 
 
-def _render(rng, gender, cv):
-    """synth_sample, drawn in the arrays of the _Canvas cv."""
+def _draws(rng, noise):
+    """Every draw of one sample, in stream order: the pose and appearance
+    scalars, the pixel noise (into the canvas-sized array noise), the age."""
     # pose: d in [28,38] keeps the HS window inside the canvas
     d = rng.uniform(28.0, 38.0)
     theta = float(np.clip(rng.normal(0.0, 0.025), -0.06, 0.06))
     mx = 130.0 + rng.uniform(-3.0, 3.0)
     my = 96.0 + rng.uniform(-3.0, 3.0)
+    # per-identity appearance jitter
+    bg = rng.uniform(60.0, 80.0)
+    skin = rng.uniform(160.0, 180.0)
+    hair_val = rng.uniform(40.0, 60.0)
+    period = rng.uniform(3.5, 6.5)
+    amp = rng.uniform(24.0, 36.0)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    rng.standard_normal(out=noise)
+    age = rng.choice(AGE_GROUPS, p=_AGE_WEIGHTS)
+    return d, theta, mx, my, bg, skin, hair_val, period, amp, phase, str(age)
+
+
+def _render(rng, gender, cv):
+    """synth_sample, drawn in the arrays of the _Canvas cv."""
+    d, theta, mx, my, bg, skin, hair_val, period, amp, phase, age = _draws(rng, cv.noise)
     s = d / (2.0 * _EYE_HALF)
 
     # canonical coordinates of every canvas pixel (origin at eye midpoint),
@@ -92,14 +114,6 @@ def _render(rng, gender, cv):
     xc /= s
     np.add(-st * dx, ct * dy, out=yc)
     yc /= s
-
-    # per-identity appearance jitter
-    bg = rng.uniform(60.0, 80.0)
-    skin = rng.uniform(160.0, 180.0)
-    hair_val = rng.uniform(40.0, 60.0)
-    period = rng.uniform(3.5, 6.5)
-    amp = rng.uniform(24.0, 36.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
 
     img.fill(bg)
     face, mask, m2, tmp = cv.face, cv.mask, cv.m2, cv.tmp
@@ -136,39 +150,45 @@ def _render(rng, gender, cv):
         img[np.less_equal(t, 3.5 ** 2, out=mask)] = 25.0
     img[_ellipse(cv, 0.0, 44.0, 10.0, 4.0, mask)] = 90.0
 
-    noise = rng.standard_normal(out=cv.t)
-    noise *= 6.0
-    img += noise
+    cv.noise *= 6.0
+    img += cv.noise
     out = _round_u8(np.clip(img, 0.0, 255.0, out=img))
 
     eye_left = (mx - _EYE_HALF * s * ct, my - _EYE_HALF * s * st)
     eye_right = (mx + _EYE_HALF * s * ct, my + _EYE_HALF * s * st)
-    age = rng.choice(AGE_GROUPS, p=_AGE_WEIGHTS)
-    return out, eye_left, eye_right, str(age)
+    return out, eye_left, eye_right, age
 
 
 def synth_corpus(out_dir, n_per_class, seed=0, dataset_name="synth"):
     """Write a balanced corpus (PGMs + manifest.csv); returns the Manifest.
 
-    Byte-identical for a given (n_per_class, seed).
+    Byte-identical for a given (n_per_class, seed), whatever the core count.
     """
     if n_per_class < 1:
         raise ConfigurationError("need at least 1 sample per class")
-    rng = np.random.default_rng(seed)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
-    samples = []
-    canvas = _Canvas()
-    # interleave so any prefix of the manifest stays near-balanced
-    for i in range(n_per_class):
-        for gender in ("female", "male"):
+
+    def render(rows):
+        """A contiguous run of rows -> their Samples, PGMs written. Row r is
+        sample r // 2, female then male, so any prefix stays near-balanced."""
+        rng = np.random.default_rng(seed)
+        canvas = _Canvas()
+        for _ in range(rows[0]):
+            _draws(rng, canvas.noise)
+        samples = []
+        for row in rows:
+            gender = ("female", "male")[row % 2]
             img, el, er, age = _render(rng, gender, canvas)
-            name = f"{gender[0]}{i:05d}"
+            name = f"{gender[0]}{row // 2:05d}"
             path = os.path.join(img_dir, name + ".pgm")
             write_pgm(path, img)
             samples.append(Sample(
                 image_path=path, identity_id=name, gender=gender, age_group=age,
                 eye_left=el, eye_right=er))
-    manifest = Manifest(dataset_name=dataset_name, samples=tuple(samples))
+        return samples
+
+    runs = pool.map_groups(render, range(2 * n_per_class))
+    manifest = Manifest(dataset_name, tuple(sample for run in runs for sample in run))
     save_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

@@ -9,7 +9,7 @@ import pytest
 
 import facestack
 from facestack import evaluation, stacking
-from facestack import cli, pool
+from facestack import cli, pool, synth
 from facestack import svm as svm_module
 from facestack.cli import main
 from facestack.dataset import Manifest, load_folds, load_manifest, save_manifest
@@ -893,5 +893,41 @@ def test_an_unexpected_worker_error_is_raised_in_the_caller(workspace, tmp_path,
     with pytest.raises(ZeroDivisionError, match="a worker's row failed"):
         main(["--out", str(tmp_path / "pat"), "prepare",
               "--manifest", str(workspace / "corpus" / "manifest.csv"), "--pattern", "F"])
+    assert forks
+    assert_reaped()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("blocked", ["images", "images/m00004.pgm"])
+def test_synth_into_an_unwritable_corpus_exits_2(tmp_path, capsys, monkeypatch, forks,
+                                                 assert_reaped, cores, blocked):
+    # images/ is a file, or the last PGM (a worker's, on 2 cores) is a directory
+    out = tmp_path / "corpus"
+    (out / "images").mkdir(parents=True)
+    if blocked == "images":
+        (out / "images").rmdir()
+        (out / "images").write_text("kept\n")
+    else:
+        (out / blocked).mkdir()
+    monkeypatch.setattr(pool, "_cores", lambda: cores)
+    assert main(["--out", str(out), "synth", "--per-class", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out / blocked) in err
+    assert bool(forks) == (cores == 2 and blocked != "images")
+    assert_reaped()
+
+
+def test_a_synth_worker_that_dies_is_not_a_configuration_error(tmp_path, monkeypatch, forks,
+                                                               assert_reaped):
+    caller = os.getpid()
+
+    def write_pgm(path, img):
+        if os.getpid() != caller:
+            os._exit(9)
+
+    monkeypatch.setattr(synth, "write_pgm", write_pgm)
+    monkeypatch.setattr(pool, "_cores", lambda: 2)
+    with pytest.raises(ChildProcessError, match="wait status"):
+        main(["--out", str(tmp_path / "corpus"), "synth", "--per-class", "5"])
     assert forks
     assert_reaped()

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from facestack import pool, synth
 from facestack import (
     AGE_GROUPS,
     ConfigurationError,
@@ -44,19 +47,51 @@ def test_eye_geometry():
             assert age in AGE_GROUPS
 
 
+def _tree(root):
+    """Every file under root, by relative path -> its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
 def test_corpus_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    synth_corpus(a, n_per_class=2, seed=7)
-    synth_corpus(b, n_per_class=2, seed=7)
-    assert (a / "manifest.csv").read_bytes() == (b / "manifest.csv").read_bytes()
-    for name in ("f00000", "m00001"):
-        assert (a / "images" / f"{name}.pgm").read_bytes() == \
-               (b / "images" / f"{name}.pgm").read_bytes()
+    synth_corpus(a, n_per_class=3, seed=7)
+    synth_corpus(b, n_per_class=3, seed=7)
+    assert _tree(a) == _tree(b)
+    # pinned bytes: reordering a draw in `_draws` changes them
+    digest = hashlib.sha256()
+    for name, data in _tree(a).items():
+        digest.update(name.encode() + b"\0" + data)
+    assert digest.hexdigest() == "9a8df48e6f4a97cac99b1bbd38b8cfc6e03bcd7d4d7fb9d7b93eea1b82667706"
     c = tmp_path / "c"
-    synth_corpus(c, n_per_class=2, seed=8)
+    synth_corpus(c, n_per_class=3, seed=8)
     assert (a / "images" / "f00000.pgm").read_bytes() != \
            (c / "images" / "f00000.pgm").read_bytes()
+
+
+def test_corpus_does_not_depend_on_the_core_count(tmp_path, monkeypatch, forks, assert_reaped):
+    trees, forked = [], []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(pool, "_cores", lambda: cores)
+        before = len(forks)
+        synth_corpus(tmp_path / str(cores), n_per_class=5, seed=3)
+        forked.append(len(forks) - before)
+        trees.append(_tree(tmp_path / str(cores)))
+    assert trees[0] == trees[1] == trees[2]
+    assert len(trees[0]) == 11  # 10 PGMs and the manifest
+    assert forked == [0, 1, 2]
+    assert_reaped()
+
+
+def test_draws_is_the_one_draw_order():
+    # the skip-ahead of a worker group makes exactly a rendered sample's draws
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    noise = np.empty((270, 260))
+    for gender in ("female", "male", "male", "female", "female"):
+        synth_sample(rng_a, gender)
+        synth._draws(rng_b, noise)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_classes_separable_from_face_window():
