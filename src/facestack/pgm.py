@@ -5,6 +5,7 @@ pattern file on disk is an 8-bit P5. Other formats (PNG, JPEG) are decoded
 through Pillow when it is installed, behind the same grayscale interface.
 """
 
+import io
 import re
 
 import numpy as np
@@ -21,8 +22,11 @@ def read_pgm(path):
     """Read a binary (P5) PGM into an HxW uint8 array; a maxval below 255 is
     rescaled to 0..255, rounding to nearest."""
     with open_binary(path, "PGM image") as fh:
-        data = fh.read()
+        return _decode_pgm(path, fh.read())
 
+
+def _decode_pgm(path, data):
+    """`read_pgm` of the file at path, whose bytes are data."""
     header = _HEADER.match(data)
     if header is None:
         raise DataError(f"{path}: truncated PGM header")
@@ -67,9 +71,9 @@ def load_gray(path):
     """
     path = str(path)
     with open_binary(path, "image") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
+        data = fh.read()
+    if data[:2] == b"P5":
+        return _decode_pgm(path, data)
     try:
         from PIL import Image
     except ImportError:
@@ -77,7 +81,7 @@ def load_gray(path):
             f"{path}: only PGM (P5) is supported without Pillow installed"
         ) from None
     try:
-        with Image.open(path) as im:
+        with Image.open(io.BytesIO(data)) as im:
             arr = np.asarray(im.convert("RGB"))
     except OSError as exc:  # PIL.UnidentifiedImageError, a truncated file, ...
         raise DataError(f"{path}: cannot decode image: {exc}") from None

@@ -702,6 +702,27 @@ def test_prepare_rejects_a_non_finite_eye_coordinate(workspace, tmp_path, capsys
     assert not (out / "manifest.csv").exists()
 
 
+def test_eyes_with_a_degenerate_transform_are_failed_rows_not_a_traceback(workspace, tmp_path,
+                                                                         capsys):
+    header, *rows = (workspace / "corpus" / "manifest.csv").read_text().splitlines()
+    img_dir = str(workspace / "corpus" / "images")
+    rows = [row.replace("images/", img_dir + "/") for row in rows]
+    for row, eyes in ((2, "0,0,1e200,0"), (5, "0,0,1e-320,0")):
+        rows[row] = ",".join(rows[row].split(",")[:4]) + "," + eyes
+    man = tmp_path / "manifest.csv"
+    man.write_text("\n".join([header] + rows) + "\n")
+    out = tmp_path / "pats"
+    assert main(["--out", str(out), "prepare", "--manifest", str(man), "--pattern", "HS64"]) == 4
+    run = json.loads((out / "run.json").read_text())
+    assert [f["row"] for f in run["failures"]] == [2, 5]
+    assert all("degenerate or infinite transform" in f["error"] for f in run["failures"])
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "sweep"), "noise-sweep", "--manifest", str(man),
+                 "--pattern", "F", "--descriptor", "hog", "--variances", "0", "--k", "3",
+                 "--C", "4.0"]) == 2
+    assert "degenerate or infinite transform" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, out", [
     ("folds", "dir"), ("extract", "dir"), ("train", "dir"), ("stack", "dir"),
     ("train", "under_file"), ("synth", "under_file"), ("prepare", "file"),

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,6 +129,17 @@ def test_eye_transform_rejects_coincident_eyes():
         eye_transform((5.0, 5.0), (5.0, 5.0), F_PATTERN)
 
 
+@pytest.mark.parametrize("eye_left, eye_right", [
+    ((0.0, 0.0), (1e200, 0.0)),       # squared distance overflows: the inverse divides by 0
+    ((0.0, 0.0), (1e-320, 0.0)),      # squared distance underflows to 0
+    ((0.0, 0.0), (3e-162, 0.0)),      # the square of the scale overflows
+    ((1e300, 0.0), (1e300, 1e-150)),  # the translation overflows
+])
+def test_eye_transform_rejects_a_degenerate_or_infinite_transform(eye_left, eye_right):
+    with pytest.raises(ConfigurationError, match="eye coordinates"):
+        eye_transform(eye_left, eye_right, HS_PATTERN)
+
+
 def test_normalize_identity_when_already_anchored():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, (F_PATTERN.height, F_PATTERN.width), dtype=np.uint8)
@@ -171,6 +186,85 @@ def test_downscale_same_size_is_copy():
 def test_downscale_rounds_half_up():
     img = np.array([[0, 1]], dtype=np.uint8)
     assert downscale(img, 1, 1).tolist() == [[1]]  # mean 0.5 rounds up
+
+
+def test_corners_are_defined_for_every_finite_coordinate():
+    # an int64 cast of a coordinate at or above 2**63 is undefined and warns,
+    # which the RuntimeWarning filter turns into an error; the corners clip first
+    rng = np.random.default_rng(14)
+    img = rng.integers(0, 256, (9, 7), dtype=np.uint8)
+    near = np.array([2.0**62, -(2.0**62), 1e18, -1e18, 3.5, 2.25])
+    far = np.array([2.0**63, -(2.0**63), 1e30, -1e30, 1.7976931348623157e308, -1e308])
+    for xs, ys in ((near, near[::-1]), (near, far), (far, near), (far, far[::-1])):
+        got = _bilinear_sample(img, xs, ys)
+        in_range = (np.abs(xs) < 2.0**63) & (np.abs(ys) < 2.0**63)
+        want = oracles.ref_bilinear_sample(img.astype(np.float64), xs[in_range], ys[in_range])
+        assert oracles.same_bits(got[in_range], want)
+        assert not got[~in_range].any()  # far off the raster reads the zero border
+    assert prepare_pattern(img, (-1e30, 5.0), (1e30, 5.0), "HS64").shape == (64, 64)
+
+
+def _poses(rng, n, shape):
+    """n random eye pairs on a shape = (h, w) image: any rotation, scale and
+    centre, so some windows cross the border and some lie wholly beyond it."""
+    h, w = shape
+    for _ in range(n):
+        cx, cy = rng.uniform(-0.5 * w, 1.5 * w), rng.uniform(-0.5 * h, 1.5 * h)
+        r, angle = rng.uniform(2, 120), rng.uniform(-np.pi, np.pi)
+        dx, dy = r * np.cos(angle), r * np.sin(angle)
+        yield (float(cx - dx), float(cy - dy)), (float(cx + dx), float(cy + dy))
+
+
+@pytest.mark.parametrize("pattern_id", ["HS64", "HS32", "HS16"])
+def test_downscaled_hs_pattern_equals_the_full_window_path(pattern_id):
+    # prepare_pattern samples only the HS pixels downscale reads
+    rng = np.random.default_rng(15)
+    size = PATTERN_VARIANTS[pattern_id][1]
+    noises = (None, NoiseSpec("gaussian", gaussian_variance=0.05, seed=6),
+              NoiseSpec("motion_blur", motion_length=5))
+    for i, (el, er) in enumerate(_poses(rng, 210, (140, 120))):
+        img = rng.integers(0, 256, (140, 120), dtype=np.uint8)
+        if i < 3:  # eyes on the image's corner pixel and on its last row
+            el, er = ((0.0, 0.0), (26.0, 0.0)) if i == 0 else ((i * 4.0, 139.0), (119.0, 139.0))
+        noise = noises[i % 3]
+        want = downscale(normalize_pattern(img, el, er, HS_PATTERN), size, size)
+        if noise is not None:
+            want = (add_gaussian_noise if noise.kind == "gaussian" else add_motion_blur)(want, noise)
+        assert oracles.same_bits(prepare_pattern(img, el, er, pattern_id, noise), want), (el, er)
+
+
+def test_read_sets_are_cached_read_only_and_what_downscale_reads():
+    for size, count in ((64, 16384), (32, 4096), (16, 1024)):
+        read = geometry._read_set(159, 155, size)
+        assert geometry._read_set(159, 155, size) is read
+        index, xs, ys = read
+        assert len(index) == count and not any(a.flags.writeable for a in read)
+        assert np.array_equal(index, ys.astype(np.int64) * 159 + xs.astype(np.int64))
+        # a window that is zero off the read set downscales to the same bytes
+        window = np.random.default_rng(size).integers(0, 256, 155 * 159, dtype=np.uint8)
+        masked = np.zeros_like(window)
+        masked[index] = window[index]
+        assert np.array_equal(downscale(masked.reshape(155, 159), size, size),
+                              downscale(window.reshape(155, 159), size, size))
+        window[index] = 0
+        assert not downscale(window.reshape(155, 159), size, size).any()
+
+
+def test_first_hs64_prepare_imports_nothing():
+    # np.unique's first call imports numpy.ma: about 1.6 MB resident in every worker
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from facestack.geometry import prepare_pattern\n"
+        "img = np.random.default_rng(0).integers(0, 256, (120, 100), dtype=np.uint8)\n"
+        "before = set(sys.modules)\n"
+        "prepare_pattern(img, (40.0, 50.0), (62.0, 53.0), 'HS64')\n"
+        "print(sorted(set(sys.modules) - before))\n")
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_downscale_matches_masked_sampler_and_builds_its_grid_once():

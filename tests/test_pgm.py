@@ -68,6 +68,22 @@ def test_load_gray_reads_pgm(tmp_path):
     assert np.array_equal(load_gray(p), img)
 
 
+def test_load_gray_opens_each_image_once(tmp_path, monkeypatch):
+    opened = []
+    real_open = open
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    p = tmp_path / "m15.pgm"
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 7]))
+    opened.clear()
+    assert load_gray(p).tolist() == [[255, 119]]
+    assert opened == [str(p)]
+
+
 @pytest.mark.parametrize("error", [OSError("cannot identify image file"),
                                    OSError("image file is truncated")])
 def test_load_gray_reports_an_undecodable_image_as_data_error(tmp_path, monkeypatch, error):
