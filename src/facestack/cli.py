@@ -540,14 +540,28 @@ def build_parser():
     return parser
 
 
+def _check_file(flag, path):
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigurationError(f"{flag} {path!r} names a directory, not a file")
+
+
 def _run_dir(ns):
     """The directory run.json goes to: --out, or the one holding the output
-    file --out. An --out that cannot be written is a ConfigurationError."""
+    file --out. An --out that cannot be written, or an extract --csv that
+    names a directory, --out or run.json, or sits in a directory that
+    neither exists nor is made for --out, is a ConfigurationError, raised
+    before any work is done."""
     out = ns.out
     if ns.command not in ("synth", "prepare", "noise-sweep", "eval"):
-        if not os.path.basename(out) or os.path.isdir(out):
-            raise ConfigurationError(f"--out {out!r} names a directory, not a file")
+        _check_file("--out", out)
         out = os.path.dirname(os.path.abspath(out))
+    if ns.command == "extract" and ns.csv:
+        _check_file("--csv", ns.csv)
+        csv, run_dir = os.path.realpath(ns.csv), os.path.realpath(out)
+        if csv in (os.path.realpath(ns.out), os.path.join(run_dir, "run.json")):
+            raise ConfigurationError(f"--csv {ns.csv!r} would overwrite --out or run.json")
+        if not os.path.isdir(os.path.dirname(csv)) and os.path.dirname(csv) != run_dir:
+            raise ConfigurationError(f"--csv {ns.csv!r}: its directory does not exist")
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:

@@ -114,7 +114,7 @@ def save_manifest(manifest, path):
     """Write a manifest CSV with image paths relative to the output file."""
     base = os.path.dirname(os.path.abspath(path))
     gender_back = {v: k for k, v in GENDER_TOKENS.items()}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for s in manifest.samples:
@@ -187,7 +187,7 @@ def make_folds(manifest, k, seed, grouping="by_sample"):
 
 
 def save_folds(plan, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_index", "fold"])
         for i, f in enumerate(plan.assignments):

@@ -18,6 +18,8 @@ pixel noise keep the classes from being trivially separable by one pixel.
 A corpus is one rng stream that `_draws` reads sample after sample: its
 stream order is the corpus's byte contract. Each core's group of samples
 replays its predecessors' draws, unrendered, before rendering its own.
+Each feature is painted only inside its own window of the canvas, with the
+bits a paint over the whole canvas would give (see `_render`).
 """
 
 import math
@@ -28,7 +30,6 @@ import numpy as np
 from . import pool
 from .dataset import AGE_GROUPS, Manifest, Sample, save_manifest
 from .errors import ConfigurationError
-from .geometry import _round_u8
 from .pgm import write_pgm
 
 CANVAS_W = 260
@@ -39,39 +40,12 @@ _AGE_WEIGHTS = (0.20, 0.30, 0.30, 0.15, 0.05)  # last entry is "unknown"
 
 
 class _Canvas:
-    """Canvas-sized arrays that `_render` draws in, reused from image to image.
-
-    Each group of a synth_corpus call owns one, so a corpus allocates them
-    once per core, not about 20 canvas-sized arrays per image.
-    """
+    """The canvas and pixel-noise arrays that `_render` draws in, reused from
+    image to image: each group of a synth_corpus call owns one."""
 
     def __init__(self):
         shape = (CANVAS_H, CANVAS_W)
-        self.img, self.xc, self.yc, self.t, self.u, self.noise = (np.empty(shape)
-                                                                  for _ in range(6))
-        self.face, self.mask, self.m2, self.tmp = (np.empty(shape, dtype=bool)
-                                                   for _ in range(4))
-
-
-def _inside(v, lo, hi, out, tmp):
-    """out = (v >= lo) & (v <= hi), in place."""
-    np.greater_equal(v, lo, out=out)
-    out &= np.less_equal(v, hi, out=tmp)
-    return out
-
-
-def _ellipse(cv, cx, cy, rx, ry, out):
-    """out = ((xc - cx) / rx) ** 2 + ((yc - cy) / ry) ** 2 <= 1 over the
-    canvas coordinates, in place."""
-    t, u = cv.t, cv.u
-    np.subtract(cv.xc, cx, out=t)
-    t /= rx
-    np.square(t, out=t)
-    np.subtract(cv.yc, cy, out=u)
-    u /= ry
-    np.square(u, out=u)
-    t += u
-    return np.less_equal(t, 1.0, out=out)
+        self.img, self.noise = np.empty(shape), np.empty(shape)
 
 
 def synth_sample(rng, gender):
@@ -100,59 +74,65 @@ def _draws(rng, noise):
 
 
 def _render(rng, gender, cv):
-    """synth_sample, drawn in the arrays of the _Canvas cv."""
+    """synth_sample, drawn in the arrays of the _Canvas cv.
+
+    A canvas pixel at offset (dx, dy) from the eye midpoint has the canonical
+    coordinates xc = (ct*dx + st*dy)/s, yc = (-st*dx + ct*dy)/s. Each feature
+    is a mask on them, and it is painted only inside a window: its canonical
+    bounding box mapped through the pose, padded by 2 px and clipped to the
+    canvas. The shoulders and the female side hair have one window each; the
+    face window holds the face, hair cap, stripes, eyes and mouth. A mask is
+    false off its window, whose padding far exceeds the rounding of xc and
+    yc, and every operation is elementwise, so the canvas has the bits of one
+    painted over every pixel; the stripe pixels that np.sin reads are even
+    gathered in the same order, row by row.
+    """
     d, theta, mx, my, bg, skin, hair_val, period, amp, phase, age = _draws(rng, cv.noise)
     s = d / (2.0 * _EYE_HALF)
-
-    # canonical coordinates of every canvas pixel (origin at eye midpoint),
-    # broadcast from one row of x offsets and one column of y offsets
+    ct, st = math.cos(theta), math.sin(theta)
     dx = np.arange(CANVAS_W, dtype=np.float64) - mx
     dy = np.arange(CANVAS_H, dtype=np.float64)[:, None] - my
-    ct, st = math.cos(theta), math.sin(theta)
-    xc, yc, img = cv.xc, cv.yc, cv.img
-    np.add(ct * dx, st * dy, out=xc)
-    xc /= s
-    np.add(-st * dx, ct * dy, out=yc)
-    yc /= s
+    img = cv.img
+
+    def window(x0, y0, x1, y1):
+        """The canvas window over the canonical box [x0, x1] x [y0, y1], as a
+        view, and the canonical coordinates xc, yc of its pixels."""
+        xs = [mx + s * (ct * x - st * y) for x in (x0, x1) for y in (y0, y1)]
+        ys = [my + s * (st * x + ct * y) for x in (x0, x1) for y in (y0, y1)]
+        rows = slice(max(math.floor(min(ys)) - 2, 0), min(math.ceil(max(ys)) + 3, CANVAS_H))
+        cols = slice(max(math.floor(min(xs)) - 2, 0), min(math.ceil(max(xs)) + 3, CANVAS_W))
+        wdx, wdy = dx[cols], dy[rows]
+        return img[rows, cols], (ct * wdx + st * wdy) / s, (-st * wdx + ct * wdy) / s
 
     img.fill(bg)
-    face, mask, m2, tmp = cv.face, cv.mask, cv.m2, cv.tmp
-    ax = np.abs(xc, out=cv.t)
+    half = 68.0 if gender == "female" else 85.0  # shoulders
+    win, xc, yc = window(-half, 95.0, half, 160.0)
+    win[(yc >= 95.0) & (yc <= 160.0) & (np.abs(xc) <= half)] = 120.0
 
-    shoulder_half = 68.0 if gender == "female" else 85.0
-    _inside(yc, 95.0, 160.0, mask, tmp)
-    mask &= np.less_equal(ax, shoulder_half, out=tmp)
-    img[mask] = 120.0
+    if gender == "female":  # side hair
+        win, xc, yc = window(-74.0, -30.0, 74.0, 95.0)
+        ax = np.abs(xc)
+        win[(ax >= 56.0) & (ax <= 74.0) & (yc >= -30.0) & (yc <= 95.0)] = hair_val
 
-    if gender == "female":
-        _inside(ax, 56.0, 74.0, mask, tmp)
-        mask &= _inside(yc, -30.0, 95.0, m2, tmp)
-        img[mask] = hair_val
-
-    _ellipse(cv, 0.0, 18.0, 52.0, 66.0, face)
-    img[face] = skin
-
-    np.less_equal(yc, -26.0, out=mask)
-    mask &= face
-    img[mask] = hair_val
+    win, xc, yc = window(-52.0, -48.0, 52.0, 84.0)
+    face = (xc / 52.0) ** 2 + ((yc - 18.0) / 66.0) ** 2 <= 1.0
+    win[face] = skin
+    win[face & (yc <= -26.0)] = hair_val  # hair cap
 
     # the class texture: stripe direction flips with gender
-    _inside(yc, -18.0, -6.0, mask, tmp)
-    mask |= _inside(yc, 20.0, 36.0, m2, tmp)
-    mask &= face
+    band = face & (((yc >= -18.0) & (yc <= -6.0)) | ((yc >= 20.0) & (yc <= 36.0)))
     coord = yc if gender == "female" else xc
-    img[mask] = skin + amp * np.sin(2.0 * math.pi * coord[mask] / period + phase)
+    win[band] = skin + amp * np.sin(2.0 * math.pi * coord[band] / period + phase)
 
     for ex in (-_EYE_HALF, _EYE_HALF):
-        t = np.subtract(xc, ex, out=cv.t)
-        np.square(t, out=t)
-        t += np.square(yc, out=cv.u)
-        img[np.less_equal(t, 3.5 ** 2, out=mask)] = 25.0
-    img[_ellipse(cv, 0.0, 44.0, 10.0, 4.0, mask)] = 90.0
+        win[(xc - ex) ** 2 + yc ** 2 <= 3.5 ** 2] = 25.0
+    win[(xc / 10.0) ** 2 + ((yc - 44.0) / 4.0) ** 2 <= 1.0] = 90.0  # mouth
 
     cv.noise *= 6.0
     img += cv.noise
-    out = _round_u8(np.clip(img, 0.0, 255.0, out=img))
+    np.clip(img, 0.0, 255.0, out=img)
+    img += 0.5  # in [0.5, 255.5]: the cast rounds half up, as _round_u8 does
+    out = img.astype(np.uint8)
 
     eye_left = (mx - _EYE_HALF * s * ct, my - _EYE_HALF * s * st)
     eye_right = (mx + _EYE_HALF * s * ct, my + _EYE_HALF * s * st)

@@ -2,10 +2,13 @@
 
 Everything here is written the slow, obvious way on purpose: per-pixel
 Python loops for the texture coders, a dense projected-gradient solver for
-the SVM dual, pairwise counting for the rank-sum AUC. None of it shares
+the SVM dual, pairwise counting for the rank-sum AUC, a synth image painted
+over the whole canvas. None of it shares
 code with the package under test; `ref_fit_and_score`, an evaluation loop,
 takes the package's single SVM fit and PCA as arguments.
 """
+
+import math
 
 import numpy as np
 
@@ -474,3 +477,39 @@ def ref_pca_fit(X, n_components):
     signs = np.sign(components[np.arange(components.shape[0]), idx])
     signs[signs == 0] = 1.0
     return mean, components * signs[:, None], np.maximum(eigenvalues, 0.0)
+
+
+def ref_render(draws, noise, gender):
+    """A synth image painted over the whole canvas: every feature's mask is
+    computed on every pixel. draws is what synth._draws returned and noise
+    the pixel noise it drew; returns (image, eye_left, eye_right, age)."""
+    d, theta, mx, my, bg, skin, hair_val, period, amp, phase, age = draws
+    h, w = noise.shape
+    s = d / 32.0
+    ct, st = math.cos(theta), math.sin(theta)
+    dx = np.arange(w, dtype=np.float64) - mx
+    dy = np.arange(h, dtype=np.float64)[:, None] - my
+    xc = (ct * dx + st * dy) / s
+    yc = (-st * dx + ct * dy) / s
+    ax = np.abs(xc)
+
+    img = np.full((h, w), bg)
+    shoulder_half = 68.0 if gender == "female" else 85.0
+    img[(yc >= 95.0) & (yc <= 160.0) & (ax <= shoulder_half)] = 120.0
+    if gender == "female":
+        img[(ax >= 56.0) & (ax <= 74.0) & (yc >= -30.0) & (yc <= 95.0)] = hair_val
+    face = ((xc - 0.0) / 52.0) ** 2 + ((yc - 18.0) / 66.0) ** 2 <= 1.0
+    img[face] = skin
+    img[(yc <= -26.0) & face] = hair_val
+    band = (((yc >= -18.0) & (yc <= -6.0)) | ((yc >= 20.0) & (yc <= 36.0))) & face
+    coord = yc if gender == "female" else xc
+    img[band] = skin + amp * np.sin(2.0 * math.pi * coord[band] / period + phase)
+    for ex in (-16.0, 16.0):
+        img[(xc - ex) ** 2 + yc ** 2 <= 3.5 ** 2] = 25.0
+    img[((xc - 0.0) / 10.0) ** 2 + ((yc - 44.0) / 4.0) ** 2 <= 1.0] = 90.0
+    img = np.clip(img + noise * 6.0, 0.0, 255.0)
+    out = np.clip(np.floor(img + 0.5), 0, 255).astype(np.uint8)
+
+    eye_left = (mx - 16.0 * s * ct, my - 16.0 * s * st)
+    eye_right = (mx + 16.0 * s * ct, my + 16.0 * s * st)
+    return out, eye_left, eye_right, age

@@ -503,7 +503,7 @@ def test_file_output_creates_missing_directory(workspace, tmp_path, command):
     args = {
         "folds": ["folds", "--manifest", manifest, "--k", "3"],
         "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
-                    "--descriptor", "lbpu2"],
+                    "--descriptor", "lbpu2", "--csv", str(tmp_path / "new" / "dir" / "x.csv")],
         "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
         "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
                   "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],
@@ -538,6 +538,35 @@ def test_module_entry_point(tmp_path):
                            "synth", "--per-class", "2"], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.csv").is_file()
+
+
+def test_manifests_are_utf8_whatever_the_locale(workspace, tmp_path):
+    manifest = load_manifest(workspace / "corpus" / "manifest.csv")
+    first = dataclasses.replace(manifest.samples[0], identity_id="José")
+    path = tmp_path / "manifest.csv"
+    save_manifest(Manifest("accented", (first,) + manifest.samples[1:]), path)
+    src = os.path.dirname(os.path.dirname(facestack.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    out = tmp_path / "pats"
+    proc = subprocess.run([sys.executable, "-m", "facestack.cli", "--out", str(out),
+                           "prepare", "--manifest", str(path), "--pattern", "F"],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert load_manifest(out / "manifest.csv").samples[0].identity_id == "José"
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "dir", "out/lbp.fsfm", "out/run.json"],
+                         ids=["missing", "directory", "out", "run_json"])
+def test_extract_csv_that_cannot_be_written_fails_before_any_work(workspace, tmp_path, capsys,
+                                                                    where):
+    (tmp_path / "dir").mkdir()
+    csv_path = tmp_path / where
+    rc = main(["--out", str(tmp_path / "out" / "lbp.fsfm"), "extract",
+               "--manifest", str(workspace / "fpat" / "manifest.csv"),
+               "--descriptor", "lbpu2", "--csv", str(csv_path)])
+    assert rc == 2
+    assert "--csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_noise_sweep_grid_flag_searches(workspace, monkeypatch):
@@ -738,7 +767,7 @@ def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys, mon
     args = {
         "folds": ["folds", "--manifest", manifest, "--k", "3"],
         "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
-                    "--descriptor", "lbpu2"],
+                    "--descriptor", "lbpu2", "--csv", str(tmp_path / "new" / "dir" / "x.csv")],
         "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
         "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
                   "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],

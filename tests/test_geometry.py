@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -250,21 +251,35 @@ def test_read_sets_are_cached_read_only_and_what_downscale_reads():
         assert not downscale(window.reshape(155, 159), size, size).any()
 
 
-def test_first_hs64_prepare_imports_nothing():
-    # np.unique's first call imports numpy.ma: about 1.6 MB resident in every worker
+def test_first_hs64_prepare_imports_nothing(tmp_path):
+    # np.unique's first call imports numpy.ma: about 1.6 MB resident in every
+    # worker. Each stage's first call, in a fresh process, imports no module.
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import numpy as np\n"
+        "from facestack.descriptors import DESCRIPTOR_IDS, extract_descriptor\n"
         "from facestack.geometry import prepare_pattern\n"
+        "from facestack.synth import synth_corpus\n"
         "img = np.random.default_rng(0).integers(0, 256, (120, 100), dtype=np.uint8)\n"
-        "before = set(sys.modules)\n"
-        "prepare_pattern(img, (40.0, 50.0), (62.0, 53.0), 'HS64')\n"
-        "print(sorted(set(sys.modules) - before))\n")
+        "def new(call):\n"
+        "    before = set(sys.modules)\n"
+        "    call()\n"
+        "    return sorted(set(sys.modules) - before)\n"
+        "stages = {'prepare': new(lambda: prepare_pattern(img, (40.0, 50.0), (62.0, 53.0),"
+        " 'HS64')),\n"
+        "          'synth': new(lambda: synth_corpus(sys.argv[1], 1, seed=0))}\n"
+        "pat = prepare_pattern(img, (40.0, 50.0), (62.0, 53.0), 'F')\n"
+        "for d in DESCRIPTOR_IDS:\n"
+        "    stages[d] = new(lambda: extract_descriptor(pat, d))\n"
+        "print(json.dumps(stages))\n")
     src = os.path.dirname(os.path.dirname(geometry.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    stages = json.loads(proc.stdout)
+    assert len(stages) == 12  # prepare, synth and the 10 descriptors
+    assert stages == {name: [] for name in stages}
 
 
 def test_downscale_matches_masked_sampler_and_builds_its_grid_once():

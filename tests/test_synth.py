@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
+import oracles
 from facestack import pool, synth
 from facestack import (
     AGE_GROUPS,
@@ -92,6 +94,39 @@ def test_draws_is_the_one_draw_order():
         synth_sample(rng_a, gender)
         synth._draws(rng_b, noise)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _assert_renders_like_the_oracle(rng, twin, gender):
+    """synth_sample from rng against ref_render of the same draws from twin,
+    an rng in the same state, bit for bit."""
+    noise = np.empty((synth.CANVAS_H, synth.CANVAS_W))
+    img, el, er, age = synth_sample(rng, gender)
+    want = oracles.ref_render(synth._draws(twin, noise), noise, gender)
+    assert oracles.same_bits(img, want[0])
+    assert (el, er, age) == want[1:]
+
+
+def test_windowed_render_equals_the_full_canvas_oracle():
+    for seed in (0, 7, 21):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(30):
+            _assert_renders_like_the_oracle(rng, twin, ("female", "male")[i % 2])
+
+
+def test_windowed_render_equals_the_oracle_at_extreme_poses(monkeypatch):
+    # every corner of the pose range, where the windows are largest, most
+    # rotated, and the shoulders' window runs off the canvas; and upright at
+    # scale 1, where box edges fall on pixel rows and columns
+    draws = synth._draws
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for d, theta, ox, oy in itertools.product((28.0, 32.0, 38.0), (-0.06, 0.0, 0.06),
+                                              (-3.0, 3.0), (-3.0, 3.0)):
+        def posed(rng, noise, pose=(d, theta, 130.0 + ox, 96.0 + oy)):
+            return pose + draws(rng, noise)[4:]
+
+        monkeypatch.setattr(synth, "_draws", posed)
+        for gender in ("female", "male"):
+            _assert_renders_like_the_oracle(rng, twin, gender)
 
 
 def test_classes_separable_from_face_window():
