@@ -17,15 +17,26 @@ per core (`pool.map_groups`), each passed in chunks of at most
 the temporaries of one call; neither cut changes the bytes.
 
 Cell sums use one weighted `np.bincount` over `image*cells*bins + bin`
-indices. It adds each bin's votes one by one in input order, the order of
+indices, the cell of each pixel read from one cached map per pattern size
+and grid. It adds each bin's votes one by one in input order, the order of
 the `np.add.at` it replaced, so the sums are bit-identical. HOG therefore
-bincounts its k0 votes and then its k1 votes in one call, concatenated in
-that order (two bincounts added together would re-associate the sums),
-and its 2x2 block normalization adds the blocks that cover a cell in
-row-major block order. The naive per-pixel references the maps are tested
-against live in the test suite (`tests/oracles.py`).
+bincounts its k0 votes and then its k1 votes in one call, laid out in that
+order in one (2, N, H, W) array (two bincounts added together would
+re-associate the sums), and its 2x2 block normalization adds the blocks
+that cover a cell in row-major block order. The naive per-pixel references
+the maps are tested against live in the test suite (`tests/oracles.py`).
+
+HOG's gradients are int16 differences of uint8 pixels, so each pixel's
+bins and votes are a function of its integer pair (gx, gy) in
+[-255, 255]^2 alone, and `_hog_votes` is tested on all 261,121 pairs
+against the float arithmetic of the oracle (`np.hypot`, `% 180.0`,
+`% n_bins`), bit for bit. The magnitude is read from a 256 x 256 table of
+`np.hypot(|gx|, |gy|)` (512 KB, built on first use), not computed as
+`np.sqrt(gx*gx + gy*gy)`: that differs from `np.hypot` by 1 ulp on 1,200
+of the pairs.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +77,17 @@ def _require_patterns(patterns):
     return patterns
 
 
-def _neighbor_stack(img):
-    """Neighbour values around every interior pixel, shape (8, ..., H-2, W-2)."""
+def _neighbors(img):
+    """The 8 neighbour views around every interior pixel, each (..., H-2, W-2)."""
     h, w = img.shape[-2:]
     if h < 3 or w < 3:
         raise ConfigurationError("image too small for 8-neighbourhood coding")
-    stack = np.empty((8,) + img.shape[:-2] + (h - 2, w - 2), dtype=np.int32)
-    for i, (dx, dy) in enumerate(NEIGHBOR_OFFSETS):
-        stack[i] = img[..., 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-    return stack
+    return [img[..., 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] for dx, dy in NEIGHBOR_OFFSETS]
+
+
+def _neighbor_stack(img):
+    """Neighbour values around every interior pixel, shape (8, ..., H-2, W-2)."""
+    return np.stack(_neighbors(img), dtype=np.int32)
 
 
 def _center(img):
@@ -82,18 +95,19 @@ def _center(img):
 
 
 def _pack_bits(bits):
-    """8-bit codes from the (8, ...) neighbour bits, neighbour 0 the MSB."""
-    codes = np.zeros(bits.shape[1:], dtype=np.int64)
-    for i in range(8):
-        codes |= bits[i].astype(np.int64) << (7 - i)
+    """uint8 codes from 8 boolean neighbour bit arrays, neighbour 0 the MSB."""
+    codes = np.zeros(bits[0].shape, dtype=np.uint8)
+    for i, bit in enumerate(bits):
+        codes |= bit.view(np.uint8) << (7 - i)
     return codes
 
 
 def lbp_code_map(img):
     """8-bit LBP codes (neighbour >= center sets the bit) of all interior
-    pixels, shape (..., H-2, W-2)."""
+    pixels, shape (..., H-2, W-2), uint8."""
     img = _require_patterns(img)
-    return _pack_bits(_neighbor_stack(img) >= _center(img))
+    center = img[..., 1:-1, 1:-1]
+    return _pack_bits([nb >= center for nb in _neighbors(img)])
 
 
 def nilbp_code_map(img):
@@ -148,10 +162,17 @@ def _cell_index(n, parts):
     return np.repeat(np.arange(parts), sizes)
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_map(h, w, grid):
+    """Row-major grid cell of every pixel of an h x w image, read-only (h, w)."""
+    cell = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
+    cell.flags.writeable = False
+    return cell
+
+
 def _cell_ids(n, h, w, grid):
     """Bincount slot image*cells + cell of every pixel of n h x w images, shape (n, h, w)."""
-    cell = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
-    return np.arange(n)[:, None, None] * (grid.rows * grid.cols) + cell
+    return np.arange(n)[:, None, None] * (grid.rows * grid.cols) + _cell_map(h, w, grid)
 
 
 def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
@@ -178,15 +199,72 @@ def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
     return hist.reshape(img.shape[:-2] + (-1,))
 
 
-def hog(img, grid=HOG_GRID, n_bins=HOG_BINS):
+@functools.cache
+def _hypot_table():
+    """np.hypot(|gx|, |gy|) for |gx|, |gy| in 0..255, read-only 256 x 256 (512 KB).
+
+    C Annex F makes hypot(x, y) equal hypot(y, x) and hypot(x, -y), so
+    one quadrant covers every integer gradient pair."""
+    a = np.arange(256, dtype=np.float64)
+    table = np.hypot(a[:, None], a[None, :])
+    table.flags.writeable = False
+    return table
+
+
+_NEXT_BIN = np.roll(np.arange(HOG_BINS), -1)  # k1 = k0 + 1, bin 8 wraps to bin 0
+
+
+def _hog_votes(gx, gy):
+    """Orientation bins and magnitude votes of integer gradients in [-255, 255]:
+    bins (2, ...) intp, k0 then k1, and votes (2, ...) float64,
+    mag * (1 - w1) then mag * w1, the outputs doubling as scratch.
+
+    The angle in [-180, 180] folds onto [0, 180) as `% 180.0` does: add 180
+    below 0, then subtract 180 at 180 (adding 0.0 keeps the other bits, and
+    -0.0 never occurs). It peaks at 179.775 degrees, so only k1 wraps.
+    """
+    bins = np.empty((2,) + gx.shape, dtype=np.intp)
+    votes = np.empty(bins.shape, dtype=np.float64)
+    mag, frac = votes
+    index = np.abs(gx, out=bins[1], casting="safe")
+    index <<= 8
+    index |= np.abs(gy)
+    # the index is in range by construction; mode="raise" would buffer the output
+    _hypot_table().take(index, out=mag, mode="clip")
+    ang = np.arctan2(gy, gx, dtype=np.float64)
+    np.degrees(ang, out=ang)
+    ang += 180.0 * (ang < 0.0)
+    ang -= 180.0 * (ang >= 180.0)
+    pos = np.divide(ang, 180.0 / HOG_BINS, out=ang)
+    low = np.floor(pos, out=frac)
+    bins[0] = low
+    _NEXT_BIN.take(bins[0], out=bins[1], mode="clip")
+    w1 = np.subtract(pos, low, out=frac)
+    w0 = np.subtract(1.0, w1, out=pos)
+    np.multiply(mag, w1, out=votes[1])
+    np.multiply(mag, w0, out=votes[0])
+    return bins, votes
+
+
+def _central_diff(img, axis):
+    """int16 central differences along an axis, one-sided at its two ends."""
+    grad = np.empty(img.shape, dtype=np.int16)
+    src, dst = np.moveaxis(img, axis, -1), np.moveaxis(grad, axis, -1)
+    np.subtract(src[..., 2:], src[..., :-2], out=dst[..., 1:-1], dtype=np.int16)
+    np.subtract(src[..., 1], src[..., 0], out=dst[..., 0], dtype=np.int16)
+    np.subtract(src[..., -1], src[..., -2], out=dst[..., -1], dtype=np.int16)
+    return grad
+
+
+def hog(img, grid=HOG_GRID):
     """Histogram of oriented gradients over a fixed cell grid.
 
     Central-difference gradients with replicated borders; unsigned
     orientation on [0, 180) with magnitude votes split linearly between the
-    two nearest bins; per-cell histograms are divided by the L2 norm of
-    each 2x2 cell block containing the cell (1e-6 under the root) and the
-    normalized copies averaged. Output length rows*cols*n_bins, one row per
-    pattern of a stack.
+    two nearest of HOG_BINS bins; per-cell histograms are divided by the L2
+    norm of each 2x2 cell block containing the cell (1e-6 under the root)
+    and the normalized copies averaged. Output length rows*cols*HOG_BINS,
+    one row per pattern of a stack.
     """
     img = _require_patterns(img)
     h, w = img.shape[-2:]
@@ -194,26 +272,17 @@ def hog(img, grid=HOG_GRID, n_bins=HOG_BINS):
         raise ConfigurationError("image too small for gradients")
     if h < grid.rows or w < grid.cols:
         raise ConfigurationError(f"image {w}x{h} too small for a {grid.cols}x{grid.rows} HOG grid")
-    f = img.reshape(-1, h, w).astype(np.float64)
-    n = len(f)
-    cols = np.arange(w)
-    rows = np.arange(h)
-    gx = f[:, :, np.minimum(cols + 1, w - 1)] - f[:, :, np.maximum(cols - 1, 0)]
-    gy = f[:, np.minimum(rows + 1, h - 1), :] - f[:, np.maximum(rows - 1, 0), :]
-    mag = np.hypot(gx, gy)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
-    pos = ang / (180.0 / n_bins)
-    k0 = np.floor(pos).astype(np.int64) % n_bins
-    k1 = (k0 + 1) % n_bins
-    w1 = pos - np.floor(pos)
+    p = img.reshape(-1, h, w)
+    n = len(p)
+    bins, votes = _hog_votes(_central_diff(p, 2), _central_diff(p, 1))
 
     # every k0 vote, then every k1 vote, in one call: each bin's sum then
     # adds its votes in the order np.add.at did
-    base = _cell_ids(n, h, w, grid) * n_bins
-    slots = np.concatenate(((base + k0).ravel(), (base + k1).ravel()))
-    votes = np.concatenate(((mag * (1.0 - w1)).ravel(), (mag * w1).ravel()))
-    hist = np.bincount(slots, votes, minlength=n * grid.rows * grid.cols * n_bins)
-    hist = hist.reshape(n, grid.rows, grid.cols, n_bins)
+    slots = _cell_ids(n, h, w, grid)
+    slots *= HOG_BINS
+    bins += slots
+    hist = np.bincount(bins.ravel(), votes.ravel(), minlength=n * grid.rows * grid.cols * HOG_BINS)
+    hist = hist.reshape(n, grid.rows, grid.cols, HOG_BINS)
 
     eps = 1e-6
     if grid.rows >= 2 and grid.cols >= 2:
