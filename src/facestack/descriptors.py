@@ -7,6 +7,12 @@ are "neighbour >= reference", i.e. ties set the bit. Any fixed order is
 equivalent up to a permutation of histogram bins; this one is used
 everywhere, including the naive references in the test suite.
 
+All of them read the uint8 views of `_neighbors` with exact integer
+arithmetic: NILBP's mean test nb >= sum / 8 is 8*nb >= sum in int16
+(sum <= 2040, so the two agree on every input), and LSP and LOSIB take
+int16 neighbour - center differences, so a pixel's code or value depends
+on its integer neighbourhood alone, as a HOG pixel's on its gradient pair.
+
 Batches: `extract_descriptor`, `hog`, `losib`, `grid_histogram` and the
 `*_code_map` functions take one (H, W) uint8 pattern or an (N, H, W) stack
 of equal-shape patterns; a single pattern is a batch of one, and a stack
@@ -18,8 +24,9 @@ the temporaries of one call; neither cut changes the bytes.
 
 Cell sums use one weighted `np.bincount` over `image*cells*bins + bin`
 indices, the cell of each pixel read from one cached map per pattern size
-and grid. It adds each bin's votes one by one in input order, the order of
-the `np.add.at` it replaced, so the sums are bit-identical. HOG therefore
+and grid (`_cell_map`, which alone rejects a grid larger than the region).
+It adds each bin's votes one by one in input order, the order of the
+`np.add.at` it replaced, so the sums are bit-identical. HOG therefore
 bincounts its k0 votes and then its k1 votes in one call, laid out in that
 order in one (2, N, H, W) array (two bincounts added together would
 re-associate the sums), and its 2x2 block normalization adds the blocks
@@ -74,6 +81,8 @@ def _require_patterns(patterns):
     if patterns.ndim not in (2, 3) or patterns.dtype != np.uint8:
         raise ConfigurationError(
             "expected a 2-D uint8 grayscale image or an (N, H, W) uint8 stack")
+    if patterns.size == 0:
+        raise ConfigurationError(f"empty pattern input of shape {patterns.shape}")
     return patterns
 
 
@@ -83,15 +92,6 @@ def _neighbors(img):
     if h < 3 or w < 3:
         raise ConfigurationError("image too small for 8-neighbourhood coding")
     return [img[..., 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] for dx, dy in NEIGHBOR_OFFSETS]
-
-
-def _neighbor_stack(img):
-    """Neighbour values around every interior pixel, shape (8, ..., H-2, W-2)."""
-    return np.stack(_neighbors(img), dtype=np.int32)
-
-
-def _center(img):
-    return img[..., 1:-1, 1:-1].astype(np.int32)
 
 
 def _pack_bits(bits):
@@ -111,17 +111,19 @@ def lbp_code_map(img):
 
 
 def nilbp_code_map(img):
-    """LBP variant thresholding each neighbour against the neighbourhood mean."""
+    """LBP variant thresholding each neighbour against the neighbourhood
+    mean, as the exact integer test 8 * neighbour >= sum of the 8 neighbours."""
     img = _require_patterns(img)
-    stack = _neighbor_stack(img)
-    return _pack_bits(stack >= stack.mean(axis=0))
+    nbs = _neighbors(img)
+    total = np.sum(nbs, axis=0, dtype=np.int16)
+    return _pack_bits([np.multiply(nb, 8, dtype=np.int16) >= total for nb in nbs])
 
 
 def lsp_code_map(img, t=0):
     """Salient-position codes: where the largest positive and negative
     center differences sit in each interior pixel's neighbourhood.
 
-    With d_i = neighbour_i - center, the code is
+    With d_i = neighbour_i - center (int16), the code is
     argmax(d) * 7 + rank(argmin(d)) where the rank skips the argmax slot;
     ties pick the lowest neighbour index, and the argmin is taken over the
     remaining seven slots. If max|d_i| <= t the pixel is flat (bin 56).
@@ -129,16 +131,16 @@ def lsp_code_map(img, t=0):
     if t < 0:
         raise ConfigurationError("LSP threshold must be non-negative")
     img = _require_patterns(img)
-    stack = _neighbor_stack(img)
-    d = stack - _center(img)
+    d = np.stack(_neighbors(img), dtype=np.int16)
+    d -= img[..., 1:-1, 1:-1]
     flat = np.abs(d).max(axis=0) <= t
     imax = d.argmax(axis=0)  # first maximum = lowest index
-    masked = d.copy()
-    np.put_along_axis(masked, imax[None], np.iinfo(np.int32).max, axis=0)
-    imin = masked.argmin(axis=0)
+    # the first minimum of all eight is the argmax slot only where all eight
+    # are equal; both are slot 0 there, code 0, as with slot 1 of the seven
+    imin = d.argmin(axis=0)
     codes = imax * 7 + imin - (imin > imax)
     codes[flat] = LSP_FLAT_BIN
-    return codes.astype(np.int64)
+    return codes
 
 
 def _build_u2_table():
@@ -165,6 +167,8 @@ def _cell_index(n, parts):
 @functools.lru_cache(maxsize=8)
 def _cell_map(h, w, grid):
     """Row-major grid cell of every pixel of an h x w image, read-only (h, w)."""
+    if h < grid.rows or w < grid.cols:
+        raise ConfigurationError(f"{w}x{h} pixels too small for a {grid.cols}x{grid.rows} grid")
     cell = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
     cell.flags.writeable = False
     return cell
@@ -186,9 +190,6 @@ def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
     img = _require_patterns(img)
     codes = code_map_fn(img)
     h, w = codes.shape[-2:]
-    if h < grid.rows or w < grid.cols:
-        raise ConfigurationError(
-            f"interior {w}x{h} too small for a {grid.cols}x{grid.rows} grid")
     codes = codes.reshape(-1, h, w)
     n = len(codes)
     flat = _cell_ids(n, h, w, grid) * n_bins + codes
@@ -270,8 +271,6 @@ def hog(img, grid=HOG_GRID):
     h, w = img.shape[-2:]
     if h < 2 or w < 2:
         raise ConfigurationError("image too small for gradients")
-    if h < grid.rows or w < grid.cols:
-        raise ConfigurationError(f"image {w}x{h} too small for a {grid.cols}x{grid.rows} HOG grid")
     p = img.reshape(-1, h, w)
     n = len(p)
     bins, votes = _hog_votes(_central_diff(p, 2), _central_diff(p, 1))
@@ -313,16 +312,13 @@ def losib(img, grid=LOSIB_GRID):
     rows*cols*8 values, one row per pattern of a stack.
     """
     img = _require_patterns(img)
-    stack = _neighbor_stack(img)
-    center = _center(img)
+    nbs = _neighbors(img)
+    center = img[..., 1:-1, 1:-1]
     h, w = center.shape[-2:]
-    if h < grid.rows or w < grid.cols:
-        raise ConfigurationError(
-            f"interior {w}x{h} too small for a {grid.cols}x{grid.rows} grid")
     n = center.size // (h * w)
     cell = _cell_ids(n, h, w, grid).ravel()
     slots = n * grid.rows * grid.cols
-    diffs = (np.abs(stack[o] - center) / 255.0 for o in range(8))
+    diffs = (np.abs(np.subtract(nb, center, dtype=np.int16)) / 255.0 for nb in nbs)
     acc = np.stack([np.bincount(cell, d.ravel(), minlength=slots) for d in diffs], axis=1)
     counts = np.bincount(cell, minlength=slots).astype(np.float64)
     return (acc / counts[:, None]).reshape(img.shape[:-2] + (-1,))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,15 +39,39 @@ def test_lbp_matches_reference():
         assert np.array_equal(codes, oracles.ref_lbp(img))
 
 
+def _extreme_stack(shape=(16, 16), seed=3):
+    """Low-entropy patterns (values 0..3: the neighbourhood mean often equals
+    a neighbour, and LSP's extremes tie) and 0/255 checkerboards (|d| = 255,
+    neighbour sums of 0 and 2040)."""
+    rng = np.random.default_rng(seed)
+    low = rng.integers(0, 4, (3,) + shape, dtype=np.uint8)
+    board = _checkerboard(shape)
+    return np.concatenate([low, np.stack([board, 255 - board])])
+
+
 def test_nilbp_matches_reference():
-    for img in _rand_images(5, seed=1):
+    images = list(_rand_images(5, seed=1)) + list(_extreme_stack())
+    for img in images:
         assert np.array_equal(nilbp_code_map(img), oracles.ref_nilbp(img))
+    assert np.array_equal(nilbp_code_map(np.stack(images)),
+                          np.stack([nilbp_code_map(img) for img in images]))
 
 
 def test_lsp_matches_reference():
     for t in (0, 1, 2):
-        for img in _rand_images(4, seed=10 + t):
-            assert np.array_equal(lsp_code_map(img, t), oracles.ref_lsp(img, t))
+        images = list(_rand_images(4, seed=10 + t)) + list(_extreme_stack(seed=t))
+        for img in images:
+            codes = lsp_code_map(img, t)
+            assert codes.dtype == np.intp
+            assert np.array_equal(codes, oracles.ref_lsp(img, t))
+        assert oracles.same_bits(lsp_code_map(np.stack(images), t),
+                                 np.stack([lsp_code_map(img, t) for img in images]))
+    # every 3x3 neighbourhood of the levels 0..2: each way the extremes can tie
+    every = np.array(list(itertools.product(range(3), repeat=9)), dtype=np.uint8)
+    every = every.reshape(-1, 3, 3)
+    for t in (0, 1):
+        want = np.stack([oracles.ref_lsp(p, t) for p in every])
+        assert np.array_equal(lsp_code_map(every, t), want)
 
 
 def test_u2_table():
@@ -79,6 +105,9 @@ def test_lsp_flat_and_argmax():
     # one clear max (north, index 1) and min (west, index 7)
     patch = np.array([[5, 9, 5], [1, 5, 5], [5, 5, 5]], dtype=np.uint8)
     assert lsp_code_map(patch, 0)[0, 0] == 1 * 7 + (7 - 1)
+    # eight equal differences, not flat: max at slot 0, min at slot 1
+    patch = np.array([[9, 9, 9], [9, 5, 9], [9, 9, 9]], dtype=np.uint8)
+    assert lsp_code_map(patch, 0)[0, 0] == 0
     assert LSP_BINS == 57
 
 
@@ -119,6 +148,14 @@ def test_grid_histogram_small_interior_rejected():
     img = np.zeros((5, 5), dtype=np.uint8)  # interior 3x3 cannot host 5x5 cells
     with pytest.raises(ConfigurationError):
         grid_histogram(img, lbp_code_map, 256, GridSpec(5, 5))
+    # one row too tall or one column too wide: hog's cells cover the whole
+    # 9x7 pattern, losib's its 7x5 interior
+    img = np.zeros((9, 7), dtype=np.uint8)
+    for fn, (h, w), per_cell in ((hog, (9, 7), HOG_BINS), (losib, (7, 5), 8)):
+        for grid in (GridSpec(h + 1, w), GridSpec(h, w + 1)):
+            with pytest.raises(ConfigurationError, match="too small"):
+                fn(img, grid)
+        assert fn(img, GridSpec(h, w)).shape == (h * w * per_cell,)
 
 
 def test_hog_constant_is_zero():
@@ -238,6 +275,13 @@ def test_batch_equals_batches_of_one_on_small_grids(shape):
             assert oracles.same_bits(batch[i], fn(p))
 
 
+@pytest.mark.parametrize("shape", [(0, 65, 59), (65, 0)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("did", DESCRIPTOR_IDS)
+def test_extract_descriptor_rejects_empty_input(did, shape):
+    with pytest.raises(ConfigurationError, match="empty"):
+        extract_descriptor(np.zeros(shape, dtype=np.uint8), did)
+
+
 def test_extract_descriptor_rejects_bad_ranks_and_dtypes():
     for bad in (np.zeros((2, 2, 16, 16), dtype=np.uint8), np.zeros(16, dtype=np.uint8),
                 np.zeros((2, 16, 16), dtype=np.float64)):
@@ -247,7 +291,7 @@ def test_extract_descriptor_rejects_bad_ranks_and_dtypes():
 
 @pytest.mark.parametrize("shape", [(13, 11), (65, 59), (64, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_hog_and_losib_match_add_at_oracles(shape):
-    stack = _pattern_stack(shape, seed=15)
+    stack = np.concatenate([_pattern_stack(shape, seed=15), _extreme_stack(shape)])
     for rows, cols in ((8, 8), (3, 5), (1, 4)):
         grid = GridSpec(rows, cols)
         want = [oracles.ref_hog(p, rows, cols) for p in stack]
