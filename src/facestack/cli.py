@@ -194,7 +194,7 @@ def _protocol_indices(manifest, protocol):
 
 def cmd_synth(ns):
     try:
-        manifest = synth_corpus(ns.out, ns.per_class, seed=ns.seed, dataset_name=ns.name)
+        manifest = synth_corpus(ns.out, ns.per_class, seed=ns.seed)
     except OSError as exc:  # also one raised in a pool worker
         if exc.filename is None:  # not a path of the corpus: a failed fork or worker
             raise
@@ -448,7 +448,6 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--name", default="synth", help="dataset name")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("folds", help="build and save a fold plan")

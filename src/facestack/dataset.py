@@ -11,6 +11,7 @@ resolved relative to the manifest file. Fold plans serialize as
 """
 
 import csv
+import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -150,40 +151,31 @@ class FoldPlan:
 def make_folds(manifest, k, seed, grouping="by_sample"):
     """Deterministic seeded partition into k folds.
 
-    by_sample shuffles rows and deals them round-robin, so fold sizes differ
-    by at most one; it only needs len(manifest), so any sequence (such as a
-    label array) will do. by_identity shuffles identities and assigns each
-    whole identity to the currently smallest fold, keeping all samples of an
-    identity together.
+    The rows form groups: one row each for by_sample, one identity each
+    (numbered by first appearance) for by_identity. The groups are shuffled
+    and each goes whole to the currently smallest fold, the lowest fold on a
+    tie. by_sample fold sizes thus differ by at most one, and it only needs
+    len(manifest), so any sequence (such as a label array) will do.
     """
     if k < 2:
         raise ConfigurationError("k must be at least 2")
-    if grouping not in ("by_sample", "by_identity"):
-        raise ConfigurationError(f"unknown grouping {grouping!r}")
-    n = len(manifest)
-    rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
-
     if grouping == "by_sample":
-        if n < k:
-            raise ConfigurationError(f"cannot make {k} folds from {n} samples")
-        order = rng.permutation(n)
-        assignments[order] = np.arange(n) % k
-    else:
+        group = np.arange(len(manifest))
+    elif grouping == "by_identity":
         ids = {}
-        for i, s in enumerate(manifest.samples):
-            ids.setdefault(s.identity_id, []).append(i)
-        names = list(ids)
-        if len(names) < k:
-            raise ConfigurationError(f"need at least {k} identities, manifest has {len(names)}")
-        sizes = np.zeros(k, dtype=np.int64)
-        for name_idx in rng.permutation(len(names)):
-            rows = ids[names[name_idx]]
-            fold = int(np.argmin(sizes))  # ties go to the lowest fold index
-            assignments[rows] = fold
-            sizes[fold] += len(rows)
-
-    return FoldPlan(k, assignments)
+        group = np.array([ids.setdefault(s.identity_id, len(ids)) for s in manifest.samples],
+                         dtype=np.int64)
+    else:
+        raise ConfigurationError(f"unknown grouping {grouping!r}")
+    counts = np.bincount(group).tolist()
+    if len(counts) < k:
+        raise ConfigurationError(f"cannot make {k} folds from {len(counts)} groups")
+    heap = list(range(k))  # entries fold + k * size: heap[0] is the smallest fold, lowest on a tie
+    fold_of = [0] * len(counts)
+    for g in np.random.default_rng(seed).permutation(len(counts)).tolist():
+        fold_of[g] = heap[0] % k
+        heapq.heapreplace(heap, heap[0] + k * counts[g])
+    return FoldPlan(k, np.array(fold_of, dtype=np.int64)[group])
 
 
 def save_folds(plan, path):

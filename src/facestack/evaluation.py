@@ -127,15 +127,15 @@ class StageData:
     pca_components: int = 0  # 0 disables the PCA step
 
 
-def _check_pca(stages, n_train):
+def _check_pca(stages, mats, n_train):
     """ConfigurationError for a stage whose PCA asks for more components than
-    a training part of n_train rows supports: min(width, n_train - 1)."""
-    for stage in stages:
-        most = min(stage.features.shape[1], n_train - 1)
+    a training part of n_train rows of its matrix supports: min(width, n_train - 1)."""
+    for stage, X in zip(stages, mats):
+        most = min(X.shape[1], n_train - 1)
         if stage.pca_components > most:
             raise ConfigurationError(
                 f"stage {stage.spec.id}: pca{stage.pca_components} asks for more components "
-                f"than a training part of {n_train} rows of {stage.features.shape[1]} dims "
+                f"than a training part of {n_train} rows of {X.shape[1]} dims "
                 f"supports (at most {most})")
 
 
@@ -186,7 +186,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
     if folds.assignments.shape != (n,):
         raise DataError("fold plan not aligned with labels")
     splits = [folds.split(f) for f in range(folds.k)]
-    _check_pca(stages, min(len(train_idx) for train_idx, _ in splits))
+    _check_pca(stages, mats, min(len(train_idx) for train_idx, _ in splits))
     plans = [_fit_and_score(stages, mats, y, mats, train_idx, test_idx,
                             derive_seed(seed, 5, f), params, class_weight)
              for f, (train_idx, test_idx) in enumerate(splits)]
@@ -219,7 +219,7 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels,
     y = np.asarray(train_labels, dtype=np.float64)
     train_mats, _ = _matrices([s.features for s in train_stages], len(y))
     test_mats, _ = _matrices([s.features for s in test_stages], len(test_labels))
-    _check_pca(train_stages, len(y))
+    _check_pca(train_stages, train_mats, len(y))
     plan = _fit_and_score(train_stages, train_mats, y, test_mats, None, None,
                           derive_seed(seed, 9), params, class_weight)
     (scores,) = solve_plans([plan])

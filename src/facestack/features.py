@@ -30,6 +30,10 @@ class FeatureMatrix:
         if not np.isfinite(self.data).all():
             raise DataError("feature matrix contains non-finite values")
 
+    def __array__(self, dtype=None, copy=None):
+        """numpy reads a FeatureMatrix as its data."""
+        return np.array(self.data, dtype=dtype, copy=copy)
+
     @property
     def n_samples(self):
         return self.data.shape[0]

@@ -240,8 +240,6 @@ def downscale(img, w, h):
     if w < 1 or h < 1:
         raise ConfigurationError("target size must be at least 1x1")
     src_h, src_w = img.shape
-    if (w, h) == (src_w, src_h):
-        return img.copy()
     return _round_u8(_bilinear_sample(img, *_resample_grid(src_w, src_h, w, h)))
 
 
@@ -250,8 +248,6 @@ def add_gaussian_noise(img, spec):
     img = _require_gray(img)
     if spec.kind != "gaussian":
         raise ConfigurationError("add_gaussian_noise needs a gaussian NoiseSpec")
-    if spec.gaussian_variance == 0.0:
-        return img.copy()
     rng = np.random.default_rng(spec.seed)
     noisy = img / 255.0 + rng.normal(0.0, math.sqrt(spec.gaussian_variance), img.shape)
     return _round_u8(np.clip(noisy, 0.0, 1.0) * 255.0)
@@ -263,8 +259,6 @@ def add_motion_blur(img, spec):
     if spec.kind != "motion_blur":
         raise ConfigurationError("add_motion_blur needs a motion_blur NoiseSpec")
     length = spec.motion_length
-    if length == 1:
-        return img.copy()
     r = length // 2
     padded = np.pad(img.astype(np.float64), ((0, 0), (r, r)), mode="edge")
     csum = np.cumsum(padded, axis=1)

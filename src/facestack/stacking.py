@@ -65,8 +65,6 @@ def _matrices(X_per_spec, n=None):
         raise ConfigurationError("no stages: need at least one first-stage feature matrix")
     mats = []
     for X in X_per_spec:
-        if hasattr(X, "descriptor_id"):  # FeatureMatrix
-            X = X.data
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise DataError("feature matrices must be 2-D")

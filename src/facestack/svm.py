@@ -631,12 +631,10 @@ def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
     params) regardless of row order. A solve that stops at the iteration
     cap before converging warns with RuntimeWarning.
     """
-    if hasattr(X, "descriptor_id"):  # FeatureMatrix
-        if descriptor_id is None:
-            descriptor_id = X.descriptor_id
-        X = X.data
+    if descriptor_id is None:
+        descriptor_id = getattr(X, "descriptor_id", "")
     part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return solve_jobs([Job(part, params, class_weight, None, descriptor_id or "")])[0]
+    return solve_jobs([Job(part, params, class_weight, None, descriptor_id)])[0]
 
 
 def cv_jobs(part, folds, grid, class_weight=None):
@@ -675,8 +673,7 @@ def cv_scores(X, y, folds, grid, class_weight=None):
     """
     if not grid:
         raise ConfigurationError("empty parameter grid")
-    X = np.asarray(X.data if hasattr(X, "descriptor_id") else X, dtype=np.float64)
-    part = Part(X, np.asarray(y, dtype=np.float64))
+    part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
     return cv_table(solve_jobs(cv_jobs(part, folds, grid, class_weight)), folds, grid)
 
 

@@ -139,7 +139,7 @@ def _render(rng, gender, cv):
     return out, eye_left, eye_right, age
 
 
-def synth_corpus(out_dir, n_per_class, seed=0, dataset_name="synth"):
+def synth_corpus(out_dir, n_per_class, seed=0):
     """Write a balanced corpus (PGMs + manifest.csv); returns the Manifest.
 
     Byte-identical for a given (n_per_class, seed), whatever the core count.
@@ -169,6 +169,6 @@ def synth_corpus(out_dir, n_per_class, seed=0, dataset_name="synth"):
         return samples
 
     runs = pool.map_groups(render, range(2 * n_per_class))
-    manifest = Manifest(dataset_name, tuple(sample for run in runs for sample in run))
+    manifest = Manifest("synth", tuple(sample for run in runs for sample in run))
     save_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

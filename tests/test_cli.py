@@ -151,7 +151,7 @@ def test_eval_crossdb_command(workspace, tmp_path):
     other = tmp_path / "corpus2"
     pats2 = tmp_path / "fpat2"
     assert main(["--seed", "9", "--out", str(other), "synth",
-                 "--per-class", "10", "--name", "synthb"]) == 0
+                 "--per-class", "10"]) == 0
     assert main(["--out", str(pats2), "prepare",
                  "--manifest", str(other / "manifest.csv"), "--pattern", "F"]) == 0
     assert main(["--out", str(tmp_path / "hog2.fsfm"), "extract",

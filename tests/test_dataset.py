@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,29 @@ def test_load_folds_rejects_an_extra_field(tmp_path):
     p.write_text("row_index,fold\n0,0\n1,1,7\n")
     with pytest.raises(ParseError, match="row 3: expected 2 columns, got 3"):
         load_folds(p)
+
+
+def test_fold_plans_are_pinned():
+    # by_sample deals one-row groups exactly as by_identity deals identities
+    for n in (5, 7, 60, 120, 200, 1001):
+        m = _manifest(n)
+        for k in (2, 3, 5, 10):
+            for seed in range(20) if n >= k else ():
+                assert np.array_equal(make_folds(m, k, seed).assignments,
+                                      make_folds(m, k, seed, "by_identity").assignments)
+    # the exact plans of both groupings, identities repeated 1-3 times in shuffled order
+    digest = hashlib.sha256()
+    for n_ids in (3, 10, 37, 100):
+        rng = np.random.default_rng(n_ids)
+        names = [f"p{i}" for i in range(n_ids) for _ in range(rng.integers(1, 4))]
+        rng.shuffle(names)
+        m = Manifest("toy", tuple(_sample(i, identity=name) for i, name in enumerate(names)))
+        for k in (2, 3, 5):
+            for seed in range(5) if n_ids >= k else ():
+                for grouping in ("by_sample", "by_identity"):
+                    plan = make_folds(m, k, seed, grouping)
+                    digest.update(plan.assignments.astype("<i8").tobytes())
+                    for f in range(k):
+                        for part in plan.split(f):
+                            digest.update(part.astype("<i8").tobytes())
+    assert digest.hexdigest() == "7a1b81d8dd14bb9b0062a605b1c055d9582a3dfd52536bf1bea8ed05f10b0a74"

@@ -178,10 +178,13 @@ def test_downscale_pixel_center_mapping():
 
 
 def test_downscale_same_size_is_copy():
-    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    out = downscale(img, 4, 3)
-    assert np.array_equal(out, img)
-    assert out is not img
+    # the general path's corner weights are exactly (1, 0, 0, 0)
+    rng = np.random.default_rng(2)
+    for h, w in ((1, 1), (1, 5), (7, 1), (3, 4), (16, 16), (65, 59), (155, 159), (64, 64)):
+        img = rng.permutation(np.resize(np.arange(256, dtype=np.uint8), h * w)).reshape(h, w)
+        out = downscale(img, w, h)
+        assert np.array_equal(out, img)
+        assert out is not img
 
 
 def test_downscale_rounds_half_up():
@@ -323,9 +326,10 @@ def test_gaussian_noise_seeded():
 
 
 def test_gaussian_zero_variance_is_identity():
-    img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    img = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every gray level
     out = add_gaussian_noise(img, NoiseSpec("gaussian", gaussian_variance=0.0))
     assert np.array_equal(out, img)
+    assert out is not img
 
 
 def test_gaussian_noise_std_matches_clipped_oracle():
@@ -354,9 +358,10 @@ def test_motion_blur_constant_unchanged():
 
 
 def test_motion_blur_length_one_identity():
-    img = np.arange(20, dtype=np.uint8).reshape(4, 5)
+    img = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every gray level
     out = add_motion_blur(img, NoiseSpec("motion_blur", motion_length=1))
     assert np.array_equal(out, img)
+    assert out is not img
 
 
 def test_prepare_pattern_variants():

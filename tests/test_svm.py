@@ -19,14 +19,21 @@ from facestack import (
     ConfigurationError,
     DataError,
     FeatureMatrix,
+    FirstStageSpec,
     ScoreMatrix,
+    StageData,
     SvmParams,
     default_grid,
     grid_search,
     load_model,
     load_scores,
+    make_folds,
+    oof_scores,
+    run_kfold,
     save_model,
     save_scores,
+    save_stacked,
+    stack_fit,
     svm_fit,
 )
 from facestack.dataset import FoldPlan
@@ -409,11 +416,33 @@ def test_class_weight_shifts_boundary():
     assert rec_weighted > rec_plain
 
 
-def test_feature_matrix_carries_descriptor_id():
+def test_feature_matrix_carries_descriptor_id(tmp_path):
     X, y = _blobs(10)
     fm = FeatureMatrix(X.astype(np.float32), "hog")
     m = svm_fit(fm, y, SvmParams(C=1.0, gamma=0.5))
     assert m.descriptor_id == "hog"
+    # numpy reads a FeatureMatrix as its data: every entry point gives the bits of the array
+    A = fm.data.astype(np.float64)
+    folds = make_folds(y, 3, seed=0)
+
+    def model_bytes(model):
+        buf = io.BytesIO()
+        write_model(buf, model)
+        return buf.getvalue()
+
+    assert model_bytes(m) == model_bytes(svm_fit(A, y, m.params, descriptor_id="hog"))
+    grid = default_grid()[:4]
+    assert oracles.same_bits(cv_scores(fm, y, folds, grid), cv_scores(A, y, folds, grid))
+    specs = [FirstStageSpec("C1", "F", "hog"), FirstStageSpec("C3", "F", "lbpu2")]
+    assert oracles.same_bits(oof_scores([fm, fm], y, folds, specs).scores,
+                             oof_scores([A, A], y, folds, specs).scores)
+    for name, views in (("fm", [fm, fm]), ("array", [A, A])):
+        save_stacked(tmp_path / name, stack_fit(views, y, folds, specs))
+    assert (tmp_path / "fm").read_bytes() == (tmp_path / "array").read_bytes()
+    runs = [run_kfold([StageData(spec, M) for spec in specs], y, k=3)[1] for M in (fm, A)]
+    assert oracles.same_bits(*runs)
+    with pytest.raises(ValueError):  # float32 data cannot be float64 without a copy
+        np.asarray(fm, dtype=np.float64, copy=False)
 
 
 def test_errors():
