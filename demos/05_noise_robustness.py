@@ -21,19 +21,17 @@ with tempfile.TemporaryDirectory() as td:
     imgs = [load_gray(s.image_path) for s in man.samples]
     y = man.labels()
 
-    def sweep(kind, levels, make):
+    def sweep(kind, levels):
         print(f"{kind}:")
         for li, level in enumerate(levels):
             feats = []
             for row, (img, s) in enumerate(zip(imgs, man.samples)):
-                noise = make(level, 1000 * li + row)
+                noise = NoiseSpec(kind, level, seed=1000 * li + row)
                 pat = prepare_pattern(img, s.eye_left, s.eye_right, "F", noise=noise)
                 feats.append(extract_descriptor(pat, "hog"))
             rep, _ = run_kfold([StageData(spec, np.asarray(feats))], y,
                                k=5, seed=0, params=params)
             print(f"  level {level:>5}: accuracy {rep.accuracy:.4f}")
 
-    sweep("gaussian variance", (0.0, 0.025, 0.05, 0.1),
-          lambda v, s: None if v == 0 else NoiseSpec("gaussian", gaussian_variance=v, seed=s))
-    sweep("motion blur length", (1, 7, 13, 21),
-          lambda ln, s: NoiseSpec("motion_blur", motion_length=ln, seed=s))
+    sweep("gaussian", (0.0, 0.025, 0.05, 0.1))
+    sweep("motion", (1, 7, 13, 21))

@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .errors import ConfigurationError, DataError, ParseError, PartialFailure
 from .geometry import (F_PATTERN, HS_PATTERN, MAX_GAUSSIAN_VARIANCE,
                        MAX_MOTION_LENGTH, PATTERN_VARIANTS, NoiseSpec,
-                       PatternSpec, SimilarityTransform, add_gaussian_noise,
-                       add_motion_blur, downscale, eye_transform,
-                       normalize_pattern, pattern_eyes, prepare_pattern,
-                       to_gray)
+                       PatternSpec, SimilarityTransform, add_noise, downscale,
+                       eye_transform, normalize_pattern, pattern_eyes,
+                       prepare_pattern, to_gray)
 from .pgm import load_gray, read_pgm, write_pgm
 from .dataset import (ADULT_GROUPS, AGE_GROUPS, DAGO_MIN_EYE_DISTANCE,
                       GENDERS, FoldPlan, Manifest, Sample, adults_mask,

@@ -178,6 +178,11 @@ def _fold_plan(path, manifest, k, seed, grouping="by_sample"):
     return plan
 
 
+def _dataset_name(path):
+    """A manifest's dataset name in reports: its file stem."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _protocol_indices(manifest, protocol):
     mask = np.ones(len(manifest), dtype=bool)
     if protocol in ("dago", "dago-adults"):
@@ -212,26 +217,18 @@ def cmd_folds(ns):
     return {"k": plan.k, "fold_sizes": sizes}, []
 
 
-def _noise_spec(kind, level, seed):
-    """NoiseSpec for a CLI --noise choice at a variance or blur length."""
-    if kind == "none":
-        return None
-    if kind == "gaussian":
-        return NoiseSpec("gaussian", gaussian_variance=level, seed=seed)
-    return NoiseSpec("motion_blur", motion_length=level, seed=seed)
-
-
 def _pattern(ns, level, row, img, sample):
     """Row row's pattern: img, its sample's image, normalised to ns.pattern
     with ns.noise at level seeded by derive_seed(ns.seed, row)."""
-    noise = _noise_spec(ns.noise, level, derive_seed(ns.seed, row))
+    noise = None if ns.noise == "none" else NoiseSpec(ns.noise, level, derive_seed(ns.seed, row))
     return prepare_pattern(img, sample.eye_left, sample.eye_right, ns.pattern, noise=noise)
 
 
 def cmd_prepare(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
     level = ns.variance if ns.noise == "gaussian" else ns.length
-    _noise_spec(ns.noise, level, ns.seed)  # a bad level is a configuration error, not a row's
+    if ns.noise != "none":
+        NoiseSpec(ns.noise, level, ns.seed)  # a bad level is a configuration error, not a row's
 
     eye_l, eye_r = pattern_eyes(ns.pattern)
 
@@ -256,7 +253,7 @@ def cmd_prepare(ns):
     runs = pool.map_groups(prepare, enumerate(manifest.samples))
     kept = tuple(sample for samples, _ in runs for sample in samples)
     failures = [failure for _, failed in runs for failure in failed]
-    save_manifest(Manifest(manifest.dataset_name, kept), os.path.join(ns.out, "manifest.csv"))
+    save_manifest(Manifest(kept), os.path.join(ns.out, "manifest.csv"))
     print(f"prepare: {len(kept)} patterns ({ns.pattern}) in {ns.out}, {len(failures)} failed")
     return {"n_prepared": len(kept), "n_failed": len(failures)}, failures
 
@@ -354,7 +351,7 @@ def cmd_eval_kfold(ns):
 
     report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed, **_svm_flags(ns))
     doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
-                      dataset=manifest.dataset_name)
+                      dataset=_dataset_name(ns.manifest))
     for name, image in means.items():
         write_pgm(os.path.join(ns.out, name), image)
     doc["mean_patterns"] = list(means)
@@ -365,23 +362,26 @@ def cmd_eval_kfold(ns):
 
 
 def cmd_eval_crossdb(ns):
-    train_man = load_manifest(ns.train_manifest, dataset_name=ns.train_name,
-                              check_files=False)
-    test_man = load_manifest(ns.test_manifest, dataset_name=ns.test_name,
-                             check_files=False)
+    train_man = load_manifest(ns.train_manifest, check_files=False)
+    test_man = load_manifest(ns.test_manifest, check_files=False)
     tr_idx = _protocol_indices(train_man, ns.protocol)
     te_idx = _protocol_indices(test_man, ns.protocol)
     tr_sub, te_sub = train_man.subset(tr_idx), test_man.subset(te_idx)
+    shared = ({os.path.realpath(s.image_path) for s in tr_sub}
+              & {os.path.realpath(s.image_path) for s in te_sub})
+    if shared:
+        raise ConfigurationError(
+            f"train and test manifests share {len(shared)} image(s), such as {min(shared)}; "
+            "a cross-database run needs two disjoint datasets")
 
     train_stages, test_stages = _load_stages(ns.stage, [(train_man, tr_idx), (test_man, te_idx)])
 
-    report, scores = run_crossdb(
-        train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
-        train_man.dataset_name, test_man.dataset_name, seed=ns.seed, **_svm_flags(ns))
+    report, scores = run_crossdb(train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
+                                 seed=ns.seed, **_svm_flags(ns))
+    train_name, test_name = _dataset_name(ns.train_manifest), _dataset_name(ns.test_manifest)
     doc = _write_eval(ns, report, te_sub.samples, scores, mode="crossdb",
-                      train_dataset=train_man.dataset_name,
-                      test_dataset=test_man.dataset_name)
-    print(f"eval crossdb: {train_man.dataset_name} -> {test_man.dataset_name} "
+                      train_dataset=train_name, test_dataset=test_name)
+    print(f"eval crossdb: {train_name} -> {test_name} "
           f"accuracy={report.accuracy:.4f} auc={report.auc:.4f} n={report.n_samples}")
     return doc, []
 
@@ -396,7 +396,7 @@ def _sweep_levels(ns):
         raise ConfigurationError(
             f"--{flag} {text!r}: expected comma-separated {cast.__name__}s") from None
     for level in levels:
-        _noise_spec(ns.noise, level, ns.seed)
+        NoiseSpec(ns.noise, level, ns.seed)
     return levels
 
 
@@ -516,9 +516,6 @@ def build_parser():
     pc = esub.add_parser("crossdb", help="train on one dataset, test on another")
     pc.add_argument("--train-manifest", required=True)
     pc.add_argument("--test-manifest", required=True)
-    pc.add_argument("--train-name", default=None,
-                    help="dataset name override (default: manifest file stem)")
-    pc.add_argument("--test-name", default=None)
     pc.add_argument("--stage", action="append", default=[],
                     help="ID=TRAIN.fsfm,TEST.fsfm[:pcaN], repeatable")
     pc.add_argument("--protocol", choices=PROTOCOLS, default="none")

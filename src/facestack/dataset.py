@@ -50,8 +50,6 @@ class Sample:
             raise DataError("eye coordinates must be finite")
         if not self.eye_left[0] < self.eye_right[0]:
             raise DataError("left eye must lie left of the right eye")
-        if self.inter_eye_distance <= 0:
-            raise DataError("inter-eye distance must be positive")
 
     @property
     def inter_eye_distance(self):
@@ -65,7 +63,6 @@ class Sample:
 
 @dataclass(frozen=True)
 class Manifest:
-    dataset_name: str
     samples: tuple
 
     def __len__(self):
@@ -78,13 +75,11 @@ class Manifest:
         return np.array([s.label for s in self.samples], dtype=np.float64)
 
     def subset(self, indices):
-        return Manifest(self.dataset_name, tuple(self.samples[i] for i in indices))
+        return Manifest(tuple(self.samples[i] for i in indices))
 
 
-def load_manifest(path, dataset_name=None, check_files=True):
-    """Parse a manifest CSV; the dataset name defaults to the file stem."""
-    if dataset_name is None:
-        dataset_name = os.path.splitext(os.path.basename(path))[0]
+def load_manifest(path, check_files=True):
+    """Parse a manifest CSV."""
     base = os.path.dirname(os.path.abspath(path))
 
     _, rows = read_csv(path, "manifest", MANIFEST_HEADER)
@@ -108,7 +103,7 @@ def load_manifest(path, dataset_name=None, check_files=True):
         for (lineno, _), s in zip(rows, samples):
             if not os.path.isfile(s.image_path):
                 raise DataError(f"{path}: row {lineno}: image not found: {s.image_path}")
-    return Manifest(dataset_name, tuple(samples))
+    return Manifest(tuple(samples))
 
 
 def save_manifest(manifest, path):

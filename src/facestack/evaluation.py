@@ -200,18 +200,14 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
     return report, pooled
 
 
-def run_crossdb(train_stages, test_stages, train_labels, test_labels,
-                train_name, test_name, seed=0, params=DEFAULT_STAGE_PARAMS,
-                class_weight=None):
-    """Train on one dataset, test on a different one.
+def run_crossdb(train_stages, test_stages, train_labels, test_labels, seed=0,
+                params=DEFAULT_STAGE_PARAMS, class_weight=None):
+    """Train on one dataset, test on another.
 
     Nothing from the test side (scaling statistics, PCA basis, grid search)
     participates in training; params is as for run_kfold. Returns
     (EvalReport, test scores).
     """
-    if train_name == test_name:
-        raise ConfigurationError(
-            f"cross-database run needs two distinct datasets, both are {train_name!r}")
     train_stages = list(train_stages)
     test_stages = list(test_stages)
     if [s.spec for s in train_stages] != [s.spec for s in test_stages]:

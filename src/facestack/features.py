@@ -58,7 +58,10 @@ def load_features(path):
         ident = read_str(fh, path)
         data = read_array(fh, "<f4", n * d, path).reshape(n, d)
         check_end(fh, path)
-    return FeatureMatrix(data, ident)
+    try:
+        return FeatureMatrix(data, ident)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def export_csv(fm, path):

@@ -15,6 +15,11 @@ The grids that do not depend on the image (a pattern's pixel centers,
 built once per size. A downscaled HS pattern (HS64, HS32, HS16) samples
 only the HS pixels that `downscale` reads; every pattern pixel is computed
 on its own, so the others, left zero, change no output bit.
+
+Noise is one `NoiseSpec(kind, level, seed)`: "gaussian" at a variance on the
+[0,1] intensity scale, drawn from seed, or "motion" at an odd horizontal blur
+length in pixels. `add_noise(img, spec)` applies it to an image, and
+`prepare_pattern(..., noise=spec)` to the finished pattern.
 """
 
 import functools
@@ -51,20 +56,21 @@ MAX_MOTION_LENGTH = 21
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str  # "gaussian" or "motion_blur"
-    gaussian_variance: float = 0.0
-    motion_length: int = 1
+    kind: str  # "gaussian" or "motion"
+    level: float  # the gaussian variance, or the odd motion blur length
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "motion_blur"):
+        if self.kind == "gaussian":
+            if not 0.0 <= self.level <= MAX_GAUSSIAN_VARIANCE:
+                raise ConfigurationError(
+                    f"gaussian variance {self.level} outside [0, {MAX_GAUSSIAN_VARIANCE}]")
+        elif self.kind == "motion":
+            if not 1 <= self.level <= MAX_MOTION_LENGTH or self.level % 2 == 0:
+                raise ConfigurationError(
+                    f"motion length {self.level} must be odd and in [1, {MAX_MOTION_LENGTH}]")
+        else:
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.gaussian_variance <= MAX_GAUSSIAN_VARIANCE:
-            raise ConfigurationError(
-                f"gaussian variance {self.gaussian_variance} outside [0, {MAX_GAUSSIAN_VARIANCE}]")
-        if not 1 <= self.motion_length <= MAX_MOTION_LENGTH or self.motion_length % 2 == 0:
-            raise ConfigurationError(
-                f"motion length {self.motion_length} must be odd and in [1, {MAX_MOTION_LENGTH}]")
 
 
 def _require_gray(img):
@@ -243,22 +249,16 @@ def downscale(img, w, h):
     return _round_u8(_bilinear_sample(img, *_resample_grid(src_w, src_h, w, h)))
 
 
-def add_gaussian_noise(img, spec):
-    """Additive Gaussian noise on the normalized [0,1] intensity scale."""
+def add_noise(img, spec):
+    """img corrupted as the NoiseSpec spec says: additive Gaussian noise on
+    the normalized [0,1] intensity scale, or a horizontal 1xL box blur
+    (uniform weights, edges replicated)."""
     img = _require_gray(img)
-    if spec.kind != "gaussian":
-        raise ConfigurationError("add_gaussian_noise needs a gaussian NoiseSpec")
-    rng = np.random.default_rng(spec.seed)
-    noisy = img / 255.0 + rng.normal(0.0, math.sqrt(spec.gaussian_variance), img.shape)
-    return _round_u8(np.clip(noisy, 0.0, 1.0) * 255.0)
-
-
-def add_motion_blur(img, spec):
-    """Horizontal 1xL box blur (uniform weights), edges replicated."""
-    img = _require_gray(img)
-    if spec.kind != "motion_blur":
-        raise ConfigurationError("add_motion_blur needs a motion_blur NoiseSpec")
-    length = spec.motion_length
+    if spec.kind == "gaussian":
+        rng = np.random.default_rng(spec.seed)
+        noisy = img / 255.0 + rng.normal(0.0, math.sqrt(spec.level), img.shape)
+        return _round_u8(np.clip(noisy, 0.0, 1.0) * 255.0)
+    length = spec.level
     r = length // 2
     padded = np.pad(img.astype(np.float64), ((0, 0), (r, r)), mode="edge")
     csum = np.cumsum(padded, axis=1)
@@ -292,10 +292,7 @@ def prepare_pattern(img, eye_left, eye_right, pattern_id, noise=None):
     else:
         out = normalize_pattern(img, eye_left, eye_right, spec)
     if noise is not None:
-        if noise.kind == "gaussian":
-            out = add_gaussian_noise(out, noise)
-        else:
-            out = add_motion_blur(out, noise)
+        out = add_noise(out, noise)
     return out
 
 

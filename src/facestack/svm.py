@@ -754,8 +754,11 @@ def load_scores(path):
             scores.append([float(v) for v in values])
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
-    return ScoreMatrix(scores=np.array(scores), column_ids=tuple(header[1:]),
-                       row_indices=np.array(idx))
+    try:
+        return ScoreMatrix(scores=np.array(scores), column_ids=tuple(header[1:]),
+                           row_indices=np.array(idx))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_model(fh, model):

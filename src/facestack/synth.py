@@ -169,6 +169,6 @@ def synth_corpus(out_dir, n_per_class, seed=0):
         return samples
 
     runs = pool.map_groups(render, range(2 * n_per_class))
-    manifest = Manifest("synth", tuple(sample for run in runs for sample in run))
+    manifest = Manifest(tuple(sample for run in runs for sample in run))
     save_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

@@ -215,7 +215,7 @@ def test_c06_noise_monotonicity(tmp_path):
             feats = []
             for row, (img, s) in enumerate(zip(imgs, man.samples)):
                 noise = None if var == 0 else NoiseSpec(
-                    "gaussian", gaussian_variance=var,
+                    "gaussian", var,
                     seed=int(np.random.SeedSequence(entropy=0, spawn_key=(li, row))
                              .generate_state(1)[0]))
                 pat = prepare_pattern(img, s.eye_left, s.eye_right, "F", noise=noise)

@@ -22,11 +22,20 @@ from facestack.svm import derive_seed, load_model
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """One small corpus taken through the whole pipeline."""
+    """One small corpus taken through the whole pipeline, and a second one of
+    other images (corpus2, hog2.fsfm, losib2.fsfm) to test eval crossdb on."""
     root = tmp_path_factory.mktemp("cli")
     corpus = root / "corpus"
     pats = root / "fpat"
     assert main(["--out", str(corpus), "synth", "--per-class", "15"]) == 0
+    assert main(["--seed", "9", "--out", str(root / "corpus2"), "synth",
+                 "--per-class", "10"]) == 0
+    assert main(["--out", str(root / "fpat2"), "prepare",
+                 "--manifest", str(root / "corpus2" / "manifest.csv"), "--pattern", "F"]) == 0
+    for descriptor in ("hog", "losib"):
+        assert main(["--out", str(root / f"{descriptor}2.fsfm"), "extract",
+                     "--manifest", str(root / "fpat2" / "manifest.csv"),
+                     "--descriptor", descriptor]) == 0
     assert main(["--out", str(root / "folds.csv"), "folds",
                  "--manifest", str(corpus / "manifest.csv"), "--k", "3"]) == 0
     assert main(["--out", str(pats), "prepare",
@@ -148,33 +157,74 @@ def test_eval_protocol_filters_rows(workspace):
 
 
 def test_eval_crossdb_command(workspace, tmp_path):
-    other = tmp_path / "corpus2"
-    pats2 = tmp_path / "fpat2"
-    assert main(["--seed", "9", "--out", str(other), "synth",
-                 "--per-class", "10"]) == 0
-    assert main(["--out", str(pats2), "prepare",
-                 "--manifest", str(other / "manifest.csv"), "--pattern", "F"]) == 0
-    assert main(["--out", str(tmp_path / "hog2.fsfm"), "extract",
-                 "--manifest", str(pats2 / "manifest.csv"), "--descriptor", "hog"]) == 0
     out = tmp_path / "xdb"
     assert main(["--out", str(out), "eval", "crossdb",
                  "--train-manifest", str(workspace / "corpus" / "manifest.csv"),
-                 "--test-manifest", str(other / "manifest.csv"),
-                 "--train-name", "synth", "--test-name", "synthb",
-                 "--stage", f"C1={workspace / 'hog.fsfm'},{tmp_path / 'hog2.fsfm'}",
+                 "--test-manifest", str(workspace / "corpus2" / "manifest.csv"),
+                 "--stage", f"C1={workspace / 'hog.fsfm'},{workspace / 'hog2.fsfm'}",
                  "--C", "8.0", "--gamma", "0.04"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["mode"] == "crossdb"
-    assert report["train_dataset"] == "synth"
-    assert report["test_dataset"] == "synthb"
+    # each side is named by its manifest's file stem, so two manifest.csv files
+    # give the same name to two different datasets
+    assert report["train_dataset"] == "manifest"
+    assert report["test_dataset"] == "manifest"
     assert report["n_samples"] == 20
     assert report["accuracy"] >= 0.8
-    # same manifest stem on both sides needs explicit names
-    rc = main(["--out", str(tmp_path / "xdb2"), "eval", "crossdb",
-               "--train-manifest", str(workspace / "corpus" / "manifest.csv"),
-               "--test-manifest", str(other / "manifest.csv"),
-               "--stage", f"C1={workspace / 'hog.fsfm'},{tmp_path / 'hog2.fsfm'}"])
-    assert rc == 2
+
+
+def _sharing(workspace, tmp_path, how):
+    """A test manifest that shares images with workspace's corpus: the same
+    file, a copy of it under another stem, or corpus2 with one row's image
+    taken from corpus, directly or through a linked directory. The row is
+    corpus2's first that the adults protocol drops."""
+    corpus = workspace / "corpus" / "manifest.csv"
+    if how == "same-file":
+        return corpus
+    if how == "copy":
+        save_manifest(load_manifest(corpus), tmp_path / "copy.csv")
+        return tmp_path / "copy.csv"
+    image = load_manifest(corpus).samples[0].image_path
+    if how == "symlink":
+        (tmp_path / "linked").symlink_to(os.path.dirname(image))
+        image = tmp_path / "linked" / os.path.basename(image)
+    other = workspace / "corpus2" / "manifest.csv"
+    row = next(i for i, s in enumerate(load_manifest(other).samples)
+               if s.age_group not in facestack.ADULT_GROUPS)
+    return _with_images(other, tmp_path / "shared.csv", {row: image})
+
+
+def _crossdb_argv(workspace, test_manifest):
+    """`_stage_argv`'s eval crossdb of C1 with test_manifest on the test side."""
+    argv = _stage_argv(workspace, "eval crossdb", [("C1", "hog")])
+    argv[argv.index("--test-manifest") + 1] = str(test_manifest)
+    return argv
+
+
+@pytest.mark.parametrize("how", ["same-file", "copy", "one-image", "symlink"])
+def test_eval_crossdb_refuses_shared_images_before_any_work(workspace, tmp_path, capsys,
+                                                            monkeypatch, how):
+    # one manifest passed under two names once trained on its own test rows
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    monkeypatch.setattr(cli, "load_features", lambda path: pytest.fail("features loaded"))
+    out = tmp_path / "xdb"
+    argv = ["--out", str(out)] + _crossdb_argv(workspace, _sharing(workspace, tmp_path, how))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"share {30 if how in ('same-file', 'copy') else 1} image(s)" in err
+    assert os.listdir(out) == []
+    if how == "same-file":  # and the name flags are gone
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--train-name", "a", "--test-name", "b"])
+        assert exc.value.code == 2
+
+
+def test_eval_crossdb_compares_the_rows_the_protocol_keeps(workspace, tmp_path):
+    # the shared image sits on a row that --protocol adults drops
+    argv = _crossdb_argv(workspace, _sharing(workspace, tmp_path, "one-image"))
+    assert main(["--out", str(tmp_path / "all")] + argv) == 2
+    assert main(["--out", str(tmp_path / "adults")] + argv + ["--protocol", "adults"]) == 0
 
 
 def test_noise_sweep_command(workspace):
@@ -307,10 +357,10 @@ def _stage_argv(ws, command, stages):
     """argv for `command` over the workspace feature files of stages [(id, descriptor)]."""
     manifest = str(ws / "corpus" / "manifest.csv")
     if command == "eval crossdb":
-        return (["eval", "crossdb", "--train-manifest", manifest, "--test-manifest", manifest,
-                 "--train-name", "a", "--test-name", "b", "--C", "4.0"]
+        return (["eval", "crossdb", "--train-manifest", manifest,
+                 "--test-manifest", str(ws / "corpus2" / "manifest.csv"), "--C", "4.0"]
                 + [a for sid, d in stages
-                   for a in ("--stage", f"{sid}={ws / f'{d}.fsfm'},{ws / f'{d}.fsfm'}")])
+                   for a in ("--stage", f"{sid}={ws / f'{d}.fsfm'},{ws / f'{d}2.fsfm'}")])
     head = {"stack": ["stack", "--folds", str(ws / "folds.csv")],
             "eval kfold": ["eval", "kfold", "--k", "3"]}[command]
     return (head + ["--manifest", manifest, "--C", "4.0"]
@@ -447,7 +497,7 @@ def test_extract_mixed_pattern_sizes(workspace, tmp_path, capsys):
     mixed = [(f_rows if "FFHFHH"[i % 6] == "F" else hs_rows)[i] for i in range(30)]
     assert {read_pgm(s.image_path).shape for s in mixed} == {(65, 59), (64, 64)}
     manifest = tmp_path / "mixed.csv"
-    save_manifest(Manifest("mixed", tuple(mixed)), manifest)
+    save_manifest(Manifest(tuple(mixed)), manifest)
 
     # hog is 576 wide on both sizes, so the matrix is whole
     out = tmp_path / "mixed_hog.fsfm"
@@ -470,7 +520,7 @@ def test_extract_checks_widths_across_worker_groups(workspace, tmp_path, capsys,
     f_rows = load_manifest(workspace / "fpat" / "manifest.csv").samples
     hs_rows = load_manifest(hs / "manifest.csv").samples
     manifest = tmp_path / "f_then_hs64.csv"
-    save_manifest(Manifest("mixed", f_rows[:15] + hs_rows[15:]), manifest)
+    save_manifest(Manifest(f_rows[:15] + hs_rows[15:]), manifest)
     # on 2 cores each worker group holds one pattern size
     for cores in (1, 2):
         monkeypatch.setattr(pool, "_cores", lambda: cores)
@@ -530,6 +580,72 @@ def test_missing_binary_input_exits_3(workspace, tmp_path, capsys, command):
     assert "data error" in err and "nope.fsfm" in err
 
 
+NAN_F32 = b"\x00\x00\xc0\x7f"  # a float32 NaN, little-endian
+
+
+def _bad_input(ws, tmp_path, case):
+    """argv for one malformed-input case, writing the bad file it names under
+    tmp_path."""
+    manifest = str(ws / "corpus" / "manifest.csv")
+    hog = ws / "hog.fsfm"
+    stack = ["stack", "--manifest", manifest, "--stage", f"C1={hog}", "--C", "4.0"]
+    if case == "header-only-manifest":
+        header = (ws / "fpat" / "manifest.csv").read_text().splitlines()[0]
+        (tmp_path / "bad.csv").write_text(header + "\n")
+        return ["extract", "--manifest", str(tmp_path / "bad.csv"), "--descriptor", "hog"]
+    if case == "pgm-header":
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n59 6x\n255\n" + bytes(59 * 65))
+        one = _with_images(ws / "fpat" / "manifest.csv", tmp_path / "m.csv",
+                           {0: tmp_path / "bad.pgm"})
+        (tmp_path / "one.csv").write_text("\n".join(one.read_text().splitlines()[:2]) + "\n")
+        return ["extract", "--manifest", str(tmp_path / "one.csv"), "--descriptor", "hog"]
+    if case in ("fsfm-trailing-byte", "fsfm-nan"):
+        blob = hog.read_bytes()
+        (tmp_path / "bad.fsfm").write_bytes(
+            blob + b"\0" if case == "fsfm-trailing-byte" else blob[:-4] + NAN_F32)
+        # the bad file is the second of two stages
+        return stack + ["--stage", f"C4={tmp_path / 'bad.fsfm'}"]
+    if case == "stack-pca":
+        return stack[:-3] + [f"C1={hog}:pca5", "--C", "4.0"]
+    if case == "protocol-empty":  # every pair of eyes 10 px apart: dago keeps none
+        samples = load_manifest(manifest).samples
+        save_manifest(Manifest(tuple(dataclasses.replace(s, eye_right=(s.eye_left[0] + 10.0,
+                                                                       s.eye_left[1]))
+                                     for s in samples)), tmp_path / "bad.csv")
+        return ["eval", "kfold", "--manifest", str(tmp_path / "bad.csv"),
+                "--stage", f"C1={hog}", "--protocol", "dago", "--C", "4.0"]
+    rows = {"scores-non-numeric": ["0,abc"], "scores-nan": ["0,nan"],
+            "scores-repeated-row": ["0,0.5", "0,0.5"]}[case]
+    (tmp_path / "bad.csv").write_text("row_index,EXT\n" + "\n".join(rows) + "\n")
+    return stack + ["--external", str(tmp_path / "bad.csv")]
+
+
+BAD_INPUTS = [
+    ("header-only-manifest", 3, "bad.csv: no samples"),
+    ("pgm-header", 3, "bad.pgm: non-numeric PGM header field"),
+    ("fsfm-trailing-byte", 3, "bad.fsfm: trailing bytes after the last record"),
+    ("fsfm-nan", 3, "bad.fsfm: feature matrix contains non-finite values"),
+    ("stack-pca", 2, "PCA stage suffixes are only supported by eval"),
+    ("protocol-empty", 3, "protocol 'dago' filtered out every sample"),
+    ("scores-non-numeric", 3, "bad.csv: row 2: could not convert string to float"),
+    ("scores-nan", 3, "bad.csv: non-finite score"),
+    ("scores-repeated-row", 3, "bad.csv: row_indices must be unique, one per row"),
+]
+
+
+@pytest.mark.parametrize("case, code, message", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_a_bad_input_exits_with_its_code_naming_its_file(workspace, tmp_path, capsys,
+                                                        monkeypatch, case, code, message):
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    argv = _bad_input(workspace, tmp_path, case)
+    out = tmp_path / ("out" if argv[0] == "eval" else "out.bin")
+    assert main(["--out", str(out)] + argv) == code
+    err = capsys.readouterr().err
+    assert ("configuration error" if code == 2 else "data error") in err
+    assert message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(facestack.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -544,7 +660,7 @@ def test_manifests_are_utf8_whatever_the_locale(workspace, tmp_path):
     manifest = load_manifest(workspace / "corpus" / "manifest.csv")
     first = dataclasses.replace(manifest.samples[0], identity_id="José")
     path = tmp_path / "manifest.csv"
-    save_manifest(Manifest("accented", (first,) + manifest.samples[1:]), path)
+    save_manifest(Manifest((first,) + manifest.samples[1:]), path)
     src = os.path.dirname(os.path.dirname(facestack.__file__))
     env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     out = tmp_path / "pats"
@@ -616,10 +732,10 @@ def _corruption_cases(ws, tmp_path):
                        {"fsfm": ws / "hog.fsfm", "manifest": manifest,
                         "folds": ws / "folds.csv"}),
         "eval crossdb": (["eval", "crossdb", "--train-manifest", "{train}",
-                          "--test-manifest", "{test}", "--train-name", "a", "--test-name", "b",
+                          "--test-manifest", "{test}",
                           "--stage", "C1={trainf},{testf}", "--C", "4.0"],
-                         {"train": manifest, "test": manifest, "trainf": ws / "hog.fsfm",
-                          "testf": ws / "hog.fsfm"}),
+                         {"train": manifest, "test": ws / "corpus2" / "manifest.csv",
+                          "trainf": ws / "hog.fsfm", "testf": ws / "hog2.fsfm"}),
         "extract": (["extract", "--manifest", "{manifest}", "--descriptor", "hog"],
                     {"manifest": one_manifest, "pgm": one_manifest.parent / "000000.pgm"}),
     }
@@ -648,17 +764,19 @@ def test_no_stage_exits_2_before_any_fit(workspace, tmp_path, capsys, monkeypatc
     assert "configuration error" in err and "at least one first-stage feature matrix" in err
 
 
-@pytest.mark.parametrize("command, files", [
-    pytest.param("stack", "{f},{f}", id="stack-2"),
-    pytest.param("eval kfold", "{f},{f}", id="kfold-2"),
-    pytest.param("eval crossdb", "{f}", id="crossdb-1"),
-    pytest.param("eval crossdb", "{f},{f},{f}", id="crossdb-3"),
+@pytest.mark.parametrize("command, stage", [
+    pytest.param("stack", "C1={f},{f}", id="stack-2"),
+    pytest.param("eval kfold", "C1={f},{f}", id="kfold-2"),
+    pytest.param("eval crossdb", "C1={f}", id="crossdb-1"),
+    pytest.param("eval crossdb", "C1={f},{f},{f}", id="crossdb-3"),
+    pytest.param("stack", "{f}", id="stack-no-id"),  # no '=' at all
+    pytest.param("eval crossdb", "{f},{f}", id="crossdb-no-id"),
 ])
 def test_wrong_number_of_stage_files_exits_2(workspace, tmp_path, capsys, monkeypatch,
-                                             command, files):
+                                             command, stage):
     monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
     argv = _stage_argv(workspace, command, [("C1", "hog")])
-    argv[-1] = "C1=" + files.format(f=workspace / "hog.fsfm")
+    argv[-1] = stage.format(f=workspace / "hog.fsfm")
     out = tmp_path / ("out" if command.startswith("eval") else "out.fstk")
     assert main(["--out", str(out)] + argv) == 2
     assert "must look like ID=" in capsys.readouterr().err
@@ -701,7 +819,7 @@ def test_eval_crossdb_custom_stage_on_two_descriptors_exits_2(workspace, tmp_pat
     # each side's stage ids are checked against its own files
     monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
     argv = _stage_argv(workspace, "eval crossdb", [("X", "hog")])
-    argv[-1] = f"X={workspace / 'hog.fsfm'},{workspace / 'losib.fsfm'}"
+    argv[-1] = f"X={workspace / 'hog.fsfm'},{workspace / 'losib2.fsfm'}"
     assert main(["--out", str(tmp_path / "out")] + argv) == 2
     assert "train and test stages must list the same specs" in capsys.readouterr().err
 
@@ -873,7 +991,7 @@ def test_row_commands_do_not_depend_on_the_worker_count(workspace, tmp_path, mon
 def test_a_one_row_manifest_forks_nothing(workspace, tmp_path, monkeypatch):
     corpus = load_manifest(workspace / "corpus" / "manifest.csv")
     one = tmp_path / "one.csv"
-    save_manifest(Manifest("one", corpus.samples[:1]), one)
+    save_manifest(Manifest(corpus.samples[:1]), one)
     monkeypatch.setattr(pool, "_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert main(["--out", str(tmp_path / "pat"), "prepare", "--manifest", str(one),
@@ -889,7 +1007,7 @@ def _with_images(manifest, out, images):
     samples = list(load_manifest(manifest, check_files=False).samples)
     for row, path in images.items():
         samples[row] = dataclasses.replace(samples[row], image_path=str(path))
-    save_manifest(Manifest("broken", tuple(samples)), out)
+    save_manifest(Manifest(tuple(samples)), out)
     return out
 
 

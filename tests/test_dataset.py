@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def _sample(i, gender="f", age="20-36", identity=None, d=26.0):
 
 
 def _manifest(n=10):
-    return Manifest("toy", tuple(
+    return Manifest(tuple(
         _sample(i, "f" if i % 2 == 0 else "m") for i in range(n)))
 
 
@@ -45,9 +46,17 @@ def test_sample_validation():
         Sample("p", "i", "female", "20-36", (5.0, 1.0), (1.0, 1.0))
 
 
-def test_inter_eye_distance():
+def test_inter_eye_distance(tmp_path):
     s = Sample("p", "i", "male", "unknown", (0.0, 0.0), (3.0, 4.0))
     assert s.inter_eye_distance == 5.0
+    # eyes one ulp apart on one row: lx < rx alone makes the distance positive
+    for lx in (0.0, 40.0):
+        s = Sample("p", "i", "male", "unknown", (lx, 7.0), (math.nextafter(lx, math.inf), 7.0))
+        path = tmp_path / "ulp.csv"
+        save_manifest(Manifest((s,)), path)
+        (back,) = load_manifest(path, check_files=False).samples
+        assert back.eye_right == s.eye_right
+        assert back.inter_eye_distance > 0
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -55,19 +64,12 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "toy.csv"
     save_manifest(m, path)
     back = load_manifest(path, check_files=False)
-    assert back.dataset_name == "toy"  # file stem
     assert len(back) == 6
     for a, b in zip(m, back):
         assert a.identity_id == b.identity_id
         assert a.gender == b.gender
         assert a.eye_left == b.eye_left
         assert a.eye_right == b.eye_right
-
-
-def test_manifest_name_override(tmp_path):
-    path = tmp_path / "x.csv"
-    save_manifest(_manifest(2), path)
-    assert load_manifest(path, dataset_name="groups", check_files=False).dataset_name == "groups"
 
 
 def test_manifest_paths_resolve_relative(tmp_path):
@@ -117,13 +119,13 @@ def test_manifest_checks_image_files(tmp_path):
 
 
 def test_dago_mask_strict_threshold():
-    m = Manifest("toy", (
+    m = Manifest((
         _sample(0, d=20.0), _sample(1, d=20.0001), _sample(2, d=45.0)))
     assert dago_mask(m).tolist() == [False, True, True]
 
 
 def test_adults_mask():
-    m = Manifest("toy", tuple(
+    m = Manifest(tuple(
         _sample(i, age=a) for i, a in
         enumerate(["0-19", "20-36", "37-65", "66+", "unknown"])))
     assert adults_mask(m).tolist() == [False, True, True, True, False]
@@ -165,7 +167,7 @@ def test_make_folds_by_identity():
     samples = []
     for i in range(30):
         samples.append(_sample(i, identity=f"person{i % 7}"))
-    m = Manifest("toy", tuple(samples))
+    m = Manifest(tuple(samples))
     plan = make_folds(m, 3, seed=4, grouping="by_identity")
     for ident in {s.identity_id for s in samples}:
         rows = [i for i, s in enumerate(samples) if s.identity_id == ident]
@@ -179,7 +181,7 @@ def test_make_folds_guards():
         make_folds(_manifest(3), 5, seed=0)
     with pytest.raises(ConfigurationError):
         make_folds(_manifest(10), 3, seed=0, grouping="by_cluster")
-    ident = Manifest("toy", tuple(_sample(i, identity="one") for i in range(9)))
+    ident = Manifest(tuple(_sample(i, identity="one") for i in range(9)))
     with pytest.raises(ConfigurationError):
         make_folds(ident, 2, seed=0, grouping="by_identity")
 
@@ -262,7 +264,7 @@ def test_fold_plans_are_pinned():
         rng = np.random.default_rng(n_ids)
         names = [f"p{i}" for i in range(n_ids) for _ in range(rng.integers(1, 4))]
         rng.shuffle(names)
-        m = Manifest("toy", tuple(_sample(i, identity=name) for i, name in enumerate(names)))
+        m = Manifest(tuple(_sample(i, identity=name) for i, name in enumerate(names)))
         for k in (2, 3, 5):
             for seed in range(5) if n_ids >= k else ():
                 for grouping in ("by_sample", "by_identity"):

@@ -193,20 +193,12 @@ def test_pca_stage_fits_on_training_rows_only(monkeypatch):
 def test_run_crossdb_basic():
     tr, ytr = _stagedata(80, seed=8)
     te, yte = _stagedata(50, seed=9)
-    report, scores = run_crossdb([tr], [te], ytr, yte, "alpha", "beta",
-                                 params=PARAMS)
+    report, scores = run_crossdb([tr], [te], ytr, yte, params=PARAMS)
     assert report.accuracy > 0.85
     assert len(scores) == 50
     # deterministic
-    report2, scores2 = run_crossdb([tr], [te], ytr, yte, "alpha", "beta",
-                                   params=PARAMS)
+    report2, scores2 = run_crossdb([tr], [te], ytr, yte, params=PARAMS)
     assert np.array_equal(scores, scores2)
-
-
-def test_run_crossdb_rejects_same_dataset():
-    tr, ytr = _stagedata(20, seed=10)
-    with pytest.raises(ConfigurationError):
-        run_crossdb([tr], [tr], ytr, ytr, "alpha", "alpha", params=PARAMS)
 
 
 def test_run_crossdb_rejects_mismatched_stages():
@@ -214,10 +206,10 @@ def test_run_crossdb_rejects_mismatched_stages():
     te, yte = _stagedata(20, seed=12)
     other = StageData(FirstStageSpec("C9", "custom", "raw"), te.features)
     with pytest.raises(ConfigurationError):
-        run_crossdb([tr], [other], ytr, yte, "a", "b", params=PARAMS)
+        run_crossdb([tr], [other], ytr, yte, params=PARAMS)
     narrow = StageData(te.spec, te.features[:, :2])
     with pytest.raises(DataError):
-        run_crossdb([tr], [narrow], ytr, yte, "a", "b", params=PARAMS)
+        run_crossdb([tr], [narrow], ytr, yte, params=PARAMS)
 
 
 def test_run_crossdb_pca_sees_training_rows_only(monkeypatch):
@@ -231,7 +223,7 @@ def test_run_crossdb_pca_sees_training_rows_only(monkeypatch):
     monkeypatch.setattr(evaluation, "pca_fit", spy)
     tr, ytr = _stagedata(70, seed=13, pca=3, width=8)
     te, yte = _stagedata(40, seed=14, pca=3, width=8)
-    run_crossdb([tr], [te], ytr, yte, "a", "b", params=PARAMS)
+    run_crossdb([tr], [te], ytr, yte, params=PARAMS)
     assert seen == [70]
 
 
@@ -292,7 +284,7 @@ def test_run_crossdb_equals_the_naive_loop(widths, pca, params, class_weight):
     tr, te = slice(0, 30), slice(30, None)
     seed = 3
     _, scores = run_crossdb(_stages(views, pca, tr), _stages(views, pca, te), y[tr], y[te],
-                            "a", "b", seed=seed, params=params, class_weight=class_weight)
+                            seed=seed, params=params, class_weight=class_weight)
     inner = make_folds(y[tr], 5, derive_seed(derive_seed(seed, 9), 101))
     want = oracles.ref_fit_and_score(
         [X[tr] for X in views], y[tr], [X[te] for X in views],

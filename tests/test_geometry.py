@@ -14,8 +14,7 @@ from facestack.geometry import (
     PATTERN_VARIANTS,
     NoiseSpec,
     PatternSpec,
-    add_gaussian_noise,
-    add_motion_blur,
+    add_noise,
     downscale,
     eye_transform,
     normalize_pattern,
@@ -99,8 +98,8 @@ def test_prepare_pattern_matches_masked_sampler(pattern_id, monkeypatch):
         ((90.0, 110.0), (130.5, 150.0)),         # partly below and right of it
         ((-400.0, -300.0), (-360.0, -310.0)),    # wholly outside
     )
-    noises = (None, NoiseSpec("gaussian", gaussian_variance=0.05, seed=4),
-              NoiseSpec("motion_blur", motion_length=7))
+    noises = (None, NoiseSpec("gaussian", 0.05, seed=4),
+              NoiseSpec("motion", 7))
     got = [prepare_pattern(img, el, er, pattern_id, noise)
            for el, er in eyes for noise in noises]
     assert not got[-3].any()  # the wholly outside window reads zeros
@@ -224,8 +223,8 @@ def test_downscaled_hs_pattern_equals_the_full_window_path(pattern_id):
     # prepare_pattern samples only the HS pixels downscale reads
     rng = np.random.default_rng(15)
     size = PATTERN_VARIANTS[pattern_id][1]
-    noises = (None, NoiseSpec("gaussian", gaussian_variance=0.05, seed=6),
-              NoiseSpec("motion_blur", motion_length=5))
+    noises = (None, NoiseSpec("gaussian", 0.05, seed=6),
+              NoiseSpec("motion", 5))
     for i, (el, er) in enumerate(_poses(rng, 210, (140, 120))):
         img = rng.integers(0, 256, (140, 120), dtype=np.uint8)
         if i < 3:  # eyes on the image's corner pixel and on its last row
@@ -233,7 +232,7 @@ def test_downscaled_hs_pattern_equals_the_full_window_path(pattern_id):
         noise = noises[i % 3]
         want = downscale(normalize_pattern(img, el, er, HS_PATTERN), size, size)
         if noise is not None:
-            want = (add_gaussian_noise if noise.kind == "gaussian" else add_motion_blur)(want, noise)
+            want = add_noise(want, noise)
         assert oracles.same_bits(prepare_pattern(img, el, er, pattern_id, noise), want), (el, er)
 
 
@@ -305,29 +304,31 @@ def test_downscale_matches_masked_sampler_and_builds_its_grid_once():
 
 def test_noise_spec_validation():
     with pytest.raises(ConfigurationError):
-        NoiseSpec("speckle")
+        NoiseSpec("speckle", 0.0)
     with pytest.raises(ConfigurationError):
-        NoiseSpec("gaussian", gaussian_variance=0.2)
+        NoiseSpec("motion_blur", 7)  # the kinds are the CLI's --noise names
     with pytest.raises(ConfigurationError):
-        NoiseSpec("motion_blur", motion_length=4)
+        NoiseSpec("gaussian", 0.2)
     with pytest.raises(ConfigurationError):
-        NoiseSpec("motion_blur", motion_length=23)
+        NoiseSpec("motion", 4)
+    with pytest.raises(ConfigurationError):
+        NoiseSpec("motion", 23)
 
 
 def test_gaussian_noise_seeded():
     img = np.full((30, 30), 128, dtype=np.uint8)
-    spec = NoiseSpec("gaussian", gaussian_variance=0.05, seed=9)
-    a = add_gaussian_noise(img, spec)
-    b = add_gaussian_noise(img, spec)
+    spec = NoiseSpec("gaussian", 0.05, seed=9)
+    a = add_noise(img, spec)
+    b = add_noise(img, spec)
     assert np.array_equal(a, b)
-    c = add_gaussian_noise(img, NoiseSpec("gaussian", gaussian_variance=0.05, seed=10))
+    c = add_noise(img, NoiseSpec("gaussian", 0.05, seed=10))
     assert not np.array_equal(a, c)
     assert float(np.mean(a)) == pytest.approx(128, abs=4)
 
 
 def test_gaussian_zero_variance_is_identity():
     img = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every gray level
-    out = add_gaussian_noise(img, NoiseSpec("gaussian", gaussian_variance=0.0))
+    out = add_noise(img, NoiseSpec("gaussian", 0.0))
     assert np.array_equal(out, img)
     assert out is not img
 
@@ -336,7 +337,7 @@ def test_gaussian_noise_std_matches_clipped_oracle():
     # variance 0.1 on constant 128: clipping at [0,1] shrinks the observed
     # spread, so compare against a direct simulation of the same clamp
     img = np.full((400, 400), 128, dtype=np.uint8)
-    out = add_gaussian_noise(img, NoiseSpec("gaussian", gaussian_variance=0.1, seed=3))
+    out = add_noise(img, NoiseSpec("gaussian", 0.1, seed=3))
     got = float(np.std(out / 255.0))
 
     rng = np.random.default_rng(123)
@@ -347,19 +348,19 @@ def test_gaussian_noise_std_matches_clipped_oracle():
 def test_motion_blur_box_window():
     img = np.zeros((2, 5), dtype=np.uint8)
     img[:, 2] = 255
-    out = add_motion_blur(img, NoiseSpec("motion_blur", motion_length=3))
+    out = add_noise(img, NoiseSpec("motion", 3))
     assert out.tolist() == [[0, 85, 85, 85, 0]] * 2
 
 
 def test_motion_blur_constant_unchanged():
     img = np.full((4, 9), 77, dtype=np.uint8)
-    out = add_motion_blur(img, NoiseSpec("motion_blur", motion_length=7))
+    out = add_noise(img, NoiseSpec("motion", 7))
     assert np.array_equal(out, img)
 
 
 def test_motion_blur_length_one_identity():
     img = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every gray level
-    out = add_motion_blur(img, NoiseSpec("motion_blur", motion_length=1))
+    out = add_noise(img, NoiseSpec("motion", 1))
     assert np.array_equal(out, img)
     assert out is not img
 
@@ -381,10 +382,10 @@ def test_prepare_pattern_noise_routing():
     eyes = ((120.0, 140.0), (172.0, 140.0))
     clean = prepare_pattern(img, *eyes, "F")
     noisy = prepare_pattern(img, *eyes, "F",
-                            noise=NoiseSpec("gaussian", gaussian_variance=0.05, seed=1))
+                            noise=NoiseSpec("gaussian", 0.05, seed=1))
     assert not np.array_equal(clean, noisy)
     blurred = prepare_pattern(img, *eyes, "F",
-                              noise=NoiseSpec("motion_blur", motion_length=9))
+                              noise=NoiseSpec("motion", 9))
     assert np.array_equal(clean, blurred)  # flat field survives a box blur
 
 

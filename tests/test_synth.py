@@ -22,8 +22,7 @@ from facestack import (
 def test_corpus_writes_loadable_manifest(tmp_path):
     manifest = synth_corpus(tmp_path, n_per_class=3, seed=0)
     loaded = load_manifest(tmp_path / "manifest.csv", check_files=True)
-    assert loaded.dataset_name == "manifest"  # name comes from the file stem
-    assert manifest.dataset_name == "synth"
+    assert loaded == manifest
     assert len(loaded.samples) == 6
     genders = [s.gender for s in loaded.samples]
     assert genders.count("female") == 3 and genders.count("male") == 3
