@@ -96,13 +96,9 @@ def _write_run(out_dir, ns, started, results=None, failures=None):
         fh.write("\n")
 
 
-def _svm_flags(ns):
-    """params (None under --grid) and class_weight from the SVM flags."""
-    params = None if ns.grid else SvmParams(C=ns.C, gamma=ns.gamma)
-    class_weight = None
-    if (ns.weight_female, ns.weight_male) != (1.0, 1.0):
-        class_weight = {-1: ns.weight_female, 1: ns.weight_male}
-    return dict(params=params, class_weight=class_weight)
+def _svm_params(ns):
+    """The SvmParams of --C and --gamma, or None under --grid."""
+    return None if ns.grid else SvmParams(C=ns.C, gamma=ns.gamma)
 
 
 _STAGE_RE = re.compile(r":pca(\d+)$")
@@ -278,11 +274,10 @@ def cmd_train(ns):
     fm = _features(ns.features, manifest)
     labels = manifest.labels()
     plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
-    flags = _svm_flags(ns)
-    params, cw = flags["params"], flags["class_weight"]
+    params = _svm_params(ns)
     if params is None:
-        params = grid_search(fm.data, labels, plan, class_weight=cw)
-    model = svm_fit(fm, labels, params, class_weight=cw)
+        params = grid_search(fm.data, labels, plan)
+    model = svm_fit(fm, labels, params)
     save_model(ns.out, model)
     train_acc = float(np.mean(np.where(model.decision_function(fm.data) >= 0, 1, -1) == labels))
     print(f"train: C={params.C} gamma={params.gamma} "
@@ -300,7 +295,7 @@ def cmd_stack(ns):
     external = load_scores(ns.external) if ns.external else None
     model = stack_fit([stage.features for stage in stages], manifest.labels(), plan,
                       [stage.spec for stage in stages], external_scores=external,
-                      **_svm_flags(ns))
+                      params=_svm_params(ns))
     save_stacked(ns.out, model)
     print(f"stack: {len(stages)} first-stage columns "
           f"{'+ external ' if external else ''}-> {ns.out}")
@@ -349,7 +344,8 @@ def cmd_eval_kfold(ns):
     plan = _fold_plan(ns.folds, sub, ns.k, ns.seed, ns.grouping)
     means = _mean_patterns(sub.samples, idx, ns.patterns) if ns.patterns else {}
 
-    report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed, **_svm_flags(ns))
+    report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed,
+                               params=_svm_params(ns))
     doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
                       dataset=_dataset_name(ns.manifest))
     for name, image in means.items():
@@ -377,7 +373,7 @@ def cmd_eval_crossdb(ns):
     train_stages, test_stages = _load_stages(ns.stage, [(train_man, tr_idx), (test_man, te_idx)])
 
     report, scores = run_crossdb(train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
-                                 seed=ns.seed, **_svm_flags(ns))
+                                 seed=ns.seed, params=_svm_params(ns))
     train_name, test_name = _dataset_name(ns.train_manifest), _dataset_name(ns.test_manifest)
     doc = _write_eval(ns, report, te_sub.samples, scores, mode="crossdb",
                       train_dataset=train_name, test_dataset=test_name)
@@ -413,7 +409,7 @@ def cmd_noise_sweep(ns):
         feats = _extract_rows(range(len(images)), lambda row: _pattern(
             ns, level, row, images[row], manifest.samples[row]), ns.descriptor)
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
-                              seed=ns.seed, **_svm_flags(ns))
+                              seed=ns.seed, params=_svm_params(ns))
         rows.append((level, report.accuracy))
         print(f"noise-sweep: {ns.noise}={level} accuracy={report.accuracy:.4f}")
 
@@ -432,9 +428,6 @@ def _add_svm_flags(p):
                    help="grid-search C/gamma instead of using --C/--gamma")
     p.add_argument("--C", type=float, default=DEFAULT_STAGE_PARAMS.C)
     p.add_argument("--gamma", type=float, default=DEFAULT_STAGE_PARAMS.gamma)
-    p.add_argument("--weight-female", type=float, default=1.0,
-                   help="multiplier on C for female samples")
-    p.add_argument("--weight-male", type=float, default=1.0)
 
 
 def build_parser():

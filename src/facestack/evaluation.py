@@ -99,7 +99,7 @@ def auc_trapezoid(points):
 def evaluate(scores, labels, per_fold_accuracies=()):
     """Full metric sheet for signed scores against -1/+1 labels."""
     scores, labels = _check_scores_labels(scores, labels)
-    if len(np.unique(labels)) < 2:
+    if not ((labels > 0).any() and (labels < 0).any()):
         raise DataError("per-class metrics undefined: only one class present")
     pred = np.where(scores >= 0, 1.0, -1.0)
     confusion = np.bincount(2 * (labels > 0) + (pred > 0), minlength=4).reshape(2, 2)
@@ -139,7 +139,7 @@ def _check_pca(stages, mats, n_train):
                 f"supports (at most {most})")
 
 
-def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params, class_weight):
+def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params):
     """Plan (see `svm.solve_plans`) of one training part -> its test scores.
 
     Each stage trains on rows train_idx of its matrix in mats (all rows if
@@ -162,14 +162,13 @@ def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params
             parts.append(Part(X, y, train_idx))
             tests.append((Xt, test_idx))
     inner = make_folds(ytr, min(_INNER_K, len(ytr)), derive_seed(seed, 101))
-    first, meta = yield from _fit_plan(parts, ytr, inner, params, class_weight,
+    first, meta = yield from _fit_plan(parts, ytr, inner, params,
                                        [s.spec.descriptor for s in stages], tests,
                                        stacked=len(stages) > 1)
     return first[0] if meta is None else meta
 
 
-def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARAMS,
-              class_weight=None):
+def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARAMS):
     """k-fold evaluation with pooled test scores.
 
     A single stage trains a plain SVM; multiple stages train the stacked
@@ -188,7 +187,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
     splits = [folds.split(f) for f in range(folds.k)]
     _check_pca(stages, mats, min(len(train_idx) for train_idx, _ in splits))
     plans = [_fit_and_score(stages, mats, y, mats, train_idx, test_idx,
-                            derive_seed(seed, 5, f), params, class_weight)
+                            derive_seed(seed, 5, f), params)
              for f, (train_idx, test_idx) in enumerate(splits)]
     pooled = np.zeros(n)
     fold_accs = []
@@ -201,7 +200,7 @@ def run_kfold(stages, labels, k=5, seed=0, folds=None, params=DEFAULT_STAGE_PARA
 
 
 def run_crossdb(train_stages, test_stages, train_labels, test_labels, seed=0,
-                params=DEFAULT_STAGE_PARAMS, class_weight=None):
+                params=DEFAULT_STAGE_PARAMS):
     """Train on one dataset, test on another.
 
     Nothing from the test side (scaling statistics, PCA basis, grid search)
@@ -217,7 +216,7 @@ def run_crossdb(train_stages, test_stages, train_labels, test_labels, seed=0,
     test_mats, _ = _matrices([s.features for s in test_stages], len(test_labels))
     _check_pca(train_stages, train_mats, len(y))
     plan = _fit_and_score(train_stages, train_mats, y, test_mats, None, None,
-                          derive_seed(seed, 9), params, class_weight)
+                          derive_seed(seed, 9), params)
     (scores,) = solve_plans([plan])
     report = evaluate(scores, np.asarray(test_labels, dtype=np.float64))
     return report, scores

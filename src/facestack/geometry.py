@@ -66,7 +66,7 @@ class NoiseSpec:
                 raise ConfigurationError(
                     f"gaussian variance {self.level} outside [0, {MAX_GAUSSIAN_VARIANCE}]")
         elif self.kind == "motion":
-            if not 1 <= self.level <= MAX_MOTION_LENGTH or self.level % 2 == 0:
+            if not 1 <= self.level <= MAX_MOTION_LENGTH or self.level % 2 != 1:  # odd integral
                 raise ConfigurationError(
                     f"motion length {self.level} must be odd and in [1, {MAX_MOTION_LENGTH}]")
         else:
@@ -258,7 +258,7 @@ def add_noise(img, spec):
         rng = np.random.default_rng(spec.seed)
         noisy = img / 255.0 + rng.normal(0.0, math.sqrt(spec.level), img.shape)
         return _round_u8(np.clip(noisy, 0.0, 1.0) * 255.0)
-    length = spec.level
+    length = int(spec.level)
     r = length // 2
     padded = np.pad(img.astype(np.float64), ((0, 0), (r, r)), mode="edge")
     csum = np.cumsum(padded, axis=1)

@@ -87,7 +87,7 @@ def _checked(X_per_spec, y, specs):
     return specs, mats, y
 
 
-def _columns_plan(parts, y, folds, params, class_weight, extra=()):
+def _columns_plan(parts, y, folds, params, extra=()):
     """Plan (see `svm.solve_plans`) of each part's out-of-fold column, with
     the jobs `extra` in the same phase -> (each part's params, the (n,
     len(parts)) columns or None, the results of extra).
@@ -97,7 +97,7 @@ def _columns_plan(parts, y, folds, params, class_weight, extra=()):
     default_grid() when params is None, at the point best_point picks.
     """
     grid = default_grid() if params is None else [params]
-    cv = [cv_jobs(part, folds, grid, class_weight) for part in parts]
+    cv = [cv_jobs(part, folds, grid) for part in parts]
     got = yield [job for jobs in cv for job in jobs] + list(extra)
     chosen, cols = [], []
     for jobs in cv:
@@ -109,8 +109,7 @@ def _columns_plan(parts, y, folds, params, class_weight, extra=()):
     return chosen, np.column_stack(cols) if cols else None, got
 
 
-def _fit_plan(parts, y, folds, params, class_weight, descriptors, tests=None, stacked=True,
-              external=None):
+def _fit_plan(parts, y, folds, params, descriptors, tests=None, stacked=True, external=None):
     """Plan (see `svm.solve_plans`) of one fit on a training part ->
     (first-stage results, meta result).
 
@@ -128,25 +127,25 @@ def _fit_plan(parts, y, folds, params, class_weight, descriptors, tests=None, st
     tests = tests or [None] * len(parts)
 
     def deploy(chosen):
-        return [Job(part, p, class_weight, test, d)
+        return [Job(part, p, test, d)
                 for part, p, test, d in zip(parts, chosen, tests, descriptors)]
 
     chosen, cols, first = yield from _columns_plan(
-        parts if stacked or params is None else [], y, folds, params, class_weight,
+        parts if stacked or params is None else [], y, folds, params,
         [] if params is None else deploy([params] * len(parts)))
     meta = Part(cols if external is None else np.hstack([cols, external]), y) if stacked else None
     meta_params = [params]
     if params is None:
         meta_params, _, first = yield from _columns_plan(
-            [meta] if stacked else [], y, folds, None, class_weight, deploy(chosen))
+            [meta] if stacked else [], y, folds, None, deploy(chosen))
     if not stacked:
         return first, None
     test = None if tests[0] is None else (np.column_stack(first), None)
-    (result,) = yield [Job(meta, meta_params[0], class_weight, test, "scores")]
+    (result,) = yield [Job(meta, meta_params[0], test, "scores")]
     return first, result
 
 
-def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_weight=None):
+def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS):
     """Out-of-fold first-stage scores, one column per spec (in spec order).
 
     Every sample is scored by the fold model whose training part excluded
@@ -155,7 +154,7 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS, class_w
     spec on `folds` and keep the winner's held-out scores.
     """
     specs, mats, y = _checked(X_per_spec, y, specs)
-    plan = _columns_plan([Part(X, y) for X in mats], y, folds, params, class_weight)
+    plan = _columns_plan([Part(X, y) for X in mats], y, folds, params)
     _, cols, _ = solve_plans([plan])[0]
     return ScoreMatrix(scores=cols, column_ids=tuple(s.id for s in specs))
 
@@ -190,7 +189,7 @@ class StackedModel:
 
 
 def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
-              params=DEFAULT_STAGE_PARAMS, row_indices=None, class_weight=None):
+              params=DEFAULT_STAGE_PARAMS, row_indices=None):
     """Train the two-stage model.
 
     Meta training consumes out-of-fold first-stage scores plus any external
@@ -211,7 +210,7 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
             row_indices = np.arange(len(y))
         external = _join_external(row_indices, external_scores)
         column_ids += list(external_scores.column_ids)
-    plan = _fit_plan([Part(X, y) for X in mats], y, folds, params, class_weight,
+    plan = _fit_plan([Part(X, y) for X in mats], y, folds, params,
                      [s.descriptor for s in specs], external=external)
     first, meta = solve_plans([plan])[0]
     return StackedModel(first_stage=tuple(zip(specs, first)), meta=meta,

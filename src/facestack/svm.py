@@ -7,14 +7,15 @@ largest second-order gain, make the clipped two-variable update. When the
 gap m - M falls below _TOL = 1e-3 the gradient is recomputed exactly and the
 gap checked again, so the KKT conditions hold at _TOL on exit; the bias
 comes from the free alphas. A solve that stops at the iteration cap
-warns with RuntimeWarning. C, and C times a class weight, may not exceed
-_MAX_C. `_solve` runs a batch of independent problems in lockstep on
-(P, n_max) arrays, each problem computed the same way in any batch, so
-batched models are bit-identical to one `svm_fit` per problem.
+warns with RuntimeWarning. Every fit has one C, the one in its
+`SvmParams`, which is at most _MAX_C. `_solve` runs a batch of
+independent problems in lockstep on (P, n_max) arrays, each problem
+computed the same way in any batch, so batched models are bit-identical
+to one `svm_fit` per problem.
 
 Every fit is a `Job`: a training `Part` (the caller's matrix, labels and
-training rows), params, class weights, and the rows to score, or none
-for the model. `solve_jobs` solves a list of jobs and returns each one's
+training rows), its params, and the rows to score, or none for the
+model. `solve_jobs` solves a list of jobs and returns each one's
 held-out scores or SvmModel. Callers hand it every independent fit of an
 evaluation *phase* at once; `solve_plans` runs plans (generators that
 yield the jobs of their next phase) in lockstep, one `solve_jobs` per
@@ -78,7 +79,7 @@ _MODEL_VERSION = 2
 _TOL = 1e-3  # the KKT tolerance: every solve ends with gap m - M below it
 _TAU = 1e-12  # LIBSVM's floor on the curvature of a working pair
 _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 rows
-_MAX_C = 1e6  # largest C, and C times a class weight; the solve time grows with C
+_MAX_C = 1e6  # largest C; the solve time grows with C
 _DENSE_BYTES = 64 << 20  # a fold's squared distances: one n x n array up to this, else an LRU
 _BATCH_BYTES = 3 << 20  # the distance memos of one sub-batch of a phase, padding included
 # Elements per BLAS matrix-vector product. OpenBLAS (0.3.31) splits one of more
@@ -94,18 +95,18 @@ def derive_seed(seed, *key):
 
 @dataclass(frozen=True)
 class SvmParams:
+    """The box bound C and RBF width gamma of a fit: both finite and above 0
+    (NaN is not), C at most _MAX_C, else a ConfigurationError."""
+
     C: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("C", "gamma"):
-            _check_positive(name, getattr(self, name))
-
-
-def _check_positive(name, value):
-    """ConfigurationError unless value is a finite number above 0 (NaN is not)."""
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        for name, value in (("C", self.C), ("gamma", self.gamma)):
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if self.C > _MAX_C:
+            raise ConfigurationError(f"C must be at most {_MAX_C:g}, got {self.C:g}")
 
 
 def default_grid():
@@ -275,10 +276,10 @@ class _Gather:
     """
 
     def __init__(self, problems):
-        folds = {id(fold): fold for fold, _, _ in problems}
+        folds = {id(fold): fold for fold, _ in problems}
         self.width = max(len(fold) for fold in folds.values())
-        self.n = np.array([len(fold) for fold, _, _ in problems])
-        self.neg_gamma = np.array([[-params.gamma] for _, _, params in problems])
+        self.n = np.array([len(fold) for fold, _ in problems])
+        self.neg_gamma = np.array([[-params.gamma] for _, params in problems])
         self.lru = None
         if _dense(self.width):
             slot = {key: s * self.width for s, key in enumerate(folds)}
@@ -288,7 +289,7 @@ class _Gather:
                 block = self.stack[slot[key] : slot[key] + len(Xs), : len(Xs)]
                 np.fill_diagonal(_sq_dists(Xs, Xs, out=block), 0.0)
                 del Xs  # before the next fold's: one fold's scaled rows at a time
-            self.base = np.array([slot[id(fold)] for fold, _, _ in problems], dtype=np.intp)
+            self.base = np.array([slot[id(fold)] for fold, _ in problems], dtype=np.intp)
         else:
             assert len(folds) == 1, "a fold above _DENSE_BYTES solves alone"
             (fold,) = folds.values()
@@ -379,25 +380,26 @@ def _bias(y, alpha, C, G):
 def _solve(problems):
     """Solve independent SVM duals in lockstep -> [(alpha, bias)], in order.
 
-    Each problem is (fold, C per row, params). The problems still running
-    are rows of (A, n_max) arrays, each padded with y = 0 and the box
-    [0, 0], which keeps padding out of I_up and I_low, and a pass takes one
-    WSS2 step on every row at once, in array code. A problem whose gap
-    m - M falls below _TOL, or that reaches _MAX_ITER, gets its gradient
-    recomputed exactly; it ends if the exact gap is below _TOL (or at the
-    cap, with a RuntimeWarning), and otherwise steps in the same pass from
-    its exact gradient, so a check costs the other problems nothing. Every
-    problem runs the same float operations in the same order in any batch,
-    so it gets the same bits alone or batched.
+    Each problem is (fold, params), with the box 0 <= alpha <= params.C on
+    every row. The problems still running are rows of (A, n_max) arrays.
+    The box is kept per row as lo <= y*alpha <= hi, which also holds each
+    row's label; padding has y = 0 and the box [0, 0], which keeps it out
+    of I_up and I_low. A pass takes one WSS2 step on every row at once, in
+    array code. A problem whose gap m - M falls below _TOL, or that reaches
+    _MAX_ITER, gets its gradient recomputed exactly; it ends if the exact
+    gap is below _TOL (or at the cap, with a RuntimeWarning), and otherwise
+    steps in the same pass from its exact gradient, so a check costs the
+    other problems nothing. Every problem runs the same float operations in
+    the same order in any batch, so it gets the same bits alone or batched.
     """
-    sizes = [len(fold) for fold, _, _ in problems]
+    sizes = [len(fold) for fold, _ in problems]
     n_max = max(sizes, default=1)
     P = len(problems)
     y, hi, lo = (np.zeros((P, n_max)) for _ in range(3))  # lo <= y*alpha <= hi; C = hi - lo
-    for p, (fold, C_rows, _) in enumerate(problems):
+    for p, (fold, params) in enumerate(problems):
         y[p, : sizes[p]] = fold.y
-        hi[p, : sizes[p]] = np.where(fold.y > 0, C_rows, 0.0)
-        lo[p, : sizes[p]] = np.where(fold.y > 0, 0.0, -C_rows)
+        hi[p, : sizes[p]] = np.where(fold.y > 0, float(params.C), 0.0)
+        lo[p, : sizes[p]] = np.where(fold.y > 0, 0.0, -float(params.C))
     alpha, G = np.zeros((P, n_max)), -np.ones((P, n_max))
     iters = np.zeros(P, dtype=np.int64)
     ids = np.arange(P)  # problem of each running row
@@ -411,7 +413,7 @@ def _solve(problems):
         if check.any():
             running = np.ones(len(ids), dtype=bool)
             for a in np.flatnonzero(check):
-                fold, _, params = problems[ids[a]]
+                fold, params = problems[ids[a]]
                 n = sizes[ids[a]]
                 sv = np.flatnonzero(alpha[a, :n] > 0)  # G = Q alpha - 1, summed afresh
                 coef = (alpha[a, sv] * fold.y[sv])[:, None]
@@ -456,25 +458,6 @@ def _support(alpha):
     return sv if len(sv) else np.flatnonzero(alpha > 0)
 
 
-def _check_C(name, value):
-    """ConfigurationError unless 0 < value <= _MAX_C."""
-    _check_positive(name, value)
-    if value > _MAX_C:
-        raise ConfigurationError(f"{name} must be at most {_MAX_C:g}, got {value:g}")
-
-
-def _label_C(params, class_weight):
-    """(C of label -1, C of label +1) of one fit: C times each label's class weight."""
-    C = {-1.0: float(params.C), 1.0: float(params.C)}
-    for label, w in (class_weight or {}).items():
-        if label not in C:
-            raise ConfigurationError(f"class weight key {label!r} is not a label, -1 or +1")
-        _check_C(f"C times the class weight of label {label}", params.C * w)
-        C[label] *= w
-    _check_C("C", params.C)
-    return C[-1.0], C[1.0]
-
-
 @dataclass(frozen=True, eq=False)
 class Part:
     """Training rows `rows` (all if None) of the caller's float64 matrix X,
@@ -491,22 +474,20 @@ class Part:
 
 @dataclass(frozen=True, eq=False)
 class Job:
-    """One independent fit for `solve_jobs`: train on `part` at `params`,
-    then score the rows `test[1]` of the raw matrix `test[0]` (all of them
-    if None); with test None, return the SvmModel instead."""
+    """One independent fit for `solve_jobs`: train on `part` at `params`
+    (one C for every row), then score the rows `test[1]` of the raw matrix
+    `test[0]` (all of them if None); with test None, return the SvmModel
+    instead."""
 
     part: Part
     params: SvmParams
-    class_weight: dict = None
     test: tuple = None
     descriptor_id: str = ""
 
 
 def _check_jobs(jobs, parts):
-    """Check every C, training part and test matrix before any solve ->
-    each job's (C of label -1, C of label +1). parts holds each training
-    part once, with the indices of its jobs."""
-    label_C = [_label_C(job.params, job.class_weight) for job in jobs]
+    """Check every training part and test matrix before any solve. parts
+    holds each training part once, with the indices of its jobs."""
     matrices = {}
     for part, idx in parts:
         if part.X.ndim != 2 or len(part.X) != len(part.y):
@@ -514,7 +495,7 @@ def _check_jobs(jobs, parts):
         y = part.y if part.rows is None else part.y[part.rows]
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise DataError("labels must be -1 or +1")
-        if len(np.unique(y)) < 2:
+        if not ((y > 0).any() and (y < 0).any()):
             raise ConfigurationError("training data must contain both classes")
         matrices[id(part.X)] = part.X
         for M in (jobs[i].test[0] for i in idx if jobs[i].test is not None):
@@ -524,7 +505,6 @@ def _check_jobs(jobs, parts):
     for M in matrices.values():
         if not np.all(np.isfinite(M)):
             raise DataError("non-finite feature value")
-    return label_C
 
 
 def _sub_batches(parts):
@@ -570,10 +550,10 @@ def solve_jobs(jobs):
     for i, job in enumerate(jobs):
         by_part.setdefault(id(job.part), (job.part, []))[1].append(i)
     parts = list(by_part.values())  # (part, indices of its jobs), in order
-    label_C = _check_jobs(jobs, parts)
+    _check_jobs(jobs, parts)
 
     def solve(group):
-        return [r for run in _sub_batches(group) for r in _solve_run(run, jobs, label_C)]
+        return [r for run in _sub_batches(group) for r in _solve_run(run, jobs)]
 
     costs = [len(idx) * len(part) ** 2 for part, idx in parts]
     out = [None] * len(jobs)
@@ -583,13 +563,12 @@ def solve_jobs(jobs):
     return out
 
 
-def _solve_run(run, jobs, label_C):
+def _solve_run(run, jobs):
     """One sub-batch of solve_jobs, (part, job indices) pairs -> [(job
     index, result)]. The distance memo is dropped when `_solve` returns,
     its folds on return."""
     folds = [_Fold(part.X, part.y, part.rows) for part, _ in run]
-    problems = [(fold, np.where(fold.y > 0, label_C[i][1], label_C[i][0]), jobs[i].params)
-                for fold, (_, idx) in zip(folds, run) for i in idx]
+    problems = [(fold, jobs[i].params) for fold, (_, idx) in zip(folds, run) for i in idx]
     solutions = iter(_solve(problems))
     out = []
     for fold, (_, idx) in zip(folds, run):
@@ -621,23 +600,21 @@ def solve_plans(plans):
     return out
 
 
-def svm_fit(X, y, params, class_weight=None, descriptor_id=None):
+def svm_fit(X, y, params, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
-    both classes present. class_weight optionally maps each label to a
-    multiplier on C (useful for imbalanced data); C, and C times each
-    weight, must be at most _MAX_C. The result is deterministic in (data,
-    params) regardless of row order. A solve that stops at the iteration
-    cap before converging warns with RuntimeWarning.
+    both classes present. The result is deterministic in (data, params)
+    regardless of row order. A solve that stops at the iteration cap before
+    converging warns with RuntimeWarning.
     """
     if descriptor_id is None:
         descriptor_id = getattr(X, "descriptor_id", "")
     part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return solve_jobs([Job(part, params, class_weight, None, descriptor_id)])[0]
+    return solve_jobs([Job(part, params, None, descriptor_id)])[0]
 
 
-def cv_jobs(part, folds, grid, class_weight=None):
+def cv_jobs(part, folds, grid):
     """The jobs of cv_scores on a Part whose rows `folds` splits, one fold per
     row: for each fold, its held-out rows scored under every grid point."""
     if folds.assignments.shape != (len(part),):
@@ -648,7 +625,7 @@ def cv_jobs(part, folds, grid, class_weight=None):
         if part.rows is not None:
             train, test = part.rows[train], part.rows[test]
         inner, held_out = Part(part.X, part.y, train), (part.X, test)
-        jobs += [Job(inner, params, class_weight, held_out) for params in grid]
+        jobs += [Job(inner, params, held_out) for params in grid]
     return jobs
 
 
@@ -663,7 +640,7 @@ def cv_table(results, folds, grid):
     return scores
 
 
-def cv_scores(X, y, folds, grid, class_weight=None):
+def cv_scores(X, y, folds, grid):
     """Held-out scores of every grid point -> (len(grid), n).
 
     Entry (g, i) is decision_function(row i) of svm_fit(grid[g]) on the rows
@@ -674,7 +651,7 @@ def cv_scores(X, y, folds, grid, class_weight=None):
     if not grid:
         raise ConfigurationError("empty parameter grid")
     part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return cv_table(solve_jobs(cv_jobs(part, folds, grid, class_weight)), folds, grid)
+    return cv_table(solve_jobs(cv_jobs(part, folds, grid)), folds, grid)
 
 
 def best_point(grid, scores, y, folds):
@@ -688,11 +665,11 @@ def best_point(grid, scores, y, folds):
     return min(range(len(grid)), key=lambda g: (-mean_acc[g], grid[g].C, grid[g].gamma))
 
 
-def grid_search(X, y, folds, grid=None, class_weight=None):
+def grid_search(X, y, folds, grid=None):
     """The best_point of cv_scores over grid (default_grid() if None)."""
     if grid is None:
         grid = default_grid()
-    return grid[best_point(grid, cv_scores(X, y, folds, grid, class_weight), y, folds)]
+    return grid[best_point(grid, cv_scores(X, y, folds, grid), y, folds)]
 
 
 @dataclass(frozen=True)

@@ -392,7 +392,7 @@ def ref_losib(img, rows=8, cols=8):
 
 
 def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=None,
-                      pca_components=(), class_weight=None):
+                      pca_components=()):
     """Test scores of one training part, evaluated the naive way: one fit and
     one decision_function call per stage x inner fold x grid point, with no
     batching.
@@ -400,7 +400,7 @@ def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=N
     train_views and test_views hold one raw matrix per stage; y labels the
     training rows; inner_splits lists the inner plan's (train, test) index
     pairs; grid holds the candidate params (one entry: fixed params, no
-    search). fit(X, y, params, class_weight) returns a model with a
+    search). fit(X, y, params) returns a model with a
     decision_function; stage s with pca_components[s] > 0 is first projected
     by pca(X, n) fitted on its training rows. One stage is scored by its own
     model; several feed a meta SVM trained on their held-out scores.
@@ -418,7 +418,7 @@ def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=N
         scores = np.full((len(grid), len(y)), np.nan)
         for g, params in enumerate(grid):
             for train, test in inner_splits:
-                model = fit(X[train], y[train], params, class_weight)
+                model = fit(X[train], y[train], params)
                 scores[g, test] = model.decision_function(X[test])
         accs = []
         for row in scores:
@@ -430,15 +430,15 @@ def ref_fit_and_score(train_views, y, test_views, inner_splits, grid, fit, pca=N
     if len(views) == 1:
         A, B = views[0]
         params = grid[0] if len(grid) == 1 else search(A)[0]
-        return fit(A, y, params, class_weight).decision_function(B)
+        return fit(A, y, params).decision_function(B)
     cols, test_cols = [], []
     for A, B in views:
         params, col = search(A)
         cols.append(col)
-        test_cols.append(fit(A, y, params, class_weight).decision_function(B))
+        test_cols.append(fit(A, y, params).decision_function(B))
     meta_X = np.column_stack(cols)
     params = grid[0] if len(grid) == 1 else search(meta_X)[0]
-    return fit(meta_X, y, params, class_weight).decision_function(np.column_stack(test_cols))
+    return fit(meta_X, y, params).decision_function(np.column_stack(test_cols))
 
 
 def ref_pca_fit(X, n_components):

@@ -238,32 +238,26 @@ def _views(n, seed, widths):
     return views, y
 
 
-def _naive_fit(X, y, params, class_weight):
-    return svm_fit(X, y, params, class_weight=class_weight)
-
-
 def _stages(views, pca, rows=slice(None)):
     return [StageData(FirstStageSpec(f"C{s + 1}", "custom", "raw"), X[rows], p)
             for s, (X, p) in enumerate(zip(views, pca))]
 
 
-# (stage widths, PCA components per stage, params, class_weight)
+# (stage widths, PCA components per stage, params)
 EVAL_CASES = [
-    pytest.param((6,), (0,), PARAMS, None, id="single-fixed"),
-    pytest.param((6,), (0,), None, {-1: 2.0}, id="single-grid-weighted"),
-    pytest.param((8,), (3,), PARAMS, None, id="single-pca"),
-    pytest.param((6, 8, 5), (0, 4, 0), SvmParams(C=4.0, gamma=0.3), {1: 1.5},
-                 id="stack3-fixed-pca-weighted"),
-    pytest.param((6, 8, 5), (0, 4, 0), None, None, id="stack3-grid-pca"),
+    pytest.param((6,), (0,), PARAMS, id="single-fixed"),
+    pytest.param((6,), (0,), None, id="single-grid"),
+    pytest.param((8,), (3,), PARAMS, id="single-pca"),
+    pytest.param((6, 8, 5), (0, 4, 0), SvmParams(C=4.0, gamma=0.3), id="stack3-fixed-pca"),
+    pytest.param((6, 8, 5), (0, 4, 0), None, id="stack3-grid-pca"),
 ]
 
 
-@pytest.mark.parametrize("widths, pca, params, class_weight", EVAL_CASES)
-def test_run_kfold_equals_the_naive_loop(widths, pca, params, class_weight):
+@pytest.mark.parametrize("widths, pca, params", EVAL_CASES)
+def test_run_kfold_equals_the_naive_loop(widths, pca, params):
     views, y = _views(36, 31, widths)
     seed, k = 5, 3
-    _, pooled = run_kfold(_stages(views, pca), y, k=k, seed=seed, params=params,
-                          class_weight=class_weight)
+    _, pooled = run_kfold(_stages(views, pca), y, k=k, seed=seed, params=params)
     folds = make_folds(y, k, derive_seed(seed, 77))
     grid = default_grid() if params is None else [params]
     want = np.full(len(y), np.nan)
@@ -272,25 +266,22 @@ def test_run_kfold_equals_the_naive_loop(widths, pca, params, class_weight):
         inner = make_folds(y[train], 5, derive_seed(derive_seed(seed, 5, f), 101))
         want[test] = oracles.ref_fit_and_score(
             [X[train] for X in views], y[train], [X[test] for X in views],
-            [inner.split(i) for i in range(inner.k)], grid, _naive_fit, pca_fit, pca,
-            class_weight)
+            [inner.split(i) for i in range(inner.k)], grid, svm_fit, pca_fit, pca)
     assert np.array_equal(pooled, want)  # bit for bit
 
 
-@pytest.mark.parametrize("widths, pca, params, class_weight",
-                         [EVAL_CASES[1], EVAL_CASES[2], EVAL_CASES[3]])
-def test_run_crossdb_equals_the_naive_loop(widths, pca, params, class_weight):
+@pytest.mark.parametrize("widths, pca, params", [EVAL_CASES[1], EVAL_CASES[2], EVAL_CASES[3]])
+def test_run_crossdb_equals_the_naive_loop(widths, pca, params):
     views, y = _views(56, 32, widths)
     tr, te = slice(0, 30), slice(30, None)
     seed = 3
     _, scores = run_crossdb(_stages(views, pca, tr), _stages(views, pca, te), y[tr], y[te],
-                            seed=seed, params=params, class_weight=class_weight)
+                            seed=seed, params=params)
     inner = make_folds(y[tr], 5, derive_seed(derive_seed(seed, 9), 101))
     want = oracles.ref_fit_and_score(
         [X[tr] for X in views], y[tr], [X[te] for X in views],
         [inner.split(i) for i in range(inner.k)],
-        default_grid() if params is None else [params], _naive_fit, pca_fit, pca,
-        class_weight)
+        default_grid() if params is None else [params], svm_fit, pca_fit, pca)
     assert np.array_equal(scores, want)  # bit for bit
 
 
@@ -369,7 +360,7 @@ def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
     real = svm_module._solve
 
     def spy(problems):
-        distinct = {id(fold): fold for fold, _, _ in problems}.values()
+        distinct = {id(fold): fold for fold, _ in problems}.values()
         solves.append([not svm_module._dense(len(fold)) for fold in distinct])
         return real(problems)
 

@@ -284,6 +284,39 @@ def test_first_hs64_prepare_imports_nothing(tmp_path):
     assert stages == {name: [] for name in stages}
 
 
+def test_eval_kfold_leaves_numpy_ma_unimported(tmp_path):
+    # eval checks that both classes are present without np.unique, whose first
+    # call imports numpy.ma; in a fresh process, neither a one-stage grid
+    # search nor a five-stage stack imports it
+    script = (
+        "import json, sys\n"
+        "from facestack.cli import main\n"
+        "d = sys.argv[1]\n"
+        "def run(*argv):\n"
+        "    assert main(list(argv)) == 0\n"
+        "    return 'numpy.ma' in sys.modules\n"
+        "loaded = {'synth': run('--out', d + '/c', 'synth', '--per-class', '8'),\n"
+        "          'prepare': run('--out', d + '/p', 'prepare', '--manifest',"
+        " d + '/c/manifest.csv', '--pattern', 'F')}\n"
+        "for desc in ('hog', 'losib'):\n"
+        "    loaded[desc] = run('--out', f'{d}/{desc}.fsfm', 'extract', '--manifest',"
+        " d + '/p/manifest.csv', '--descriptor', desc)\n"
+        "ev = ['eval', 'kfold', '--manifest', d + '/c/manifest.csv']\n"
+        "loaded['grid'] = run('--out', d + '/e1', *ev, f'--stage=C1={d}/hog.fsfm', '--grid')\n"
+        "stages = [f'--stage={s}={d}/{f}.fsfm' for s, f in"
+        " [('C1', 'hog'), ('C4', 'losib'), ('a', 'hog'), ('b', 'losib'), ('c', 'hog')]]\n"
+        "loaded['stack5'] = run('--out', d + '/e5', *ev, *stages)\n"
+        "print(json.dumps(loaded))\n")
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {name: False for name in
+                      ("synth", "prepare", "hog", "losib", "grid", "stack5")}
+
+
 def test_downscale_matches_masked_sampler_and_builds_its_grid_once():
     rng = np.random.default_rng(13)
     for (h, w), (th, tw) in (((155, 159), (64, 64)), ((155, 159), (32, 32)),
@@ -313,6 +346,9 @@ def test_noise_spec_validation():
         NoiseSpec("motion", 4)
     with pytest.raises(ConfigurationError):
         NoiseSpec("motion", 23)
+    for level in (7.5, 3.000001):  # a length is a whole number of pixels
+        with pytest.raises(ConfigurationError, match="must be odd and in"):
+            NoiseSpec("motion", level)
 
 
 def test_gaussian_noise_seeded():
@@ -350,6 +386,12 @@ def test_motion_blur_box_window():
     img[:, 2] = 255
     out = add_noise(img, NoiseSpec("motion", 3))
     assert out.tolist() == [[0, 85, 85, 85, 0]] * 2
+
+
+def test_motion_length_of_integral_float_blurs_as_its_int():
+    img = np.random.default_rng(4).integers(0, 256, (6, 20), dtype=np.uint8)
+    assert oracles.same_bits(add_noise(img, NoiseSpec("motion", 7.0)),
+                             add_noise(img, NoiseSpec("motion", 7)))
 
 
 def test_motion_blur_constant_unchanged():

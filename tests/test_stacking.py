@@ -82,16 +82,15 @@ def test_oof_scores_come_from_excluded_fold_models():
 def test_oof_scores_equal_one_fit_per_fold():
     views, y = _views(51, seed=18)
     folds = make_folds(y, 4, seed=2)
-    weights = {-1: 1.5, 1: 1.0}
     # fixed params, and under None each view's own grid-search winner
     for params in (PARAMS, SvmParams(C=4.0, gamma=0.5), None):
-        sm = oof_scores(views, y, folds, _specs(2), params=params, class_weight=weights)
+        sm = oof_scores(views, y, folds, _specs(2), params=params)
         want = np.full((51, 2), np.nan)
         for si, X in enumerate(views):
-            p = params or grid_search(X, y, folds, class_weight=weights)
+            p = params or grid_search(X, y, folds)
             for f in range(folds.k):
                 train, test = folds.split(f)
-                m = svm_fit(X[train], y[train], p, class_weight=weights)
+                m = svm_fit(X[train], y[train], p)
                 want[test, si] = m.decision_function(X[test])
         assert np.array_equal(sm.scores, want)
 
@@ -226,7 +225,7 @@ def test_stack_fit_grid_searches_each_stage_then_the_meta_svm(monkeypatch, tmp_p
     # out-of-fold columns
     sizes = [len(folds.split(f)[0]) for f in range(folds.k)]
     search = [(n, p) for n in sizes for p in default_grid()]
-    shapes = [[(len(fold), params) for fold, _, params in b] for b in batches]
+    shapes = [[(len(fold), params) for fold, params in b] for b in batches]
     assert shapes == [search + search,
                       search + [(48, m.params) for _, m in model.first_stage],
                       [(48, model.meta.params)]]

@@ -59,20 +59,11 @@ def _accuracy(model, X, y):
     return float(np.mean(np.where(model.decision_function(X) >= 0, 1, -1) == y))
 
 
-def test_params_validation(monkeypatch):
+def test_params_validation():
     with pytest.raises(ConfigurationError):
         SvmParams(C=0.0, gamma=0.1)
     with pytest.raises(ConfigurationError):
         SvmParams(C=1.0, gamma=-1.0)
-    # a class-weight key other than -1 or +1 would weight no row; no solve may start
-    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
-    X, y = _blobs(5)
-    params = SvmParams(C=1.0, gamma=0.1)
-    for key in (0, 2, "m", -1.5):
-        with pytest.raises(ConfigurationError, match="is not a label"):
-            svm_fit(X, y, params, class_weight={key: 5.0})
-        with pytest.raises(ConfigurationError, match="is not a label"):
-            solve_jobs([Job(Part(X, y), params, {1: 2.0, key: 5.0}, (X, None))])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
@@ -84,35 +75,24 @@ def test_params_must_be_finite_and_positive(name, value):
         SvmParams(**fields)
 
 
-@pytest.mark.parametrize("C, weight", [(1.0, np.nan), (1.0, np.inf), (1.0, 0.0), (1.0, -1.0),
-                                       (1e300, 1e10)])  # the last overflows C
-def test_class_weights_must_be_finite_and_positive(monkeypatch, C, weight):
-    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
-    X, y = _blobs(5)
-    with pytest.raises(ConfigurationError, match="class weight of label -1"):
-        svm_fit(X, y, SvmParams(C=C, gamma=0.1), class_weight={-1: weight, 1: 1.0})
-
-
-@pytest.mark.parametrize("C, weights, name", [
-    (1e300, None, "C"), (2e6, None, "C"), (1e3, {1: 1e4}, "class weight of label 1"),
-    (1e7, {-1: 1e-3, 1: 1e-3}, "C")])
-def test_C_above_the_bound_is_a_configuration_error(monkeypatch, C, weights, name):
-    # a fit at C = 1e300 ran for minutes toward _MAX_ITER; the bound stops it first
-    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
-    X, y = _blobs(5)
-    with pytest.raises(ConfigurationError, match=f"{name} must be at most 1e\\+06"):
-        svm_fit(X, y, SvmParams(C=C, gamma=0.1), class_weight=weights)
+@pytest.mark.parametrize("C", [1e300, 2e6, 1e7])
+def test_C_above_the_bound_is_a_configuration_error(C):
+    # a fit at C = 1e300 ran for minutes toward _MAX_ITER; SvmParams refuses it
+    # at construction, so no fit can start
+    with pytest.raises(ConfigurationError, match="C must be at most 1e\\+06"):
+        SvmParams(C=C, gamma=0.1)
 
 
 def test_C_at_the_bound_fits():
     X, y = _blobs(5)
-    model = svm_fit(X, y, SvmParams(C=svm_module._MAX_C, gamma=0.1), class_weight={-1: 1.0})
+    model = svm_fit(X, y, SvmParams(C=svm_module._MAX_C, gamma=0.1))
     assert _accuracy(model, X, y) == 1.0
 
 
-@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (1, np.nan), (2, 0.0),
-                                          ("kernel", "linear")],
-                         ids=["C-nan", "C-inf", "gamma-nan", "tolerance-zero", "kernel-linear"])
+@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (0, 2e6), (1, np.nan),
+                                          (2, 0.0), ("kernel", "linear")],
+                         ids=["C-nan", "C-inf", "C-above-bound", "gamma-nan", "tolerance-zero",
+                              "kernel-linear"])
 def test_read_model_rejects_bad_params(field, value):
     # the record keeps a kernel and a tolerance field; only "rbf" at _TOL reads back
     X, y = _blobs(5)
@@ -258,19 +238,18 @@ def test_fits_are_deterministic():
 
 
 def _mixed_fits():
-    """Fits of different sizes, C, gamma and class weights; gamma 0.5 comes twice."""
+    """Fits of different sizes, C and gamma; gamma 0.5 comes twice."""
     fits = []
-    for k, (n_per, C, gamma, weights) in enumerate([
-            (12, 0.25, 0.5, None), (32, 16.0, 2.0, None), (20, 1.0, 0.05, {-1: 3.0}),
-            (25, 4.0, 1.0, {1: 0.5, -1: 2.0}), (17, 8.0, 0.5, None)]):
+    for k, (n_per, C, gamma) in enumerate([
+            (12, 0.25, 0.5), (32, 16.0, 2.0), (20, 1.0, 0.05), (25, 4.0, 1.0), (17, 8.0, 0.5)]):
         X, y = _blobs(n_per, gap=0.6, d=3, seed=30 + k)
-        fits.append((X, y, SvmParams(C=C, gamma=gamma), weights))
+        fits.append((X, y, SvmParams(C=C, gamma=gamma)))
     return fits
 
 
 def _jobs(fits):
-    """The model Jobs of svm_fit argument tuples (X, y, params, class_weight)."""
-    return [Job(Part(X, y), params, weights) for X, y, params, weights in fits]
+    """The model Jobs of svm_fit argument tuples (X, y, params)."""
+    return [Job(Part(X, y), params) for X, y, params in fits]
 
 
 def test_fit_many_equals_one_fit_each():
@@ -285,11 +264,10 @@ def test_fit_many_equals_one_fit_each():
 
 def test_padded_batch_meets_kkt():
     fits = _mixed_fits()
-    for model, (X, y, params, weights) in zip(solve_jobs(_jobs(fits)), fits):
+    for model, (X, y, params) in zip(solve_jobs(_jobs(fits)), fits):
         _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
-        C = params.C * np.array([(weights or {}).get(int(label), 1.0) for label in y])
         alpha = _alphas_by_row(model, Xs)
-        bad = oracles.kkt_violations(alpha, y, model.decision_function(X), C, 1e-3)
+        bad = oracles.kkt_violations(alpha, y, model.decision_function(X), params.C, 1e-3)
         assert bad == []
 
 
@@ -319,7 +297,7 @@ def test_memo_rows_equal_direct_rows(monkeypatch, dense):
         monkeypatch.setattr(svm_module, "_DENSE_BYTES", 7 * 30 * 8)
     rng = np.random.default_rng(40)
     fold = _Fold(rng.random((30, 97)), np.where(np.arange(30) % 3, 1.0, -1.0))
-    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))])
+    gather = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))])
     for _ in range(12):  # one or a few rows at a time, in random order, repeats included
         idx = rng.integers(0, 30, rng.integers(1, 5))
         assert np.array_equal(gather.d2_rows(0, idx), _memo_rows(fold, idx))
@@ -365,7 +343,7 @@ def test_jobs_on_one_part_share_one_fold(monkeypatch):
     monkeypatch.setattr(svm_module, "_Fold", spy)
     monkeypatch.setattr(svm_module, "_DENSE_BYTES", 40 * 40 * 8)  # 64 and 50 rows are LRU
     fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
-    parts = [Part(X, y) for X, y, _, _ in fits] + [Part(fits[1][0], fits[1][1], np.arange(40))]
+    parts = [Part(X, y) for X, y, _ in fits] + [Part(fits[1][0], fits[1][1], np.arange(40))]
     grid = [SvmParams(C=C, gamma=g) for C in (0.5, 2.0) for g in (0.3, 1.5)]
     jobs = [Job(part, params) for params in grid for part in parts]
     assert len(solve_jobs(jobs)) == len(grid) * len(parts)
@@ -401,19 +379,6 @@ def test_canonical_order_is_the_full_lexsort(case):
     fold = _Fold(X, y)
     assert np.array_equal(fold.scaled(), Xs[full])
     assert np.array_equal(fold.y, y[full])
-
-
-def test_class_weight_shifts_boundary():
-    rng = np.random.default_rng(11)
-    X = np.vstack([rng.normal(0, 1, (80, 2)) + 0.7, rng.normal(0, 1, (20, 2)) - 0.7])
-    y = np.r_[np.ones(80), -np.ones(80 // 4)]
-    params = SvmParams(C=1.0, gamma=0.5)
-    plain = svm_fit(X, y, params)
-    weighted = svm_fit(X, y, params, class_weight={-1: 4.0, 1: 1.0})
-    minority = y == -1
-    rec_plain = np.mean(plain.decision_function(X[minority]) < 0)
-    rec_weighted = np.mean(weighted.decision_function(X[minority]) < 0)
-    assert rec_weighted > rec_plain
 
 
 def test_feature_matrix_carries_descriptor_id(tmp_path):
@@ -565,7 +530,7 @@ def test_fold_plan_must_cover_the_rows(monkeypatch, n_plan):
         grid_search(X, y, folds)
 
 
-def _naive_scores(X, y, folds, grid, class_weight=None):
+def _naive_scores(X, y, folds, grid):
     """Reference for cv_scores: one fit on raw rows per point and fold, then
     (held-out scores, per-fold accuracies)."""
     scores = np.full((len(grid), len(y)), np.nan)
@@ -573,7 +538,7 @@ def _naive_scores(X, y, folds, grid, class_weight=None):
     for pi, params in enumerate(grid):
         for f in range(folds.k):
             train_idx, test_idx = folds.split(f)
-            m = svm_fit(X[train_idx], y[train_idx], params, class_weight=class_weight)
+            m = svm_fit(X[train_idx], y[train_idx], params)
             scores[pi, test_idx] = m.decision_function(X[test_idx])
             pred = np.where(scores[pi, test_idx] >= 0, 1.0, -1.0)
             accs[pi, f] = np.mean(pred == y[test_idx])
@@ -590,17 +555,13 @@ _HAND_GRID = [  # gamma values repeated and out of order
 ]
 
 
-@pytest.mark.parametrize("grid, class_weight", [
-    (None, None),
-    (None, {-1: 3.0, 1: 1.0}),
-    (_HAND_GRID, None),
-], ids=["default", "class_weight", "hand_grid"])
-def test_grid_search_matches_naive_loop(grid, class_weight):
+@pytest.mark.parametrize("grid", [None, _HAND_GRID], ids=["default", "hand_grid"])
+def test_grid_search_matches_naive_loop(grid):
     X, y = _blobs(30, gap=0.35, d=8, seed=21)
     folds = FoldPlan(3, np.arange(len(y)) % 3)
     points = default_grid() if grid is None else grid
-    want_scores, want = _naive_scores(X, y, folds, points, class_weight)
-    got_scores = cv_scores(X, y, folds, points, class_weight)
+    want_scores, want = _naive_scores(X, y, folds, points)
+    got_scores = cv_scores(X, y, folds, points)
     assert len(np.unique(want.mean(axis=1))) > 1  # the points do differ
     for got_row, want_row in zip(got_scores, want_scores, strict=True):
         assert np.array_equal(got_row, want_row)  # bit for bit
@@ -610,7 +571,7 @@ def test_grid_search_matches_naive_loop(grid, class_weight):
     assert np.array_equal(got, want)
     pick = min(range(len(points)), key=lambda pi: (-np.mean(want[pi]), points[pi].C,
                                                    points[pi].gamma))
-    assert grid_search(X, y, folds, grid=grid, class_weight=class_weight) == points[pick]
+    assert grid_search(X, y, folds, grid=grid) == points[pick]
 
 
 @pytest.mark.parametrize("n, d", [(48, 576), (96, 1475), (96, 512)])
@@ -619,7 +580,7 @@ def test_fold_distances_give_the_direct_kernel(n, d):
     # to kernels computed directly on the same rows, with K(i, i) = 1
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
-    gather = _Gather([(fold, None, SvmParams(C=1.0, gamma=0.1))])
+    gather = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))])
     X = fold.scaled()
     for gamma in GRID_GAMMA:
         p = SvmParams(C=1.0, gamma=gamma)
@@ -716,8 +677,8 @@ def test_grid_search_solves_one_batch(monkeypatch):
     assert len(batches) == 1
     problems = batches[0]
     assert len(problems) == len(grid) * folds.k
-    assert len({id(fold) for fold, _, _ in problems}) == folds.k  # one prepared fold each
-    assert [params for _, _, params in problems] == grid * folds.k
+    assert len({id(fold) for fold, _ in problems}) == folds.k  # one prepared fold each
+    assert [params for _, params in problems] == grid * folds.k
 
 
 def test_iteration_cap_warns(monkeypatch):
@@ -915,7 +876,7 @@ def test_pair_update_reaches_every_clip_of_libsvm():
 
 
 def test_pair_update_equals_the_scalar_ladder():
-    # unequal Ci and Cj as class weights give them; alphas often sit at a bound
+    # LIBSVM's ladder takes a C per row, so Ci and Cj differ here; alphas often sit at a bound
     rng = np.random.default_rng(60)
     n = 4000
     C = rng.choice([0.25, 1.0, 3.0, 8.0], (n, 2))
@@ -970,13 +931,10 @@ def test_solve_equals_the_scalar_wss2_oracle(monkeypatch, scale):
     # also when kernel rows that drift from the exact gradient make checks run on
     real_call = _Gather.__call__
     monkeypatch.setattr(_Gather, "__call__", lambda self, rows: real_call(self, rows) * scale)
-    problems = []
-    for X, y, params, weights in _mixed_fits():
-        fold = _Fold(X, y)
-        C = params.C * np.array([(weights or {}).get(label, 1.0) for label in fold.y])
-        problems.append((fold, C, params))
-    for (fold, C, params), (alpha, bias) in zip(problems, svm_module._solve(problems)):
-        alone = _Gather([(fold, C, params)])
+    problems = [(_Fold(X, y), params) for X, y, params in _mixed_fits()]
+    for (fold, params), (alpha, bias) in zip(problems, svm_module._solve(problems)):
+        alone = _Gather([(fold, params)])
+        C = np.full(len(fold), params.C)
         want, G = oracles.ref_wss2(
             lambda i: alone(np.array([i]))[0],
             lambda sv: np.exp(-params.gamma * alone.d2_rows(0, sv)),
