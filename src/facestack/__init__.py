@@ -20,7 +20,7 @@ from .dataset import (ADULT_GROUPS, AGE_GROUPS, DAGO_MIN_EYE_DISTANCE,
                       GENDERS, FoldPlan, Manifest, Sample, adults_mask,
                       dago_mask, load_folds, load_manifest, make_folds,
                       save_folds, save_manifest)
-from .features import FeatureMatrix, export_csv, load_features, save_features
+from .features import FeatureMatrix, load_features, save_features
 from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
                           U2_TABLE, extract_descriptor, grid_histogram, hog,
                           lbp_code_map, losib, lsp_code_map, nilbp_code_map)
@@ -30,9 +30,8 @@ from .svm import (ScoreMatrix, SvmModel, SvmParams, cv_scores, default_grid,
                   save_scores, svm_fit)
 from .stacking import (CANONICAL_STAGES, S_CONFIGS, FirstStageSpec,
                        StackedModel, load_stacked, oof_scores,
-                       save_stacked, stack_fit, stack_predict, stack_scores)
-from .stats import (StatTestResult, chi2_sf, gammainc_lower, jarque_bera,
-                    kruskal_wallis)
+                       save_stacked, stack_fit, stack_scores)
+from .stats import StatTestResult, chi2_sf, jarque_bera, kruskal_wallis
 from .evaluation import (EvalReport, StageData, auc_trapezoid,
                          error_breakdown, evaluate, mean_pattern, roc_curve,
                          run_crossdb, run_kfold, save_report, save_roc)

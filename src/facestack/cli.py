@@ -25,13 +25,13 @@ from .descriptors import DESCRIPTOR_IDS, extract_descriptor
 from .errors import ConfigurationError, DataError, PartialFailure
 from .evaluation import (StageData, error_breakdown, mean_pattern,
                          run_crossdb, run_kfold, save_report, save_roc)
-from .features import FeatureMatrix, export_csv, load_features, save_features
+from .features import FeatureMatrix, load_features, save_features
 from .geometry import (NoiseSpec, PATTERN_VARIANTS, pattern_eyes,
                        prepare_pattern)
 from .pgm import load_gray, read_pgm, write_pgm
 from .stacking import (CANONICAL_STAGES, DEFAULT_STAGE_PARAMS, FirstStageSpec,
-                       stack_fit, save_stacked)
-from .svm import (SvmParams, derive_seed, grid_search, load_scores, save_model,
+                       _join_external, stack_fit, save_stacked)
+from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, load_scores, save_model,
                   svm_fit)
 from .synth import synth_corpus
 
@@ -263,8 +263,6 @@ def cmd_extract(ns):
                          ns.descriptor)
     fm = FeatureMatrix(rows, ns.descriptor)
     save_features(fm, ns.out)
-    if ns.csv:
-        export_csv(fm, ns.csv)
     print(f"extract: {fm.data.shape[0]}x{fm.data.shape[1]} {ns.descriptor} matrix -> {ns.out}")
     return {"n_samples": int(fm.data.shape[0]), "n_dims": int(fm.data.shape[1])}, []
 
@@ -292,7 +290,13 @@ def cmd_stack(ns):
     if any(stage.pca_components for stage in stages):
         raise ConfigurationError("PCA stage suffixes are only supported by eval")
     plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
-    external = load_scores(ns.external) if ns.external else None
+    external = None
+    if ns.external:  # joined to the manifest's rows here, so that a missing row names the file
+        scores = load_scores(ns.external)
+        try:
+            external = ScoreMatrix(_join_external(range(len(manifest)), scores), scores.column_ids)
+        except DataError as exc:
+            raise DataError(f"{ns.external}: {exc}") from None
     model = stack_fit([stage.features for stage in stages], manifest.labels(), plan,
                       [stage.spec for stage in stages], external_scores=external,
                       params=_svm_params(ns))
@@ -460,7 +464,6 @@ def build_parser():
     p = sub.add_parser("extract", help="run a descriptor over prepared patterns")
     p.add_argument("--manifest", required=True, help="prepared manifest")
     p.add_argument("--descriptor", choices=DESCRIPTOR_IDS, required=True)
-    p.add_argument("--csv", default=None, help="also export the matrix as CSV")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one SVM on a feature matrix")
@@ -529,28 +532,16 @@ def build_parser():
     return parser
 
 
-def _check_file(flag, path):
-    if not os.path.basename(path) or os.path.isdir(path):
-        raise ConfigurationError(f"{flag} {path!r} names a directory, not a file")
-
-
 def _run_dir(ns):
     """The directory run.json goes to: --out, or the one holding the output
-    file --out. An --out that cannot be written, or an extract --csv that
-    names a directory, --out or run.json, or sits in a directory that
-    neither exists nor is made for --out, is a ConfigurationError, raised
-    before any work is done."""
+    file --out, made if missing. An --out that names no file where a command
+    writes one, or whose directory cannot be made, is a ConfigurationError,
+    raised before any work is done."""
     out = ns.out
     if ns.command not in ("synth", "prepare", "noise-sweep", "eval"):
-        _check_file("--out", out)
+        if not os.path.basename(out) or os.path.isdir(out):
+            raise ConfigurationError(f"--out {out!r} names a directory, not a file")
         out = os.path.dirname(os.path.abspath(out))
-    if ns.command == "extract" and ns.csv:
-        _check_file("--csv", ns.csv)
-        csv, run_dir = os.path.realpath(ns.csv), os.path.realpath(out)
-        if csv in (os.path.realpath(ns.out), os.path.join(run_dir, "run.json")):
-            raise ConfigurationError(f"--csv {ns.csv!r} would overwrite --out or run.json")
-        if not os.path.isdir(os.path.dirname(csv)) and os.path.dirname(csv) != run_dir:
-            raise ConfigurationError(f"--csv {ns.csv!r}: its directory does not exist")
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:

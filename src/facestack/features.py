@@ -63,7 +63,3 @@ def load_features(path):
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
-
-def export_csv(fm, path):
-    """Plain numeric CSV, one sample per row, for debugging."""
-    np.savetxt(path, fm.data, delimiter=",", fmt="%.9g")

@@ -13,10 +13,6 @@ class PcaModel:
     components: np.ndarray   # (k, d) rows are principal axes
     eigenvalues: np.ndarray  # (k,) descending sample variances along each axis
 
-    @property
-    def n_components(self):
-        return self.components.shape[0]
-
     def transform(self, X):
         X = np.asarray(X, dtype=np.float64)
         one = X.ndim == 1

@@ -13,11 +13,13 @@ on the fold plan given. A stage's column is one row of its cross-validated
 scores (`svm.cv_jobs`): under None the search's own held-out scores for
 the winner, with no refit. `_fit_plan` lays one fit out in phases for
 `svm.solve_plans`, so the evaluation of many training parts solves each
-phase once.
+phase once. The solver's models are unnamed; `stack_fit` names each
+deployed first stage by its spec's descriptor and the meta SVM "scores",
+the names its `.fstk` records carry.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def _columns_plan(parts, y, folds, params, extra=()):
     return chosen, np.column_stack(cols) if cols else None, got
 
 
-def _fit_plan(parts, y, folds, params, descriptors, tests=None, stacked=True, external=None):
+def _fit_plan(parts, y, folds, params, tests=None, stacked=True, external=None):
     """Plan (see `svm.solve_plans`) of one fit on a training part ->
     (first-stage results, meta result).
 
@@ -127,8 +129,7 @@ def _fit_plan(parts, y, folds, params, descriptors, tests=None, stacked=True, ex
     tests = tests or [None] * len(parts)
 
     def deploy(chosen):
-        return [Job(part, p, test, d)
-                for part, p, test, d in zip(parts, chosen, tests, descriptors)]
+        return [Job(part, p, test) for part, p, test in zip(parts, chosen, tests)]
 
     chosen, cols, first = yield from _columns_plan(
         parts if stacked or params is None else [], y, folds, params,
@@ -141,7 +142,7 @@ def _fit_plan(parts, y, folds, params, descriptors, tests=None, stacked=True, ex
     if not stacked:
         return first, None
     test = None if tests[0] is None else (np.column_stack(first), None)
-    (result,) = yield [Job(meta, meta_params[0], test, "scores")]
+    (result,) = yield [Job(meta, meta_params[0], test)]
     return first, result
 
 
@@ -210,11 +211,11 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
             row_indices = np.arange(len(y))
         external = _join_external(row_indices, external_scores)
         column_ids += list(external_scores.column_ids)
-    plan = _fit_plan([Part(X, y) for X in mats], y, folds, params,
-                     [s.descriptor for s in specs], external=external)
+    plan = _fit_plan([Part(X, y) for X in mats], y, folds, params, external=external)
     first, meta = solve_plans([plan])[0]
-    return StackedModel(first_stage=tuple(zip(specs, first)), meta=meta,
-                        column_ids=tuple(column_ids))
+    first = [replace(m, descriptor_id=s.descriptor) for s, m in zip(specs, first)]
+    return StackedModel(first_stage=tuple(zip(specs, first)),
+                        meta=replace(meta, descriptor_id="scores"), column_ids=tuple(column_ids))
 
 
 def stack_scores(model, X_per_spec, external=None):
@@ -236,15 +237,6 @@ def stack_scores(model, X_per_spec, external=None):
             raise DataError(f"external column {cid!r} not aligned with rows")
         cols.append(col)
     return model.meta.decision_function(np.column_stack(cols))
-
-
-def stack_predict(model, x_per_spec, external=None):
-    """Predict one sample: returns (label, meta_score) with +1 = male."""
-    ext = None
-    if external is not None:
-        ext = {cid: np.asarray([val], dtype=np.float64) for cid, val in external.items()}
-    score = float(stack_scores(model, [np.asarray(x)[None, :] for x in x_per_spec], ext)[0])
-    return (1 if score >= 0 else -1), score
 
 
 def save_stacked(path, model):

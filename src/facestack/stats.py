@@ -60,19 +60,6 @@ def _gamma_cf(a, x):
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def gammainc_lower(a, x):
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ConfigurationError("gamma shape must be positive")
-    if x < 0:
-        raise ConfigurationError("gamma argument must be non-negative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def chi2_sf(x, df):
     """Chi-square survival function P(X > x) with df degrees of freedom."""
     if df <= 0:

@@ -61,7 +61,7 @@ import csv
 import struct
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -337,29 +337,33 @@ def _violators(y, alpha, G, hi, lo):
     return np.where(s < hi, minus_yG, -np.inf), np.where(s > lo, minus_yG, np.inf)
 
 
-def _pair_update(ai, aj, Ci, Cj, yi, yj, Gi, Gj, quad):
-    """LIBSVM's update of working pairs (i, j), clipped to the box -> (ai, aj).
+def _pair_update(ai, aj, C, yi, yj, Gi, Gj, quad):
+    """LIBSVM's update of working pairs (i, j), clipped to the box [0, C]
+    -> (ai, aj).
 
-    Arrays, one pair per entry: both label cases are computed (both divide
-    by quad, which must be > 0), each clip one np.where in LIBSVM's order,
-    and yi == yj picks the case.
+    Arrays, one pair per entry, C the pair's one box bound: LIBSVM's ladder
+    with Ci == Cj, where its tests diff > Ci - Cj and total > Cj are diff > 0
+    and total > C. Both label cases are computed (both divide by quad, which
+    must be > 0), each clip one np.where in LIBSVM's order, and yi == yj
+    picks the case.
     """
     def clip(c, a, b, a_to, b_to):
         return np.where(c, a_to, a), np.where(c, b_to, b)
 
     diff, total = ai - aj, ai + aj
+    up, over = diff > 0, total > C
     delta = (-Gi - Gj) / quad  # yi != yj: ai - aj is kept
     a, b = ai + delta, aj + delta
-    a, b = clip((diff > 0) & (b < 0), a, b, diff, 0.0)
-    a, b = clip((diff <= 0) & (a < 0), a, b, 0.0, -diff)
-    a, b = clip((diff > Ci - Cj) & (a > Ci), a, b, Ci, Ci - diff)
-    a, b = clip((diff <= Ci - Cj) & (b > Cj), a, b, Cj + diff, Cj)
+    a, b = clip(up & (b < 0), a, b, diff, 0.0)
+    a, b = clip(~up & (a < 0), a, b, 0.0, -diff)
+    a, b = clip(up & (a > C), a, b, C, C - diff)
+    a, b = clip(~up & (b > C), a, b, C + diff, C)
     delta = (Gi - Gj) / quad  # yi == yj: ai + aj is kept
     e, f = ai - delta, aj + delta
-    e, f = clip((total > Ci) & (e > Ci), e, f, Ci, total - Ci)
-    e, f = clip((total <= Ci) & (f < 0), e, f, total, 0.0)
-    e, f = clip((total > Cj) & (f > Cj), e, f, total - Cj, Cj)
-    e, f = clip((total <= Cj) & (e < 0), e, f, 0.0, total)
+    e, f = clip(over & (e > C), e, f, C, total - C)
+    e, f = clip(~over & (f < 0), e, f, total, 0.0)
+    e, f = clip(over & (f > C), e, f, total - C, C)
+    e, f = clip(~over & (e < 0), e, f, 0.0, total)
     return np.where(yi == yj, e, a), np.where(yi == yj, f, b)
 
 
@@ -384,13 +388,15 @@ def _solve(problems):
     every row. The problems still running are rows of (A, n_max) arrays.
     The box is kept per row as lo <= y*alpha <= hi, which also holds each
     row's label; padding has y = 0 and the box [0, 0], which keeps it out
-    of I_up and I_low. A pass takes one WSS2 step on every row at once, in
-    array code. A problem whose gap m - M falls below _TOL, or that reaches
-    _MAX_ITER, gets its gradient recomputed exactly; it ends if the exact
-    gap is below _TOL (or at the cap, with a RuntimeWarning), and otherwise
-    steps in the same pass from its exact gradient, so a check costs the
-    other problems nothing. Every problem runs the same float operations in
-    the same order in any batch, so it gets the same bits alone or batched.
+    of I_up and I_low and out of every working pair, so both rows of a pair
+    have C = hi - lo and `_pair_update` takes row i's. A pass takes one WSS2
+    step on every row at once, in array code. A problem whose gap m - M
+    falls below _TOL, or that reaches _MAX_ITER, gets its gradient
+    recomputed exactly; it ends if the exact gap is below _TOL (or at the
+    cap, with a RuntimeWarning), and otherwise steps in the same pass from
+    its exact gradient, so a check costs the other problems nothing. Every
+    problem runs the same float operations in the same order in any batch,
+    so it gets the same bits alone or batched.
     """
     sizes = [len(fold) for fold, _ in problems]
     n_max = max(sizes, default=1)
@@ -428,7 +434,7 @@ def _solve(problems):
                         warnings.warn(f"WSS2 stopped at the {_MAX_ITER}-iteration cap with "
                                       f"gap m - M = {gap:.3g} above tolerance {_TOL}",
                                       RuntimeWarning, stacklevel=3)
-                    bias = _bias(y[a, :n], alpha[a, :n], hi[a, :n] - lo[a, :n], G[a, :n])
+                    bias = _bias(y[a, :n], alpha[a, :n], float(params.C), G[a, :n])
                     out[ids[a]] = (alpha[a, :n].copy(), bias)
                     running[a] = False
             if not running.all():
@@ -443,8 +449,8 @@ def _solve(problems):
         j = np.where(gain > 0, -(gain * gain) / quad, np.inf).argmin(axis=1)
         Kj = gather(j)
         ai, aj, yi, yj = alpha[r, i], alpha[r, j], y[r, i], y[r, j]
-        new_i, new_j = _pair_update(ai, aj, hi[r, i] - lo[r, i], hi[r, j] - lo[r, j], yi, yj,
-                                    G[r, i], G[r, j], quad[r, j])
+        new_i, new_j = _pair_update(ai, aj, hi[r, i] - lo[r, i], yi, yj, G[r, i], G[r, j],
+                                    quad[r, j])
         di, dj = yi * (new_i - ai), yj * (new_j - aj)
         alpha[r, i], alpha[r, j] = new_i, new_j
         G += y * (di[:, None] * Ki + dj[:, None] * Kj)
@@ -476,13 +482,12 @@ class Part:
 class Job:
     """One independent fit for `solve_jobs`: train on `part` at `params`
     (one C for every row), then score the rows `test[1]` of the raw matrix
-    `test[0]` (all of them if None); with test None, return the SvmModel
-    instead."""
+    `test[0]` (all of them if None); with test None, return the SvmModel,
+    unnamed (its descriptor_id is ""), instead."""
 
     part: Part
     params: SvmParams
     test: tuple = None
-    descriptor_id: str = ""
 
 
 def _check_jobs(jobs, parts):
@@ -528,7 +533,7 @@ def _result(job, fold, Xs, tests, alpha, bias):
     sv = _support(alpha)
     vectors, coef = Xs[sv], alpha[sv] * fold.y[sv]
     if job.test is None:
-        return SvmModel(vectors, coef, bias, job.params, fold.lo, fold.hi, job.descriptor_id)
+        return SvmModel(vectors, coef, bias, job.params, fold.lo, fold.hi)
     if id(job.test) not in tests:
         M, rows = job.test
         tests[id(job.test)] = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
@@ -604,14 +609,15 @@ def svm_fit(X, y, params, descriptor_id=None):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
-    both classes present. The result is deterministic in (data, params)
+    both classes present. The model is named descriptor_id, or X's
+    descriptor_id if None. The result is deterministic in (data, params)
     regardless of row order. A solve that stops at the iteration cap before
     converging warns with RuntimeWarning.
     """
     if descriptor_id is None:
         descriptor_id = getattr(X, "descriptor_id", "")
     part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return solve_jobs([Job(part, params, None, descriptor_id)])[0]
+    return replace(solve_jobs([Job(part, params)])[0], descriptor_id=descriptor_id)
 
 
 def cv_jobs(part, folds, grid):
@@ -701,13 +707,6 @@ class ScoreMatrix:
         if ri.shape != (len(scores),) or len(np.unique(ri)) != len(ri):
             raise DataError("row_indices must be unique, one per row")
         object.__setattr__(self, "row_indices", ri)
-
-    def column(self, column_id):
-        try:
-            j = self.column_ids.index(column_id)
-        except ValueError:
-            raise DataError(f"no score column {column_id!r}") from None
-        return self.scores[:, j]
 
 
 def save_scores(path, matrix):

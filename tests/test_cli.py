@@ -41,8 +41,7 @@ def workspace(tmp_path_factory):
     assert main(["--out", str(pats), "prepare",
                  "--manifest", str(corpus / "manifest.csv"), "--pattern", "F"]) == 0
     assert main(["--out", str(root / "hog.fsfm"), "extract",
-                 "--manifest", str(pats / "manifest.csv"), "--descriptor", "hog",
-                 "--csv", str(root / "hog.csv")]) == 0
+                 "--manifest", str(pats / "manifest.csv"), "--descriptor", "hog"]) == 0
     assert main(["--out", str(root / "losib.fsfm"), "extract",
                  "--manifest", str(pats / "manifest.csv"), "--descriptor", "losib"]) == 0
     return root
@@ -52,8 +51,6 @@ def test_pipeline_artifacts(workspace):
     fm = load_features(workspace / "hog.fsfm")
     assert fm.data.shape == (30, 576)
     assert fm.descriptor_id == "hog"
-    csv_rows = (workspace / "hog.csv").read_text().strip().splitlines()
-    assert len(csv_rows) == 30
     run = json.loads((workspace / "corpus" / "run.json").read_text())
     assert run["command"] == "synth"
     assert run["results"]["n_samples"] == 30
@@ -551,7 +548,7 @@ def test_file_output_creates_missing_directory(workspace, tmp_path, command):
     args = {
         "folds": ["folds", "--manifest", manifest, "--k", "3"],
         "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
-                    "--descriptor", "lbpu2", "--csv", str(tmp_path / "new" / "dir" / "x.csv")],
+                    "--descriptor", "lbpu2"],
         "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
         "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
                   "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],
@@ -613,7 +610,8 @@ def _bad_input(ws, tmp_path, case):
         return ["eval", "kfold", "--manifest", str(tmp_path / "bad.csv"),
                 "--stage", f"C1={hog}", "--protocol", "dago", "--C", "4.0"]
     rows = {"scores-non-numeric": ["0,abc"], "scores-nan": ["0,nan"],
-            "scores-repeated-row": ["0,0.5", "0,0.5"]}[case]
+            "scores-repeated-row": ["0,0.5", "0,0.5"],
+            "scores-missing-row": ["0,0.5", "1,0.5"]}[case]
     (tmp_path / "bad.csv").write_text("row_index,EXT\n" + "\n".join(rows) + "\n")
     return stack + ["--external", str(tmp_path / "bad.csv")]
 
@@ -628,6 +626,7 @@ BAD_INPUTS = [
     ("scores-non-numeric", 3, "bad.csv: row 2: could not convert string to float"),
     ("scores-nan", 3, "bad.csv: non-finite score"),
     ("scores-repeated-row", 3, "bad.csv: row_indices must be unique, one per row"),
+    ("scores-missing-row", 3, "bad.csv: external scores missing row_index 2"),
 ]
 
 
@@ -667,20 +666,6 @@ def test_manifests_are_utf8_whatever_the_locale(workspace, tmp_path):
                           env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert load_manifest(out / "manifest.csv").samples[0].identity_id == "José"
-
-
-@pytest.mark.parametrize("where", ["missing/x.csv", "dir", "out/lbp.fsfm", "out/run.json"],
-                         ids=["missing", "directory", "out", "run_json"])
-def test_extract_csv_that_cannot_be_written_fails_before_any_work(workspace, tmp_path, capsys,
-                                                                    where):
-    (tmp_path / "dir").mkdir()
-    csv_path = tmp_path / where
-    rc = main(["--out", str(tmp_path / "out" / "lbp.fsfm"), "extract",
-               "--manifest", str(workspace / "fpat" / "manifest.csv"),
-               "--descriptor", "lbpu2", "--csv", str(csv_path)])
-    assert rc == 2
-    assert "--csv" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_noise_sweep_grid_flag_searches(workspace, monkeypatch):
@@ -883,7 +868,7 @@ def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys, mon
     args = {
         "folds": ["folds", "--manifest", manifest, "--k", "3"],
         "extract": ["extract", "--manifest", str(workspace / "fpat" / "manifest.csv"),
-                    "--descriptor", "lbpu2", "--csv", str(tmp_path / "new" / "dir" / "x.csv")],
+                    "--descriptor", "lbpu2"],
         "train": ["train", "--features", hog, "--manifest", manifest, "--C", "4.0"],
         "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
                   "--stage", f"C4={workspace / 'losib.fsfm'}", "--C", "4.0"],

@@ -17,7 +17,6 @@ from facestack import (
     oof_scores,
     save_stacked,
     stack_fit,
-    stack_predict,
     stack_scores,
     svm_fit,
 )
@@ -241,16 +240,6 @@ def test_stack_fit_does_not_depend_on_the_worker_count(monkeypatch, forks, tmp_p
         save_stacked(tmp_path / f"{cores}.fstk", stack_fit(views, y, folds, _specs(2), params=None))
     assert forks
     assert (tmp_path / "1.fstk").read_bytes() == (tmp_path / "2.fstk").read_bytes()
-
-
-def test_stack_predict_matches_scores():
-    views, y = _views(50, seed=14)
-    folds = make_folds(y, 3, seed=0)
-    model = stack_fit(views, y, folds, _specs(2), params=PARAMS)
-    scores = stack_scores(model, views)
-    label, score = stack_predict(model, [views[0][7], views[1][7]])
-    assert score == pytest.approx(scores[7])
-    assert label == (1 if scores[7] >= 0 else -1)
 
 
 def test_stacked_roundtrip(tmp_path):

@@ -4,16 +4,7 @@ from scipy import special as ssp
 from scipy import stats as ss
 
 from facestack import ConfigurationError, DataError, chi2_sf, jarque_bera, kruskal_wallis
-from facestack.stats import StatTestResult, _ranks_with_ties, gammainc_lower
-
-
-def test_gammainc_lower_matches_scipy():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = float(rng.uniform(0.1, 20))
-        x = float(rng.uniform(0, 50))
-        assert gammainc_lower(a, x) == pytest.approx(float(ssp.gammainc(a, x)), abs=1e-10)
-    assert gammainc_lower(1.5, 0.0) == 0.0
+from facestack.stats import StatTestResult, _ranks_with_ties
 
 
 def test_chi2_sf_matches_scipy():
