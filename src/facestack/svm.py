@@ -28,8 +28,7 @@ stays under _BATCH_BYTES. Each problem gets the same bits in any batch
 
 `cv_scores`, the one cross-validated scorer, gives each row's held-out score
 under every grid point; `grid_search` picks from them, stacking takes its
-out-of-fold columns from the same jobs. `_decision` scores held-out rows
-and `decision_function` alike, so both give the same bits.
+out-of-fold columns from the same jobs.
 
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
@@ -45,14 +44,18 @@ and the gather keeps its scaled rows and computes its distance rows on
 demand into an LRU.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, clamped at 0, with the cross
-terms of each row of A against B from one BLAS matrix-vector product B @ a
-(`_sq_dists`). Not one matrix product for the whole block: the bits of a
-gemm depend on the block's shape (sub-blocks, column subsets and single rows
-all differ from the full product) and on the BLAS thread count. Row by row,
-a row's distances are the same bits in a full fill, an LRU row or a block of
-held-out rows, and each product stays under _BLAS_ELEMS elements, which
-OpenBLAS runs on one thread, so the output bytes do not depend on the BLAS
-thread count either.
+terms of a row a against the rows B from BLAS matrix-vector products B @ a
+(`_sq_dists`), not one matrix product for the whole block: a gemm's bits
+depend on the block's shape and on the BLAS thread count. The pad-to-4
+rule: OpenBLAS computes B's rows 4 at a time but the last len(B) mod 4 in
+another order, so B runs on into zero rows to a multiple of 4. Then an
+entry has the same bits at any position of B and in any subset of its
+rows, and (a, b) the same as (b, a). So a fold's distances are computed
+once per pair and its held-out rows once against all its training rows;
+each grid point's model scores from its support columns through
+`_decision`, with the bits `decision_function` gets from the support rows
+alone. Each product stays under _BLAS_ELEMS elements, which OpenBLAS runs
+on one thread, so the output bytes do not depend on the BLAS thread count.
 
 Models serialize as `.fsvm` records in the shared layout of `records`.
 """
@@ -82,9 +85,9 @@ _MAX_ITER = 10_000_000  # per problem; LIBSVM's max(1e7, 100 n) for n up to 1e5 
 _MAX_C = 1e6  # largest C; the solve time grows with C
 _DENSE_BYTES = 64 << 20  # a fold's squared distances: one n x n array up to this, else an LRU
 _BATCH_BYTES = 3 << 20  # the distance memos of one sub-batch of a phase, padding included
-# Elements per BLAS matrix-vector product. OpenBLAS (0.3.31) splits one of more
-# than about 4.6e5 across threads, and where the split falls changes the last
-# bits of the result.
+# Elements per BLAS matrix-vector product. OpenBLAS 0.3.31 splits one of more than
+# about 4.6e5 across threads, and computes its rows 4 at a time but the last (rows
+# mod 4) one at a time, each in another order, so `_sq_dists` pads B to 4 rows.
 _BLAS_ELEMS = 1 << 18
 
 
@@ -114,31 +117,37 @@ def default_grid():
     return [SvmParams(C=c, gamma=g) for c in GRID_C for g in GRID_GAMMA]
 
 
-def _sq_dists(A, B, out=None, B_sq=None):
-    """Squared euclidean distances between the rows of A (m,d) and B (n,d) -> (m,n).
+def _sq_dists(A, B, out=None, B_sq=None, n=None):
+    """Squared euclidean distances between the rows of A (m,d) and the first n
+    rows of B (all if None) -> (m,n); A None means those n rows themselves,
+    each pair computed once (row r against rows r.., then mirrored).
 
-    Row r is -2 B.A[r] + |B|^2 + |A[r]|^2, clamped at 0, its cross term one BLAS
-    matrix-vector product per row block of B (_BLAS_ELEMS). Row r depends on
-    A[r] and B alone, never on the other rows of A, so a row computed on its
-    own is bit-identical to the same row of a larger call. out, if given, is
-    an (m, n) array, or a view whose rows are contiguous, to fill. B_sq, if
-    given, is |B|^2 as computed here, kept by a caller that fills many rows.
+    Row r is -2 B.A[r] + |B|^2 + |A[r]|^2, clamped at 0, its cross terms BLAS
+    matrix-vector products over blocks of B (_BLAS_ELEMS) of a multiple of 4
+    rows but the last, which runs on through 3 zero rows (B is copied onto
+    them unless it has them, as `_Fold.padded` does). So an entry has the
+    same bits for any position of its row in B and any rows of A. out, if
+    given, is an (m, n) array, or a view whose rows are contiguous, to fill.
+    B_sq, if given, is |B[:n]|^2 as computed here.
     """
-    step = max(1, _BLAS_ELEMS // max(1, B.shape[1]))
-    blocks = [(slice(lo, lo + step), B[lo : lo + step]) for lo in range(0, len(B), step)]
-    out = np.empty((len(A), len(B))) if out is None else out
-    for r, a in enumerate(A):
-        for cols, block in blocks:
-            np.dot(block, a, out=out[r, cols])
+    n = len(B) if n is None else n
+    if len(B) < n + 3:
+        B = np.concatenate([B[:n], np.zeros((3, B.shape[1]))])
+    B_sq = np.einsum("ij,ij->i", B[:n], B[:n]) if B_sq is None else B_sq
+    A_sq = B_sq if A is None else np.einsum("ij,ij->i", A, A)
+    out = np.empty((len(A_sq), n)) if out is None else out
+    step = max(4, _BLAS_ELEMS // max(1, B.shape[1]) // 4 * 4)
+    for r in range(len(A_sq)):
+        a, first = (B[r], r) if A is None else (A[r], 0)
+        for lo in range(first, n, step):
+            cols = out[r, lo : lo + step]
+            cols[:] = np.dot(B[lo : lo + step], a)[: len(cols)]
+        if A is None:
+            out[r + 1 :, r] = out[r, r + 1 :]
     out *= -2.0
-    out += np.einsum("ij,ij->i", B, B) if B_sq is None else B_sq
-    out += np.einsum("ij,ij->i", A, A)[:, None]
+    out += B_sq
+    out += A_sq[:, None]
     return np.maximum(out, 0.0, out=out)
-
-
-def _kernel_block(params, A, B):
-    """RBF kernel values between the rows of A (m,d) and B (n,d) -> (m,n)."""
-    return np.exp(-params.gamma * _sq_dists(A, B))
 
 
 def _min_max(X, lo, hi, out=None):
@@ -171,10 +180,6 @@ class SvmModel:
     def n_dims(self):
         return self.support_vectors.shape[1]
 
-    def scale(self, X):
-        """Apply the stored min-max scaling to raw feature rows."""
-        return _min_max(np.asarray(X, dtype=np.float64), self.feature_min, self.feature_max)
-
     def decision_function(self, X):
         """Signed scores for raw (unscaled) feature rows."""
         X = np.asarray(X, dtype=np.float64)
@@ -185,23 +190,25 @@ class SvmModel:
             raise DataError(f"expected {self.n_dims} dims, got {X.shape[1]}")
         if not np.all(np.isfinite(X)):
             raise DataError("non-finite feature value")
-        scores = _decision(self.params, self.scale(X), self.support_vectors,
+        Xs, sv = _min_max(X, self.feature_min, self.feature_max), self.support_vectors
+        scores = _decision(self.params, lambda rows: _sq_dists(Xs[rows], sv), len(Xs),
                            self.dual_coefs, self.bias)
         return float(scores[0]) if one else scores
 
 
-def _decision(params, Xs, sv, coef, bias):
-    """Decision values of scaled rows Xs under support rows sv with weights coef.
+def _decision(params, d2, m, coef, bias):
+    """Decision values of m scaled rows, whose squared distances to the
+    support rows (weights coef) d2(rows) gives for a slice of the rows.
 
     Each chunk of rows is one kernel block of at most _BLAS_ELEMS times coef,
     so the product stays one single-threaded BLAS call; the chunks set its
     last bits, so every caller scores through here.
     """
-    scores = np.empty(len(Xs))
-    chunk = max(1, _BLAS_ELEMS // max(1, len(sv)))
-    for lo in range(0, len(Xs), chunk):
+    scores = np.empty(m)
+    chunk = max(1, _BLAS_ELEMS // max(1, len(coef)))
+    for lo in range(0, m, chunk):
         rows = slice(lo, lo + chunk)
-        scores[rows] = _kernel_block(params, Xs[rows], sv) @ coef + bias
+        scores[rows] = np.exp(-params.gamma * d2(rows)) @ coef + bias
     return scores
 
 
@@ -235,7 +242,7 @@ class _Fold:
     Keeps the scaling (`lo`, `hi`), the canonical order as indices `rows`
     into X and the ordered labels `y`. None of it depends on (C, gamma), so
     every fit on the same rows shares one _Fold. X must be a float64 array
-    that holds its values while the fold lives: `scaled` reads the rows from
+    that holds its values while the fold lives: `padded` reads the rows from
     it again, since min-max scaling is elementwise and gives them the same
     bits. The fold keeps no scaled rows; a `_Gather` that needs them does.
     """
@@ -252,10 +259,17 @@ class _Fold:
     def __len__(self):
         return len(self.y)
 
+    def padded(self):
+        """The scaled rows in canonical order, then 3 zero rows for `_sq_dists`."""
+        P = np.zeros((len(self) + 3, self.src.shape[1]))
+        Xs = P[: len(self)]
+        np.take(self.src, self.rows, axis=0, out=Xs, mode="clip")  # "raise" fills a temporary
+        _min_max(Xs, self.lo, self.hi, out=Xs)
+        return P
+
     def scaled(self):
         """The scaled rows in canonical order."""
-        Xs = self.src[self.rows]
-        return _min_max(Xs, self.lo, self.hi, out=Xs)
+        return self.padded()[: len(self)]
 
 
 class _Gather:
@@ -284,17 +298,15 @@ class _Gather:
         if _dense(self.width):
             slot = {key: s * self.width for s, key in enumerate(folds)}
             self.stack = np.zeros((len(folds) * self.width, self.width))
-            for key, fold in folds.items():
-                Xs = fold.scaled()
-                block = self.stack[slot[key] : slot[key] + len(Xs), : len(Xs)]
-                np.fill_diagonal(_sq_dists(Xs, Xs, out=block), 0.0)
-                del Xs  # before the next fold's: one fold's scaled rows at a time
+            for key, fold in folds.items():  # one fold's scaled rows at a time
+                block = self.stack[slot[key] : slot[key] + len(fold), : len(fold)]
+                np.fill_diagonal(_sq_dists(None, fold.padded(), out=block, n=len(fold)), 0.0)
             self.base = np.array([slot[id(fold)] for fold, _ in problems], dtype=np.intp)
         else:
             assert len(folds) == 1, "a fold above _DENSE_BYTES solves alone"
             (fold,) = folds.values()
-            self.Xs = fold.scaled()
-            self.Xs_sq = np.einsum("ij,ij->i", self.Xs, self.Xs)
+            self.P = fold.padded()
+            self.Xs_sq = np.einsum("ij,ij->i", self.P[: self.width], self.P[: self.width])
             self.lru, self.cap = OrderedDict(), max(1, _DENSE_BYTES // (8 * self.width))
             self.base = np.zeros(len(problems), dtype=np.intp)  # LRU rows are fold rows
 
@@ -312,7 +324,8 @@ class _Gather:
             if i not in self.lru:
                 if len(self.lru) >= self.cap:
                     self.lru.popitem(last=False)
-                self.lru[i] = _sq_dists(self.Xs[i : i + 1], self.Xs, B_sq=self.Xs_sq)[0]
+                self.lru[i] = _sq_dists(self.P[i : i + 1], self.P, B_sq=self.Xs_sq,
+                                        n=self.width)[0]
                 self.lru[i][i] = 0.0
             self.lru.move_to_end(i)
             out.append(self.lru[i])
@@ -525,19 +538,26 @@ def _sub_batches(parts):
     return runs
 
 
-def _result(job, fold, Xs, tests, alpha, bias):
+def _result(job, fold, P, tests, alpha, bias):
     """A solved job's held-out scores through `_decision`, or its SvmModel.
 
-    Xs is fold.scaled(); tests caches the fold's scaled test rows by job.test.
+    P is fold.padded(). tests caches by job.test the scaled test rows and,
+    if it fits _DENSE_BYTES, their distances to all P's rows, whose support
+    columns (see `_sq_dists`) every job on the fold scores from.
     """
     sv = _support(alpha)
-    vectors, coef = Xs[sv], alpha[sv] * fold.y[sv]
+    coef = alpha[sv] * fold.y[sv]
     if job.test is None:
-        return SvmModel(vectors, coef, bias, job.params, fold.lo, fold.hi)
+        return SvmModel(P[sv], coef, bias, job.params, fold.lo, fold.hi)
     if id(job.test) not in tests:
         M, rows = job.test
-        tests[id(job.test)] = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
-    return _decision(job.params, tests[id(job.test)], vectors, coef, bias)
+        T = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
+        fits = len(T) * len(fold) * 8 <= _DENSE_BYTES
+        tests[id(job.test)] = T, _sq_dists(T, P, n=len(fold)) if fits else None
+    T, block = tests[id(job.test)]
+    if block is None:
+        return _decision(job.params, lambda rows: _sq_dists(T[rows], P[sv]), len(T), coef, bias)
+    return _decision(job.params, lambda rows: block[rows].take(sv, axis=1), len(T), coef, bias)
 
 
 def solve_jobs(jobs):
@@ -577,8 +597,8 @@ def _solve_run(run, jobs):
     solutions = iter(_solve(problems))
     out = []
     for fold, (_, idx) in zip(folds, run):
-        Xs, tests = fold.scaled(), {}
-        out += [(i, _result(jobs[i], fold, Xs, tests, *next(solutions))) for i in idx]
+        P, tests = fold.padded(), {}
+        out += [(i, _result(jobs[i], fold, P, tests, *next(solutions))) for i in idx]
     return out
 
 
@@ -650,9 +670,10 @@ def cv_scores(X, y, folds, grid):
     """Held-out scores of every grid point -> (len(grid), n).
 
     Entry (g, i) is decision_function(row i) of svm_fit(grid[g]) on the rows
-    outside row i's fold, bit for bit: each model scores its held-out rows
-    through the same `_decision` call. All len(grid) x k problems are one
-    phase, on one `_Fold` per fold.
+    outside row i's fold, bit for bit: `_sq_dists` pads to 4 rows, so the
+    support columns of the fold's held-out rows' distances to all its
+    training rows, computed once, equal their distances to the support rows
+    alone. All len(grid) x k problems are one phase, on one `_Fold` per fold.
     """
     if not grid:
         raise ConfigurationError("empty parameter grid")

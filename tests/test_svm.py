@@ -22,6 +22,7 @@ from facestack import (
     FirstStageSpec,
     ScoreMatrix,
     StageData,
+    SvmModel,
     SvmParams,
     default_grid,
     grid_search,
@@ -38,9 +39,8 @@ from facestack import (
 )
 from facestack.dataset import FoldPlan
 from facestack.records import pack_str
-from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Job, Part, _Fold, _Gather, _kernel_block,
-                           _scale_fit, _sq_dists, cv_scores, read_model, solve_jobs,
-                           write_model)
+from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Job, Part, _Fold, _Gather, _scale_fit,
+                           _sq_dists, cv_scores, read_model, solve_jobs, write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -131,10 +131,15 @@ def test_read_model_rejects_non_finite_values(where):
 
 
 def test_rbf_kernel_values():
-    same = _kernel_block(SvmParams(C=1.0, gamma=0.5), np.zeros((1, 2)), np.zeros((1, 2)))
-    assert same[0, 0] == 1.0
-    k = _kernel_block(SvmParams(C=1.0, gamma=0.25), np.array([[0.0]]), np.array([[2.0]]))
-    assert k[0, 0] == pytest.approx(np.exp(-1.0))
+    # one support row with weight 1 and bias 0 scores K(x, sv); [0, 1] scales nothing
+    def kernel(gamma, sv, x):
+        d = len(sv)
+        model = SvmModel(np.array([sv]), np.ones(1), 0.0, SvmParams(C=1.0, gamma=gamma),
+                         np.zeros(d), np.ones(d))
+        return model.decision_function(np.array(x))
+
+    assert kernel(0.5, [0.0, 0.0], [0.0, 0.0]) == 1.0
+    assert kernel(0.25, [0.0], [2.0]) == pytest.approx(np.exp(-1.0))
 
 
 def test_two_point_case():
@@ -155,7 +160,7 @@ def test_blobs_match_qp_oracle():
     assert _accuracy(m, X, y) == 1.0
 
     _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
-    K = _kernel_block(params, Xs, Xs)
+    K = np.exp(-params.gamma * _sq_dists(Xs, Xs))
     _, obj_ref = qp = oracles.qp_reference(K, y, params.C)
     alpha = _alphas_by_row(m, Xs)
     obj = oracles.dual_objective(K, y, alpha)
@@ -580,9 +585,8 @@ def test_fold_distances_give_the_direct_kernel(n, d):
     gather = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))])
     X = fold.scaled()
     for gamma in GRID_GAMMA:
-        p = SvmParams(C=1.0, gamma=gamma)
         for i in (0, n // 2, n - 1):
-            want = _kernel_block(p, X[i : i + 1], X)
+            want = np.exp(-gamma * _sq_dists(X[i : i + 1], X))
             want[0, i] = 1.0
             assert np.array_equal(np.exp(-gamma * gather.d2_rows(0, np.array([i]))), want)
 
@@ -608,6 +612,75 @@ def test_cv_scores_equal_decision_function_in_high_dims(d):
     assert np.array_equal(cv_scores(X, y, folds, grid), want)  # bit for bit
 
 
+# The pad-to-4 rule of `_sq_dists` makes a cross term's bits independent of its
+# row's position in B. These pin it on the BLAS that numpy uses here: if a BLAS
+# update breaks it, they fail rather than the bits changing silently.
+_PAD_DIMS = [8, 512, 576, 1475]
+
+
+@pytest.mark.parametrize("d", _PAD_DIMS)
+def test_distances_to_a_subset_of_rows_are_its_columns(d):
+    rng = np.random.default_rng(d)
+    T, B = rng.random((9, d)), rng.random((181, d))
+    full = _sq_dists(T, B)
+    for size in range(1, 14):
+        S = rng.choice(len(B), size, replace=False)
+        assert np.array_equal(full.take(S, axis=1), _sq_dists(T, B[S])), size
+
+
+@pytest.mark.parametrize("d", _PAD_DIMS)
+def test_dense_fold_block_equals_its_lru_and_direct_rows(monkeypatch, d):
+    # 181 rows: at d = 1475 each row's products are cut into blocks of 176 rows
+    n = 181
+    rng = np.random.default_rng(d + 1)
+    fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 3, 1.0, -1.0))
+    rows = np.arange(n)
+    dense = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))]).d2_rows(0, rows)
+    monkeypatch.setattr(svm_module, "_DENSE_BYTES", 0)
+    lru = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))]).d2_rows(0, rows)
+    assert np.array_equal(dense, lru)
+    assert np.array_equal(dense, _memo_rows(fold, rows))
+    Xs = fold.scaled()
+    full = _sq_dists(Xs, Xs)  # every pair computed, none mirrored
+    np.fill_diagonal(full, 0.0)
+    assert np.array_equal(dense, full)
+
+
+@pytest.mark.parametrize("d", _PAD_DIMS)
+def test_padded_cross_terms_are_symmetric(d):
+    # the dense fill computes each pair once and mirrors it: (P @ x_i)[j] == (P @ x_j)[i]
+    n = 37
+    rng = np.random.default_rng(d + 2)
+    P = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0)).padded()
+    cross = np.array([(P[:40] @ P[i])[:n] for i in range(n)])
+    assert not P[n:].any()
+    assert np.array_equal(cross, cross.T)
+
+
+@pytest.mark.parametrize("dense_bytes", [svm_module._DENSE_BYTES, 0], ids=["block", "lru"])
+def test_cv_scores_score_each_folds_held_out_rows_once(monkeypatch, dense_bytes):
+    # k folds x G points: one held-out block per fold when it fits _DENSE_BYTES,
+    # else each job's distances to its support rows; bit for bit the same scores
+    monkeypatch.setattr(pool, "_cores", lambda: 1)  # one process: the spy sees every call
+    X, y = _structured(50, 576, seed=8)
+    folds = FoldPlan(5, np.arange(len(y)) % 5)
+    grid = [SvmParams(C=c, gamma=g) for c in (0.25, 4.0) for g in (0.01, 0.05, 0.1)]
+    want, _ = _naive_scores(X, y, folds, grid)
+    held_out = []
+    real = svm_module._sq_dists
+
+    def spy(A, B, *args, **kwargs):
+        if A is not None and kwargs.get("B_sq") is None:  # not a fill or an LRU row
+            held_out.append(len(A))
+        return real(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(svm_module, "_sq_dists", spy)
+    monkeypatch.setattr(svm_module, "_DENSE_BYTES", dense_bytes)
+    assert np.array_equal(cv_scores(X, y, folds, grid), want)
+    per_fold = [len(folds.split(f)[1]) for f in range(folds.k)]
+    assert held_out == (per_fold if dense_bytes else [m for m in per_fold for _ in grid])
+
+
 _THREADS_SCRIPT = """
 import sys
 import numpy as np
@@ -629,9 +702,15 @@ save_stacked(out + "/s.fstk", stack_fit(views, y, make_folds(y, 3, seed=0), spec
 # above the size at which OpenBLAS splits one matrix-vector product across threads
 B = rng.random((1001, 512))
 np.save(out + "/d2.npy", _sq_dists(B[:40], B))
+np.save(out + "/d2_sub.npy", _sq_dists(B[:40], B[::3]))  # a subset of B's rows
 sv = rng.random((1001, 8))
 model = SvmModel(sv, rng.normal(0, 1, 1001), 0.0, params, np.zeros(8), np.ones(8))
 np.save(out + "/scores.npy", model.decision_function(rng.random((1001, 8))))
+# a dense fold wider than _BLAS_ELEMS // d rows: its fill cuts each row's products into blocks
+wide_rng, y_wide = np.random.default_rng(1), np.where(np.arange(600) % 2, 1.0, -1.0)
+wide = wide_rng.normal(0, 1, (600, 2)) + y_wide[:, None]
+wide = wide @ wide_rng.normal(0, 1, (2, d)) + wide_rng.normal(0, 0.1, (600, d))
+save_model(out + "/wide.fsvm", svm_fit(wide, y_wide, params))
 svm._DENSE_BYTES = 100 * n * 8  # an LRU fold: its 100 cached rows are computed on demand
 save_model(out + "/lru.fsvm", svm_fit(views[1], y, params))
 """
@@ -652,7 +731,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(outputs[0]) == ["c1.fsvm", "d2.npy", "lru.fsvm", "s.fstk", "scores.npy"]
+    assert sorted(outputs[0]) == ["c1.fsvm", "d2.npy", "d2_sub.npy", "lru.fsvm", "s.fstk",
+                                  "scores.npy", "wide.fsvm"]
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
 
