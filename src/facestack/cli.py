@@ -220,9 +220,21 @@ def _pattern(ns, level, row, img, sample):
     return prepare_pattern(img, sample.eye_left, sample.eye_right, ns.pattern, noise=noise)
 
 
+def _noise_level(ns, **defaults):
+    """The value of the flag in defaults (gaussian's, then motion's) that
+    --noise reads, or its default if not given; None under none. Another
+    of them given is a ConfigurationError: that kind would ignore it."""
+    read = dict(zip(("gaussian", "motion"), defaults)).get(ns.noise)
+    for flag in defaults:
+        if flag != read and getattr(ns, flag) is not None:
+            raise ConfigurationError(f"--{flag} does not apply to --noise {ns.noise}")
+    given = vars(ns).get(read)
+    return defaults.get(read) if given is None else given
+
+
 def cmd_prepare(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
-    level = ns.variance if ns.noise == "gaussian" else ns.length
+    level = _noise_level(ns, variance=0.0, length=1)
     if ns.noise != "none":
         NoiseSpec(ns.noise, level, ns.seed)  # a bad level is a configuration error, not a row's
 
@@ -388,8 +400,8 @@ def cmd_eval_crossdb(ns):
 
 def _sweep_levels(ns):
     """The --variances or --lengths list, each level checked as a NoiseSpec."""
-    flag, text, cast = (("variances", ns.variances, float) if ns.noise == "gaussian"
-                        else ("lengths", ns.lengths, int))
+    text = _noise_level(ns, variances="0,0.025,0.05,0.1", lengths="1,7,13,21")
+    flag, cast = ("variances", float) if ns.noise == "gaussian" else ("lengths", int)
     try:
         levels = [cast(v) for v in text.split(",")]
     except ValueError:
@@ -457,8 +469,8 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--pattern", choices=tuple(PATTERN_VARIANTS), required=True)
     p.add_argument("--noise", choices=("none", "gaussian", "motion"), default="none")
-    p.add_argument("--variance", type=float, default=0.0, help="gaussian variance on [0,1] scale")
-    p.add_argument("--length", type=int, default=1, help="motion blur length (odd)")
+    p.add_argument("--variance", type=float, help="gaussian variance on [0,1] scale (default 0)")
+    p.add_argument("--length", type=int, help="motion blur length, odd (default 1)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("extract", help="run a descriptor over prepared patterns")
@@ -523,8 +535,8 @@ def build_parser():
     p.add_argument("--pattern", choices=tuple(PATTERN_VARIANTS), required=True)
     p.add_argument("--descriptor", choices=DESCRIPTOR_IDS, required=True)
     p.add_argument("--noise", choices=("gaussian", "motion"), default="gaussian")
-    p.add_argument("--variances", default="0,0.025,0.05,0.1")
-    p.add_argument("--lengths", default="1,7,13,21")
+    p.add_argument("--variances", help="gaussian levels (default 0,0.025,0.05,0.1)")
+    p.add_argument("--lengths", help="motion levels (default 1,7,13,21)")
     p.add_argument("--k", type=int, default=5)
     _add_svm_flags(p)
     p.set_defaults(func=cmd_noise_sweep)

@@ -142,27 +142,26 @@ def _check_pca(stages, mats, n_train):
 def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params):
     """Plan (see `svm.solve_plans`) of one training part -> its test scores.
 
-    Each stage trains on rows train_idx of its matrix in mats (all rows if
-    None), labelled by y, and scores rows test_idx of its test matrix (all
-    if None); PCA sees training rows only. One stage is a plain SVM, more
-    are stacked. params=None grid-searches on an inner fold plan over the
-    training rows.
+    Each stage's svm.Part trains on rows train_idx of its matrix in mats
+    (all rows if None), labelled by y, and scores rows test_idx of its test
+    matrix (all if None); PCA sees training rows only. One stage is a plain
+    SVM, more are stacked. params=None grid-searches on an inner fold plan
+    over the training rows.
     """
     ytr = y if train_idx is None else y[train_idx]
-    parts, tests = [], []
+    parts = []
     for stage, X, Xt in zip(stages, mats, test_mats):
         if X.shape[1] != Xt.shape[1]:
             raise DataError(f"stage {stage.spec.id}: train/test feature widths differ")
         if stage.pca_components:
             A = X if train_idx is None else X[train_idx]
             model = pca_fit(A, stage.pca_components)
-            parts.append(Part(model.transform(A), ytr))
-            tests.append((model.transform(Xt if test_idx is None else Xt[test_idx]), None))
+            test = model.transform(Xt if test_idx is None else Xt[test_idx])
+            parts.append(Part(model.transform(A), ytr, None, (test, None)))
         else:
-            parts.append(Part(X, y, train_idx))
-            tests.append((Xt, test_idx))
+            parts.append(Part(X, y, train_idx, (Xt, test_idx)))
     inner = make_folds(ytr, min(_INNER_K, len(ytr)), derive_seed(seed, 101))
-    first, meta = yield from _fit_plan(parts, ytr, inner, params, tests, stacked=len(stages) > 1)
+    first, meta = yield from _fit_plan(parts, ytr, inner, params, stacked=len(stages) > 1)
     return first[0] if meta is None else meta
 
 

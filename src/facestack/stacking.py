@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
                       write_header)
-from .svm import (Job, Part, ScoreMatrix, SvmParams, best_point, cv_jobs, cv_table, default_grid,
+from .svm import (Part, ScoreMatrix, SvmParams, best_point, cv_jobs, cv_table, default_grid,
                   read_model, solve_plans, write_model)
 from .svm import svm_fit  # noqa: F401  (perfbench's tracer patches it in every namespace)
 
@@ -92,33 +92,31 @@ def _checked(X_per_spec, y, specs):
 def _columns_plan(parts, y, folds, params, extra=()):
     """Plan (see `svm.solve_plans`) of each part's out-of-fold column, with
     the jobs `extra` in the same phase -> (each part's params, the (n,
-    len(parts)) columns or None, the results of extra).
+    len(parts)) columns or None, the result lists of extra).
 
     parts are svm.Parts over the same rows, which y labels and folds splits.
     A column is the row of the part's cv table, over [params] or over
     default_grid() when params is None, at the point best_point picks.
     """
     grid = default_grid() if params is None else [params]
-    cv = [cv_jobs(part, folds, grid) for part in parts]
-    got = yield [job for jobs in cv for job in jobs] + list(extra)
+    got = yield [job for part in parts for job in cv_jobs(part, folds, grid)] + list(extra)
     chosen, cols = [], []
-    for jobs in cv:
-        scores = cv_table(got[: len(jobs)], folds, grid)
-        got = got[len(jobs) :]
+    for p in range(len(parts)):  # cv_jobs gives one job per fold
+        scores = cv_table(got[p * folds.k : (p + 1) * folds.k], folds, grid)
         g = best_point(grid, scores, y, folds)
         chosen.append(grid[g])
         cols.append(scores[g])
-    return chosen, np.column_stack(cols) if cols else None, got
+    return chosen, np.column_stack(cols) if cols else None, got[len(parts) * folds.k :]
 
 
-def _fit_plan(parts, y, folds, params, tests=None, stacked=True, external=None):
+def _fit_plan(parts, y, folds, params, stacked=True, external=None):
     """Plan (see `svm.solve_plans`) of one fit on a training part ->
     (first-stage results, meta result).
 
     parts holds one svm.Part per first stage, all over the same rows, which
-    y labels and folds splits. Each deployed first stage returns its
-    SvmModel or, given tests (one (matrix, rows) per stage), its scores of
-    those rows. Stacked, the meta SVM trains on the out-of-fold columns plus
+    y labels and folds splits, and all with test rows or none. Each
+    deployed first stage returns its SvmModel, or its scores of its part's
+    test rows. Stacked, the meta SVM trains on the out-of-fold columns plus
     any `external` columns, and returns its model or its scores of the
     stages' test scores; not stacked, the meta result is None. params is
     one SvmParams for every SVM, or None to grid-search each first stage on
@@ -126,10 +124,8 @@ def _fit_plan(parts, y, folds, params, tests=None, stacked=True, external=None):
     fixed, the deployed stages; under None, the deployed stages and the
     meta search; the meta fit.
     """
-    tests = tests or [None] * len(parts)
-
     def deploy(chosen):
-        return [Job(part, p, test) for part, p, test in zip(parts, chosen, tests)]
+        return [(part, [p]) for part, p in zip(parts, chosen)]
 
     chosen, cols, first = yield from _columns_plan(
         parts if stacked or params is None else [], y, folds, params,
@@ -139,10 +135,12 @@ def _fit_plan(parts, y, folds, params, tests=None, stacked=True, external=None):
     if params is None:
         meta_params, _, first = yield from _columns_plan(
             [meta] if stacked else [], y, folds, None, deploy(chosen))
+    first = [result for (result,) in first]
     if not stacked:
         return first, None
-    test = None if tests[0] is None else (np.column_stack(first), None)
-    (result,) = yield [Job(meta, meta_params[0], test)]
+    if parts[0].test is not None:
+        meta = replace(meta, test=(np.column_stack(first), None))
+    ((result,),) = yield [(meta, meta_params)]
     return first, result
 
 

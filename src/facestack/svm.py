@@ -13,18 +13,19 @@ independent problems in lockstep on (P, n_max) arrays, each problem
 computed the same way in any batch, so batched models are bit-identical
 to one `svm_fit` per problem.
 
-Every fit is a `Job`: a training `Part` (the caller's matrix, labels and
-training rows), its params, and the rows to score, or none for the
-model. `solve_jobs` solves a list of jobs and returns each one's
-held-out scores or SvmModel. Callers hand it every independent fit of an
-evaluation *phase* at once; `solve_plans` runs plans (generators that
-yield the jobs of their next phase) in lockstep, one `solve_jobs` per
-phase. A phase runs on every core the process may use, with no flag: the
-fork pool in `pool` cuts its parts, in order, into one contiguous group
-per core, the caller solving the first group and a child each other one.
-A group runs in sub-batches of whole parts whose padded distance stack
-stays under _BATCH_BYTES. Each problem gets the same bits in any batch
-(below), so the results do not depend on either cut or on the core count.
+A job is a training `Part` (the caller's matrix, labels and training
+rows, and the rows to score, or none for the models) with the list of
+params fitted on it. `solve_jobs` solves a list of jobs and returns each
+fit's held-out scores or SvmModel. Callers hand it every independent fit
+of an evaluation *phase* at once; `solve_plans` runs plans (generators
+that yield the jobs of their next phase) in lockstep, one `solve_jobs`
+per phase. A phase runs on every core the process may use, with no flag:
+the fork pool in `pool` cuts its jobs, in order, into one contiguous
+group per core, the caller solving the first group and a child each
+other one. A group runs in sub-batches of whole parts whose padded
+distance stack stays under _BATCH_BYTES. Each problem gets the same bits
+in any batch (below), so the results do not depend on either cut or on
+the core count.
 
 `cv_scores`, the one cross-validated scorer, gives each row's held-out score
 under every grid point; `grid_search` picks from them, stacking takes its
@@ -267,10 +268,6 @@ class _Fold:
         _min_max(Xs, self.lo, self.hi, out=Xs)
         return P
 
-    def scaled(self):
-        """The scaled rows in canonical order."""
-        return self.padded()[: len(self)]
-
 
 class _Gather:
     """Kernel rows of the problems a solve is running, one row per problem,
@@ -291,7 +288,7 @@ class _Gather:
 
     def __init__(self, problems):
         folds = {id(fold): fold for fold, _ in problems}
-        self.width = max(len(fold) for fold in folds.values())
+        self.width = max((len(fold) for fold in folds.values()), default=0)
         self.n = np.array([len(fold) for fold, _ in problems])
         self.neg_gamma = np.array([[-params.gamma] for _, params in problems])
         self.lru = None
@@ -480,34 +477,23 @@ def _support(alpha):
 @dataclass(frozen=True, eq=False)
 class Part:
     """Training rows `rows` (all if None) of the caller's float64 matrix X,
-    whose rows y labels. X is read, never copied whole; the jobs on one
-    Part object share one `_Fold`."""
+    whose rows y labels, and the rows `test[1]` (all if None) of the raw
+    matrix `test[0]` that its fits score, or test None for their unnamed
+    SvmModels. X is read, never copied whole; the fits share one `_Fold`."""
 
     X: np.ndarray
     y: np.ndarray
     rows: np.ndarray = None
+    test: tuple = None
 
     def __len__(self):
         return len(self.y if self.rows is None else self.rows)
 
 
-@dataclass(frozen=True, eq=False)
-class Job:
-    """One independent fit for `solve_jobs`: train on `part` at `params`
-    (one C for every row), then score the rows `test[1]` of the raw matrix
-    `test[0]` (all of them if None); with test None, return the SvmModel,
-    unnamed (its descriptor_id is ""), instead."""
-
-    part: Part
-    params: SvmParams
-    test: tuple = None
-
-
-def _check_jobs(jobs, parts):
-    """Check every training part and test matrix before any solve. parts
-    holds each training part once, with the indices of its jobs."""
+def _check_parts(parts):
+    """Check every part and test matrix before any solve, each matrix's values once."""
     matrices = {}
-    for part, idx in parts:
+    for part in parts:
         if part.X.ndim != 2 or len(part.X) != len(part.y):
             raise DataError("X must be (n, d) with one label per row")
         y = part.y if part.rows is None else part.y[part.rows]
@@ -515,99 +501,88 @@ def _check_jobs(jobs, parts):
             raise DataError("labels must be -1 or +1")
         if not ((y > 0).any() and (y < 0).any()):
             raise ConfigurationError("training data must contain both classes")
-        matrices[id(part.X)] = part.X
-        for M in (jobs[i].test[0] for i in idx if jobs[i].test is not None):
-            if M.ndim != 2 or M.shape[1] != part.X.shape[1]:
-                raise DataError(f"expected {part.X.shape[1]} dims, got {M.shape[-1]}")
-            matrices[id(M)] = M
+        M = part.X if part.test is None else part.test[0]
+        if M.ndim != 2 or M.shape[1] != part.X.shape[1]:
+            raise DataError(f"expected {part.X.shape[1]} dims, got {M.shape[-1]}")
+        matrices.update({id(part.X): part.X, id(M): M})
     for M in matrices.values():
         if not np.all(np.isfinite(M)):
             raise DataError("non-finite feature value")
 
 
-def _sub_batches(parts):
-    """(part, job indices) pairs, in order, cut into runs whose dense memos,
-    padded to the widest, fit _BATCH_BYTES; a part above _DENSE_BYTES alone."""
+def _sub_batches(jobs):
+    """Jobs, in order, cut into runs whose dense memos, padded to the
+    widest, fit _BATCH_BYTES; a part above _DENSE_BYTES alone."""
     runs = []
-    for item in parts:
-        width = max(len(part) for part, _ in runs[-1] + [item]) if runs else 0
+    for job in jobs:
+        width = max(len(part) for part, _ in runs[-1] + [job]) if runs else 0
         if runs and _dense(width) and (len(runs[-1]) + 1) * width * width * 8 <= _BATCH_BYTES:
-            runs[-1].append(item)
+            runs[-1].append(job)
         else:
-            runs.append([item])
+            runs.append([job])
     return runs
 
 
-def _result(job, fold, P, tests, alpha, bias):
-    """A solved job's held-out scores through `_decision`, or its SvmModel.
-
-    P is fold.padded(). tests caches by job.test the scaled test rows and,
-    if it fits _DENSE_BYTES, their distances to all P's rows, whose support
-    columns (see `_sq_dists`) every job on the fold scores from.
-    """
+def _result(params, fold, P, T, block, alpha, bias):
+    """A solved fit's SvmModel if T is None, else its scores of the scaled
+    test rows T through `_decision`, from the support columns (`_sq_dists`)
+    of T's distances `block` to all rows of P = fold.padded() if given."""
     sv = _support(alpha)
     coef = alpha[sv] * fold.y[sv]
-    if job.test is None:
-        return SvmModel(P[sv], coef, bias, job.params, fold.lo, fold.hi)
-    if id(job.test) not in tests:
-        M, rows = job.test
-        T = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
-        fits = len(T) * len(fold) * 8 <= _DENSE_BYTES
-        tests[id(job.test)] = T, _sq_dists(T, P, n=len(fold)) if fits else None
-    T, block = tests[id(job.test)]
+    if T is None:
+        return SvmModel(P[sv], coef, bias, params, fold.lo, fold.hi)
     if block is None:
-        return _decision(job.params, lambda rows: _sq_dists(T[rows], P[sv]), len(T), coef, bias)
-    return _decision(job.params, lambda rows: block[rows].take(sv, axis=1), len(T), coef, bias)
+        return _decision(params, lambda rows: _sq_dists(T[rows], P[sv]), len(T), coef, bias)
+    return _decision(params, lambda rows: block[rows].take(sv, axis=1), len(T), coef, bias)
 
 
 def solve_jobs(jobs):
-    """Solve independent fits -> each job's result, in order.
+    """Solve independent fits -> one list of results per job, in order.
 
-    `pool.map_groups` cuts the phase's parts, in order, into one contiguous
-    group per core, of about equal cost (jobs x n^2 per part). A group runs
-    as `_solve` batches of whole parts, cut by `_sub_batches`; a part's
-    `_Fold` is built when its sub-batch starts and dropped when it ends.
-    `_solve` computes each problem the same way in any batch, so the
-    results do not depend on either cut, nor on the core count.
+    A job is a (Part, [SvmParams, ...]) pair: the part fitted at each params,
+    each fit giving its scores of part.test or its SvmModel. `pool.map_groups`
+    cuts the jobs, in order, into one contiguous group per core, of about
+    equal cost (len(params) x n^2). A group runs as `_solve` batches of
+    whole parts, cut by `_sub_batches`, each part's `_Fold` living as long
+    as its batch. `_solve` computes each problem the same way in any batch,
+    so the results do not depend on either cut, nor on the core count.
     """
     jobs = list(jobs)
-    by_part = {}
-    for i, job in enumerate(jobs):
-        by_part.setdefault(id(job.part), (job.part, []))[1].append(i)
-    parts = list(by_part.values())  # (part, indices of its jobs), in order
-    _check_jobs(jobs, parts)
+    _check_parts([part for part, _ in jobs])
 
     def solve(group):
-        return [r for run in _sub_batches(group) for r in _solve_run(run, jobs)]
+        return [r for run in _sub_batches(group) for r in _solve_run(run)]
 
-    costs = [len(idx) * len(part) ** 2 for part, idx in parts]
-    out = [None] * len(jobs)
-    for results in pool.map_groups(solve, parts, costs):
-        for i, result in results:
-            out[i] = result
-    return out
+    costs = [max(1, len(params)) * len(part) ** 2 for part, params in jobs]  # each > 0
+    return [r for results in pool.map_groups(solve, jobs, costs) for r in results]
 
 
-def _solve_run(run, jobs):
-    """One sub-batch of solve_jobs, (part, job indices) pairs -> [(job
-    index, result)]. The distance memo is dropped when `_solve` returns,
-    its folds on return."""
+def _solve_run(run):
+    """One sub-batch of solve_jobs -> one list of results per job. A part's
+    scaled test rows, and their distances to all its training rows up to
+    _DENSE_BYTES, serve all its fits. The memo is freed when `_solve` returns."""
     folds = [_Fold(part.X, part.y, part.rows) for part, _ in run]
-    problems = [(fold, jobs[i].params) for fold, (_, idx) in zip(folds, run) for i in idx]
+    problems = [(fold, p) for fold, (_, params) in zip(folds, run) for p in params]
     solutions = iter(_solve(problems))
     out = []
-    for fold, (_, idx) in zip(folds, run):
-        P, tests = fold.padded(), {}
-        out += [(i, _result(jobs[i], fold, P, tests, *next(solutions))) for i in idx]
+    for fold, (part, params) in zip(folds, run):
+        P, T, block = fold.padded(), None, None
+        if part.test is not None:
+            M, rows = part.test
+            T = _min_max(M if rows is None else M[rows], fold.lo, fold.hi)
+            if len(T) * len(fold) * 8 <= _DENSE_BYTES:
+                block = _sq_dists(T, P, n=len(fold))
+        out.append([_result(p, fold, P, T, block, *next(solutions)) for p in params])
     return out
 
 
 def solve_plans(plans):
     """Run plans in lockstep -> the value each plan returns.
 
-    A plan is a generator that yields lists of Jobs and is sent back their
-    results. The jobs that the live plans yield in one round are one phase,
-    solved by one `solve_jobs` call.
+    A plan is a generator that yields lists of jobs, (Part, [SvmParams,
+    ...]) pairs, and is sent back their result lists. The jobs that the
+    live plans yield in one round are one phase, solved by one `solve_jobs`
+    call.
     """
     plans = list(plans)
     out, sent, live = [None] * len(plans), [None] * len(plans), range(len(plans))
@@ -625,24 +600,24 @@ def solve_plans(plans):
     return out
 
 
-def svm_fit(X, y, params, descriptor_id=None):
+def svm_fit(X, y, params):
     """Train a two-class SVM.
 
     X is a FeatureMatrix or a plain (n, d) array; y holds -1/+1 labels with
-    both classes present. The model is named descriptor_id, or X's
-    descriptor_id if None. The result is deterministic in (data, params)
-    regardless of row order. A solve that stops at the iteration cap before
-    converging warns with RuntimeWarning.
+    both classes present. The model takes X's descriptor_id (a
+    FeatureMatrix's), else "". The result is deterministic in (data,
+    params) regardless of row order. A solve that stops at the iteration cap
+    before converging warns with RuntimeWarning.
     """
-    if descriptor_id is None:
-        descriptor_id = getattr(X, "descriptor_id", "")
     part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return replace(solve_jobs([Job(part, params)])[0], descriptor_id=descriptor_id)
+    ((model,),) = solve_jobs([(part, [params])])
+    return replace(model, descriptor_id=getattr(X, "descriptor_id", ""))
 
 
 def cv_jobs(part, folds, grid):
     """The jobs of cv_scores on a Part whose rows `folds` splits, one fold per
-    row: for each fold, its held-out rows scored under every grid point."""
+    row: one per fold, its training rows with its held-out rows to score,
+    fitted at every grid point."""
     if folds.assignments.shape != (len(part),):
         raise DataError(f"fold plan covers {len(folds.assignments)} rows, part has {len(part)}")
     jobs = []
@@ -650,19 +625,16 @@ def cv_jobs(part, folds, grid):
         train, test = folds.split(f)
         if part.rows is not None:
             train, test = part.rows[train], part.rows[test]
-        inner, held_out = Part(part.X, part.y, train), (part.X, test)
-        jobs += [Job(inner, params, held_out) for params in grid]
+        jobs.append((Part(part.X, part.y, train, (part.X, test)), grid))
     return jobs
 
 
 def cv_table(results, folds, grid):
-    """cv_scores' (len(grid), n) table from the results of cv_jobs."""
-    results = iter(results)
+    """cv_scores' (len(grid), n) table from the result lists of cv_jobs,
+    one list per fold."""
     scores = np.empty((len(grid), len(folds.assignments)))
-    for f in range(folds.k):
-        test = folds.split(f)[1]
-        for g in range(len(grid)):
-            scores[g, test] = next(results)
+    for f, fold_scores in enumerate(results):
+        scores[:, folds.split(f)[1]] = fold_scores
     return scores
 
 

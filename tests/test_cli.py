@@ -311,6 +311,20 @@ def test_exit_code_partial_failure(workspace, tmp_path, capsys):
     pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--noise", "motion",
                   "--lengths", "1,4"],
                  "motion length 4 must be odd", id="sweep-last-length"),
+    # a level the chosen kind would ignore: the patterns would be clean under a noisy name
+    pytest.param(["prepare", "--variance", "0.05"],
+                 "--variance does not apply to --noise none", id="prepare-clean-variance"),
+    pytest.param(["prepare", "--length", "7"],
+                 "--length does not apply to --noise none", id="prepare-clean-length"),
+    pytest.param(["prepare", "--noise", "gaussian", "--variance", "0.05", "--length", "7"],
+                 "--length does not apply to --noise gaussian", id="prepare-gaussian-length"),
+    pytest.param(["prepare", "--noise", "motion", "--variance", "0.05"],
+                 "--variance does not apply to --noise motion", id="prepare-motion-variance"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--lengths", "1,7"],
+                 "--lengths does not apply to --noise gaussian", id="sweep-gaussian-lengths"),
+    pytest.param(["noise-sweep", "--descriptor", "lbpu2", "--noise", "motion",
+                  "--variances", "0,0.05"],
+                 "--variances does not apply to --noise motion", id="sweep-motion-variances"),
 ])
 def test_bad_noise_level_exits_2_before_any_row(workspace, tmp_path, capsys, monkeypatch,
                                                 argv, message):

@@ -36,3 +36,50 @@ def test_unused_import_check_sees_a_name_left_behind():
     source = ("import os\nfrom .features import FeatureMatrix, export_csv\n"
               "from .svm import svm_fit  # noqa: F401\nFeatureMatrix(os.sep)\n")
     assert _unused_imports(source) == [(2, "export_csv")]
+
+
+def _stranded_private_names(sources):
+    """Module-level private functions, classes and constants of sources
+    ({module: source}) that no source reads, as a Name load or an
+    attribute -> [(module, name)]."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    stranded = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            stranded += [(module, name) for name in names
+                         if name.startswith("_") and not name.startswith("__") and name not in read]
+    return stranded
+
+
+def test_every_private_name_is_read_somewhere_in_the_package():
+    package = Path(facestack.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert _stranded_private_names(sources) == []
+
+
+def test_stranded_name_check_sees_a_helper_left_behind():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_KEPT: int = 4\n__all__ = []\n"
+                 "def _used(x):\n    return x < _LIMIT\n"
+                 "def _check_jobs(jobs):\n    pass\n"
+                 "class _Fold:\n    def scaled(self):\n        return _used(1)\n"),
+        "b.py": "from .a import _Fold\nimport a\na._KEPT\n",
+    }
+    assert _stranded_private_names(sources) == [("a.py", "_check_jobs")]

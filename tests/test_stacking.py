@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,9 +199,9 @@ def _stack_fit_by_refits(views, y, folds, specs):
         for f in range(folds.k):
             train, test = folds.split(f)
             oof[test, si] = svm_fit(X[train], y[train], p).decision_function(X[test])
-    first = [svm_fit(X, y, p, descriptor_id=spec.descriptor)
+    first = [replace(svm_fit(X, y, p), descriptor_id=spec.descriptor)
              for spec, X, p in zip(specs, views, plist)]
-    meta = svm_fit(oof, y, grid_search(oof, y, folds), descriptor_id="scores")
+    meta = replace(svm_fit(oof, y, grid_search(oof, y, folds)), descriptor_id="scores")
     return StackedModel(tuple(zip(specs, first)), meta, tuple(s.id for s in specs))
 
 

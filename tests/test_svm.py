@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from facestack import (
 )
 from facestack.dataset import FoldPlan
 from facestack.records import pack_str
-from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Job, Part, _Fold, _Gather, _scale_fit,
+from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Part, _Fold, _Gather, _scale_fit,
                            _sq_dists, cv_scores, read_model, solve_jobs, write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
@@ -253,13 +254,18 @@ def _mixed_fits():
 
 
 def _jobs(fits):
-    """The model Jobs of svm_fit argument tuples (X, y, params)."""
-    return [Job(Part(X, y), params) for X, y, params in fits]
+    """The model jobs of svm_fit argument tuples (X, y, params)."""
+    return [(Part(X, y), [params]) for X, y, params in fits]
+
+
+def _solve(jobs):
+    """solve_jobs' results, its result lists flattened."""
+    return [result for results in solve_jobs(jobs) for result in results]
 
 
 def test_fit_many_equals_one_fit_each():
     fits = _mixed_fits()
-    for got, fit in zip(solve_jobs(_jobs(fits)), fits):
+    for got, fit in zip(_solve(_jobs(fits)), fits):
         want = svm_fit(*fit)
         for name in ("support_vectors", "dual_coefs", "feature_min", "feature_max"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -269,7 +275,7 @@ def test_fit_many_equals_one_fit_each():
 
 def test_padded_batch_meets_kkt():
     fits = _mixed_fits()
-    for model, (X, y, params) in zip(solve_jobs(_jobs(fits)), fits):
+    for model, (X, y, params) in zip(_solve(_jobs(fits)), fits):
         _, _, Xs = _scale_fit(np.asarray(X, dtype=np.float64))
         alpha = _alphas_by_row(model, Xs)
         bad = oracles.kkt_violations(alpha, y, model.decision_function(X), params.C, 1e-3)
@@ -278,7 +284,7 @@ def test_padded_batch_meets_kkt():
 
 def _memo_rows(fold, idx):
     """The memo's definition: row i is _sq_dists(X[i:i+1], X)[0] with entry i exactly 0."""
-    X = fold.scaled()
+    X = fold.padded()[: len(fold)]
     want = np.array([_sq_dists(X[i : i + 1], X)[0] for i in idx])
     want[np.arange(len(idx)), idx] = 0.0
     return want
@@ -320,18 +326,18 @@ def _assert_same_models(got, want):
 def test_dense_and_lru_folds_give_the_same_models(monkeypatch):
     def jobs():
         jobs = _jobs(_mixed_fits())  # n = 24, 64, 40, 50, 34
-        shared = jobs[2].part  # two more problems on one fold
-        return jobs + [Job(shared, SvmParams(C=2.0, gamma=0.3)),
-                       Job(shared, SvmParams(C=0.5, gamma=1.5))]
+        jobs[2][1].extend([SvmParams(C=2.0, gamma=0.3),  # two more problems on one fold
+                           SvmParams(C=0.5, gamma=1.5)])
+        return jobs
 
-    want = solve_jobs(jobs())  # every fold dense
+    want = _solve(jobs())  # every fold dense
     # LRU folds cache 25 of 64 and 32 of 50 rows, then one row: evicts rows along the way
     for dense_bytes, dense in [(40 * 40 * 8, [True, False, True, False, True]),
                                (0, [False] * 5)]:
         monkeypatch.setattr(svm_module, "_DENSE_BYTES", dense_bytes)
         batch = jobs()
-        assert [svm_module._dense(len(job.part)) for job in batch[:5]] == dense
-        _assert_same_models(solve_jobs(batch), want)
+        assert [svm_module._dense(len(part)) for part, _ in batch] == dense
+        _assert_same_models(_solve(batch), want)
 
 
 def test_jobs_on_one_part_share_one_fold(monkeypatch):
@@ -350,8 +356,8 @@ def test_jobs_on_one_part_share_one_fold(monkeypatch):
     fits = _mixed_fits()  # n = 24, 64, 40, 50, 34
     parts = [Part(X, y) for X, y, _ in fits] + [Part(fits[1][0], fits[1][1], np.arange(40))]
     grid = [SvmParams(C=C, gamma=g) for C in (0.5, 2.0) for g in (0.3, 1.5)]
-    jobs = [Job(part, params) for params in grid for part in parts]
-    assert len(solve_jobs(jobs)) == len(grid) * len(parts)
+    assert [len(results) for results in solve_jobs([(part, grid) for part in parts])] == (
+        [len(grid)] * len(parts))
     assert built == [(id(p.X), None if p.rows is None else tuple(p.rows), dense)
                      for p, dense in zip(parts, [True, False, True, False, True, True])]
 
@@ -382,7 +388,7 @@ def test_canonical_order_is_the_full_lexsort(case):
     _, _, Xs = _scale_fit(X)
     full = np.lexsort(np.vstack([y[None, :], Xs.T[::-1]]))
     fold = _Fold(X, y)
-    assert np.array_equal(fold.scaled(), Xs[full])
+    assert np.array_equal(fold.padded()[: len(fold)], Xs[full])
     assert np.array_equal(fold.y, y[full])
 
 
@@ -400,7 +406,7 @@ def test_feature_matrix_carries_descriptor_id(tmp_path):
         write_model(buf, model)
         return buf.getvalue()
 
-    assert model_bytes(m) == model_bytes(svm_fit(A, y, m.params, descriptor_id="hog"))
+    assert model_bytes(m) == model_bytes(replace(svm_fit(A, y, m.params), descriptor_id="hog"))
     grid = default_grid()[:4]
     assert oracles.same_bits(cv_scores(fm, y, folds, grid), cv_scores(A, y, folds, grid))
     specs = [FirstStageSpec("C1", "F", "hog"), FirstStageSpec("C3", "F", "lbpu2")]
@@ -432,7 +438,7 @@ def test_errors():
 
 def test_model_roundtrip(tmp_path):
     X, y = _blobs(15, gap=1.0, seed=12)
-    m = svm_fit(X, y, SvmParams(C=2.0, gamma=0.095), descriptor_id="lbpu2")
+    m = replace(svm_fit(X, y, SvmParams(C=2.0, gamma=0.095)), descriptor_id="lbpu2")
     p = tmp_path / "model.bin"
     save_model(p, m)
     back = load_model(p)
@@ -583,7 +589,7 @@ def test_fold_distances_give_the_direct_kernel(n, d):
     rng = np.random.default_rng(n + d)
     fold = _Fold(rng.random((n, d)), np.where(np.arange(n) % 2, 1.0, -1.0))
     gather = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))])
-    X = fold.scaled()
+    X = fold.padded()[: len(fold)]
     for gamma in GRID_GAMMA:
         for i in (0, n // 2, n - 1):
             want = np.exp(-gamma * _sq_dists(X[i : i + 1], X))
@@ -640,7 +646,7 @@ def test_dense_fold_block_equals_its_lru_and_direct_rows(monkeypatch, d):
     lru = _Gather([(fold, SvmParams(C=1.0, gamma=0.1))]).d2_rows(0, rows)
     assert np.array_equal(dense, lru)
     assert np.array_equal(dense, _memo_rows(fold, rows))
-    Xs = fold.scaled()
+    Xs = fold.padded()[: len(fold)]
     full = _sq_dists(Xs, Xs)  # every pair computed, none mirrored
     np.fill_diagonal(full, 0.0)
     assert np.array_equal(dense, full)
@@ -792,7 +798,7 @@ def test_lru_parts_do_not_depend_on_the_worker_count(monkeypatch, forks, assert_
     models = []
     for cores in (1, 2):
         monkeypatch.setattr(pool, "_cores", lambda: cores)
-        models.append(solve_jobs(jobs))
+        models.append(_solve(jobs))
     assert forks
     _assert_same_models(*models)
     assert_reaped()
@@ -803,21 +809,28 @@ def test_empty_and_one_part_phases_do_not_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert solve_jobs([]) == []
     part = Part(*_blobs(10))
-    assert len(solve_jobs([Job(part, SvmParams(C=1.0, gamma=g)) for g in (0.1, 0.5)])) == 2
+    assert len(_solve([(part, [SvmParams(C=1.0, gamma=g) for g in (0.1, 0.5)])])) == 2
+
+
+def test_a_job_with_no_params_has_no_results():
+    part = Part(*_blobs(10))
+    assert solve_jobs([(part, [])]) == [[]]
+    jobs = [(part, []), (part, [SvmParams(C=1.0, gamma=0.5)])]
+    assert [len(results) for results in solve_jobs(jobs)] == [0, 1]
 
 
 def test_without_fork_or_affinity_a_phase_runs_in_process(monkeypatch):
-    want = solve_jobs(_jobs(_mixed_fits()))
+    want = _solve(_jobs(_mixed_fits()))
     monkeypatch.delattr(os, "fork")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert pool._cores() == 1
-    _assert_same_models(solve_jobs(_jobs(_mixed_fits())), want)
+    _assert_same_models(_solve(_jobs(_mixed_fits())), want)
 
 
 @pytest.mark.parametrize("error", [DataError, ConfigurationError, ZeroDivisionError])
 def test_a_worker_error_is_raised_in_the_caller(monkeypatch, forks, error, assert_reaped):
     jobs = _jobs(_mixed_fits())  # n = 24 in the caller's group, the rest in a worker's
-    last, real = jobs[-1].part.X, svm_module._Fold
+    last, real = jobs[-1][0].X, svm_module._Fold
 
     def fold(X, y, rows=None):
         if X is last:
@@ -874,7 +887,7 @@ def test_a_result_that_cannot_be_pickled_fails_in_the_caller(monkeypatch, forks,
 
     def run(*args):
         out = real(*args)
-        return out if os.getpid() == caller else [(i, lambda: None) for i, _ in out]
+        return out if os.getpid() == caller else [[lambda: None] for _ in out]
 
     monkeypatch.setattr(svm_module, "_solve_run", run)
     monkeypatch.setattr(pool, "_cores", lambda: 2)
@@ -905,8 +918,8 @@ def test_a_worker_warning_meets_the_callers_filters(monkeypatch, forks, assert_r
     monkeypatch.setattr(pool, "_cores", lambda: 2)
     params = SvmParams(C=1.0, gamma=0.5)
     two_rows = Part(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]))  # solved in one step
-    solve_jobs([Job(two_rows, params)])
-    jobs = [Job(two_rows, params), Job(Part(*_blobs(30, gap=0.8, seed=3)), params)]
+    solve_jobs([(two_rows, [params])])
+    jobs = [(two_rows, [params]), (Part(*_blobs(30, gap=0.8, seed=3)), [params])]
     with pytest.raises(RuntimeWarning, match="1-iteration cap"):
         solve_jobs(jobs)
     assert forks
@@ -997,7 +1010,7 @@ def test_checked_problem_that_runs_on_keeps_its_bits(monkeypatch):
     monkeypatch.setattr(_Gather, "__call__", lambda self, rows: real_call(self, rows) * (1 + 1e-3))
     monkeypatch.setattr(_Gather, "d2_rows", spy)
     fits = _mixed_fits()
-    batched = solve_jobs(_jobs(fits))
+    batched = _solve(_jobs(fits))
     assert len(checks) > len(fits)  # one check ends each problem; the others ran on
     _assert_same_models(batched, [svm_fit(*fit) for fit in fits])
 
