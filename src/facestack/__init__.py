@@ -21,9 +21,8 @@ from .dataset import (ADULT_GROUPS, AGE_GROUPS, DAGO_MIN_EYE_DISTANCE,
                       dago_mask, load_folds, load_manifest, make_folds,
                       save_folds, save_manifest)
 from .features import FeatureMatrix, load_features, save_features
-from .descriptors import (DESCRIPTOR_IDS, GridSpec, NEIGHBOR_OFFSETS,
-                          U2_TABLE, extract_descriptor, grid_histogram, hog,
-                          lbp_code_map, losib, lsp_code_map, nilbp_code_map)
+from .descriptors import (DESCRIPTOR_IDS, NEIGHBOR_OFFSETS, U2_TABLE, extract_descriptor,
+                          grid_histogram, hog, lbp_code_map, losib, lsp_code_map, nilbp_code_map)
 from .pca import PcaModel, pca_fit
 from .svm import (ScoreMatrix, SvmModel, SvmParams, cv_scores, default_grid,
                   grid_search, load_model, load_scores, save_model,

@@ -96,9 +96,18 @@ def _write_run(out_dir, ns, started, results=None, failures=None):
         fh.write("\n")
 
 
+def _unless(ns, flag, **defaults):
+    """The flags in defaults, each its default unless given; any given with --flag is an error."""
+    given = {name: getattr(ns, name) for name in defaults if getattr(ns, name) is not None}
+    if getattr(ns, flag) and given:
+        raise ConfigurationError(f"--{next(iter(given))} does not apply with --{flag}")
+    return {**defaults, **given}
+
+
 def _svm_params(ns):
     """The SvmParams of --C and --gamma, or None under --grid."""
-    return None if ns.grid else SvmParams(C=ns.C, gamma=ns.gamma)
+    values = _unless(ns, "grid", C=DEFAULT_STAGE_PARAMS.C, gamma=DEFAULT_STAGE_PARAMS.gamma)
+    return None if ns.grid else SvmParams(**values)
 
 
 _STAGE_RE = re.compile(r":pca(\d+)$")
@@ -162,9 +171,9 @@ def _load_stages(texts, sides):
     return out
 
 
-def _fold_plan(path, manifest, k, seed, grouping="by_sample"):
+def _fold_plan(path, manifest, seed, k=5, grouping="by_sample"):
     """The fold plan at path (--folds), which must cover the manifest's rows,
-    or without one a k-fold plan of the manifest made from seed."""
+    or without one the k-fold plan of the manifest `folds` makes from seed."""
     if not path:
         return make_folds(manifest, k, derive_seed(seed, 77), grouping)
     plan = load_folds(path)
@@ -206,7 +215,7 @@ def cmd_synth(ns):
 
 def cmd_folds(ns):
     manifest = load_manifest(ns.manifest, check_files=False)
-    plan = _fold_plan(None, manifest, ns.k, ns.seed, ns.grouping)
+    plan = _fold_plan(None, manifest, ns.seed, ns.k, ns.grouping)
     save_folds(plan, ns.out)
     sizes = [int(np.sum(plan.assignments == f)) for f in range(plan.k)]
     print(f"folds: wrote {plan.k}-fold plan ({ns.grouping}) to {ns.out}; sizes {sizes}")
@@ -280,11 +289,11 @@ def cmd_extract(ns):
 
 
 def cmd_train(ns):
+    params = _svm_params(ns)
     manifest = load_manifest(ns.manifest, check_files=False)
     fm = _features(ns.features, manifest)
     labels = manifest.labels()
-    plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
-    params = _svm_params(ns)
+    plan = _fold_plan(ns.folds, manifest, ns.seed)
     if params is None:
         params = grid_search(fm.data, labels, plan)
     model = svm_fit(fm, labels, params)
@@ -297,21 +306,22 @@ def cmd_train(ns):
 
 
 def cmd_stack(ns):
+    params = _svm_params(ns)
     manifest = load_manifest(ns.manifest, check_files=False)
     (stages,) = _load_stages(ns.stage, [(manifest, slice(None))])
     if any(stage.pca_components for stage in stages):
         raise ConfigurationError("PCA stage suffixes are only supported by eval")
-    plan = _fold_plan(ns.folds, manifest, ns.kfolds, ns.seed)
+    plan = _fold_plan(ns.folds, manifest, ns.seed)
     external = None
     if ns.external:  # joined to the manifest's rows here, so that a missing row names the file
         scores = load_scores(ns.external)
         try:
-            external = ScoreMatrix(_join_external(range(len(manifest)), scores), scores.column_ids)
+            external = ScoreMatrix(_join_external(len(manifest), scores), scores.column_ids)
         except DataError as exc:
             raise DataError(f"{ns.external}: {exc}") from None
     model = stack_fit([stage.features for stage in stages], manifest.labels(), plan,
                       [stage.spec for stage in stages], external_scores=external,
-                      params=_svm_params(ns))
+                      params=params)
     save_stacked(ns.out, model)
     print(f"stack: {len(stages)} first-stage columns "
           f"{'+ external ' if external else ''}-> {ns.out}")
@@ -348,20 +358,21 @@ def _write_eval(ns, report, samples, scores, **extra):
 
 
 def cmd_eval_kfold(ns):
+    params = _svm_params(ns)
+    folds = _unless(ns, "folds", k=5, grouping="by_sample")
+    if ns.folds and ns.protocol != "none":
+        raise ConfigurationError(
+            "--folds plans index the unfiltered manifest; with a protocol "
+            "preset, let eval build folds on the filtered rows")
     manifest = load_manifest(ns.manifest, check_files=False)
     idx = _protocol_indices(manifest, ns.protocol)
     sub = manifest.subset(idx)
 
     (stages,) = _load_stages(ns.stage, [(manifest, idx)])
-    if ns.folds and ns.protocol != "none":
-        raise ConfigurationError(
-            "--folds plans index the unfiltered manifest; with a protocol "
-            "preset, let eval build folds on the filtered rows")
-    plan = _fold_plan(ns.folds, sub, ns.k, ns.seed, ns.grouping)
+    plan = _fold_plan(ns.folds, sub, ns.seed, **folds)
     means = _mean_patterns(sub.samples, idx, ns.patterns) if ns.patterns else {}
 
-    report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed,
-                               params=_svm_params(ns))
+    report, scores = run_kfold(stages, sub.labels(), folds=plan, seed=ns.seed, params=params)
     doc = _write_eval(ns, report, sub.samples, scores, mode="kfold",
                       dataset=_dataset_name(ns.manifest))
     for name, image in means.items():
@@ -374,6 +385,7 @@ def cmd_eval_kfold(ns):
 
 
 def cmd_eval_crossdb(ns):
+    params = _svm_params(ns)
     train_man = load_manifest(ns.train_manifest, check_files=False)
     test_man = load_manifest(ns.test_manifest, check_files=False)
     tr_idx = _protocol_indices(train_man, ns.protocol)
@@ -389,7 +401,7 @@ def cmd_eval_crossdb(ns):
     train_stages, test_stages = _load_stages(ns.stage, [(train_man, tr_idx), (test_man, te_idx)])
 
     report, scores = run_crossdb(train_stages, test_stages, tr_sub.labels(), te_sub.labels(),
-                                 seed=ns.seed, params=_svm_params(ns))
+                                 seed=ns.seed, params=params)
     train_name, test_name = _dataset_name(ns.train_manifest), _dataset_name(ns.test_manifest)
     doc = _write_eval(ns, report, te_sub.samples, scores, mode="crossdb",
                       train_dataset=train_name, test_dataset=test_name)
@@ -413,11 +425,12 @@ def _sweep_levels(ns):
 
 
 def cmd_noise_sweep(ns):
+    params = _svm_params(ns)
     levels = _sweep_levels(ns)
     manifest = load_manifest(ns.manifest)
     labels = manifest.labels()
     images = [load_gray(s.image_path) for s in manifest.samples]
-    plan = _fold_plan(None, manifest, ns.k, ns.seed)
+    plan = _fold_plan(None, manifest, ns.seed, ns.k)
     spec = FirstStageSpec("sweep", "custom", ns.descriptor)
 
     rows = []
@@ -425,7 +438,7 @@ def cmd_noise_sweep(ns):
         feats = _extract_rows(range(len(images)), lambda row: _pattern(
             ns, level, row, images[row], manifest.samples[row]), ns.descriptor)
         report, _ = run_kfold([StageData(spec, feats)], labels, folds=plan,
-                              seed=ns.seed, params=_svm_params(ns))
+                              seed=ns.seed, params=params)
         rows.append((level, report.accuracy))
         print(f"noise-sweep: {ns.noise}={level} accuracy={report.accuracy:.4f}")
 
@@ -441,9 +454,9 @@ def cmd_noise_sweep(ns):
 
 def _add_svm_flags(p):
     p.add_argument("--grid", action="store_true",
-                   help="grid-search C/gamma instead of using --C/--gamma")
-    p.add_argument("--C", type=float, default=DEFAULT_STAGE_PARAMS.C)
-    p.add_argument("--gamma", type=float, default=DEFAULT_STAGE_PARAMS.gamma)
+                   help="grid-search C/gamma; excludes --C and --gamma")
+    p.add_argument("--C", type=float, help=f"default {DEFAULT_STAGE_PARAMS.C}")
+    p.add_argument("--gamma", type=float, help=f"default {DEFAULT_STAGE_PARAMS.gamma}")
 
 
 def build_parser():
@@ -481,27 +494,25 @@ def build_parser():
     p = sub.add_parser("train", help="train one SVM on a feature matrix")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="manifest aligned with the feature rows")
-    p.add_argument("--folds", default=None, help="fold plan CSV for the grid search")
-    p.add_argument("--kfolds", type=int, default=5, help="folds to build when --folds absent")
+    p.add_argument("--folds", default=None, help="fold plan CSV (default: `folds --seed`'s)")
     _add_svm_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
         "stack", help="train the two-stage stacked model",
-        description="Train the two-stage stacked model. --C/--gamma set every SVM: "
-                    "each first stage and the meta SVM. With --grid, each first "
-                    "stage is grid-searched on the fold plan (--folds or --kfolds), "
-                    "and the search's held-out scores for the winning C/gamma are "
-                    "its out-of-fold meta features, so each meta feature's held-out "
-                    "fold took part in the choice; the meta SVM's C/gamma is then "
-                    "picked on that plan too. `eval kfold --grid` searches inside "
-                    "each outer training fold.")
+        description="Train the two-stage stacked model on two or more score columns (stages "
+                    "and external columns; one is a `train` SVM). --C/--gamma set every SVM: "
+                    "each first stage and the meta SVM. With --grid, each first stage is "
+                    "grid-searched on the fold plan (--folds, else the one `folds --seed` "
+                    "writes), and the search's held-out scores for the winning C/gamma are "
+                    "its out-of-fold meta features, so each meta feature's held-out fold "
+                    "took part in the choice; the meta SVM's C/gamma is then picked on that "
+                    "plan too. `eval kfold --grid` searches inside each outer training fold.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stage", action="append", default=[],
                    help="ID=FEATURES.fsfm, repeatable (C1..C5 or custom ids)")
     p.add_argument("--external", default=None, help="external score CSV joined by row_index")
     p.add_argument("--folds", default=None)
-    p.add_argument("--kfolds", type=int, default=5)
     _add_svm_flags(p)
     p.set_defaults(func=cmd_stack)
 
@@ -512,9 +523,9 @@ def build_parser():
     pk.add_argument("--manifest", required=True, help="original (unprepared) manifest")
     pk.add_argument("--stage", action="append", default=[], required=False,
                     help="ID=FEATURES.fsfm[:pcaN], repeatable")
-    pk.add_argument("--k", type=int, default=5)
-    pk.add_argument("--folds", default=None, help="fold plan CSV (protocol none only)")
-    pk.add_argument("--grouping", choices=("by_sample", "by_identity"), default="by_sample")
+    pk.add_argument("--k", type=int, help="default 5")
+    pk.add_argument("--folds", help="fold plan CSV (protocol none only); excludes --k, --grouping")
+    pk.add_argument("--grouping", choices=("by_sample", "by_identity"), help="default by_sample")
     pk.add_argument("--protocol", choices=PROTOCOLS, default="none")
     pk.add_argument("--patterns", default=None,
                     help="prepared pattern dir for mean-pattern images")

@@ -1,4 +1,6 @@
-"""Grid-histogram texture descriptors (LBP family, LOSIB) and HOG.
+"""Grid-histogram texture descriptors (LBP family, LOSIB) and HOG, each on
+one fixed (rows, cols) cell grid, so of one width: a pattern smaller than
+its grid is a ConfigurationError.
 
 Every 8-neighbourhood coder uses the same bit order: neighbours are visited
 clockwise from the top-left pixel and fill the code MSB-first, so the
@@ -24,7 +26,7 @@ the temporaries of one call; neither cut changes the bytes.
 
 Cell sums use one weighted `np.bincount` over `image*cells*bins + bin`
 indices, the cell of each pixel read from one cached map per pattern size
-and grid (`_cell_map`, which alone rejects a grid larger than the region).
+and grid (`_cell_map`, which rejects a grid larger than the region).
 It adds each bin's votes one by one in input order, the order of the
 `np.add.at` it replaced, so the sums are bit-identical. HOG therefore
 bincounts its k0 votes and then its k1 votes in one call, laid out in that
@@ -44,7 +46,6 @@ of the pairs.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,20 +60,10 @@ LSP_BINS = 57  # 8 max positions x 7 min positions + flat bin
 U2_BINS = 59   # 58 uniform codes + 1 shared non-uniform bin
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigurationError("grid must have positive dimensions")
-
-
-HOG_GRID = GridSpec(8, 8)
+HOG_GRID = (8, 8)
 HOG_BINS = 9
-CODER_GRID = GridSpec(5, 5)
-LOSIB_GRID = GridSpec(8, 8)
+CODER_GRID = (5, 5)
+LOSIB_GRID = (8, 8)
 
 
 def _require_patterns(patterns):
@@ -167,23 +158,24 @@ def _cell_index(n, parts):
 @functools.lru_cache(maxsize=8)
 def _cell_map(h, w, grid):
     """Row-major grid cell of every pixel of an h x w image, read-only (h, w)."""
-    if h < grid.rows or w < grid.cols:
-        raise ConfigurationError(f"{w}x{h} pixels too small for a {grid.cols}x{grid.rows} grid")
-    cell = _cell_index(h, grid.rows)[:, None] * grid.cols + _cell_index(w, grid.cols)[None, :]
+    rows, cols = grid
+    if h < rows or w < cols:
+        raise ConfigurationError(f"{w}x{h} pixels too small for a {cols}x{rows} grid")
+    cell = _cell_index(h, rows)[:, None] * cols + _cell_index(w, cols)[None, :]
     cell.flags.writeable = False
     return cell
 
 
 def _cell_ids(n, h, w, grid):
     """Bincount slot image*cells + cell of every pixel of n h x w images, shape (n, h, w)."""
-    return np.arange(n)[:, None, None] * (grid.rows * grid.cols) + _cell_map(h, w, grid)
+    return np.arange(n)[:, None, None] * (grid[0] * grid[1]) + _cell_map(h, w, grid)
 
 
-def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
+def grid_histogram(img, code_map_fn, n_bins):
     """Concatenated per-cell histograms of a neighbourhood coder.
 
-    The interior pixel region (all 8 neighbours in bounds) splits into
-    grid.rows x grid.cols near-equal cells; each cell histogram is L1
+    The interior pixel region (all 8 neighbours in bounds) splits into the
+    5 x 5 near-equal cells of CODER_GRID; each cell histogram is L1
     normalized (an empty cell stays all-zero) and cells concatenate
     row-major. One row per pattern of a stack.
     """
@@ -192,8 +184,8 @@ def grid_histogram(img, code_map_fn, n_bins, grid=CODER_GRID):
     h, w = codes.shape[-2:]
     codes = codes.reshape(-1, h, w)
     n = len(codes)
-    flat = _cell_ids(n, h, w, grid) * n_bins + codes
-    hist = np.bincount(flat.ravel(), minlength=n * grid.rows * grid.cols * n_bins)
+    flat = _cell_ids(n, h, w, CODER_GRID) * n_bins + codes
+    hist = np.bincount(flat.ravel(), minlength=n * CODER_GRID[0] * CODER_GRID[1] * n_bins)
     hist = hist.reshape(n, -1, n_bins).astype(np.float64)
     sums = hist.sum(axis=2, keepdims=True)
     np.divide(hist, sums, out=hist, where=sums > 0)
@@ -257,67 +249,63 @@ def _central_diff(img, axis):
     return grad
 
 
-def hog(img, grid=HOG_GRID):
-    """Histogram of oriented gradients over a fixed cell grid.
+def hog(img):
+    """Histogram of oriented gradients over the 8 x 8 cells of HOG_GRID.
 
     Central-difference gradients with replicated borders; unsigned
     orientation on [0, 180) with magnitude votes split linearly between the
     two nearest of HOG_BINS bins; per-cell histograms are divided by the L2
     norm of each 2x2 cell block containing the cell (1e-6 under the root)
-    and the normalized copies averaged. Output length rows*cols*HOG_BINS,
+    and the normalized copies averaged. Output length 8*8*HOG_BINS = 576,
     one row per pattern of a stack.
     """
     img = _require_patterns(img)
     h, w = img.shape[-2:]
-    if h < 2 or w < 2:
+    if h < 2 or w < 2:  # no gradients; larger patterns below the grid fail at `_cell_map`
         raise ConfigurationError("image too small for gradients")
+    rows, cols = HOG_GRID
     p = img.reshape(-1, h, w)
     n = len(p)
     bins, votes = _hog_votes(_central_diff(p, 2), _central_diff(p, 1))
 
     # every k0 vote, then every k1 vote, in one call: each bin's sum then
     # adds its votes in the order np.add.at did
-    slots = _cell_ids(n, h, w, grid)
+    slots = _cell_ids(n, h, w, HOG_GRID)
     slots *= HOG_BINS
     bins += slots
-    hist = np.bincount(bins.ravel(), votes.ravel(), minlength=n * grid.rows * grid.cols * HOG_BINS)
-    hist = hist.reshape(n, grid.rows, grid.cols, HOG_BINS)
+    hist = np.bincount(bins.ravel(), votes.ravel(), minlength=n * rows * cols * HOG_BINS)
+    hist = hist.reshape(n, rows, cols, HOG_BINS)
 
-    eps = 1e-6
-    if grid.rows >= 2 and grid.cols >= 2:
-        sq = (hist * hist).sum(axis=3)
-        block_ss = sq[:, :-1, :-1] + sq[:, 1:, :-1] + sq[:, :-1, 1:] + sq[:, 1:, 1:]
-        norms = np.sqrt(block_ss + eps)[..., None]
-        out = np.zeros_like(hist)
-        counts = np.zeros((grid.rows, grid.cols, 1), dtype=np.float64)
-        # block (bi, bj) covers cells (bi..bi+1, bj..bj+1); a cell adds its
-        # blocks in row-major block order: (r-1, c-1), (r-1, c), (r, c-1), (r, c)
-        for dr, dc in ((1, 1), (1, 0), (0, 1), (0, 0)):
-            cells = (slice(dr, grid.rows - 1 + dr), slice(dc, grid.cols - 1 + dc))
-            out[:, cells[0], cells[1]] += hist[:, cells[0], cells[1]] / norms
-            counts[cells] += 1.0
-        out /= counts
-    else:
-        norms = np.sqrt((hist * hist).sum(axis=3) + eps)
-        out = hist / norms[..., None]
+    sq = (hist * hist).sum(axis=3)
+    block_ss = sq[:, :-1, :-1] + sq[:, 1:, :-1] + sq[:, :-1, 1:] + sq[:, 1:, 1:]
+    norms = np.sqrt(block_ss + 1e-6)[..., None]
+    out = np.zeros_like(hist)
+    counts = np.zeros((rows, cols, 1), dtype=np.float64)
+    # block (bi, bj) covers cells (bi..bi+1, bj..bj+1); a cell adds its
+    # blocks in row-major block order: (r-1, c-1), (r-1, c), (r, c-1), (r, c)
+    for dr, dc in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        cells = (slice(dr, rows - 1 + dr), slice(dc, cols - 1 + dc))
+        out[:, cells[0], cells[1]] += hist[:, cells[0], cells[1]] / norms
+        counts[cells] += 1.0
+    out /= counts
     return out.reshape(img.shape[:-2] + (-1,))
 
 
-def losib(img, grid=LOSIB_GRID):
+def losib(img):
     """Per-orientation mean absolute gray difference, gridded.
 
     For each of the 8 radius-1 orientations (same order as the LBP bits)
-    and each grid cell over the interior region, the mean of
-    |neighbour - center| / 255. Output is cell-major then orientation:
-    rows*cols*8 values, one row per pattern of a stack.
+    and each of the 8 x 8 cells of LOSIB_GRID over the interior region, the
+    mean of |neighbour - center| / 255. Output is cell-major then
+    orientation: 8*8*8 = 512 values, one row per pattern of a stack.
     """
     img = _require_patterns(img)
     nbs = _neighbors(img)
     center = img[..., 1:-1, 1:-1]
     h, w = center.shape[-2:]
     n = center.size // (h * w)
-    cell = _cell_ids(n, h, w, grid).ravel()
-    slots = n * grid.rows * grid.cols
+    cell = _cell_ids(n, h, w, LOSIB_GRID).ravel()
+    slots = n * LOSIB_GRID[0] * LOSIB_GRID[1]
     diffs = (np.abs(np.subtract(nb, center, dtype=np.int16)) / 255.0 for nb in nbs)
     acc = np.stack([np.bincount(cell, d.ravel(), minlength=slots) for d in diffs], axis=1)
     counts = np.bincount(cell, minlength=slots).astype(np.float64)
@@ -329,7 +317,7 @@ def _raw(img):
 
 
 _EXTRACTORS = {
-    "hog": lambda img: hog(img),
+    "hog": hog,
     "lbp": lambda img: grid_histogram(img, lbp_code_map, 256),
     "lbpu2": lambda img: grid_histogram(img, lambda im: U2_TABLE[lbp_code_map(im)], U2_BINS),
     "nilbp": lambda img: grid_histogram(img, nilbp_code_map, 256),
@@ -337,7 +325,7 @@ _EXTRACTORS = {
     "lsp0": lambda img: grid_histogram(img, lambda im: lsp_code_map(im, 0), LSP_BINS),
     "lsp1": lambda img: grid_histogram(img, lambda im: lsp_code_map(im, 1), LSP_BINS),
     "lsp2": lambda img: grid_histogram(img, lambda im: lsp_code_map(im, 2), LSP_BINS),
-    "losib": lambda img: losib(img),
+    "losib": losib,
     "raw": _raw,
 }
 

@@ -161,7 +161,7 @@ def _fit_and_score(stages, mats, y, test_mats, train_idx, test_idx, seed, params
         else:
             parts.append(Part(X, y, train_idx, (Xt, test_idx)))
     inner = make_folds(ytr, min(_INNER_K, len(ytr)), derive_seed(seed, 101))
-    first, meta = yield from _fit_plan(parts, ytr, inner, params, stacked=len(stages) > 1)
+    first, meta = yield from _fit_plan(parts, ytr, inner, params)
     return first[0] if meta is None else meta
 
 

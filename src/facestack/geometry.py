@@ -33,7 +33,6 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class PatternSpec:
-    kind: str
     width: int
     height: int
     eye_left: tuple
@@ -47,8 +46,8 @@ class PatternSpec:
             raise ConfigurationError("left eye target must sit left of the right eye target")
 
 
-F_PATTERN = PatternSpec("F", 59, 65, (16.0, 17.0), (42.0, 17.0))
-HS_PATTERN = PatternSpec("HS", 159, 155, (66.0, 47.0), (92.0, 47.0))
+F_PATTERN = PatternSpec(59, 65, (16.0, 17.0), (42.0, 17.0))
+HS_PATTERN = PatternSpec(159, 155, (66.0, 47.0), (92.0, 47.0))
 
 MAX_GAUSSIAN_VARIANCE = 0.1
 MAX_MOTION_LENGTH = 21

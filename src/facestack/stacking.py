@@ -3,9 +3,10 @@
 First-stage classifiers are named C1..C5 over fixed pattern/descriptor
 pairs. Their signed scores, produced out-of-fold so the meta stage never
 sees a score from a model that trained on that sample, become the feature
-columns of a small second-stage SVM. External score columns (e.g. from a
-network trained elsewhere) can join by row index. Stacked models
-serialize as `.fstk` files in the shared layout of `records`.
+columns of a small second-stage SVM, with any external score columns (e.g.
+from a network trained elsewhere): training row i joins row_index i. Two or
+more columns stack; one is a plain SVM. Stacked models serialize as
+`.fstk` files in the shared layout of `records`.
 
 `oof_scores` and `stack_fit` take one `params`: an `SvmParams` used for
 every SVM, or None to grid-search each first stage (and then the meta SVM)
@@ -109,24 +110,26 @@ def _columns_plan(parts, y, folds, params, extra=()):
     return chosen, np.column_stack(cols) if cols else None, got[len(parts) * folds.k :]
 
 
-def _fit_plan(parts, y, folds, params, stacked=True, external=None):
+def _fit_plan(parts, y, folds, params, external=None):
     """Plan (see `svm.solve_plans`) of one fit on a training part ->
     (first-stage results, meta result).
 
     parts holds one svm.Part per first stage, all over the same rows, which
     y labels and folds splits, and all with test rows or none. Each
     deployed first stage returns its SvmModel, or its scores of its part's
-    test rows. Stacked, the meta SVM trains on the out-of-fold columns plus
-    any `external` columns, and returns its model or its scores of the
-    stages' test scores; not stacked, the meta result is None. params is
-    one SvmParams for every SVM, or None to grid-search each first stage on
-    folds and then the meta SVM. The phases: the searches and, with params
-    fixed, the deployed stages; under None, the deployed stages and the
-    meta search; the meta fit.
+    test rows. With two or more score columns (stages and `external`
+    columns), the meta SVM trains on the out-of-fold columns plus the
+    external ones, and returns its model or its scores of the stages' test
+    scores; with one, the meta result is None. params is one SvmParams for
+    every SVM, or None to grid-search each first stage on folds and then
+    the meta SVM. The phases: the searches and, with params fixed, the
+    deployed stages; under None, the deployed stages and the meta search;
+    the meta fit.
     """
     def deploy(chosen):
         return [(part, [p]) for part, p in zip(parts, chosen)]
 
+    stacked = len(parts) + (0 if external is None else external.shape[1]) > 1
     chosen, cols, first = yield from _columns_plan(
         parts if stacked or params is None else [], y, folds, params,
         [] if params is None else deploy([params] * len(parts)))
@@ -158,10 +161,10 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS):
     return ScoreMatrix(scores=cols, column_ids=tuple(s.id for s in specs))
 
 
-def _join_external(row_indices, external):
+def _join_external(n, external):
     pos = {int(r): i for i, r in enumerate(external.row_indices)}
     try:
-        take = [pos[int(r)] for r in row_indices]
+        take = [pos[r] for r in range(n)]
     except KeyError as exc:
         raise DataError(f"external scores missing row_index {exc.args[0]}") from None
     return external.scores[take]
@@ -187,13 +190,12 @@ class StackedModel:
         return self.column_ids[len(self.first_stage):]
 
 
-def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
-              params=DEFAULT_STAGE_PARAMS, row_indices=None):
-    """Train the two-stage model.
+def stack_fit(X_per_spec, y, folds, specs, external_scores=None, params=DEFAULT_STAGE_PARAMS):
+    """Train the two-stage model on two or more score columns (one is one SVM).
 
     Meta training consumes out-of-fold first-stage scores plus any external
-    columns joined by row index; the deployed first-stage models are
-    trained on all rows. params is one SvmParams for every SVM; None
+    columns, training row i joined to row_index i; the deployed first-stage
+    models are trained on all rows. params is one SvmParams for every SVM; None
     grid-searches each first stage on `folds`, taking its out-of-fold column
     from that search's held-out scores for the winner, then the meta SVM on
     the score columns with the same plan. The fits run in the phases of
@@ -205,10 +207,11 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None,
         repeated = [cid for cid in external_scores.column_ids if cid in column_ids]
         if repeated:
             raise DataError(f"external score column {repeated[0]!r} repeats a first-stage id")
-        if row_indices is None:
-            row_indices = np.arange(len(y))
-        external = _join_external(row_indices, external_scores)
+        external = _join_external(len(y), external_scores)
         column_ids += list(external_scores.column_ids)
+    if len(column_ids) < 2:
+        raise ConfigurationError(f"stacking needs two or more score columns, got only "
+                                 f"{column_ids[0]}; one column is one SVM, which `train` trains")
     plan = _fit_plan([Part(X, y) for X in mats], y, folds, params, external=external)
     first, meta = solve_plans([plan])[0]
     first = [replace(m, descriptor_id=s.descriptor) for s, m in zip(specs, first)]

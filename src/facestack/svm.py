@@ -664,10 +664,9 @@ def best_point(grid, scores, y, folds):
     return min(range(len(grid)), key=lambda g: (-mean_acc[g], grid[g].C, grid[g].gamma))
 
 
-def grid_search(X, y, folds, grid=None):
-    """The best_point of cv_scores over grid (default_grid() if None)."""
-    if grid is None:
-        grid = default_grid()
+def grid_search(X, y, folds):
+    """The SvmParams of default_grid() that best_point picks from its cv_scores."""
+    grid = default_grid()
     return grid[best_point(grid, cv_scores(X, y, folds, grid), y, folds)]
 
 

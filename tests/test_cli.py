@@ -362,6 +362,90 @@ def test_stack_requires_stage_flag(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+def test_stack_on_one_score_column_exits_2_before_any_solve(workspace, tmp_path, capsys,
+                                                            monkeypatch):
+    # one column once saved a one-column meta SVM that no eval measures
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    out = tmp_path / "s.fstk"
+    for params in (["--C", "4.0"], ["--grid"]):
+        rc = main(["--out", str(out), "stack", "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                   "--stage", f"C1={workspace / 'hog.fsfm'}"] + params)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "two or more score columns" in err
+        assert "`train`" in err
+        assert not out.exists()
+
+
+def test_stack_of_one_stage_and_an_external_column(workspace, tmp_path):
+    ext = tmp_path / "ext.csv"
+    ext.write_text("row_index,EXT\n" + "".join(f"{i},{i % 3 - 1}.5\n" for i in range(30)))
+    out = tmp_path / "s.fstk"
+    assert main(["--out", str(out), "stack", "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--stage", f"C1={workspace / 'hog.fsfm'}", "--external", str(ext),
+                 "--C", "4.0"]) == 0
+    model = load_stacked(out)
+    assert model.column_ids == ("C1", "EXT")
+    assert model.meta.n_dims == 2
+
+
+def _overriding_argv(ws, command, flags):
+    manifest = str(ws / "corpus" / "manifest.csv")
+    hog = str(ws / "hog.fsfm")
+    return {
+        "train": ["train", "--features", hog, "--manifest", manifest],
+        "stack": ["stack", "--manifest", manifest, "--stage", f"C1={hog}",
+                  "--stage", f"C4={ws / 'losib.fsfm'}"],
+        "eval kfold": ["eval", "kfold", "--manifest", manifest, "--stage", f"C1={hog}"],
+        "eval crossdb": ["eval", "crossdb", "--train-manifest", manifest,
+                         "--test-manifest", str(ws / "corpus2" / "manifest.csv"),
+                         "--stage", f"C1={hog},{ws / 'hog2.fsfm'}"],
+        "noise-sweep": ["noise-sweep", "--manifest", manifest, "--pattern", "F",
+                        "--descriptor", "hog", "--k", "3"],
+    }[command] + [a.format(folds=ws / "folds.csv") for a in flags]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--grid", "--C", "8"], "--C does not apply with --grid"),
+    ("stack", ["--grid", "--gamma", "0.04"], "--gamma does not apply with --grid"),
+    ("eval kfold", ["--k", "3", "--grid", "--C", "8"], "--C does not apply with --grid"),
+    ("eval crossdb", ["--C", "8", "--gamma", "0.04", "--grid"], "--C does not apply with --grid"),
+    ("noise-sweep", ["--grid", "--gamma", "0.1"], "--gamma does not apply with --grid"),
+    ("eval kfold", ["--folds", "{folds}", "--k", "10"], "--k does not apply with --folds"),
+    ("eval kfold", ["--folds", "{folds}", "--grouping", "by_identity"],
+     "--grouping does not apply with --folds"),
+    ("eval kfold", ["--folds", "{folds}", "--protocol", "adults"],
+     "--folds plans index the unfiltered manifest"),
+], ids=["train-grid-C", "stack-grid-gamma", "kfold-grid-C", "crossdb-grid-C", "sweep-grid-gamma",
+        "kfold-folds-k", "kfold-folds-grouping", "kfold-folds-protocol"])
+def test_an_overridden_flag_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                    command, flags, message):
+    # each once ran, the flag ignored (`--folds` of 3 folds with `--k 10` ran 3
+    # folds), and `--folds` with a protocol exited 2 only after reading every input
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    monkeypatch.setattr(cli, "prepare_pattern", lambda *a, **kw: pytest.fail("a row was made"))
+    monkeypatch.setattr(cli, "load_manifest", lambda *a, **kw: pytest.fail("an input was read"))
+    out = tmp_path / ("out" if command in ("eval kfold", "eval crossdb", "noise-sweep")
+                      else "out.bin")
+    assert main(["--out", str(out)] + _overriding_argv(workspace, command, flags)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_a_flag_not_given_echoes_null_and_takes_its_default(workspace, tmp_path):
+    def run(name, flags):
+        argv = _overriding_argv(workspace, "eval kfold", flags)
+        assert main(["--seed", "3", "--out", str(tmp_path / name)] + argv) == 0
+        return tmp_path / name
+
+    given = run("given", ["--k", "5", "--grouping", "by_sample", "--C", "1.0", "--gamma", "0.095"])
+    defaults = run("defaults", [])
+    assert (given / "report.json").read_bytes() == (defaults / "report.json").read_bytes()
+    config = json.loads((defaults / "run.json").read_text())["config"]
+    assert [config[k] for k in ("k", "grouping", "C", "gamma", "folds")] == [None] * 5
+
+
 def _stage_argv(ws, command, stages):
     """argv for `command` over the workspace feature files of stages [(id, descriptor)]."""
     manifest = str(ws / "corpus" / "manifest.csv")
@@ -920,6 +1004,13 @@ def test_folds_seed_is_the_plan_the_other_commands_build(workspace, tmp_path):
                  "--manifest", manifest, "--k", "3"] + stage) == 0
     report = "report.json"
     assert (tmp_path / "given" / report).read_bytes() == (tmp_path / "built" / report).read_bytes()
+    # train and stack build the 5-fold plan that folds writes by default
+    assert main(["--seed", "7", "--out", plan, "folds", "--manifest", manifest]) == 0
+    for command, name in (("train", "m.fsvm"), ("stack", "s.fstk")):
+        argv = _overriding_argv(workspace, command, ["--grid"])
+        for side, folds in (("given", ["--folds", plan]), ("built", [])):
+            assert main(["--seed", "7", "--out", str(tmp_path / side / name)] + argv + folds) == 0
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
 
 
 def test_noise_sweep_level_equals_prepare_extract_eval(workspace, tmp_path):

@@ -15,7 +15,6 @@ from facestack.descriptors import (
     LSP_FLAT_BIN,
     U2_BINS,
     U2_TABLE,
-    GridSpec,
     grid_histogram,
     hog,
     lbp_code_map,
@@ -24,6 +23,8 @@ from facestack.descriptors import (
     nilbp_code_map,
 )
 from facestack.descriptors import _cell_ids, _cell_index, _cell_map, _hog_votes, _hypot_table
+from facestack.geometry import PATTERN_VARIANTS, prepare_pattern
+from facestack.synth import synth_sample
 
 
 def _rand_images(n, h=16, w=16, seed=0):
@@ -125,7 +126,7 @@ def test_cell_index_near_equal_split():
 
 
 def test_cell_map_is_one_shared_read_only_array():
-    grid = GridSpec(3, 5)
+    grid = (3, 5)
     cell = _cell_map(13, 11, grid)
     assert cell is _cell_map(13, 11, grid)
     assert not cell.flags.writeable
@@ -136,8 +137,8 @@ def test_cell_map_is_one_shared_read_only_array():
 def test_grid_histogram_matches_reference():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, (30, 26), dtype=np.uint8)
-    got = grid_histogram(img, lbp_code_map, 256, CODER_GRID)
-    want = oracles.ref_grid_hist(oracles.ref_lbp(img), 256, 5, 5)
+    got = grid_histogram(img, lbp_code_map, 256)
+    want = oracles.ref_grid_hist(oracles.ref_lbp(img), 256, *CODER_GRID)
     np.testing.assert_allclose(got, want, atol=1e-12)
     # per-cell L1 normalization
     per_cell = got.reshape(25, 256).sum(axis=1)
@@ -147,15 +148,14 @@ def test_grid_histogram_matches_reference():
 def test_grid_histogram_small_interior_rejected():
     img = np.zeros((5, 5), dtype=np.uint8)  # interior 3x3 cannot host 5x5 cells
     with pytest.raises(ConfigurationError):
-        grid_histogram(img, lbp_code_map, 256, GridSpec(5, 5))
-    # one row too tall or one column too wide: hog's cells cover the whole
-    # 9x7 pattern, losib's its 7x5 interior
-    img = np.zeros((9, 7), dtype=np.uint8)
-    for fn, (h, w), per_cell in ((hog, (9, 7), HOG_BINS), (losib, (7, 5), 8)):
-        for grid in (GridSpec(h + 1, w), GridSpec(h, w + 1)):
+        grid_histogram(img, lbp_code_map, 256)
+    # one row or one column short: hog's 8x8 cells cover the whole pattern,
+    # losib's its interior, so 8x8 and 10x10 are the smallest they take
+    for fn, side, per_cell in ((hog, 8, HOG_BINS), (losib, 10, 8)):
+        for shape in ((side - 1, side), (side, side - 1)):
             with pytest.raises(ConfigurationError, match="too small"):
-                fn(img, grid)
-        assert fn(img, GridSpec(h, w)).shape == (h * w * per_cell,)
+                fn(np.zeros(shape, dtype=np.uint8))
+        assert fn(np.zeros((side, side), dtype=np.uint8)).shape == (64 * per_cell,)
 
 
 def test_hog_constant_is_zero():
@@ -166,7 +166,7 @@ def test_hog_constant_is_zero():
 def test_hog_vertical_edge_single_bin():
     img = np.zeros((40, 40), dtype=np.uint8)
     img[:, 20:] = 200
-    h = hog(img).reshape(HOG_GRID.rows * HOG_GRID.cols, 9)
+    h = hog(img).reshape(HOG_GRID[0] * HOG_GRID[1], 9)
     active = h.sum(axis=1) > 0
     assert active.any()
     # horizontal gradient = 0 degrees = bin 0, nothing anywhere else
@@ -176,7 +176,7 @@ def test_hog_vertical_edge_single_bin():
 
 def test_hog_dims():
     assert hog(np.zeros((65, 59), dtype=np.uint8)).shape == (576,)
-    assert HOG_GRID == GridSpec(8, 8)
+    assert HOG_GRID == (8, 8)
 
 
 def test_losib_constant_is_zero():
@@ -189,7 +189,7 @@ def _checkerboard(shape):
 
 
 def test_losib_checkerboard():
-    v = losib(_checkerboard((34, 34))).reshape(LOSIB_GRID.rows * LOSIB_GRID.cols, 8)
+    v = losib(_checkerboard((34, 34))).reshape(LOSIB_GRID[0] * LOSIB_GRID[1], 8)
     # diagonal neighbours share parity with the center, axial ones differ
     np.testing.assert_allclose(v, np.tile([0, 1, 0, 1, 0, 1, 0, 1], (64, 1)), atol=1e-12)
 
@@ -260,19 +260,41 @@ def test_batch_equals_batches_of_one(did, shape):
         assert oracles.same_bits(extract_descriptor(stack[i : i + 1], did), one[None])
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (13, 11)], ids=lambda s: f"{s[0]}x{s[1]}")
-def test_batch_equals_batches_of_one_on_small_grids(shape):
-    stack = _pattern_stack(shape, seed=14)
-    fns = [lambda x, g=g: hog(x, g) for g in (GridSpec(1, 1), GridSpec(1, 3), GridSpec(2, 2),
-                                               GridSpec(3, 3))]
-    fns += [lambda x: losib(x, GridSpec(1, 1)),
-            lambda x: grid_histogram(x, lbp_code_map, 256, GridSpec(1, 1)),
-            lambda x: grid_histogram(x, nilbp_code_map, 256, GridSpec(1, 1)),
-            lambda x: grid_histogram(x, lambda im: lsp_code_map(im, 1), LSP_BINS, GridSpec(1, 1))]
-    for fn in fns:
-        batch = fn(stack)
-        for i, p in enumerate(stack):
-            assert oracles.same_bits(batch[i], fn(p))
+# each descriptor's width on its fixed grid; raw's is the pattern's pixel count
+FIXED_WIDTHS = {"hog": 8 * 8 * HOG_BINS, "lbp": 5 * 5 * 256, "lbpu2": 5 * 5 * U2_BINS,
+                "nilbp": 5 * 5 * 256, "nilbpu2": 5 * 5 * U2_BINS, "lsp0": 5 * 5 * LSP_BINS,
+                "lsp1": 5 * 5 * LSP_BINS, "lsp2": 5 * 5 * LSP_BINS, "losib": 8 * 8 * 8}
+
+
+@pytest.fixture(scope="module")
+def prepared_stacks():
+    """A stack of 4 synth faces normalised to each pattern `prepare` makes."""
+    rng = np.random.default_rng(21)
+    faces = [synth_sample(rng, gender)[:3] for gender in "fmfm"]
+    return {pid: np.stack([prepare_pattern(img, el, er, pid) for img, el, er in faces])
+            for pid in PATTERN_VARIANTS}
+
+
+@pytest.mark.parametrize("pattern_id", list(PATTERN_VARIANTS))  # F, HS, HS64, HS32, HS16
+@pytest.mark.parametrize("did", DESCRIPTOR_IDS)
+def test_every_descriptor_has_its_fixed_width_on_every_pattern(prepared_stacks, did, pattern_id):
+    stack = prepared_stacks[pattern_id]
+    width = FIXED_WIDTHS.get(did, stack[0].size)
+    batch = extract_descriptor(stack, did)
+    assert batch.shape == (len(stack), width)
+    for pattern, row in zip(stack, batch):
+        assert oracles.same_bits(extract_descriptor(pattern, did), row)
+
+
+@pytest.mark.parametrize("did, shape", [
+    ("hog", (7, 9)), ("hog", (9, 7)), ("hog", (1, 5)), ("hog", (5, 1)),
+    ("losib", (9, 9)), ("losib", (10, 9)), ("lbpu2", (6, 6)), ("nilbp", (7, 6)),
+    ("lsp1", (6, 7)),
+], ids=lambda v: v if isinstance(v, str) else f"{v[0]}x{v[1]}")
+def test_a_pattern_smaller_than_its_grid_is_a_configuration_error(did, shape):
+    for patterns in (np.zeros(shape, dtype=np.uint8), np.zeros((3,) + shape, dtype=np.uint8)):
+        with pytest.raises(ConfigurationError, match="too small"):
+            extract_descriptor(patterns, did)
 
 
 @pytest.mark.parametrize("shape", [(0, 65, 59), (65, 0)], ids=lambda s: "x".join(map(str, s)))
@@ -289,14 +311,14 @@ def test_extract_descriptor_rejects_bad_ranks_and_dtypes():
             extract_descriptor(bad, "hog")
 
 
-@pytest.mark.parametrize("shape", [(13, 11), (65, 59), (64, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", [(13, 11), (34, 34), (65, 59), (64, 64)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
 def test_hog_and_losib_match_add_at_oracles(shape):
+    # the extreme stack's 0/255 checkerboards give |g| = 255 at the borders
     stack = np.concatenate([_pattern_stack(shape, seed=15), _extreme_stack(shape)])
-    for rows, cols in ((8, 8), (3, 5), (1, 4)):
-        grid = GridSpec(rows, cols)
-        want = [oracles.ref_hog(p, rows, cols) for p in stack]
-        for got in (hog(stack, grid), [hog(p, grid) for p in stack]):
-            assert all(oracles.same_bits(g, w) for g, w in zip(got, want))
+    want = [oracles.ref_hog(p) for p in stack]
+    for got in (hog(stack), [hog(p) for p in stack]):
+        assert all(oracles.same_bits(g, w) for g, w in zip(got, want))
     want = [oracles.ref_losib(p) for p in stack]
     assert all(oracles.same_bits(g, w) for g, w in zip(losib(stack), want))
 
@@ -338,18 +360,3 @@ def test_hypot_table_equals_np_hypot_on_every_integer_gradient():
     # why a table and not sqrt: the sum of squares rounds differently
     # (on 1,200 pairs with numpy 2.4 on x86-64 Linux)
     assert (np.sqrt(fx * fx + fy * fy) != mag).any()
-
-
-@pytest.mark.parametrize("shape", [(2, 7), (7, 2), (2, 2), (34, 34)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
-def test_hog_on_two_pixel_sides_and_full_range_gradients_matches_oracle(shape):
-    # with a side of 2 both gradient borders are one-sided; a 0/255
-    # checkerboard has |g| = 255 at its borders
-    stack = np.concatenate([_pattern_stack(shape, seed=16), _checkerboard(shape)[None]])
-    for rows, cols in ((1, 1), (2, 2), (8, 8)):
-        if rows > min(shape):
-            continue
-        grid = GridSpec(rows, cols)
-        want = [oracles.ref_hog(p, rows, cols) for p in stack]
-        for got in (hog(stack, grid), [hog(p, grid) for p in stack]):
-            assert all(oracles.same_bits(g, w) for g, w in zip(got, want))

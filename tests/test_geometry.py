@@ -40,9 +40,9 @@ def test_pattern_constants():
 
 def test_pattern_spec_validation():
     with pytest.raises(ConfigurationError):
-        PatternSpec("X", 10, 10, (12.0, 5.0), (15.0, 5.0))
+        PatternSpec(10, 10, (12.0, 5.0), (15.0, 5.0))
     with pytest.raises(ConfigurationError):
-        PatternSpec("X", 30, 30, (20.0, 5.0), (10.0, 5.0))
+        PatternSpec(30, 30, (20.0, 5.0), (10.0, 5.0))
 
 
 def test_to_gray_rec601():

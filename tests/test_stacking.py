@@ -126,12 +126,9 @@ def test_external_oracle_column_dominates():
     n = 90
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     noise = [rng.normal(0, 1, (n, 3))]
-    row_indices = rng.permutation(1000)[:n]  # sparse, shuffled global ids
-    ext = ScoreMatrix(np.c_[y * 3.0], ("EXT",), row_indices.copy())
+    ext = ScoreMatrix(np.c_[y * 3.0], ("EXT",))
     folds = make_folds(y, 3, seed=0)
-    model = stack_fit(noise, y, folds, _specs(1), external_scores=ext,
-                      params=PARAMS,
-                      row_indices=row_indices)
+    model = stack_fit(noise, y, folds, _specs(1), external_scores=ext, params=PARAMS)
     assert model.column_ids == ("C1", "EXT")
     assert model.external_ids == ("EXT",)
     scores = stack_scores(model, noise, external={"EXT": y * 3.0})
@@ -142,13 +139,13 @@ def test_external_join_by_row_index():
     rng = np.random.default_rng(10)
     n = 30
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    rows = np.arange(100, 100 + n)
-    # external matrix stored in scrambled order must still line up by id
+    # external matrix stored in scrambled order must still line up by id:
+    # training row i joins the row whose row_index is i
     shuffle = rng.permutation(n)
-    ext = ScoreMatrix(np.c_[y[shuffle] * 2.0], ("EXT",), rows[shuffle])
+    ext = ScoreMatrix(np.c_[y[shuffle] * 2.0], ("EXT",), shuffle)
     folds = make_folds(y, 3, seed=1)
     model = stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
-                      external_scores=ext, params=PARAMS, row_indices=rows)
+                      external_scores=ext, params=PARAMS)
     scores = stack_scores(model, [rng.normal(0, 1, (n, 2))], external={"EXT": y * 2.0})
     assert np.mean(np.where(scores >= 0, 1, -1) == y) >= 0.9
 
@@ -164,13 +161,21 @@ def test_external_missing_row_index():
                   external_scores=ext, params=PARAMS)
 
 
+def test_one_score_column_is_not_a_stack(monkeypatch):
+    # one column would train a one-dimensional meta SVM that no eval measures
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    views, y = _views(30, seed=19)
+    folds = make_folds(y, 3, seed=0)
+    for params in (PARAMS, None):
+        with pytest.raises(ConfigurationError, match="two or more score columns"):
+            stack_fit([views[0]], y, folds, _specs(1), params=params)
+
+
 def test_stack_scores_requires_external_columns():
     views, y = _views(40, seed=12)
-    rows = np.arange(40)
-    ext = ScoreMatrix(np.c_[y * 2.0], ("EXT",), rows)
+    ext = ScoreMatrix(np.c_[y * 2.0], ("EXT",))
     folds = make_folds(y, 2, seed=0)
-    model = stack_fit([views[0]], y, folds, _specs(1), external_scores=ext,
-                      params=PARAMS, row_indices=rows)
+    model = stack_fit([views[0]], y, folds, _specs(1), external_scores=ext, params=PARAMS)
     with pytest.raises(DataError, match="EXT"):
         stack_scores(model, [views[0]])
     with pytest.raises(DataError, match="aligned"):
@@ -246,11 +251,9 @@ def test_stack_fit_does_not_depend_on_the_worker_count(monkeypatch, forks, tmp_p
 
 def test_stacked_roundtrip(tmp_path):
     views, y = _views(60, seed=15)
-    rows = np.arange(60)
-    ext = ScoreMatrix(np.c_[y * 1.5], ("EXT",), rows)
+    ext = ScoreMatrix(np.c_[y * 1.5], ("EXT",))
     folds = make_folds(y, 3, seed=0)
-    model = stack_fit(views, y, folds, _specs(2), external_scores=ext,
-                      params=PARAMS, row_indices=rows)
+    model = stack_fit(views, y, folds, _specs(2), external_scores=ext, params=PARAMS)
     p = tmp_path / "stack.bin"
     save_stacked(p, model)
     back = load_stacked(p)

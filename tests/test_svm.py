@@ -41,7 +41,8 @@ from facestack import (
 from facestack.dataset import FoldPlan
 from facestack.records import pack_str
 from facestack.svm import (GRID_C, GRID_GAMMA, _TOL, Part, _Fold, _Gather, _scale_fit,
-                           _sq_dists, cv_scores, read_model, solve_jobs, write_model)
+                           _sq_dists, best_point, cv_scores, read_model, solve_jobs,
+                           write_model)
 
 # a solve that stops at the iteration cap warns; no test here may do so unasked
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -514,14 +515,15 @@ def test_grid_search_beats_bad_params():
     folds = FoldPlan(3, np.arange(len(y)) % 3)
     good = SvmParams(C=4.0, gamma=4.0)
     bad = SvmParams(C=0.25, gamma=1e-6)
-    assert grid_search(X, y, folds, grid=[bad, good]) == good
+    grid = [bad, good]
+    assert best_point(grid, cv_scores(X, y, folds, grid), y, folds) == 1
 
 
 def test_grid_search_empty_grid():
     X, y = _blobs(6)
     folds = FoldPlan(2, np.arange(len(y)) % 2)
-    with pytest.raises(ConfigurationError):
-        grid_search(X, y, folds, grid=[])
+    with pytest.raises(ConfigurationError, match="empty parameter grid"):
+        cv_scores(X, y, folds, [])
 
 
 @pytest.mark.parametrize("n_plan", [30, 50])
@@ -579,7 +581,9 @@ def test_grid_search_matches_naive_loop(grid):
     assert np.array_equal(got, want)
     pick = min(range(len(points)), key=lambda pi: (-np.mean(want[pi]), points[pi].C,
                                                    points[pi].gamma))
-    assert grid_search(X, y, folds, grid=grid) == points[pick]
+    assert best_point(points, got_scores, y, folds) == pick
+    if grid is None:
+        assert grid_search(X, y, folds) == points[pick]
 
 
 @pytest.mark.parametrize("n, d", [(48, 576), (96, 1475), (96, 512)])
@@ -756,7 +760,7 @@ def test_grid_search_solves_one_batch(monkeypatch):
 
     monkeypatch.setattr(svm_module, "_solve", spy)
     grid = default_grid()
-    grid_search(X, y, folds, grid=grid)
+    grid_search(X, y, folds)
     assert len(batches) == 1
     problems = batches[0]
     assert len(problems) == len(grid) * folds.k
