@@ -166,7 +166,7 @@ def _load_stages(texts, sides):
     for i, (manifest, rows) in enumerate(sides):
         fms = [_features(files[i], manifest) for _, files, _ in parsed]
         specs = _stage_specs([sid for sid, _, _ in parsed], [fm.descriptor_id for fm in fms])
-        out.append([StageData(spec, fm.data[rows].astype(np.float64), pca)
+        out.append([StageData(spec, fm.data[rows], pca)
                     for spec, fm, (_, _, pca) in zip(specs, fms, parsed)])
     return out
 

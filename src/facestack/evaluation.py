@@ -120,7 +120,9 @@ _INNER_K = 5  # folds of the inner plan that grid search and stacking train on
 
 @dataclass(frozen=True)
 class StageData:
-    """One first-stage input: a spec plus its row-aligned feature matrix."""
+    """One first-stage input: a spec plus its row-aligned feature matrix, kept
+    float32 as `.fsfm` stores it (or float64); the rows a fold scales, and
+    the models and scores, are float64."""
 
     spec: FirstStageSpec
     features: np.ndarray

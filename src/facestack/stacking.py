@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .records import (check_end, open_binary, pack_str, read_header, read_str, read_struct,
                       write_header)
-from .svm import (Part, ScoreMatrix, SvmParams, best_point, cv_jobs, cv_table, default_grid,
-                  read_model, solve_plans, write_model)
+from .svm import (Part, ScoreMatrix, SvmParams, _as_features, best_point, cv_jobs,
+                  cv_table, default_grid, read_model, solve_plans, write_model)
 from .svm import svm_fit  # noqa: F401  (perfbench's tracer patches it in every namespace)
 
 # hyper-parameters when no grid search is requested: mid grid
@@ -63,12 +63,13 @@ S_CONFIGS = {
 
 
 def _matrices(X_per_spec, n=None):
-    """X_per_spec as float64 2-D arrays of n rows (the first's if None) -> (mats, n)."""
+    """X_per_spec as 2-D arrays of n rows (the first's if None), each float32 or
+    float64 (`svm._as_features`) -> (mats, n)."""
     if not len(X_per_spec):
         raise ConfigurationError("no stages: need at least one first-stage feature matrix")
     mats = []
     for X in X_per_spec:
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_features(X)
         if X.ndim != 2:
             raise DataError("feature matrices must be 2-D")
         if n is None:

@@ -31,6 +31,12 @@ the core count.
 under every grid point; `grid_search` picks from them, stacking takes its
 out-of-fold columns from the same jobs.
 
+Feature matrices stay in the dtype they arrive in, float32 as `.fsfm` stores
+them or float64 (`_as_features`; any other dtype becomes float64), and rows
+widen to float64 only where they are scaled. Widening is exact, so scaled
+rows, distance memos, models and scores are float64 and have the same bits
+for a float32 matrix as for its float64 copy.
+
 Features are min-max scaled to [0,1] per dimension at fit time (the scaling
 is stored in the model and applied again when scoring) and training rows are
 put in a canonical lexicographic order before solving, which makes the
@@ -151,18 +157,28 @@ def _sq_dists(A, B, out=None, B_sq=None, n=None):
     return np.maximum(out, 0.0, out=out)
 
 
-def _min_max(X, lo, hi, out=None):
+def _as_features(X):
+    """X as an array in its own dtype if that is float32 or float64, else as
+    float64: features stay as narrow as they arrive until rows are scaled."""
+    X = np.asarray(X)
+    return X if X.dtype in (np.float32, np.float64) else X.astype(np.float64)
+
+
+def _min_max(X, lo, hi, copy=True):
     """Map each column from [lo, hi] onto [0, 1]; constant columns only shift.
-    out may be X itself."""
+    X is widened to a float64 copy, exactly, and scaled in place (a float64 X
+    itself if not copy), which is faster than a ufunc over mixed dtypes."""
     span = hi - lo
-    out = np.subtract(X, lo, out=out)
+    out = X.astype(np.float64, copy=copy)
+    np.subtract(out, lo, out=out)
     return np.divide(out, np.where(span > 0, span, 1.0), out=out)
 
 
-def _scale_fit(X, out=None):
+def _scale_fit(X, copy=True):
+    X = X.astype(np.float64, copy=copy)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    return lo, hi, _min_max(X, lo, hi, out)
+    return lo, hi, _min_max(X, lo, hi, copy=False)
 
 
 @dataclass(frozen=True)
@@ -183,7 +199,7 @@ class SvmModel:
 
     def decision_function(self, X):
         """Signed scores for raw (unscaled) feature rows."""
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_features(X)
         one = X.ndim == 1
         if one:
             X = X[None, :]
@@ -242,18 +258,19 @@ class _Fold:
 
     Keeps the scaling (`lo`, `hi`), the canonical order as indices `rows`
     into X and the ordered labels `y`. None of it depends on (C, gamma), so
-    every fit on the same rows shares one _Fold. X must be a float64 array
-    that holds its values while the fold lives: `padded` reads the rows from
-    it again, since min-max scaling is elementwise and gives them the same
-    bits. The fold keeps no scaled rows; a `_Gather` that needs them does.
+    every fit on the same rows shares one _Fold. X stays in its dtype
+    (float32 or float64) and must hold its values while the fold lives:
+    `padded` reads the rows from it again, since min-max scaling is
+    elementwise and gives them the same bits. Only the rows being scaled are
+    widened to float64; the fold keeps no scaled rows, a `_Gather` that
+    needs them does.
     """
 
     def __init__(self, X, y, rows=None):
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_features(X)
         y = np.asarray(y, dtype=np.float64)
         rows = np.arange(len(X)) if rows is None else np.asarray(rows)
-        Xs = X[rows]
-        self.lo, self.hi, Xs = _scale_fit(Xs, out=Xs)
+        self.lo, self.hi, Xs = _scale_fit(X[rows], copy=False)  # X[rows] is a copy
         order = _canonical_order(Xs, y[rows])
         self.src, self.rows, self.y = X, rows[order], y[rows[order]]
 
@@ -261,11 +278,14 @@ class _Fold:
         return len(self.y)
 
     def padded(self):
-        """The scaled rows in canonical order, then 3 zero rows for `_sq_dists`."""
+        """The scaled float64 rows in canonical order, then 3 zero rows for `_sq_dists`."""
         P = np.zeros((len(self) + 3, self.src.shape[1]))
         Xs = P[: len(self)]
-        np.take(self.src, self.rows, axis=0, out=Xs, mode="clip")  # "raise" fills a temporary
-        _min_max(Xs, self.lo, self.hi, out=Xs)
+        if self.src.dtype == P.dtype:  # straight into P; "raise" fills a temporary
+            np.take(self.src, self.rows, axis=0, out=Xs, mode="clip")
+        else:  # take() casts nothing: float32 rows are gathered, then widened into P
+            Xs[...] = self.src[self.rows]
+        _min_max(Xs, self.lo, self.hi, copy=False)
         return P
 
 
@@ -476,10 +496,11 @@ def _support(alpha):
 
 @dataclass(frozen=True, eq=False)
 class Part:
-    """Training rows `rows` (all if None) of the caller's float64 matrix X,
-    whose rows y labels, and the rows `test[1]` (all if None) of the raw
-    matrix `test[0]` that its fits score, or test None for their unnamed
-    SvmModels. X is read, never copied whole; the fits share one `_Fold`."""
+    """Training rows `rows` (all if None) of the caller's float32 or float64
+    matrix X, whose rows y labels, and the rows `test[1]` (all if None) of
+    the raw matrix `test[0]` that its fits score, or test None for their
+    unnamed SvmModels. X is read in its dtype, never copied whole; the fits
+    share one `_Fold`, which widens the rows it scales to float64."""
 
     X: np.ndarray
     y: np.ndarray
@@ -609,7 +630,7 @@ def svm_fit(X, y, params):
     params) regardless of row order. A solve that stops at the iteration cap
     before converging warns with RuntimeWarning.
     """
-    part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    part = Part(_as_features(X), np.asarray(y, dtype=np.float64))
     ((model,),) = solve_jobs([(part, [params])])
     return replace(model, descriptor_id=getattr(X, "descriptor_id", ""))
 
@@ -649,7 +670,7 @@ def cv_scores(X, y, folds, grid):
     """
     if not grid:
         raise ConfigurationError("empty parameter grid")
-    part = Part(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    part = Part(_as_features(X), np.asarray(y, dtype=np.float64))
     return cv_table(solve_jobs(cv_jobs(part, folds, grid)), folds, grid)
 
 

@@ -104,6 +104,23 @@ def test_stack_grid_matches_direct_stack_fit(workspace, tmp_path):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def test_eval_kfold_hands_run_kfold_the_float32_features(workspace, monkeypatch, tmp_path):
+    dtypes = []
+    real = cli.run_kfold
+
+    def spy(stages, *args, **kwargs):
+        dtypes.extend(stage.features.dtype for stage in stages)
+        return real(stages, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_kfold", spy)
+    assert main(["--out", str(tmp_path / "eval"), "eval", "kfold",
+                 "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--stage", f"C1={workspace / 'hog.fsfm'}",
+                 "--stage", f"C4={workspace / 'losib.fsfm'}",
+                 "--k", "3", "--C", "8.0", "--gamma", "0.04"]) == 0
+    assert dtypes == [np.float32, np.float32]  # as .fsfm stores them: no float64 copy
+
+
 def test_eval_kfold_and_idempotence(workspace):
     args = lambda out: ["--seed", "3", "--out", str(out), "eval", "kfold",
                         "--manifest", str(workspace / "corpus" / "manifest.csv"),

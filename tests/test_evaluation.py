@@ -26,8 +26,9 @@ from facestack import evaluation
 from facestack import pool
 from facestack import svm as svm_module
 from facestack.pca import pca_fit
-from facestack.stacking import save_stacked, stack_fit
-from facestack.svm import default_grid, derive_seed, svm_fit
+from facestack.stacking import oof_scores, save_stacked, stack_fit, stack_scores
+from facestack.svm import (cv_scores, default_grid, derive_seed, grid_search, save_model,
+                           svm_fit)
 from facestack.dataset import make_folds
 
 PARAMS = SvmParams(C=1.0, gamma=0.095)
@@ -285,7 +286,69 @@ def test_run_crossdb_equals_the_naive_loop(widths, pca, params):
     assert np.array_equal(scores, want)  # bit for bit
 
 
-def _five_stages(n=120, widths=(576, 576, 256, 256, 128), seed=0):
+def _saved(save, obj, path):
+    save(path, obj)
+    return path.read_bytes()
+
+
+def _kfold_outputs(pca, params):
+    def outputs(mats, y, folds, tmp_path):
+        report, pooled = run_kfold(_stages(mats, pca), y, k=3, seed=5, params=params)
+        return [pooled.tobytes(), json.dumps(report.to_dict())]
+    return outputs
+
+
+def _specs(mats):
+    return [FirstStageSpec(f"C{s + 1}", "custom", "raw") for s in range(len(mats))]
+
+
+def _svm_outputs(mats, y, folds, tmp_path):
+    model = svm_fit(mats[0], y, PARAMS)
+    return [_saved(save_model, model, tmp_path / "m.fsvm"),
+            model.decision_function(mats[0]).tobytes(), model.decision_function(mats[0][0])]
+
+
+def _cv_outputs(mats, y, folds, tmp_path):
+    return [cv_scores(mats[0], y, folds, default_grid()[::7]).tobytes(),
+            grid_search(mats[0], y, folds)]
+
+
+def _stack_outputs(mats, y, folds, tmp_path):
+    model = stack_fit(mats, y, folds, _specs(mats), params=PARAMS)
+    return [_saved(save_stacked, model, tmp_path / "m.fstk"),
+            stack_scores(model, mats).tobytes()]
+
+
+def _crossdb_outputs(mats, y, folds, tmp_path):
+    tr, te = slice(0, 40), slice(40, None)
+    report, scores = run_crossdb(_stages(mats, (0, 4), tr), _stages(mats, (0, 4), te),
+                                 y[tr], y[te], seed=3, params=None)
+    return [scores.tobytes(), json.dumps(report.to_dict())]
+
+
+@pytest.mark.parametrize("outputs", [
+    pytest.param(_svm_outputs, id="svm_fit"),
+    pytest.param(_cv_outputs, id="cv_scores-grid_search"),
+    pytest.param(lambda mats, y, folds, tmp_path: [
+        oof_scores(mats, y, folds, _specs(mats), params=PARAMS).scores.tobytes()],
+        id="oof_scores"),
+    pytest.param(_stack_outputs, id="stack_fit"),
+    pytest.param(_kfold_outputs((0, 0), PARAMS), id="run_kfold-fixed"),
+    pytest.param(_kfold_outputs((0, 0), None), id="run_kfold-grid"),
+    pytest.param(_kfold_outputs((3, 0), PARAMS), id="run_kfold-pca"),
+    pytest.param(_crossdb_outputs, id="run_crossdb"),
+])
+def test_float32_features_give_the_bytes_of_their_float64_copies(outputs, tmp_path):
+    # rows widen exactly where they are scaled, so a float32 matrix (what
+    # .fsfm stores) and its float64 copy give the same models and scores
+    views, y = _views(60, 41, (12, 9))
+    mats = [X.astype(np.float32) for X in views]
+    folds = make_folds(y, 3, seed=1)
+    got = outputs(mats, y, folds, tmp_path)
+    assert got == outputs([X.astype(np.float64) for X in mats], y, folds, tmp_path)
+
+
+def _five_stages(n=120, widths=(576, 576, 256, 256, 128), seed=0, dtype=np.float64):
     """Five stages of C1-like widths on n rows, as in S5."""
     rng = np.random.default_rng(seed)
     y = np.where(np.arange(n) % 2, 1.0, -1.0)
@@ -293,7 +356,7 @@ def _five_stages(n=120, widths=(576, 576, 256, 256, 128), seed=0):
     for s, d in enumerate(widths):
         Z = rng.normal(0, 1, (n, 2)) + 0.6 * y[:, None]
         X = Z @ rng.normal(0, 1, (2, d)) + rng.normal(0, 0.5, (n, d))
-        stages.append(StageData(FirstStageSpec(f"C{s + 1}", "custom", "raw"), X))
+        stages.append(StageData(FirstStageSpec(f"C{s + 1}", "custom", "raw"), X.astype(dtype)))
     return stages, y
 
 
@@ -326,20 +389,36 @@ def test_five_stage_kfold_does_not_depend_on_the_worker_count(monkeypatch, forks
     assert oracles.same_bits(*pooled)
 
 
-def test_run_kfold_peak_memory_does_not_rise():
-    # tracemalloc peak of this run, measured on the same fixture: 4,758,668
-    # bytes with one solve per stage and outer fold, each fold keeping its
-    # scaled rows; 4,371,528 bytes with one solve per phase under _BATCH_BYTES
-    stages, y = _five_stages()
+def _kfold_peak(dtype=None):
+    """tracemalloc peak of the S5-like run_kfold of this file, its stages
+    built in dtype inside the traced window or, if dtype is None, before it."""
     warm, y_warm = _five_stages(n=30, widths=(8, 8))
     run_kfold(warm, y_warm, k=3, seed=7, params=PARAMS)  # lazy imports and caches
+    stages, y = _five_stages() if dtype is None else (None, None)
     tracemalloc.start()
     try:
+        if dtype is not None:
+            stages, y = _five_stages(dtype=dtype)
         run_kfold(stages, y, k=5, seed=7, params=PARAMS)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 4_758_668
+
+
+def test_run_kfold_peak_memory_does_not_rise():
+    # tracemalloc peak of this run, measured on the same fixture with phase
+    # batching under _BATCH_BYTES and folds that keep no scaled rows: 4,351,300
+    # and 4,335,308 bytes on 1 and 2 cores (4,758,668 with the earlier one
+    # solve per stage and outer fold)
+    assert _kfold_peak() <= 1.05 * 4_351_300
+
+
+def test_float32_stages_take_half_the_matrix_memory():
+    # the stage matrices are the only input-sized term: kept float32 to the
+    # folds, the run holds no float64 copy of them
+    f32_bytes = sum(s.features.nbytes for s in _five_stages(dtype=np.float32)[0])
+    saved = _kfold_peak(np.float64) - _kfold_peak(np.float32)
+    assert saved >= 0.8 * f32_bytes
 
 
 def test_sub_batches_and_lru_folds_change_no_bit(monkeypatch, tmp_path):
