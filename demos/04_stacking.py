@@ -41,9 +41,10 @@ stacked = stack_fit([a[train], b[train]], y[train], folds, specs,
                     params=params)
 print(f"stacked: test accuracy {acc(stack_scores(stacked, [a[~train], b[~train]])):.3f}")
 
-ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
+ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",))  # row i scores training row i
 with_ext = stack_fit([a[train], b[train]], y[train], folds, specs,
                      external_scores=ext, params=params)
-s = stack_scores(with_ext, [a[~train], b[~train]], external={"EXT": y[~train] * 3.0})
+s = stack_scores(with_ext, [a[~train], b[~train]],
+                 external=ScoreMatrix(y[~train, None] * 3.0, ("EXT",)))
 print(f"stacked + oracle column: test accuracy {acc(s):.3f} "
       f"(columns {with_ext.column_ids})")

@@ -29,10 +29,9 @@ from .features import FeatureMatrix, load_features, save_features
 from .geometry import (NoiseSpec, PATTERN_VARIANTS, pattern_eyes,
                        prepare_pattern)
 from .pgm import load_gray, read_pgm, write_pgm
-from .stacking import (CANONICAL_STAGES, DEFAULT_STAGE_PARAMS, FirstStageSpec,
-                       _join_external, stack_fit, save_stacked)
-from .svm import (ScoreMatrix, SvmParams, derive_seed, grid_search, load_scores, save_model,
-                  svm_fit)
+from .stacking import (CANONICAL_STAGES, DEFAULT_STAGE_PARAMS, FirstStageSpec, stack_fit,
+                       save_stacked)
+from .svm import SvmParams, derive_seed, grid_search, load_scores, save_model, svm_fit
 from .synth import synth_corpus
 
 PROTOCOLS = ("none", "dago", "dago-adults", "adults")
@@ -306,19 +305,18 @@ def cmd_train(ns):
 
 
 def cmd_stack(ns):
+    """Fit the stacked model on every manifest row. The --external score file
+    comes row-aligned from `load_scores`, and must have one row per
+    manifest row."""
     params = _svm_params(ns)
     manifest = load_manifest(ns.manifest, check_files=False)
     (stages,) = _load_stages(ns.stage, [(manifest, slice(None))])
     if any(stage.pca_components for stage in stages):
         raise ConfigurationError("PCA stage suffixes are only supported by eval")
     plan = _fold_plan(ns.folds, manifest, ns.seed)
-    external = None
-    if ns.external:  # joined to the manifest's rows here, so that a missing row names the file
-        scores = load_scores(ns.external)
-        try:
-            external = ScoreMatrix(_join_external(len(manifest), scores), scores.column_ids)
-        except DataError as exc:
-            raise DataError(f"{ns.external}: {exc}") from None
+    external = load_scores(ns.external) if ns.external else None
+    if external is not None and len(external.scores) != len(manifest):  # names the file
+        raise DataError(f"{ns.external}: {len(external.scores)} rows, manifest has {len(manifest)}")
     model = stack_fit([stage.features for stage in stages], manifest.labels(), plan,
                       [stage.spec for stage in stages], external_scores=external,
                       params=params)
@@ -511,7 +509,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--stage", action="append", default=[],
                    help="ID=FEATURES.fsfm, repeatable (C1..C5 or custom ids)")
-    p.add_argument("--external", default=None, help="external score CSV joined by row_index")
+    p.add_argument("--external", default=None, help="external score CSV, one row per manifest row")
     p.add_argument("--folds", default=None)
     _add_svm_flags(p)
     p.set_defaults(func=cmd_stack)

@@ -4,8 +4,10 @@ First-stage classifiers are named C1..C5 over fixed pattern/descriptor
 pairs. Their signed scores, produced out-of-fold so the meta stage never
 sees a score from a model that trained on that sample, become the feature
 columns of a small second-stage SVM, with any external score columns (e.g.
-from a network trained elsewhere): training row i joins row_index i. Two or
-more columns stack; one is a plain SVM. Stacked models serialize as
+from a network trained elsewhere). External columns are a row-aligned
+`svm.ScoreMatrix`: row i holds the scores of training (or scored) row i,
+as `svm.load_scores` returns a score file's rows. Two or more columns
+stack; one is a plain SVM. Stacked models serialize as
 `.fstk` files in the shared layout of `records`.
 
 `oof_scores` and `stack_fit` take one `params`: an `SvmParams` used for
@@ -162,13 +164,12 @@ def oof_scores(X_per_spec, y, folds, specs, params=DEFAULT_STAGE_PARAMS):
     return ScoreMatrix(scores=cols, column_ids=tuple(s.id for s in specs))
 
 
-def _join_external(n, external):
-    pos = {int(r): i for i, r in enumerate(external.row_indices)}
-    try:
-        take = [pos[r] for r in range(n)]
-    except KeyError as exc:
-        raise DataError(f"external scores missing row_index {exc.args[0]}") from None
-    return external.scores[take]
+def _aligned(external, n):
+    """The scores of external, a ScoreMatrix that must have n rows."""
+    if len(external.scores) != n:
+        raise DataError(f"external scores are not row-aligned: {len(external.scores)} rows, "
+                        f"not {n}")
+    return external.scores
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,12 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None, params=DEFAULT_
     """Train the two-stage model on two or more score columns (one is one SVM).
 
     Meta training consumes out-of-fold first-stage scores plus any external
-    columns, training row i joined to row_index i; the deployed first-stage
-    models are trained on all rows. params is one SvmParams for every SVM; None
-    grid-searches each first stage on `folds`, taking its out-of-fold column
-    from that search's held-out scores for the winner, then the meta SVM on
-    the score columns with the same plan. The fits run in the phases of
-    `_fit_plan`.
+    columns, a row-aligned ScoreMatrix with one row per training row; the
+    deployed first-stage models are trained on all rows. params is one
+    SvmParams for every SVM; None grid-searches each first stage on
+    `folds`, taking its out-of-fold column from that search's held-out
+    scores for the winner, then the meta SVM on the score columns with the
+    same plan. The fits run in the phases of `_fit_plan`.
     """
     specs, mats, y = _checked(X_per_spec, y, specs)
     column_ids, external = [s.id for s in specs], None
@@ -208,7 +209,7 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None, params=DEFAULT_
         repeated = [cid for cid in external_scores.column_ids if cid in column_ids]
         if repeated:
             raise DataError(f"external score column {repeated[0]!r} repeats a first-stage id")
-        external = _join_external(len(y), external_scores)
+        external = _aligned(external_scores, len(y))
         column_ids += list(external_scores.column_ids)
     if len(column_ids) < 2:
         raise ConfigurationError(f"stacking needs two or more score columns, got only "
@@ -223,21 +224,18 @@ def stack_fit(X_per_spec, y, folds, specs, external_scores=None, params=DEFAULT_
 def stack_scores(model, X_per_spec, external=None):
     """Meta scores for row-aligned feature matrices (one per first stage).
 
-    external maps column id -> per-row score array for any non-first-stage
-    columns the meta model was trained with.
+    external is a ScoreMatrix with one row per scored row, holding (by
+    column id) the external columns the meta model was trained with.
     """
     if len(X_per_spec) != len(model.first_stage):
         raise DataError("need one feature matrix per first-stage spec")
     mats, n = _matrices(X_per_spec)
     cols = [m.decision_function(X) for (_, m), X in zip(model.first_stage, mats)]
-    external = external or {}
+    given = () if external is None else external.column_ids
     for cid in model.external_ids:
-        if cid not in external:
+        if cid not in given:
             raise DataError(f"model needs external score column {cid!r}")
-        col = np.asarray(external[cid], dtype=np.float64)
-        if col.shape != (n,):
-            raise DataError(f"external column {cid!r} not aligned with rows")
-        cols.append(col)
+        cols.append(_aligned(external, n)[:, given.index(cid)])
     return model.meta.decision_function(np.column_stack(cols))
 
 

@@ -71,7 +71,7 @@ import csv
 import struct
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -693,15 +693,12 @@ def grid_search(X, y, folds):
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-sample signed scores from one or more classifiers.
-
-    Rows follow the originating manifest; row_indices keeps each row's
-    position in that manifest so external score columns can be joined.
-    """
+    """Per-sample signed scores from one or more classifiers, row-aligned:
+    row i scores sample i of the rows it goes with. A score file's rows are
+    its manifest's; `stacking`'s are the training or the scored rows."""
 
     scores: np.ndarray            # (n, k) float
     column_ids: tuple
-    row_indices: np.ndarray = field(default=None)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -715,37 +712,38 @@ class ScoreMatrix:
             raise DataError("non-finite score")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "column_ids", tuple(self.column_ids))
-        ri = self.row_indices
-        ri = np.arange(len(scores)) if ri is None else np.asarray(ri, dtype=np.int64)
-        if ri.shape != (len(scores),) or len(np.unique(ri)) != len(ri):
-            raise DataError("row_indices must be unique, one per row")
-        object.__setattr__(self, "row_indices", ri)
 
 
 def save_scores(path, matrix):
+    """Write matrix as a score CSV, row i under row_index i."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("row_index",) + matrix.column_ids)
-        for ri, row in zip(matrix.row_indices, matrix.scores):
-            writer.writerow([int(ri)] + [repr(float(v)) for v in row])
+        for i, row in enumerate(matrix.scores):
+            writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def load_scores(path):
+    """The score CSV at path as a row-aligned ScoreMatrix, row i from the file's
+    row with row_index i. The file lists each of 0..n-1 once, in any order;
+    any other row_index is a DataError naming it."""
     header, rows = read_csv(path, "score file")
     if header[:1] != ["row_index"] or len(header) < 2:
         raise ParseError(f"{path}: expected a row_index,<columns> header")
     if not rows:
         raise ParseError(f"{path}: no score rows")
-    idx, scores = [], []
+    scores = [None] * len(rows)
     for lineno, (ri, *values) in rows:
         try:
-            idx.append(int(ri))
-            scores.append([float(v) for v in values])
+            i, row = int(ri), [float(v) for v in values]
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        if not 0 <= i < len(rows) or scores[i] is not None:
+            what = "repeated" if 0 <= i < len(rows) else f"outside 0..{len(rows) - 1}"
+            raise DataError(f"{path}: row {lineno}: row_index {i} {what}")
+        scores[i] = row
     try:
-        return ScoreMatrix(scores=np.array(scores), column_ids=tuple(header[1:]),
-                           row_indices=np.array(idx))
+        return ScoreMatrix(scores=np.array(scores), column_ids=tuple(header[1:]))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

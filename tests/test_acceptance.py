@@ -175,11 +175,11 @@ def test_c04_stacking_complementarity():
 
         # oracle-column variant: a perfect external score column is ingested
         # through the same path and lifts the stack to near-perfect accuracy
-        ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",), np.flatnonzero(train))
+        ext = ScoreMatrix(y[train, None] * 3.0, ("EXT",))
         with_ext = stack_fit([X[train] for X in mats], y[train], folds, specs,
                              external_scores=ext, params=params)
         s2 = stack_scores(with_ext, [X[~train] for X in mats],
-                          external={"EXT": y[~train] * 3.0})
+                          external=ScoreMatrix(y[~train, None] * 3.0, ("EXT",)))
         assert _acc(np.where(s2 >= 0, 1, -1), y[~train]) >= 0.97
 
 

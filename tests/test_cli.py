@@ -16,8 +16,9 @@ from facestack.dataset import Manifest, load_folds, load_manifest, save_manifest
 from facestack.descriptors import extract_descriptor
 from facestack.features import load_features
 from facestack.pgm import read_pgm
-from facestack.stacking import CANONICAL_STAGES, load_stacked, save_stacked, stack_fit
-from facestack.svm import derive_seed, load_model
+from facestack.stacking import (CANONICAL_STAGES, DEFAULT_STAGE_PARAMS, load_stacked, oof_scores,
+                                save_stacked, stack_fit)
+from facestack.svm import SvmParams, derive_seed, load_model, load_scores, save_scores
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +407,36 @@ def test_stack_of_one_stage_and_an_external_column(workspace, tmp_path):
     assert model.meta.n_dims == 2
 
 
+def test_stack_external_reads_the_rows_save_scores_writes_in_any_order(workspace, tmp_path):
+    # out-of-fold C4 scores as the external column of a C1 stack: the file
+    # reads back bit for bit, and `stack` on it, in order or reversed, saves
+    # the bytes of stack_fit on the matrix itself
+    manifest = workspace / "corpus" / "manifest.csv"
+    y = load_manifest(manifest).labels()
+    plan = load_folds(workspace / "folds.csv")
+    oof = oof_scores([load_features(workspace / "losib.fsfm").data], y, plan,
+                     [CANONICAL_STAGES["C4"]])
+    scores = tmp_path / "oof.csv"
+    save_scores(scores, oof)
+    back = load_scores(scores)
+    assert back.column_ids == oof.column_ids == ("C4",)
+    assert back.scores.tobytes() == oof.scores.tobytes()
+    save_stacked(tmp_path / "want.fstk",
+                 stack_fit([load_features(workspace / "hog.fsfm").data], y, plan,
+                           [CANONICAL_STAGES["C1"]], external_scores=oof,
+                           params=SvmParams(C=4.0, gamma=DEFAULT_STAGE_PARAMS.gamma)))
+    header, *lines = scores.read_text().splitlines()
+    reversed_rows = tmp_path / "reversed.csv"
+    reversed_rows.write_text("\n".join([header] + lines[::-1]) + "\n")
+    for ext in (scores, reversed_rows):
+        out = tmp_path / f"{ext.stem}.fstk"
+        assert main(["--out", str(out), "stack", "--manifest", str(manifest),
+                     "--stage", f"C1={workspace / 'hog.fsfm'}",
+                     "--folds", str(workspace / "folds.csv"),
+                     "--external", str(ext), "--C", "4.0"]) == 0
+        assert out.read_bytes() == (tmp_path / "want.fstk").read_bytes()
+
+
 def _overriding_argv(ws, command, flags):
     manifest = str(ws / "corpus" / "manifest.csv")
     hog = str(ws / "hog.fsfm")
@@ -724,9 +755,12 @@ def _bad_input(ws, tmp_path, case):
                                      for s in samples)), tmp_path / "bad.csv")
         return ["eval", "kfold", "--manifest", str(tmp_path / "bad.csv"),
                 "--stage", f"C1={hog}", "--protocol", "dago", "--C", "4.0"]
+    ids = {"scores-extra-rows": range(40), "scores-negative-rows": range(-5, 30),
+           "scores-gap": [i for i in range(31) if i != 12],
+           "scores-repeated-id": list(range(30)) + [7]}.get(case)
     rows = {"scores-non-numeric": ["0,abc"], "scores-nan": ["0,nan"],
             "scores-repeated-row": ["0,0.5", "0,0.5"],
-            "scores-missing-row": ["0,0.5", "1,0.5"]}[case]
+            "scores-missing-row": ["0,0.5", "1,0.5"]}.get(case) or [f"{i},0.5" for i in ids]
     (tmp_path / "bad.csv").write_text("row_index,EXT\n" + "\n".join(rows) + "\n")
     return stack + ["--external", str(tmp_path / "bad.csv")]
 
@@ -740,8 +774,13 @@ BAD_INPUTS = [
     ("protocol-empty", 3, "protocol 'dago' filtered out every sample"),
     ("scores-non-numeric", 3, "bad.csv: row 2: could not convert string to float"),
     ("scores-nan", 3, "bad.csv: non-finite score"),
-    ("scores-repeated-row", 3, "bad.csv: row_indices must be unique, one per row"),
-    ("scores-missing-row", 3, "bad.csv: external scores missing row_index 2"),
+    ("scores-repeated-row", 3, "bad.csv: row 3: row_index 0 repeated"),
+    ("scores-missing-row", 3, "bad.csv: 2 rows, manifest has 30"),
+    # a score file lists each of the manifest's row positions 0..n-1 once
+    ("scores-extra-rows", 3, "bad.csv: 40 rows, manifest has 30"),
+    ("scores-negative-rows", 3, "bad.csv: row 2: row_index -5 outside 0..34"),
+    ("scores-gap", 3, "bad.csv: row 31: row_index 30 outside 0..29"),
+    ("scores-repeated-id", 3, "bad.csv: row 32: row_index 7 repeated"),
 ]
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,72 @@ def test_stranded_name_check_sees_a_helper_left_behind():
         "b.py": "from .a import _Fold\nimport a\na._KEPT\n",
     }
     assert _stranded_private_names(sources) == [("a.py", "_check_jobs")]
+
+
+# Public names that no caller outside the tests reads, and why each stays.
+UNREAD_PUBLIC = {
+    ("svm.py", "load_model"): "the only check on the .fsvm writer (ROADMAP item 9)",
+    ("stacking.py", "load_stacked"): "the only check on the .fstk writer (ROADMAP item 9)",
+    ("geometry.py", "SimilarityTransform.apply"): "the tests' reference for eye_transform",
+    ("svm.py", "save_scores"): "the score-file writer `eval --external` will use (ROADMAP item 12)",
+}
+
+
+def _unread_public_names(package, others, readme):
+    """Public functions, classes and methods of package ({module: source})
+    that nothing reads outside their own definition: not the package (a
+    Name load or an attribute, not an import), not others (sources of
+    callers outside it), not a call `name(` in readme -> [(module, name)],
+    a method as Class.method."""
+    def reads(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, node.lineno
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, node.lineno
+
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read_by = {module: list(reads(tree)) for module, tree in trees.items()}
+    outside = {name for source in others for name, _ in reads(ast.parse(source))}
+    outside |= set(re.findall(r"(\w+)\(", readme))
+    unread = []
+    for module, tree in trees.items():
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs:
+            name = qualname.split(".")[-1]
+            if name.startswith("_") or name in outside:
+                continue
+            if not any(n == name and not (m == module and node.lineno <= line <= node.end_lineno)
+                       for m, names in read_by.items() for n, line in names):
+                unread.append((module, qualname))
+    return sorted(unread)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    others = [p.read_text(encoding="utf-8")
+              for p in sorted(root.glob("demos/*.py")) + sorted(root.glob("perfbench/*.py"))]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert _unread_public_names(package, others, readme) == sorted(UNREAD_PUBLIC)
+
+
+def test_public_name_check_sees_a_name_no_caller_reads():
+    package = {
+        "a.py": ("def used():\n    return 1\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def in_demo():\n    pass\n"
+                 "def in_readme():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class Box:\n    def kept(self):\n        return self.dropped\n"
+                 "    def dropped(self):\n        return Box\n"
+                 "    def lonely(self):\n        pass\n"),
+        "b.py": "from .a import in_readme\nused()\nBox().kept()\n",
+    }
+    readme = "Call `in_readme(x)`; `recursive` is named but not called."
+    assert _unread_public_names(package, ["in_demo()\n"], readme) == \
+        [("a.py", "Box.lonely"), ("a.py", "recursive")]

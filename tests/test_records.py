@@ -28,8 +28,8 @@ READERS = {
     ),
     "score file": (
         load_scores, '"row_index",CNN', ["0,0.5", '1,"-1.5"'],
-        lambda sm: (sm.column_ids, sm.row_indices.tolist(), sm.scores.tolist()),
-        (("CNN",), [0, 1], [[0.5], [-1.5]]), "2",
+        lambda sm: (sm.column_ids, sm.scores.tolist()),
+        (("CNN",), [[0.5], [-1.5]]), "2",
     ),
 }
 

@@ -14,6 +14,7 @@ from facestack import (
     SvmParams,
     default_grid,
     grid_search,
+    load_scores,
     load_stacked,
     make_folds,
     oof_scores,
@@ -131,22 +132,24 @@ def test_external_oracle_column_dominates():
     model = stack_fit(noise, y, folds, _specs(1), external_scores=ext, params=PARAMS)
     assert model.column_ids == ("C1", "EXT")
     assert model.external_ids == ("EXT",)
-    scores = stack_scores(model, noise, external={"EXT": y * 3.0})
+    scores = stack_scores(model, noise, external=ext)
     assert np.mean(np.where(scores >= 0, 1, -1) == y) >= 0.97
 
 
-def test_external_join_by_row_index():
+def test_external_join_by_row_index(tmp_path):
     rng = np.random.default_rng(10)
     n = 30
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    # external matrix stored in scrambled order must still line up by id:
-    # training row i joins the row whose row_index is i
+    # a score file stored in scrambled order must still line up by id:
+    # load_scores puts the row whose row_index is i in row i
     shuffle = rng.permutation(n)
-    ext = ScoreMatrix(np.c_[y[shuffle] * 2.0], ("EXT",), shuffle)
+    p = tmp_path / "ext.csv"
+    p.write_text("row_index,EXT\n" + "".join(f"{i},{y[i] * 2.0}\n" for i in shuffle))
+    ext = load_scores(p)
     folds = make_folds(y, 3, seed=1)
     model = stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
                       external_scores=ext, params=PARAMS)
-    scores = stack_scores(model, [rng.normal(0, 1, (n, 2))], external={"EXT": y * 2.0})
+    scores = stack_scores(model, [rng.normal(0, 1, (n, 2))], external=ext)
     assert np.mean(np.where(scores >= 0, 1, -1) == y) >= 0.9
 
 
@@ -154,11 +157,25 @@ def test_external_missing_row_index():
     rng = np.random.default_rng(11)
     n = 20
     y = np.r_[np.ones(10), -np.ones(10)]
-    ext = ScoreMatrix(np.zeros((n - 1, 1)), ("EXT",), np.arange(n - 1))
+    ext = ScoreMatrix(np.zeros((n - 1, 1)), ("EXT",))
     folds = make_folds(y, 2, seed=0)
-    with pytest.raises(DataError, match="row_index"):
+    with pytest.raises(DataError, match="19 rows, not 20"):
         stack_fit([rng.normal(0, 1, (n, 2))], y, folds, _specs(1),
                   external_scores=ext, params=PARAMS)
+
+
+@pytest.mark.parametrize("extra", [-3, 1])
+def test_external_scores_of_another_row_count_are_refused(monkeypatch, extra):
+    views, y = _views(24, seed=14)
+    folds = make_folds(y, 3, seed=0)
+    model = stack_fit([views[0]], y, folds, _specs(1),
+                      external_scores=ScoreMatrix(np.c_[y], ("EXT",)), params=PARAMS)
+    monkeypatch.setattr(svm_module, "_solve", lambda problems: pytest.fail("a solve started"))
+    ext = ScoreMatrix(np.ones((24 + extra, 1)), ("EXT",))
+    with pytest.raises(DataError, match=f"not row-aligned: {24 + extra} rows, not 24"):
+        stack_fit([views[0]], y, folds, _specs(1), external_scores=ext, params=PARAMS)
+    with pytest.raises(DataError, match=f"not row-aligned: {24 + extra} rows, not 10"):
+        stack_scores(model, [views[0][:10]], external=ext)
 
 
 def test_one_score_column_is_not_a_stack(monkeypatch):
@@ -179,7 +196,7 @@ def test_stack_scores_requires_external_columns():
     with pytest.raises(DataError, match="EXT"):
         stack_scores(model, [views[0]])
     with pytest.raises(DataError, match="aligned"):
-        stack_scores(model, [views[0]], external={"EXT": np.zeros(3)})
+        stack_scores(model, [views[0]], external=ScoreMatrix(np.zeros((3, 1)), ("EXT",)))
 
 
 def test_random_labels_stay_at_chance():
@@ -259,9 +276,8 @@ def test_stacked_roundtrip(tmp_path):
     back = load_stacked(p)
     assert back.column_ids == model.column_ids
     assert [s.id for s, _ in back.first_stage] == ["C1", "C2"]
-    ext_scores = {"EXT": y * 1.5}
-    np.testing.assert_array_equal(stack_scores(back, views, external=ext_scores),
-                                  stack_scores(model, views, external=ext_scores))
+    np.testing.assert_array_equal(stack_scores(back, views, external=ext),
+                                  stack_scores(model, views, external=ext))
 
 
 def test_load_stacked_rejects_garbage(tmp_path):

@@ -462,14 +462,17 @@ def test_load_model_rejects_garbage(tmp_path):
 
 
 def test_score_matrix_roundtrip(tmp_path):
-    sm = ScoreMatrix(np.array([[0.5, -1.25], [2.0, 0.125]]), ("C1", "C3"),
-                     np.array([4, 9]))
+    # row i is saved under row_index i, and read back into row i from any line
+    sm = ScoreMatrix(np.array([[0.5, -1.25], [2.0, 0.125]]), ("C1", "C3"))
     p = tmp_path / "scores.csv"
     save_scores(p, sm)
-    back = load_scores(p)
-    assert back.column_ids == ("C1", "C3")
-    assert np.array_equal(back.row_indices, sm.row_indices)
-    np.testing.assert_array_equal(back.scores, sm.scores)
+    header, *lines = p.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["0", "1"]
+    for text in (p.read_text(), "\n".join([header] + lines[::-1]) + "\n"):
+        p.write_text(text)
+        back = load_scores(p)
+        assert back.column_ids == ("C1", "C3")
+        np.testing.assert_array_equal(back.scores, sm.scores)
 
 
 def test_score_column_id_with_a_comma_survives_save_and_load(tmp_path):
@@ -486,8 +489,8 @@ def test_score_matrix_validation():
         ScoreMatrix(np.zeros((2, 3)), ("C1", "C2"))
     with pytest.raises(DataError, match="repeated score column id"):
         ScoreMatrix(np.zeros((2, 2)), ("C1", "C1"))
-    with pytest.raises(DataError):
-        ScoreMatrix(np.zeros((2, 2)), ("C1", "C2"), np.array([0, 1, 2]))
+    with pytest.raises(DataError, match="2-D"):
+        ScoreMatrix(np.zeros(2), ("C1",))
 
 
 def test_default_grid_layout():
